@@ -3,7 +3,9 @@
 The period map (monodromy matrix) is obtained by propagating all canonical
 basis fields at once as a matrix initial value problem.  A fixed classical RK4
 step keeps the flow deterministic: identical inputs give bit-identical maps
-regardless of evaluation schedule.
+regardless of evaluation schedule.  The weight values at the RK stage times
+come from stage tables, each built in one ``Weight.table`` call per
+integration.
 
 Exact positivity of the flow is only preserved up to the integrator's order,
 so the period map clamps rounding-level negative entries (magnitude below
@@ -79,29 +81,31 @@ def _integrate(op: DispersalOperator, weight: Weight, lam: float, state: np.ndar
 
     u0_norm = float(np.abs(state).max())
     b_norm = float(np.abs(b).max())
-    m_seen = 0.0
     log_u0 = math.log(max(u0_norm, 1e-300))
+
+    # stage tables for t_k = t0 + k h: halves[k] holds m(t_k + h/2); ends[0]
+    # holds m(t0) and ends[k + 1] holds m(t_k + h), which also starts step k + 1
+    t = t0 + np.arange(n_steps) * h
+    halves = weight.table(t + 0.5 * h, grid)
+    ends = weight.table(np.concatenate(([t0], t + h)), grid)
+    end_sup = np.abs(ends).max(axis=1)
+    # largest |m| met by the end of each step, for the growth envelope
+    m_seen = np.maximum.accumulate(np.maximum(np.maximum(end_sup[:-1], end_sup[1:]),
+                                              np.abs(halves).max(axis=1))).tolist()
 
     times = [t0]
     states = [state.copy()] if record_every else None
-    m_curr = weight.evaluate(t0, grid)
     u = state.astype(float)
     for k in range(n_steps):
-        t = t0 + k * h
-        m_half = weight.evaluate(t + 0.5 * h, grid)
-        m_next = weight.evaluate(t + h, grid)
-        m_seen = max(m_seen, float(np.abs(m_curr).max()), float(np.abs(m_half).max()),
-                     float(np.abs(m_next).max()))
-        k1 = rhs(m_curr, u)
-        k2 = rhs(m_half, u + 0.5 * h * k1)
-        k3 = rhs(m_half, u + 0.5 * h * k2)
-        k4 = rhs(m_next, u + h * k3)
+        k1 = rhs(ends[k], u)
+        k2 = rhs(halves[k], u + 0.5 * h * k1)
+        k3 = rhs(halves[k], u + 0.5 * h * k2)
+        k4 = rhs(ends[k + 1], u + h * k3)
         u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        m_curr = m_next
 
         norm = float(np.abs(u).max())
         elapsed = (k + 1) * h
-        limit = log_u0 + math.log(10.0) + (b_norm + abs(lam) * m_seen + 1.0) * elapsed
+        limit = log_u0 + math.log(10.0) + (b_norm + abs(lam) * m_seen[k] + 1.0) * elapsed
         if not math.isfinite(norm) or math.log(max(norm, 1e-300)) > limit:
             raise UnstableStepError(
                 f"unstable step size: norm {norm:.3e} escaped the growth envelope "

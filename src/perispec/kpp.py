@@ -115,21 +115,26 @@ def simulate_kpp(op: DispersalOperator, weight: Weight, nonlin: Nonlinearity,
     h = (t1 - t0) / n_steps
     K, b = op.K, op.b
 
-    def rhs(t, u):
-        m = weight.evaluate(t, op.grid)
+    def rhs(m, u):
         return K @ u - b * u + u * (lam * m - nonlin.penalty(u))
+
+    # stage tables at t_k, t_k + h/2 and t_k + h; t_k + h and t_{k+1} differ
+    # by rounding, so the start and end of a step keep separate tables
+    t_k = t0 + np.arange(n_steps) * h
+    m_start = weight.table(t_k, op.grid)
+    m_half = weight.table(t_k + 0.5 * h, op.grid)
+    m_end = weight.table(t_k + h, op.grid)
 
     limit = 10.0 * scale
     times = [t0]
     states = [u0.copy()]
     sups = [float(np.abs(u0).max())]
     u = u0.copy()
-    t = t0
     for step in range(n_steps):
-        k1 = rhs(t, u)
-        k2 = rhs(t + 0.5 * h, u + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, u + 0.5 * h * k2)
-        k4 = rhs(t + h, u + h * k3)
+        k1 = rhs(m_start[step], u)
+        k2 = rhs(m_half[step], u + 0.5 * h * k1)
+        k3 = rhs(m_half[step], u + 0.5 * h * k2)
+        k4 = rhs(m_end[step], u + h * k3)
         u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         # the flow preserves nonnegativity; scrub rounding-level undershoot only
         u[(u < 0.0) & (u > -1e-12 * scale)] = 0.0

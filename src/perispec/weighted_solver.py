@@ -280,17 +280,8 @@ def upper_bound_lambda_p(op: DispersalOperator, weight: Weight, *,
     m_hat = summary.m_hat
 
     mu_auto = _MuCache(lambda lam: autonomous_spectrum_point(op, m_hat, lam).mu)
-    p_auto = weight.period * summary.m_hat_max
-    tol_p = 1e-9 * (1.0 + abs(p_auto))
-    integral = summary.time_space_integral
-    tol_i = 1e-9 * (1.0 + abs(integral))
-    mass_holds = p_auto > tol_p and integral < -tol_i
-    cond_auto = ConditionReport(
-        p_value=p_auto, time_space_integral=integral,
-        d_holds=p_auto > tol_p, n_holds=mass_holds, p_holds=mass_holds,
-        p_marginal=abs(p_auto) <= tol_p, integral_marginal=abs(integral) <= tol_i,
-        tol_p=tol_p, tol_integral=tol_i,
-    )
+    cond_auto = ConditionReport.from_values(weight.period * summary.m_hat_max,
+                                            summary.time_space_integral)
     spread = summary.m_hat_max - summary.m_hat_min
     indep = spread <= 1e-12 * (1.0 + abs(summary.m_hat_max))
     res_avg = _solve_core(mu_auto, op.boundary, cond_auto, indep,

@@ -111,7 +111,16 @@ class Weight:
 
     def evaluate(self, t: float, grid: Grid) -> np.ndarray:
         """Field values at all grid nodes at time ``t`` (wrapped into [0, T))."""
-        tau = float(t) % self.period
+        return self.table(np.array([float(t)]), grid)[0]
+
+    def table(self, times, grid: Grid) -> np.ndarray:
+        """Field values at many times: a ``(len(times), n)`` array, one row per time.
+
+        Times are wrapped into [0, T).  Closed forms are evaluated in one call
+        with the times as a column broadcast against the node row; sampled
+        weights interpolate linearly between neighboring lattice rows.
+        """
+        tau = np.mod(np.asarray(times, dtype=float), self.period)
         if self.expr is not None:
             fn, used = _compile_expr(self.expr)
             pts = grid.nodes
@@ -121,8 +130,8 @@ class Weight:
                 raise WeightExprError("weight expression references y on a 1-D grid")
             x = pts[:, 0]
             y = pts[:, 1] if grid.dim > 1 else None
-            vals = fn(tau, x, y, self.period)
-            vals = np.broadcast_to(np.asarray(vals, dtype=float), (grid.n,)).copy()
+            vals = fn(tau[:, None], x, y, self.period)
+            vals = np.broadcast_to(np.asarray(vals, dtype=float), (tau.size, grid.n)).copy()
             if not np.all(np.isfinite(vals)):
                 raise WeightExprError(f"weight expression {self.expr!r} is not finite on the grid")
             return vals
@@ -131,8 +140,9 @@ class Weight:
             raise ValueError(f"sampled weight has {samples.shape[1]} nodes, grid has {grid.n}")
         n_time = samples.shape[0]
         s = tau / self.period * n_time
-        i0 = int(math.floor(s)) % n_time
-        frac = s - math.floor(s)
+        floor = np.floor(s)
+        i0 = floor.astype(int) % n_time
+        frac = (s - floor)[:, None]
         return (1.0 - frac) * samples[i0] + frac * samples[(i0 + 1) % n_time]
 
     def shifted(self, c: float) -> "Weight":
@@ -196,8 +206,7 @@ def from_samples(samples, period: float) -> Weight:
 def sample_closed_form(weight: Weight, grid: Grid, n_time: int) -> Weight:
     """Discretize a closed-form weight onto a uniform time lattice."""
     times = np.arange(n_time) * (weight.period / n_time)
-    rows = np.stack([weight.evaluate(t, grid) for t in times])
-    return from_samples(rows, weight.period)
+    return from_samples(weight.table(times, grid), weight.period)
 
 
 def _time_lattice(weight: Weight, grid: Grid, n_time: int) -> tuple[np.ndarray, np.ndarray]:
@@ -205,8 +214,7 @@ def _time_lattice(weight: Weight, grid: Grid, n_time: int) -> tuple[np.ndarray, 
     if n_time < 4:
         raise ValueError("n_time must be at least 4 samples per period")
     times = np.arange(n_time + 1) * (weight.period / n_time)
-    table = np.stack([weight.evaluate(t, grid) for t in times])
-    return times, table
+    return times, weight.table(times, grid)
 
 
 def time_average(weight: Weight, grid: Grid, n_time: int = DEFAULT_N_TIME) -> np.ndarray:
@@ -294,11 +302,32 @@ class ConditionReport:
     time_space_integral: float
     d_holds: bool
     n_holds: bool
-    p_holds: bool
     p_marginal: bool
     integral_marginal: bool
     tol_p: float
     tol_integral: float
+
+    @classmethod
+    def from_values(cls, p_value: float, time_space_integral: float) -> "ConditionReport":
+        """Judge the conditions from the two functionals, within relative 1e-9."""
+        tol_p = 1e-9 * (1.0 + abs(p_value))
+        tol_i = 1e-9 * (1.0 + abs(time_space_integral))
+        p_positive = p_value > tol_p
+        return cls(
+            p_value=p_value,
+            time_space_integral=time_space_integral,
+            d_holds=p_positive,
+            n_holds=p_positive and time_space_integral < -tol_i,
+            p_marginal=abs(p_value) <= tol_p,
+            integral_marginal=abs(time_space_integral) <= tol_i,
+            tol_p=tol_p,
+            tol_integral=tol_i,
+        )
+
+    @property
+    def p_holds(self) -> bool:
+        """The periodic boundary is mass conserving too: same as ``n_holds``."""
+        return self.n_holds
 
     def holds_for(self, boundary: Boundary) -> bool:
         return self.d_holds if boundary is Boundary.DIRICHLET else self.n_holds
@@ -311,24 +340,7 @@ class ConditionReport:
 
 def check_conditions(weight: Weight, grid: Grid, n_time: int = DEFAULT_N_TIME) -> ConditionReport:
     summary = summarize(weight, grid, n_time)
-    p_value = summary.p_value
-    integral = summary.time_space_integral
-    tol_p = 1e-9 * (1.0 + abs(p_value))
-    tol_i = 1e-9 * (1.0 + abs(integral))
-    p_positive = p_value > tol_p
-    integral_negative = integral < -tol_i
-    mass_conserving = p_positive and integral_negative
-    return ConditionReport(
-        p_value=p_value,
-        time_space_integral=integral,
-        d_holds=p_positive,
-        n_holds=mass_conserving,
-        p_holds=mass_conserving,
-        p_marginal=abs(p_value) <= tol_p,
-        integral_marginal=abs(integral) <= tol_i,
-        tol_p=tol_p,
-        tol_integral=tol_i,
-    )
+    return ConditionReport.from_values(summary.p_value, summary.time_space_integral)
 
 
 def save_sampled_csv(weight: Weight, path) -> None:

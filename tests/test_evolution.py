@@ -273,3 +273,73 @@ def test_comparison_reports_violations_without_raising():
     rep = comparison_check(op, [(w, w)], [(lo, hi)], t1=1.0)
     assert not rep.passed
     assert rep.max_violation > 0.5
+
+
+# ------------------------------------------- stage tables against one call per stage
+
+def reference_rk4(op, w, lam, u, t0, t1, n_steps):
+    """RK4 that evaluates the weight once per stage, in the order it is needed."""
+    K, b, grid = op.K, op.b, op.grid
+    h = (t1 - t0) / n_steps
+    log_u0 = math.log(max(float(np.abs(u).max()), 1e-300))
+    b_norm = float(np.abs(b).max())
+
+    def rhs(m, U):
+        if U.ndim == 2:
+            return K @ U + (lam * m - b)[:, None] * U
+        return K @ U + (lam * m - b) * U
+
+    m_seen = 0.0
+    m_curr = w.evaluate(t0, grid)
+    u = u.astype(float)
+    for k in range(n_steps):
+        t = t0 + k * h
+        m_half = w.evaluate(t + 0.5 * h, grid)
+        m_next = w.evaluate(t + h, grid)
+        m_seen = max(m_seen, float(np.abs(m_curr).max()), float(np.abs(m_half).max()),
+                     float(np.abs(m_next).max()))
+        k1 = rhs(m_curr, u)
+        k2 = rhs(m_half, u + 0.5 * h * k1)
+        k3 = rhs(m_half, u + 0.5 * h * k2)
+        k4 = rhs(m_next, u + h * k3)
+        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        m_curr = m_next
+        norm = float(np.abs(u).max())
+        elapsed = (k + 1) * h
+        limit = log_u0 + math.log(10.0) + (b_norm + abs(lam) * m_seen + 1.0) * elapsed
+        if not math.isfinite(norm) or math.log(max(norm, 1e-300)) > limit:
+            raise UnstableStepError(
+                f"unstable step size: norm {norm:.3e} escaped the growth envelope "
+                f"at t={t0 + elapsed:.6g} with n_steps={n_steps}")
+    return u
+
+
+def test_period_map_equals_stagewise_reference():
+    op = make_op(n=16)
+    w = closed_form("sin(2*pi*t/T + 0.4) + cos(2*pi*(x - t/T)) - 0.2", 1.3)
+    pm = period_map(op, w, 1.7, n_steps=77)
+    ref = reference_rk4(op, w, 1.7, np.eye(op.n), 0.0, 1.3, 77)
+    ref[(ref < 0.0) & (ref > -evolution.CLAMP_TOL)] = 0.0
+    assert np.array_equal(pm.matrix, ref)
+
+
+def test_propagate_equals_stagewise_reference():
+    op = make_op(n=16)
+    w = closed_form("sin(2*pi*t/T + 0.4) * (1 + x) - 0.3", 0.9)
+    u0 = np.linspace(0.2, 1.0, op.n)
+    traj = propagate(op, w, -2.3, u0, 0.35, 2.9, n_steps=113, record_every=113)
+    assert np.array_equal(traj.final, reference_rk4(op, w, -2.3, u0, 0.35, 2.9, 113))
+
+
+def test_growth_envelope_uses_the_largest_weight_seen_so_far():
+    # the weight is near zero early and reaches 8 only at the end of the
+    # period: the under-resolved kernel's growth escapes the envelope built
+    # from the values met so far, not one built from the period's maximum
+    grid = build_grid(Boundary.DIRICHLET, (1.0,), 2)
+    op = assemble(make_kernel("parabolic", 0.05), grid)
+    w = closed_form("8*(t/T)**8", 1.0)
+    with pytest.raises(UnstableStepError) as expected:
+        reference_rk4(op, w, 1.0, np.ones(op.n), 0.0, 1.0, 64)
+    with pytest.raises(UnstableStepError) as got:
+        propagate(op, w, 1.0, np.ones(op.n), 0.0, 1.0, n_steps=64)
+    assert str(got.value) == str(expected.value)

@@ -15,7 +15,7 @@ from perispec.kpp import (Nonlinearity, PeriodicOrbit, find_periodic_solution,
 from perispec.operator import assemble
 from perispec.spectrum import principal_spectrum_point
 from perispec.weighted_solver import solve_lambda_p
-from perispec.weights import closed_form
+from perispec.weights import closed_form, sup_abs
 
 STANDARD_WEIGHT = "sin(2*pi*t/T) + cos(2*pi*x) - 0.2"
 
@@ -265,3 +265,37 @@ def test_summarize_scan_without_unique_root():
     scan = summarize_scan([_orbit(0.5, "extinction"), _orbit(2.0, "persistence")], res)
     assert scan.switch_bracket == (0.5, 2.0)
     assert scan.consistent_with_root is None
+
+
+def test_simulate_equals_stagewise_reference():
+    # one weight evaluation per stage, at t_k, t_k + h/2 and t_k + h; the
+    # start of a step is t_k = t0 + k h, which differs from t_{k-1} + h by
+    # rounding, so a table shared between the end and the next start would
+    # not reproduce this loop
+    op = make_op(Boundary.DIRICHLET, n=16)
+    w = closed_form(STANDARD_WEIGHT, 1.0)
+    nl = Nonlinearity("saturating", crowding=2.0, saturation=0.2)
+    lam, t0, t1, n_steps = 2.5, 0.37, 2.2, 91
+    u = np.linspace(0.05, 0.6, op.n)
+    traj = simulate_kpp(op, w, nl, lam, u, t0, t1, n_steps=n_steps, record_every=1)
+
+    h = (t1 - t0) / n_steps
+    scale = max(nl.carrying_scale(lam * sup_abs(w, op.grid)), float(u.max()))
+
+    def rhs(t, u):
+        m = w.evaluate(t, op.grid)
+        return op.K @ u - op.b * u + u * (lam * m - nl.penalty(u))
+
+    states = [u]
+    t = t0
+    for step in range(n_steps):
+        k1 = rhs(t, u)
+        k2 = rhs(t + 0.5 * h, u + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, u + 0.5 * h * k2)
+        k4 = rhs(t + h, u + h * k3)
+        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        u[(u < 0.0) & (u > -1e-12 * scale)] = 0.0
+        t = t0 + (step + 1) * h
+        states.append(u)
+    assert np.array_equal(traj.times, t0 + np.arange(n_steps + 1) * h)
+    assert np.array_equal(traj.states, np.stack(states))

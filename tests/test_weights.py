@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from perispec.geometry import Boundary, build_grid
 from perispec.weights import (
+    ConditionReport,
     S1Data,
     WeightExprError,
     check_conditions,
@@ -131,6 +132,64 @@ def test_sampled_weight_node_count_checked(grid):
     w = from_samples(np.zeros((4, grid.n + 1)), 1.0)
     with pytest.raises(ValueError):
         w.evaluate(0.0, grid)
+    with pytest.raises(ValueError):
+        w.table([0.0, 0.5], grid)
+
+
+# ----------------------------------------------------------- time tables
+
+# inside the period, past T and negative, on and off the sample lattice
+TABLE_TIMES = np.array([0.0, 0.1, 0.35, 0.7, 1.3, 1.4, 2.05, 7.77, -0.2, -0.7, -3.3, 0.7 / 8])
+
+
+def assert_table_matches_rows(w, g, times=TABLE_TIMES):
+    table = w.table(times, g)
+    assert table.shape == (len(times), g.n)
+    assert np.array_equal(table, np.stack([w.evaluate(t, g) for t in times]))
+
+
+@pytest.mark.parametrize("boundary, box, n_per_axis, expr", [
+    (Boundary.DIRICHLET, (1.0,), 16, "cos(2*pi*x) - 0.2 + 0.7*sin(2*pi*t/T + 0.3)"),
+    (Boundary.NEUMANN, (1.0,), 16, "cos(2*pi*(x - 0.3 - t/T)) * (1 + x*t)"),
+    (Boundary.NEUMANN, (1.0, 2.0), 5, "x + 10*y*sin(2*pi*t/T) - cos(t*y)"),
+    (Boundary.PERIODIC, (1.0,), 12, "cos(2*pi*(x - t/T)) + x"),
+    (Boundary.PERIODIC, (1.0, 1.0), 4, "sin(2*pi*(x + y - t/T)) * x"),
+    (Boundary.DIRICHLET, (1.0,), 16, "sin(2*pi*t/T) - 0.25"),   # time only
+    (Boundary.DIRICHLET, (1.0,), 16, "0.25"),                   # constant
+    (Boundary.NEUMANN, (1.0, 2.0), 5, "-1.5"),                  # constant in 2-D
+])
+def test_closed_form_table_matches_rows(boundary, box, n_per_axis, expr):
+    assert_table_matches_rows(closed_form(expr, 0.7), build_grid(boundary, box, n_per_axis))
+
+
+def test_sampled_table_matches_rows(grid):
+    w = from_samples(np.random.default_rng(8).normal(size=(8, grid.n)), 0.7)
+    assert_table_matches_rows(w, grid)
+
+
+def test_sampled_table_matches_scalar_interpolation(grid):
+    samples = np.random.default_rng(9).normal(size=(8, grid.n))
+    w = from_samples(samples, 0.7)
+    rows = []
+    for t in TABLE_TIMES:
+        s = float(t) % 0.7 / 0.7 * 8
+        i0 = math.floor(s) % 8
+        frac = s - math.floor(s)
+        rows.append((1.0 - frac) * samples[i0] + frac * samples[(i0 + 1) % 8])
+    assert np.array_equal(w.table(TABLE_TIMES, grid), np.stack(rows))
+
+
+def test_table_rejects_y_on_one_dimensional_grid(grid):
+    with pytest.raises(WeightExprError):
+        closed_form("y + t", 1.0).table([0.0, 0.5], grid)
+
+
+def test_table_rejects_non_finite_values(grid):
+    # finite everywhere except at one time of the table
+    w = closed_form("x / (t - 0.5)", 1.0)
+    w.table([0.0, 0.25], grid)
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(WeightExprError):
+        w.table([0.0, 0.5], grid)
 
 
 def test_from_samples_validation():
@@ -366,6 +425,17 @@ def test_conditions_positive_mass(grid):
     assert not rep.n_holds
     assert rep.holds_for(Boundary.DIRICHLET)
     assert not rep.holds_for(Boundary.NEUMANN)
+
+
+def test_condition_report_from_values():
+    rep = ConditionReport.from_values(2.0, -0.5)
+    assert rep.d_holds and rep.n_holds and rep.p_holds
+    assert rep.tol_p == pytest.approx(3e-9) and rep.tol_integral == pytest.approx(1.5e-9)
+    # within tolerance of zero: the clause fails and is flagged marginal
+    rep = ConditionReport.from_values(2.0, -1e-10)
+    assert rep.d_holds and not rep.n_holds and not rep.p_holds
+    assert rep.integral_marginal and rep.marginal_for(Boundary.PERIODIC)
+    assert not rep.marginal_for(Boundary.DIRICHLET)
 
 
 def test_conditions_everywhere_unfavorable(grid):
