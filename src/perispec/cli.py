@@ -35,12 +35,12 @@ import numpy as np
 from ._io import fmt, write_csv, write_json, write_text
 from .evolution import UnstableStepError
 from .geometry import Boundary, build_grid, make_kernel, wrap_kernel
-from .kpp import Nonlinearity, find_periodic_solution, summarize_scan
+from .kpp import MAX_PERIODS, Nonlinearity, find_periodic_solution, summarize_scan
 from .operator import assemble
 from .spectrum import PowerIterationError, principal_spectrum_point
 from .validate import DEFAULT_SEED, run_checks
-from .weighted_solver import (STATUS_UNIQUE, pe_sufficiency, solve_lambda_p,
-                              upper_bound_lambda_p)
+from .weighted_solver import (LAMBDA_CAP, STATUS_UNIQUE, TOL_ROOT, XTOL_REL,
+                              pe_sufficiency, solve_lambda_p, upper_bound_lambda_p)
 from .weights import (DEFAULT_N_TIME, S1Data, WeightExprError, closed_form,
                       load_sampled_csv)
 
@@ -380,9 +380,9 @@ def _task_lambda_p(cp, op, weight, outdir, threads):
         op, weight,
         n_steps=_get_int(sec, "n_steps"),
         n_time=_get_int(sec, "n_time", default=DEFAULT_N_TIME),
-        tol_root=_get_float(sec, "tol_root", default=1e-8),
-        lam_cap=_get_float(sec, "lam_cap", default=1e6),
-        xtol_rel=_get_float(sec, "xtol_rel", default=1e-10),
+        tol_root=_get_float(sec, "tol_root", default=TOL_ROOT),
+        lam_cap=_get_float(sec, "lam_cap", default=LAMBDA_CAP),
+        xtol_rel=_get_float(sec, "xtol_rel", default=XTOL_REL),
     )
     pe = None
     if res.status == STATUS_UNIQUE and _get_bool(sec, "check_pe", default=True):
@@ -412,8 +412,8 @@ def _task_upper_bound(cp, op, weight, outdir, threads):
         op, weight,
         n_steps=_get_int(sec, "n_steps"),
         n_time=_get_int(sec, "n_time", default=DEFAULT_N_TIME),
-        tol_root=_get_float(sec, "tol_root", default=1e-8),
-        lam_cap=_get_float(sec, "lam_cap", default=1e6),
+        tol_root=_get_float(sec, "tol_root", default=TOL_ROOT),
+        lam_cap=_get_float(sec, "lam_cap", default=LAMBDA_CAP),
     )
     _write_curve(outdir / "curve_time.csv", out.time_dependent.curve)
     _write_curve(outdir / "curve_averaged.csv", out.averaged.curve)
@@ -455,7 +455,7 @@ def _task_kpp_scan(cp, op, weight, outdir, threads):
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     n_steps = _get_int(sec, "n_steps")
-    max_periods = _get_int(sec, "max_periods", default=500)
+    max_periods = _get_int(sec, "max_periods", default=MAX_PERIODS)
     check_uniqueness = _get_bool(sec, "check_uniqueness", default=False)
 
     solver_result = solve_lambda_p(

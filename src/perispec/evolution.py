@@ -1,11 +1,16 @@
-"""Fixed-step RK4 propagation of the linear dispersal flow.
+"""Fixed-step RK4 propagation of the linear dispersal flow and of the KPP flow.
 
 The period map (monodromy matrix) is obtained by propagating all canonical
 basis fields at once as a matrix initial value problem.  A fixed classical RK4
 step keeps the flow deterministic: identical inputs give bit-identical maps
-regardless of evaluation schedule.  The weight values at the RK stage times
-come from stage tables, each built in one ``Weight.table`` call per
-integration.
+regardless of evaluation schedule.
+
+One stepper, ``_integrate``, serves both flows: the KPP flow of ``kpp`` is
+the linear flow plus a per-capita crowding term that vanishes at ``u = 0``.
+The weight values at the RK stage times come from two stage tables, each built
+in one ``Weight.table`` call per integration: the half-step table at
+``t_k + h/2`` and the end-step table at ``t_k + h``, whose row ends step k and
+also starts step k + 1 (row 0 holds ``m(t0)``).
 
 Exact positivity of the flow is only preserved up to the integrator's order,
 so the period map clamps rounding-level negative entries (magnitude below
@@ -62,13 +67,18 @@ class PeriodMap:
 
 
 def _integrate(op: DispersalOperator, weight: Weight, lam: float, state: np.ndarray,
-               t0: float, t1: float, n_steps: int, record_every: int | None = None):
+               t0: float, t1: float, n_steps: int, record_every: int | None = None,
+               crowding=None, scale: float = 1.0):
     """Shared RK4 loop for vector and matrix states.
 
     Returns (recorded times, recorded states) when ``record_every`` is set,
-    otherwise just the final state.  The norm monitor raises once the state
-    leaves the envelope exp((||b|| + |lam| sup|m| + 1) (t - t0)) * 10 * ||u0||,
-    which no stable run can reach.
+    otherwise just the final state.  Without ``crowding`` the norm monitor
+    raises once the state leaves the envelope
+    exp((||b|| + |lam| sup|m| + 1) (t - t0)) * 10 * ||u0||, which no stable
+    run can reach.  With a per-capita ``crowding(u)`` (vector states only) the
+    right-hand side becomes ``K u + (lam m - b - crowding(u)) u`` and the
+    guard is the invariant region ``0 <= u <= 10 * scale`` instead, after
+    rounding-level undershoot below zero is scrubbed.
     """
     K, b, grid = op.K, op.b, op.grid
     is_matrix = state.ndim == 2
@@ -77,6 +87,8 @@ def _integrate(op: DispersalOperator, weight: Weight, lam: float, state: np.ndar
     def rhs(m, U):
         if is_matrix:
             return K @ U + (lam * m - b)[:, None] * U
+        if crowding is not None:
+            return K @ U + (lam * m - b - crowding(U)) * U
         return K @ U + (lam * m - b) * U
 
     u0_norm = float(np.abs(state).max())
@@ -92,6 +104,7 @@ def _integrate(op: DispersalOperator, weight: Weight, lam: float, state: np.ndar
     # largest |m| met by the end of each step, for the growth envelope
     m_seen = np.maximum.accumulate(np.maximum(np.maximum(end_sup[:-1], end_sup[1:]),
                                               np.abs(halves).max(axis=1))).tolist()
+    ceiling = 10.0 * scale
 
     times = [t0]
     states = [state.copy()] if record_every else None
@@ -103,13 +116,22 @@ def _integrate(op: DispersalOperator, weight: Weight, lam: float, state: np.ndar
         k4 = rhs(ends[k + 1], u + h * k3)
         u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-        norm = float(np.abs(u).max())
         elapsed = (k + 1) * h
-        limit = log_u0 + math.log(10.0) + (b_norm + abs(lam) * m_seen[k] + 1.0) * elapsed
-        if not math.isfinite(norm) or math.log(max(norm, 1e-300)) > limit:
-            raise UnstableStepError(
-                f"unstable step size: norm {norm:.3e} escaped the growth envelope "
-                f"at t={t0 + elapsed:.6g} with n_steps={n_steps}")
+        if crowding is None:
+            norm = float(np.abs(u).max())
+            limit = log_u0 + math.log(10.0) + (b_norm + abs(lam) * m_seen[k] + 1.0) * elapsed
+            if not math.isfinite(norm) or math.log(max(norm, 1e-300)) > limit:
+                raise UnstableStepError(
+                    f"unstable step size: norm {norm:.3e} escaped the growth envelope "
+                    f"at t={t0 + elapsed:.6g} with n_steps={n_steps}")
+        else:
+            # the flow preserves nonnegativity; scrub rounding-level undershoot only
+            u[(u < 0.0) & (u > -1e-12 * scale)] = 0.0
+            norm = float(np.abs(u).max())
+            if not math.isfinite(norm) or norm > ceiling or np.any(u < 0.0):
+                raise UnstableStepError(
+                    f"state left the invariant region near t={t0 + elapsed:.6g} "
+                    f"(sup {norm:.3e}, ceiling {ceiling:.3e}); refine n_steps")
         if record_every and ((k + 1) % record_every == 0 or k + 1 == n_steps):
             times.append(t0 + elapsed)
             states.append(u.copy())

@@ -11,6 +11,10 @@ package computes.  Persistence of the nonlinear dynamics therefore switches at
 the positive root of ``mu(lam)``: below it every population dies out, above it
 a unique positive time-periodic state attracts positive initial data.
 
+The nonlinear flow has no stepper of its own: ``simulate_kpp`` hands the
+crowding term to the RK4 stepper of ``evolution``, so both flows step with the
+same stage tables (``m`` at ``t_k + h/2`` and at ``t_k + h``).
+
 The periodic state is found by iterating the period map of the nonlinear flow
 (a Poincare iteration) from a small positive constant until the iterates
 either stabilize away from zero or collapse below an extinction floor.
@@ -23,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import (MIN_STEPS_PER_PERIOD, Trajectory, UnstableStepError,
-                        propagate)
+from .evolution import Trajectory, _integrate, default_n_steps, propagate
 from .operator import DispersalOperator
 from .weighted_solver import (STATUS_UNIQUE, LambdaPResult, solve_lambda_p)
 from .weights import DEFAULT_N_TIME, Weight, sup_abs
@@ -90,14 +93,15 @@ class Nonlinearity:
         return growth_sup / (self.crowding - self.saturation * growth_sup)
 
 
-def _kpp_steps(period: float, rate: float) -> int:
-    return max(MIN_STEPS_PER_PERIOD, int(math.ceil(8.0 * period * (1.0 + rate))))
-
-
 def simulate_kpp(op: DispersalOperator, weight: Weight, nonlin: Nonlinearity,
                  lam: float, u0, t0: float, t1: float, *,
                  n_steps: int | None = None, record_every: int = 1) -> Trajectory:
-    """Integrate the nonlinear dynamics from ``u0`` over ``[t0, t1]``."""
+    """Integrate the nonlinear dynamics from ``u0`` over ``[t0, t1]``.
+
+    The stepping is the linear flow's RK4 stepper with the crowding penalty
+    added; it raises ``UnstableStepError`` once the state leaves the invariant
+    region ``[0, 10 * scale]``.
+    """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (op.n,):
         raise ValueError(f"initial state has shape {u0.shape}, expected ({op.n},)")
@@ -111,44 +115,10 @@ def simulate_kpp(op: DispersalOperator, weight: Weight, nonlin: Nonlinearity,
     nonlin.check_bounded(growth_sup)
     scale = max(nonlin.carrying_scale(growth_sup), float(u0.max()), 1e-30)
     if n_steps is None:
-        n_steps = _kpp_steps(t1 - t0, growth_sup + nonlin.penalty(scale))
-    h = (t1 - t0) / n_steps
-    K, b = op.K, op.b
-
-    def rhs(m, u):
-        return K @ u - b * u + u * (lam * m - nonlin.penalty(u))
-
-    # stage tables at t_k, t_k + h/2 and t_k + h; t_k + h and t_{k+1} differ
-    # by rounding, so the start and end of a step keep separate tables
-    t_k = t0 + np.arange(n_steps) * h
-    m_start = weight.table(t_k, op.grid)
-    m_half = weight.table(t_k + 0.5 * h, op.grid)
-    m_end = weight.table(t_k + h, op.grid)
-
-    limit = 10.0 * scale
-    times = [t0]
-    states = [u0.copy()]
-    sups = [float(np.abs(u0).max())]
-    u = u0.copy()
-    for step in range(n_steps):
-        k1 = rhs(m_start[step], u)
-        k2 = rhs(m_half[step], u + 0.5 * h * k1)
-        k3 = rhs(m_half[step], u + 0.5 * h * k2)
-        k4 = rhs(m_end[step], u + h * k3)
-        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        # the flow preserves nonnegativity; scrub rounding-level undershoot only
-        u[(u < 0.0) & (u > -1e-12 * scale)] = 0.0
-        t = t0 + (step + 1) * h
-        sup = float(np.abs(u).max())
-        if not np.isfinite(sup) or sup > limit or np.any(u < 0.0):
-            raise UnstableStepError(
-                f"state left the invariant region near t={t:.6g} "
-                f"(sup {sup:.3e}, ceiling {limit:.3e}); refine n_steps")
-        if (step + 1) % record_every == 0 or step == n_steps - 1:
-            times.append(t)
-            states.append(u.copy())
-            sups.append(sup)
-    return Trajectory(np.asarray(times), np.asarray(states), np.asarray(sups))
+        n_steps = default_n_steps(t1 - t0, 1.0, growth_sup + nonlin.penalty(scale))
+    times, states = _integrate(op, weight, lam, u0, t0, t1, n_steps, record_every,
+                               crowding=nonlin.penalty, scale=scale)
+    return Trajectory(times, states, np.abs(states).max(axis=1))
 
 
 @dataclass(frozen=True)
@@ -235,7 +205,7 @@ def find_periodic_solution(op: DispersalOperator, weight: Weight,
     scale = nonlin.carrying_scale(growth_sup)
     period = weight.period
     if n_steps is None:
-        n_steps = _kpp_steps(period, growth_sup + nonlin.penalty(scale))
+        n_steps = default_n_steps(period, 1.0, growth_sup + nonlin.penalty(scale))
 
     u_low = np.full(op.n, 0.1 * scale)
     verdict, u_star, residual, used, certificate = _poincare_iterate(

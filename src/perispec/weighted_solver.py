@@ -35,8 +35,8 @@ from .geometry import Boundary
 from .operator import DispersalOperator
 from .spectrum import (SpectrumReport, autonomous_spectrum_point,
                        principal_spectrum_point)
-from .weights import (DEFAULT_N_TIME, ConditionReport, Weight, check_conditions,
-                      space_independent, summarize)
+from .weights import (DEFAULT_N_TIME, ConditionReport, Weight, space_independent,
+                      summarize)
 
 STATUS_UNIQUE = "unique_root"
 STATUS_NONE = "no_positive_root"
@@ -245,8 +245,8 @@ def solve_lambda_p(op: DispersalOperator, weight: Weight, *,
                    tol_root: float = TOL_ROOT, lam_cap: float = LAMBDA_CAP,
                    xtol_rel: float = XTOL_REL) -> LambdaPResult:
     """Find the positive root of the principal-spectrum-point curve, if any."""
-    cond = check_conditions(weight, op.grid, n_time)
     summary = summarize(weight, op.grid, n_time)
+    cond = ConditionReport.from_values(summary.p_value, summary.time_space_integral)
     mu = _mu_period_map(op, weight, n_steps, n_time)
     indep = space_independent(weight, op.grid, n_time)
     return _solve_core(mu, op.boundary, cond, indep, float(summary.m_hat.mean()),

@@ -5,6 +5,8 @@ with the time stepper: it solves 0 = Ku - bu + u(2 - u) directly, so the
 Poincare route and the oracle can only agree if both are right.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,19 @@ def test_unstable_coarse_steps_raise():
     with pytest.raises(UnstableStepError):
         simulate_kpp(op, closed_form(STANDARD_WEIGHT, 1.0), Nonlinearity(),
                      40.0, np.full(op.n, 0.5), 0.0, 1.0, n_steps=2)
+
+
+def test_negative_state_leaves_the_invariant_region():
+    # at n_steps = 5 the state undershoots zero while its sup stays far below
+    # the 10 * scale ceiling, so only the negativity clause of the guard fires
+    op = make_op(Boundary.DIRICHLET, n=16)
+    w = closed_form(STANDARD_WEIGHT, 1.0)
+    nl = Nonlinearity()
+    ceiling = 10.0 * nl.carrying_scale(40.0 * sup_abs(w, op.grid))
+    with pytest.raises(UnstableStepError, match="invariant region") as exc:
+        simulate_kpp(op, w, nl, 40.0, np.full(op.n, 0.5), 0.0, 1.0, n_steps=5)
+    sup = float(re.search(r"\(sup ([^,]+),", str(exc.value)).group(1))
+    assert sup < 0.1 * ceiling
 
 
 def test_order_preservation():
@@ -268,10 +283,10 @@ def test_summarize_scan_without_unique_root():
 
 
 def test_simulate_equals_stagewise_reference():
-    # one weight evaluation per stage, at t_k, t_k + h/2 and t_k + h; the
-    # start of a step is t_k = t0 + k h, which differs from t_{k-1} + h by
-    # rounding, so a table shared between the end and the next start would
-    # not reproduce this loop
+    # one weight evaluation per stage time, in the order the stages need them:
+    # m(t0) starts the first step, then step k takes m(t_k + h/2) for its
+    # middle stages and m(t_k + h), t_k = t0 + k h, for its end stage, and
+    # that end value also starts step k + 1 (the linear flow's stage scheme)
     op = make_op(Boundary.DIRICHLET, n=16)
     w = closed_form(STANDARD_WEIGHT, 1.0)
     nl = Nonlinearity("saturating", crowding=2.0, saturation=0.2)
@@ -282,20 +297,22 @@ def test_simulate_equals_stagewise_reference():
     h = (t1 - t0) / n_steps
     scale = max(nl.carrying_scale(lam * sup_abs(w, op.grid)), float(u.max()))
 
-    def rhs(t, u):
-        m = w.evaluate(t, op.grid)
-        return op.K @ u - op.b * u + u * (lam * m - nl.penalty(u))
+    def rhs(m, u):
+        return op.K @ u + (lam * m - op.b - nl.penalty(u)) * u
 
     states = [u]
-    t = t0
+    m_curr = w.evaluate(t0, op.grid)
     for step in range(n_steps):
-        k1 = rhs(t, u)
-        k2 = rhs(t + 0.5 * h, u + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, u + 0.5 * h * k2)
-        k4 = rhs(t + h, u + h * k3)
+        t = t0 + step * h
+        m_half = w.evaluate(t + 0.5 * h, op.grid)
+        m_next = w.evaluate(t + h, op.grid)
+        k1 = rhs(m_curr, u)
+        k2 = rhs(m_half, u + 0.5 * h * k1)
+        k3 = rhs(m_half, u + 0.5 * h * k2)
+        k4 = rhs(m_next, u + h * k3)
         u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         u[(u < 0.0) & (u > -1e-12 * scale)] = 0.0
-        t = t0 + (step + 1) * h
+        m_curr = m_next
         states.append(u)
     assert np.array_equal(traj.times, t0 + np.arange(n_steps + 1) * h)
     assert np.array_equal(traj.states, np.stack(states))
