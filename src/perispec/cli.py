@@ -39,7 +39,7 @@ from .kpp import MAX_PERIODS, Nonlinearity, find_periodic_solution, summarize_sc
 from .operator import assemble
 from .spectrum import PowerIterationError, principal_spectrum_point
 from .validate import DEFAULT_SEED, run_checks
-from .weighted_solver import (LAMBDA_CAP, STATUS_UNIQUE, TOL_ROOT, XTOL_REL,
+from .weighted_solver import (LAMBDA_CAP, STATUS_UNIQUE, TOL_ROOT,
                               pe_sufficiency, solve_lambda_p, upper_bound_lambda_p)
 from .weights import (DEFAULT_N_TIME, S1Data, WeightExprError, closed_form,
                       load_sampled_csv)
@@ -382,7 +382,6 @@ def _task_lambda_p(cp, op, weight, outdir, threads):
         n_time=_get_int(sec, "n_time", default=DEFAULT_N_TIME),
         tol_root=_get_float(sec, "tol_root", default=TOL_ROOT),
         lam_cap=_get_float(sec, "lam_cap", default=LAMBDA_CAP),
-        xtol_rel=_get_float(sec, "xtol_rel", default=XTOL_REL),
     )
     pe = None
     if res.status == STATUS_UNIQUE and _get_bool(sec, "check_pe", default=True):

@@ -19,14 +19,14 @@ the nonnegative-slope case); the solver records the certificate and a sampled
 prefix of the curve instead of stepping the integrator at astronomically large
 ``lam`` where the required step count would explode.
 
-Root refinement is plain bisection with secant acceleration, accepted only
-inside the confirmed bracket; monotone convergence is worth more than
-quadratic convergence near a root whose residual floor is set by quadrature.
+Once the upward crossing is bracketed, Brent's method (``scipy.optimize.brentq``)
+refines the root on that confirmed bracket to a relative width of ``XTOL_REL``.
+``tol_root`` only decides signs while bracketing: a curve value counts as
+positive or negative once it clears ``tol_root``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +35,7 @@ from .geometry import Boundary
 from .operator import DispersalOperator
 from .spectrum import (SpectrumReport, autonomous_spectrum_point,
                        principal_spectrum_point)
-from .weights import (DEFAULT_N_TIME, ConditionReport, Weight, space_independent,
-                      summarize)
+from .weights import DEFAULT_N_TIME, ConditionReport, Weight, summarize
 
 STATUS_UNIQUE = "unique_root"
 STATUS_NONE = "no_positive_root"
@@ -78,33 +77,6 @@ class _MuCache:
         return tuple(sorted(self.cache.items()))
 
 
-def _refine_root(mu: _MuCache, lo: float, hi: float, mu_lo: float, mu_hi: float,
-                 tol_root: float, xtol_rel: float, max_iter: int = 200):
-    """Shrink a sign-change bracket until the residual and width tolerances hold."""
-    prev = (lo, mu_lo)
-    cur = (hi, mu_hi)
-    best = min(prev, cur, key=lambda p: abs(p[1]))
-    for _ in range(max_iter):
-        width = hi - lo
-        cand = None
-        denom = cur[1] - prev[1]
-        if denom != 0.0:
-            cand = cur[0] - cur[1] * (cur[0] - prev[0]) / denom
-        if cand is None or not (lo + 0.01 * width < cand < hi - 0.01 * width):
-            cand = 0.5 * (lo + hi)
-        val = mu(cand)
-        prev, cur = cur, (cand, val)
-        if abs(val) < abs(best[1]):
-            best = (cand, val)
-        if val < 0.0:
-            lo, mu_lo = cand, val
-        else:
-            hi, mu_hi = cand, val
-        if abs(best[1]) < tol_root and (hi - lo) <= xtol_rel * max(1.0, hi):
-            break
-    return best
-
-
 def _mu_period_map(op: DispersalOperator, weight: Weight, n_steps, n_time):
     def fn(lam):
         return principal_spectrum_point(op, weight, lam, n_steps=n_steps, n_time=n_time,
@@ -112,9 +84,30 @@ def _mu_period_map(op: DispersalOperator, weight: Weight, n_steps, n_time):
     return _MuCache(fn)
 
 
-def _solve_dirichlet(mu: _MuCache, cond: ConditionReport, weight_period: float,
-                     tol_root: float, lam_cap: float, xtol_rel: float):
-    mu0 = mu(0.0)
+def _upward_crossing(mu: _MuCache, lo: float, lam: float, tol_root: float,
+                     lam_cap: float):
+    """Double ``lam`` from ``lo`` until ``mu > tol_root``, then refine the root.
+
+    ``mu(lo)`` must be negative.  Returns ``(root, mu(root), (lo, hi))``, or
+    ``None`` when the curve stays at or below ``tol_root`` up to ``lam_cap``.
+    """
+    # imported here: loading scipy.optimize would make ``import perispec`` 5x slower
+    from scipy.optimize import brentq
+
+    while lam <= lam_cap:
+        val = mu(lam)
+        if val > tol_root:
+            root = brentq(mu, lo, lam, xtol=XTOL_REL, rtol=XTOL_REL)
+            return root, mu(root), (lo, lam)
+        if val < -tol_root:
+            lo = lam
+        lam *= 2.0
+    return None
+
+
+def _solve_dirichlet(mu: _MuCache, cond: ConditionReport, tol_root: float,
+                     lam_cap: float):
+    mu(0.0)
     if not cond.d_holds:
         for lam in (1.0, 4.0, 16.0):
             mu(lam)
@@ -122,23 +115,17 @@ def _solve_dirichlet(mu: _MuCache, cond: ConditionReport, weight_period: float,
         return (STATUS_NONE, None, None, None,
                 note + "the curve is dominated by mu(0) + lam * P / T <= mu(0) < 0, "
                 "so it stays negative for every positive lam")
-    lo, mu_lo = 0.0, mu0
-    lam = 1.0
-    while lam <= lam_cap:
-        val = mu(lam)
-        if val > tol_root:
-            best = _refine_root(mu, lo, lam, mu_lo, val, tol_root, xtol_rel)
-            return (STATUS_UNIQUE, best[0], best[1], (lo, lam),
-                    f"sign change bracketed in [{lo:.6g}, {lam:.6g}] and refined")
-        if val < -tol_root:
-            lo, mu_lo = lam, val
-        lam *= 2.0
-    return (STATUS_NONE, None, None, None,
-            f"no sign change found for lam up to {lam_cap:.3g}")
+    found = _upward_crossing(mu, 0.0, 1.0, tol_root, lam_cap)
+    if found is None:
+        return (STATUS_NONE, None, None, None,
+                f"no sign change found for lam up to {lam_cap:.3g}")
+    root, mu_root, (lo, hi) = found
+    return (STATUS_UNIQUE, root, mu_root, (lo, hi),
+            f"sign change bracketed in [{lo:.6g}, {hi:.6g}] and refined")
 
 
-def _solve_mass_conserving(mu: _MuCache, cond: ConditionReport, period: float,
-                           tol_root: float, lam_cap: float, xtol_rel: float):
+def _solve_mass_conserving(mu: _MuCache, cond: ConditionReport, tol_root: float,
+                           lam_cap: float):
     p_fails = cond.p_value <= cond.tol_p
     if p_fails:
         for lam in (1.0, 4.0, 16.0):
@@ -191,29 +178,23 @@ def _solve_mass_conserving(mu: _MuCache, cond: ConditionReport, period: float,
                     "the weight promises an initial dip (negative space-time "
                     "integral) but none was resolved above the noise floor")
 
-    lo, mu_lo = dip_lam, mu(dip_lam)
-    lam = dip_lam * 2.0
-    while lam <= lam_cap:
-        val = mu(lam)
-        if val > tol_root:
-            best = _refine_root(mu, lo, lam, mu_lo, val, tol_root, xtol_rel)
-            return (STATUS_UNIQUE, best[0], best[1], (lo, lam),
-                    f"dip at lam={dip_lam:.6g}, upward crossing bracketed in "
-                    f"[{lo:.6g}, {lam:.6g}] and refined")
-        if val < -tol_root:
-            lo, mu_lo = lam, val
-        lam *= 2.0
-    return (STATUS_NONE, None, None, None,
-            f"curve dipped negative at lam={dip_lam:.6g} but never re-crossed zero "
-            f"below the cap {lam_cap:.3g}")
+    found = _upward_crossing(mu, dip_lam, dip_lam * 2.0, tol_root, lam_cap)
+    if found is None:
+        return (STATUS_NONE, None, None, None,
+                f"curve dipped negative at lam={dip_lam:.6g} but never re-crossed "
+                f"zero below the cap {lam_cap:.3g}")
+    root, mu_root, (lo, hi) = found
+    return (STATUS_UNIQUE, root, mu_root, (lo, hi),
+            f"dip at lam={dip_lam:.6g}, upward crossing bracketed in "
+            f"[{lo:.6g}, {hi:.6g}] and refined")
 
 
 def _solve_core(mu: _MuCache, boundary: Boundary, cond: ConditionReport,
-                space_indep: bool, m_hat_mean: float, m_scale: float, period: float,
-                tol_root: float, lam_cap: float, xtol_rel: float) -> LambdaPResult:
+                space_indep: bool, m_hat_mean: float, m_scale: float,
+                tol_root: float, lam_cap: float) -> LambdaPResult:
     if boundary is Boundary.DIRICHLET:
         status, lam_p, mu_root, bracket, evidence = _solve_dirichlet(
-            mu, cond, period, tol_root, lam_cap, xtol_rel)
+            mu, cond, tol_root, lam_cap)
     elif space_indep:
         # mu(lam) = lam * mean(m): degenerate closed form
         tol_avg = 1e-9 * (1.0 + m_scale)
@@ -227,7 +208,7 @@ def _solve_core(mu: _MuCache, boundary: Boundary, cond: ConditionReport,
                         "is one-signed for lam > 0")
     else:
         status, lam_p, mu_root, bracket, evidence = _solve_mass_conserving(
-            mu, cond, period, tol_root, lam_cap, xtol_rel)
+            mu, cond, tol_root, lam_cap)
     return LambdaPResult(
         status=status,
         boundary=boundary,
@@ -242,15 +223,13 @@ def _solve_core(mu: _MuCache, boundary: Boundary, cond: ConditionReport,
 
 def solve_lambda_p(op: DispersalOperator, weight: Weight, *,
                    n_steps: int | None = None, n_time: int = DEFAULT_N_TIME,
-                   tol_root: float = TOL_ROOT, lam_cap: float = LAMBDA_CAP,
-                   xtol_rel: float = XTOL_REL) -> LambdaPResult:
+                   tol_root: float = TOL_ROOT, lam_cap: float = LAMBDA_CAP) -> LambdaPResult:
     """Find the positive root of the principal-spectrum-point curve, if any."""
     summary = summarize(weight, op.grid, n_time)
     cond = ConditionReport.from_values(summary.p_value, summary.time_space_integral)
     mu = _mu_period_map(op, weight, n_steps, n_time)
-    indep = space_independent(weight, op.grid, n_time)
-    return _solve_core(mu, op.boundary, cond, indep, float(summary.m_hat.mean()),
-                       summary.sup_abs, weight.period, tol_root, lam_cap, xtol_rel)
+    return _solve_core(mu, op.boundary, cond, summary.space_independent,
+                       float(summary.m_hat.mean()), summary.sup_abs, tol_root, lam_cap)
 
 
 @dataclass(frozen=True)
@@ -265,8 +244,8 @@ class UpperBoundResult:
 
 def upper_bound_lambda_p(op: DispersalOperator, weight: Weight, *,
                          n_steps: int | None = None, n_time: int = DEFAULT_N_TIME,
-                         tol_root: float = TOL_ROOT, lam_cap: float = LAMBDA_CAP,
-                         xtol_rel: float = XTOL_REL) -> UpperBoundResult:
+                         tol_root: float = TOL_ROOT,
+                         lam_cap: float = LAMBDA_CAP) -> UpperBoundResult:
     """Compare the threshold of ``m`` with that of its time average.
 
     Averaging the weight in time can only raise the threshold, so
@@ -275,7 +254,7 @@ def upper_bound_lambda_p(op: DispersalOperator, weight: Weight, *,
     the exact spectral bound of the frozen generator (no time stepping).
     """
     res_time = solve_lambda_p(op, weight, n_steps=n_steps, n_time=n_time,
-                              tol_root=tol_root, lam_cap=lam_cap, xtol_rel=xtol_rel)
+                              tol_root=tol_root, lam_cap=lam_cap)
     summary = summarize(weight, op.grid, n_time)
     m_hat = summary.m_hat
 
@@ -286,7 +265,7 @@ def upper_bound_lambda_p(op: DispersalOperator, weight: Weight, *,
     indep = spread <= 1e-12 * (1.0 + abs(summary.m_hat_max))
     res_avg = _solve_core(mu_auto, op.boundary, cond_auto, indep,
                           float(m_hat.mean()), float(np.abs(m_hat).max()),
-                          weight.period, tol_root, lam_cap, xtol_rel)
+                          tol_root, lam_cap)
 
     bound = None
     slack = None

@@ -247,6 +247,7 @@ class WeightSummary:
     m_hat_max: float
     m_hat_min: float
     sup_abs: float
+    space_independent: bool   # every time slice spatially constant up to rounding
 
 
 def summarize(weight: Weight, grid: Grid, n_time: int = DEFAULT_N_TIME) -> WeightSummary:
@@ -257,6 +258,8 @@ def summarize(weight: Weight, grid: Grid, n_time: int = DEFAULT_N_TIME) -> Weigh
     m_tilde = table.max(axis=1)
     p_value = float((coeff * m_tilde).sum() / n_time * weight.period)
     integral = float(weight.period * np.dot(grid.quad_weights, m_hat))
+    sup = float(np.abs(table).max())
+    spread = float((m_tilde - table.min(axis=1)).max())
     return WeightSummary(
         m_hat=_frozen(m_hat),
         m_tilde=_frozen(m_tilde),
@@ -265,7 +268,8 @@ def summarize(weight: Weight, grid: Grid, n_time: int = DEFAULT_N_TIME) -> Weigh
         time_space_integral=integral,
         m_hat_max=float(m_hat.max()),
         m_hat_min=float(m_hat.min()),
-        sup_abs=float(np.abs(table).max()),
+        sup_abs=sup,
+        space_independent=spread <= 1e-12 * (1.0 + sup),
     )
 
 
@@ -283,9 +287,7 @@ def space_independent(weight: Weight, grid: Grid, n_time: int = DEFAULT_N_TIME) 
     only on a measure-zero time set will (correctly, for this discretization)
     be classified by their sampled values.
     """
-    _, table = _time_lattice(weight, grid, n_time)
-    spread = float((table.max(axis=1) - table.min(axis=1)).max())
-    return spread <= 1e-12 * (1.0 + float(np.abs(table).max()))
+    return summarize(weight, grid, n_time).space_independent
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,15 @@ same discrete threshold: it never touches the time stepper or the power
 iteration, so agreement is evidence that both halves are right.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import perispec
 from perispec.geometry import Boundary, build_grid, make_kernel, wrap_kernel
 from perispec.operator import assemble
 from perispec.spectrum import principal_spectrum_point
@@ -171,6 +177,26 @@ def test_root_residual_and_bracket_signs():
     curve = dict(res.curve)
     assert curve[lo] < -1e-8 or lo == 0.0
     assert curve[hi] > 1e-8
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_refinement_takes_few_points_inside_bracket(boundary):
+    # Brent's method closes in on the root from both ends of the bracket, so
+    # only a few curve points fall strictly inside it
+    res = solve_lambda_p(make_op(boundary), closed_form(STANDARD_WEIGHT, 1.0))
+    assert res.status == "unique_root"
+    lo, hi = res.bracket
+    inside = [lam for lam, _ in res.curve if lo < lam < hi]
+    assert len(inside) <= 8
+
+
+def test_import_does_not_load_scipy_optimize():
+    # the root refinement imports brentq lazily to keep start-up fast
+    src = str(Path(perispec.__file__).resolve().parents[1])
+    code = "import sys, perispec; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"
 
 
 def test_curve_has_single_sign_change():
