@@ -34,17 +34,6 @@ def write_csv(path, columns, rows) -> None:
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
-def read_csv(path):
-    """Read a schema-tagged CSV; returns (columns, rows-of-strings)."""
-    lines = Path(path).read_text().splitlines()
-    body = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not body:
-        raise ValueError(f"{path}: empty CSV")
-    columns = body[0].split(",")
-    rows = [ln.split(",") for ln in body[1:]]
-    return columns, rows
-
-
 def _json_default(obj):
     import numpy as np
 

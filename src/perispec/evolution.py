@@ -156,11 +156,17 @@ def propagate(op: DispersalOperator, weight: Weight, lam: float, u0, t0: float, 
     return Trajectory(times, states, norms)
 
 
+def _period_steps(op: DispersalOperator, weight: Weight, lam: float,
+                  n_steps: int | None) -> int:
+    if n_steps is None:
+        return default_n_steps(weight.period, lam, sup_abs(weight, op.grid, DEFAULT_N_TIME))
+    return n_steps
+
+
 def period_map(op: DispersalOperator, weight: Weight, lam: float,
                n_steps: int | None = None) -> PeriodMap:
     """Monodromy matrix over one weight period, clamped to nonnegative entries."""
-    if n_steps is None:
-        n_steps = default_n_steps(weight.period, lam, sup_abs(weight, op.grid, DEFAULT_N_TIME))
+    n_steps = _period_steps(op, weight, lam, n_steps)
     mat = _integrate(op, weight, lam, np.eye(op.n), 0.0, weight.period, n_steps)
     worst = float(mat.min())
     if worst < -CLAMP_TOL:
@@ -170,6 +176,22 @@ def period_map(op: DispersalOperator, weight: Weight, lam: float,
     mat[(mat < 0.0) & (mat > -CLAMP_TOL)] = 0.0
     mat.setflags(write=False)
     return PeriodMap(mat, float(lam), weight.period, n_steps)
+
+
+def period_action(op: DispersalOperator, weight: Weight, lam: float,
+                  n_steps: int | None = None):
+    """The map ``v -> Phi(T, 0) v``: one weight period of the linear flow
+    applied to a vector, without forming the monodromy matrix.
+
+    The step count is fixed once, as ``period_map`` would choose it, so every
+    application integrates the same discrete flow.
+    """
+    n_steps = _period_steps(op, weight, lam, n_steps)
+
+    def apply(v):
+        return _integrate(op, weight, lam, np.asarray(v, dtype=float), 0.0,
+                          weight.period, n_steps)
+    return apply
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,8 @@ from .geometry import Boundary
 from .operator import DispersalOperator
 from .spectrum import (SpectrumReport, autonomous_spectrum_point,
                        principal_spectrum_point)
-from .weights import DEFAULT_N_TIME, ConditionReport, Weight, summarize
+from .weights import (DEFAULT_N_TIME, ConditionReport, Weight, WeightSummary,
+                      summarize)
 
 STATUS_UNIQUE = "unique_root"
 STATUS_NONE = "no_positive_root"
@@ -225,7 +226,13 @@ def solve_lambda_p(op: DispersalOperator, weight: Weight, *,
                    n_steps: int | None = None, n_time: int = DEFAULT_N_TIME,
                    tol_root: float = TOL_ROOT, lam_cap: float = LAMBDA_CAP) -> LambdaPResult:
     """Find the positive root of the principal-spectrum-point curve, if any."""
-    summary = summarize(weight, op.grid, n_time)
+    return _solve_lambda_p(op, weight, summarize(weight, op.grid, n_time), n_steps,
+                           n_time, tol_root, lam_cap)
+
+
+def _solve_lambda_p(op: DispersalOperator, weight: Weight, summary: WeightSummary,
+                    n_steps: int | None, n_time: int, tol_root: float,
+                    lam_cap: float) -> LambdaPResult:
     cond = ConditionReport.from_values(summary.p_value, summary.time_space_integral)
     mu = _mu_period_map(op, weight, n_steps, n_time)
     return _solve_core(mu, op.boundary, cond, summary.space_independent,
@@ -253,9 +260,8 @@ def upper_bound_lambda_p(op: DispersalOperator, weight: Weight, *,
     averaged problem is autonomous and is solved by the same search logic on
     the exact spectral bound of the frozen generator (no time stepping).
     """
-    res_time = solve_lambda_p(op, weight, n_steps=n_steps, n_time=n_time,
-                              tol_root=tol_root, lam_cap=lam_cap)
     summary = summarize(weight, op.grid, n_time)
+    res_time = _solve_lambda_p(op, weight, summary, n_steps, n_time, tol_root, lam_cap)
     m_hat = summary.m_hat
 
     mu_auto = _MuCache(lambda lam: autonomous_spectrum_point(op, m_hat, lam).mu)

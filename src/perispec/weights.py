@@ -345,6 +345,10 @@ def check_conditions(weight: Weight, grid: Grid, n_time: int = DEFAULT_N_TIME) -
     return ConditionReport.from_values(summary.p_value, summary.time_space_integral)
 
 
+# one row of a sampled-weight CSV; the indices must parse as integers
+_CSV_ROW = np.dtype([("t_index", np.int64), ("node_index", np.int64), ("value", float)])
+
+
 def save_sampled_csv(weight: Weight, path) -> None:
     """Write a sampled weight as (t_index, node_index, value) rows."""
     if weight.samples is None:
@@ -356,26 +360,42 @@ def save_sampled_csv(weight: Weight, path) -> None:
         for ti in range(weight.samples.shape[0])
         for ni in range(weight.samples.shape[1])
     )
-    write_csv(path, ["t_index", "node_index", "value"], rows)
+    write_csv(path, list(_CSV_ROW.names), rows)
+
+
+def _content_line(fh) -> str | None:
+    """The next line of ``fh`` that is neither blank nor a ``#`` comment."""
+    for line in iter(fh.readline, ""):
+        if line.strip() and not line.startswith("#"):
+            return line
+    return None
 
 
 def load_sampled_csv(path, period: float) -> Weight:
     """Read a sampled weight written by ``save_sampled_csv``."""
-    from ._io import read_csv
-
-    columns, rows = read_csv(path)
-    if columns != ["t_index", "node_index", "value"]:
-        raise ValueError(f"{path}: expected columns t_index,node_index,value, got {columns}")
-    if not rows:
-        raise ValueError(f"{path}: no samples")
-    t_idx = np.array([int(r[0]) for r in rows])
-    n_idx = np.array([int(r[1]) for r in rows])
-    vals = np.array([float(r[2]) for r in rows])
-    n_time, n_nodes = t_idx.max() + 1, n_idx.max() + 1
+    with open(path) as fh:
+        header = _content_line(fh)
+        if header is None:
+            raise ValueError(f"{path}: empty CSV")
+        columns = header.strip().split(",")
+        if columns != list(_CSV_ROW.names):
+            raise ValueError(f"{path}: expected columns t_index,node_index,value, got {columns}")
+        start = fh.tell()
+        if _content_line(fh) is None:
+            raise ValueError(f"{path}: no samples")
+        fh.seek(start)
+        try:
+            rows = np.loadtxt(fh, delimiter=",", dtype=_CSV_ROW, comments="#", ndmin=1)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    t_idx, n_idx = rows["t_index"], rows["node_index"]
+    if t_idx.min() < 0 or n_idx.min() < 0:
+        raise ValueError(f"{path}: negative t_index or node_index")
+    n_time, n_nodes = int(t_idx.max()) + 1, int(n_idx.max()) + 1
     if len(rows) != n_time * n_nodes:
         raise ValueError(f"{path}: expected a full {n_time} x {n_nodes} lattice, got {len(rows)} rows")
     samples = np.full((n_time, n_nodes), np.nan)
-    samples[t_idx, n_idx] = vals
+    samples[t_idx, n_idx] = rows["value"]
     if not np.all(np.isfinite(samples)):
         raise ValueError(f"{path}: lattice has missing entries")
     return from_samples(samples, period)

@@ -180,6 +180,17 @@ def test_reruns_are_byte_identical(tmp_path, monkeypatch):
         assert (outs[2] / name).read_bytes() == ref
 
 
+def test_krylov_size_outputs_do_not_depend_on_threads(tmp_path):
+    # n = 256 takes the matrix-free route; Arnoldi must not see the schedule
+    cfg = write_ini(tmp_path, BASE_PROBLEM.replace("n_per_axis = 24", "n_per_axis = 256")
+                    + "\n[spectrum]\nlambdas = 0.5, 2\ncross_validate = true\n")
+    outs = [tmp_path / f"out{i}" for i in range(2)]
+    assert run("spectrum", cfg, outs[0], "--threads", "1") == 0
+    assert run("spectrum", cfg, outs[1], "--threads", "2") == 0
+    for name in ("spectrum.csv", "summary.json", "report.txt"):
+        assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
+
+
 def test_sampled_weight_round_trip(tmp_path):
     grid = build_grid(Boundary.DIRICHLET, (1.0,), 24)
     w = closed_form("sin(2*pi*t/T) + cos(2*pi*x) - 0.2", 1.0)

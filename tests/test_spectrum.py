@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import perispec.spectrum
+import perispec.weights
 from perispec.evolution import period_map
 from perispec.geometry import Boundary, build_grid, make_kernel, wrap_kernel
 from perispec.operator import assemble
 from perispec.spectrum import (
     PowerIterationError,
     SpectrumReport,
+    _krylov_perron,
     _power_iteration,
     autonomous_spectrum_point,
     check_S_conditions,
@@ -30,6 +33,28 @@ def make_op(boundary, n=32, r=1.0):
     if boundary is Boundary.PERIODIC:
         return assemble(wrap_kernel(make_kernel("parabolic", r), [1.0]), grid)
     return assemble(make_kernel("parabolic", r), grid)
+
+
+def make_op_2d(n_per_axis):
+    grid = build_grid(Boundary.NEUMANN, (1.0, 1.0), n_per_axis)
+    return assemble(make_kernel("parabolic", 0.5, dim=2), grid)
+
+
+def forbid_period_map(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dense period map was built")
+    monkeypatch.setattr(perispec.spectrum, "period_map", refuse)
+
+
+def count_lattices(monkeypatch):
+    calls = []
+    original = perispec.weights._time_lattice
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(perispec.weights, "_time_lattice", counting)
+    return calls
 
 
 STANDARD_WEIGHT = "sin(2*pi*t/T) + cos(2*pi*x) - 0.2"
@@ -79,6 +104,106 @@ def test_autonomous_map_against_expm_radius():
     pm = period_map(op, w, 0.7, n_steps=256)
     gen = op.K - np.diag(op.b) + 0.7 * np.diag(w.evaluate(0.0, op.grid))
     np.testing.assert_allclose(pm.matrix, scipy.linalg.expm(gen), atol=1e-8)
+
+
+# ------------------------------------------------- matrix-free Krylov route
+
+KRYLOV_CASES = [
+    pytest.param(lambda: make_op(Boundary.DIRICHLET, n=256), STANDARD_WEIGHT, id="dirichlet-256"),
+    pytest.param(lambda: make_op(Boundary.NEUMANN, n=256), STANDARD_WEIGHT, id="neumann-256"),
+    pytest.param(lambda: make_op(Boundary.PERIODIC, n=256), STANDARD_WEIGHT, id="periodic-256"),
+    pytest.param(lambda: make_op_2d(16),
+                 "cos(2*pi*x)*cos(pi*y)*(1 + sin(2*pi*t/T)) - 0.2 + sin(2*pi*t/T)",
+                 id="neumann-16x16"),
+]
+
+
+@pytest.mark.parametrize("make, expr", KRYLOV_CASES)
+def test_krylov_route_matches_dense_power_iteration(make, expr, monkeypatch):
+    op = make()
+    w = closed_form(expr, 1.0)
+    for lam in (0.0, 1.0, 2.5):
+        dense = principal_spectrum_point(op, w, lam, pmap=period_map(op, w, lam))
+        with monkeypatch.context() as mp:
+            forbid_period_map(mp)
+            krylov = principal_spectrum_point(op, w, lam)
+        assert krylov.mu_n == pytest.approx(dense.mu_n, abs=1e-9)
+        assert krylov.is_principal_eigenvalue == dense.is_principal_eigenvalue
+        assert krylov.residual < 1e-10
+        assert krylov.eigenfunction.max() == 1.0 and krylov.eigenfunction.min() >= 0.0
+        np.testing.assert_allclose(krylov.eigenfunction, dense.eigenfunction, atol=1e-7)
+        assert krylov.localization_width == pytest.approx(dense.localization_width, rel=1e-7)
+        assert krylov.h_hat_max == dense.h_hat_max
+        assert krylov.s_conditions == dense.s_conditions
+
+
+def test_krylov_route_counts_vector_periods(monkeypatch):
+    op = make_op(Boundary.DIRICHLET, n=256)
+    w = closed_form(STANDARD_WEIGHT, 1.0)
+    periods = []
+    original = perispec.spectrum.period_action
+
+    def counting(*args, **kwargs):
+        apply = original(*args, **kwargs)
+
+        def counted(v):
+            periods.append(1)
+            return apply(v)
+        return counted
+    monkeypatch.setattr(perispec.spectrum, "period_action", counting)
+    rep = principal_spectrum_point(op, w, 1.0, with_s_conditions=False)
+    assert rep.iterations == len(periods)
+    assert 10 <= rep.iterations <= 100
+
+
+def test_cross_validation_on_krylov_route_builds_no_matrix(monkeypatch):
+    op = make_op(Boundary.DIRICHLET, n=256)
+    w = closed_form(STANDARD_WEIGHT, 1.0)
+    forbid_period_map(monkeypatch)
+    rep = principal_spectrum_point(op, w, 1.0, cross_validate=True)
+    assert rep.diagnostics["method_gap"] < 1e-3
+
+
+def test_krylov_nonconvergence_is_a_power_iteration_error(monkeypatch):
+    import scipy.sparse.linalg
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    def stalls(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((256, 0)))
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", stalls)
+    op = make_op(Boundary.DIRICHLET, n=256)
+    with pytest.raises(PowerIterationError, match="Arnoldi did not converge"):
+        principal_spectrum_point(op, closed_form(STANDARD_WEIGHT, 1.0), 1.0)
+
+
+def test_krylov_rejects_a_root_that_is_no_perron_root():
+    rng = np.random.default_rng(3)
+    positive = rng.uniform(0.5, 1.0, size=(8, 8))
+    ratio, v, residual, count = _krylov_perron(lambda u: positive @ u, 8)
+    assert ratio == pytest.approx(float(np.abs(np.linalg.eigvals(positive)).max()), rel=1e-12)
+    assert residual < 1e-12 and count >= 2
+    with pytest.raises(PowerIterationError, match="positive real root"):
+        _krylov_perron(lambda u: -(positive @ u), 8)
+    rotation = np.eye(8)
+    rotation[:2, :2] = [[1.2, -1.6], [1.6, 1.2]]  # top pair 1.2 +- 1.6i
+    with pytest.raises(PowerIterationError, match="positive real root"):
+        _krylov_perron(lambda u: rotation @ u, 8)
+    signed = np.eye(8)
+    signed[:2, :2] += [[1.0, -1.0], [-1.0, 1.0]]  # top eigenvector (1, -1, 0, ...)
+    with pytest.raises(PowerIterationError, match="negative entry"):
+        _krylov_perron(lambda u: signed @ u, 8)
+
+
+def test_spectrum_point_builds_one_time_lattice_per_use(monkeypatch):
+    # sup|m| for the step count and m_hat for the envelope and the S tests
+    op = make_op(Boundary.DIRICHLET)
+    w = closed_form(STANDARD_WEIGHT, 1.0)
+    calls = count_lattices(monkeypatch)
+    principal_spectrum_point(op, w, 1.0)
+    assert len(calls) == 2
+    calls.clear()
+    principal_spectrum_point(make_op(Boundary.DIRICHLET, n=256), w, 1.0)
+    assert len(calls) == 2
 
 
 # --------------------------------------------------------- zero-weight point

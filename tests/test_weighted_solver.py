@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import perispec
+import perispec.weights
 from perispec.geometry import Boundary, build_grid, make_kernel, wrap_kernel
 from perispec.operator import assemble
 from perispec.spectrum import principal_spectrum_point
@@ -191,12 +192,28 @@ def test_refinement_takes_few_points_inside_bracket(boundary):
 
 
 def test_import_does_not_load_scipy_optimize():
-    # the root refinement imports brentq lazily to keep start-up fast
+    # the root refinement imports brentq and the Krylov route imports eigs
+    # lazily, to keep start-up fast
     src = str(Path(perispec.__file__).resolve().parents[1])
-    code = "import sys, perispec; print('scipy.optimize' in sys.modules)"
+    code = ("import sys, perispec; "
+            "print('scipy.optimize' in sys.modules, 'scipy.sparse.linalg' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
+
+
+def test_upper_bound_reuses_the_weight_summary(monkeypatch):
+    # one summary, then one sup|m| lattice per mu evaluation (8 of them)
+    calls = []
+    original = perispec.weights._time_lattice
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(perispec.weights, "_time_lattice", counting)
+    ub = upper_bound_lambda_p(make_op(Boundary.DIRICHLET), closed_form(STANDARD_WEIGHT, 1.0))
+    assert ub.time_dependent.status == "unique_root"
+    assert len(calls) == 17
 
 
 def test_curve_has_single_sign_change():

@@ -234,6 +234,43 @@ def test_csv_load_rejects_partial_lattice(tmp_path):
         load_sampled_csv(path, 1.0)
 
 
+def test_csv_load_matches_float_parsing_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=(5, 7)) * 10.0 ** rng.integers(-300, 300, size=(5, 7))
+    path = tmp_path / "w.csv"
+    save_sampled_csv(from_samples(values, 1.0), path)
+    rows = [ln.split(",") for ln in path.read_text().splitlines()[2:]]
+    expected = np.array([float(r[2]) for r in rows]).reshape(5, 7)
+    back = load_sampled_csv(path, 1.0).samples
+    assert np.array_equal(back.view(np.int64), expected.view(np.int64))
+
+
+CSV_HEAD = "t_index,node_index,value\n"
+
+
+@pytest.mark.parametrize("body, message", [
+    pytest.param("", "empty CSV", id="empty"),
+    pytest.param("# perispec-csv v1\n", "empty CSV", id="schema-only"),
+    pytest.param("t_index,node,value\n0,0,1.0\n", "expected columns", id="bad-header"),
+    pytest.param(CSV_HEAD, "no samples", id="no-rows"),
+    pytest.param(CSV_HEAD + "# only a comment\n", "no samples", id="comment-only"),
+    pytest.param(CSV_HEAD + "0,0,1.0\n0,1,2.0\n1,0,3.0\n", "full 2 x 2 lattice",
+                 id="partial-lattice"),
+    pytest.param(CSV_HEAD + "0,0,1.0\n0,1,2.0\n1,0,3.0\n1,0,4.0\n", "missing entries",
+                 id="duplicate-entry"),
+    pytest.param(CSV_HEAD + "0,0,1.0\n0,1.5,2.0\n", "could not convert", id="fractional-index"),
+    pytest.param(CSV_HEAD + "0,0,1.0\n1.0,0,2.0\n", "could not convert", id="float-index"),
+    pytest.param(CSV_HEAD + "0,0,1.0\n0,x,2.0\n", "could not convert", id="non-numeric-index"),
+    pytest.param(CSV_HEAD + "0,0,1.0\n0,1\n", "3 columns", id="short-row"),
+    pytest.param(CSV_HEAD + "0,0,1.0\n-1,0,2.0\n", "negative", id="negative-index"),
+])
+def test_csv_load_rejects_malformed_files(tmp_path, body, message):
+    path = tmp_path / "w.csv"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=message):
+        load_sampled_csv(path, 1.0)
+
+
 # --------------------------------------------------- algebra on weights
 
 def test_shift_scale_add_laws(grid):
