@@ -46,17 +46,6 @@ def forbid_period_map(monkeypatch):
     monkeypatch.setattr(perispec.spectrum, "period_map", refuse)
 
 
-def count_lattices(monkeypatch):
-    calls = []
-    original = perispec.weights._time_lattice
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-    monkeypatch.setattr(perispec.weights, "_time_lattice", counting)
-    return calls
-
-
 STANDARD_WEIGHT = "sin(2*pi*t/T) + cos(2*pi*x) - 0.2"
 
 
@@ -198,7 +187,13 @@ def test_spectrum_point_builds_one_time_lattice_per_use(monkeypatch):
     # sup|m| for the step count and m_hat for the envelope and the S tests
     op = make_op(Boundary.DIRICHLET)
     w = closed_form(STANDARD_WEIGHT, 1.0)
-    calls = count_lattices(monkeypatch)
+    calls = []
+    original = perispec.weights._time_lattice
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(perispec.weights, "_time_lattice", counting)
     principal_spectrum_point(op, w, 1.0)
     assert len(calls) == 2
     calls.clear()
