@@ -10,7 +10,12 @@ on the grid size ``n``:
 * from 256 nodes on, Arnoldi (ARPACK via ``scipy.sparse.linalg.eigs``) runs
   on the map applied to vectors, one weight period of the flow per
   application, and the matrix is never formed.  A dense map costs ``n^3`` per
-  time step and a vector period ``n^2``; the crossover is measured.
+  time step and a vector period ``n^2``; the crossover is measured.  Two
+  things the dense route gets from the whole matrix are kept: when the root
+  sits on the envelope sup, the dense route runs after all, because the "no"
+  verdict below rests on the residual its iteration budget leaves; and the
+  map's columns at the lowest-envelope nodes are checked for the negative
+  entries of a too-coarse step count, as ``period_map`` checks all of them.
 
 A Lyapunov-exponent estimate (averaged log growth of a propagated field)
 provides an independent route to the same number and is used as a
@@ -29,6 +34,7 @@ than pretending to decide the continuum question.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,6 +55,12 @@ TOL_EIG = 1e-8
 # 1.52 s vs 1.27 s; 2-D Neumann n = 196 0.80 s vs 0.78 s, n = 256 1.59 s vs
 # 1.07 s.
 _KRYLOV_MIN_N = 256
+# A too-coarse step count turns the flow negative first where the envelope
+# is lowest.  In 51 such 1-D cases at n = 256 (Lorentzian wells, 8 to 48
+# steps) whose Perron vector stayed nonnegative, the map's columns at the 8
+# lowest-envelope nodes held a negative entry in all 51, at the lowest node
+# alone in 40.
+_PROBE_COLUMNS = 8
 
 
 class PowerIterationError(RuntimeError):
@@ -144,7 +156,8 @@ def _krylov_perron(apply, n: int):
     field.  The vector is the real part of the Ritz vector, scaled to sup 1;
     rounding-level negatives are clamped, larger ones are an error, as is a
     root that is not real and positive.  One more application gives the
-    eigen-residual; every application is counted.
+    eigen-residual; every application is counted.  A nonnegative Ritz vector
+    does not show that the map is nonnegative: see ``_probe_positivity``.
     """
     # imported here: loading scipy.sparse.linalg would slow ``import perispec``
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
@@ -176,6 +189,21 @@ def _krylov_perron(apply, n: int):
     return ratio, v, residual, count
 
 
+def _probe_positivity(apply, n: int, nodes: np.ndarray) -> None:
+    """Warn when the map's columns at ``nodes`` have a substantive negative entry.
+
+    The matrix-free counterpart of the check in ``period_map``: one period of
+    the unit fields at ``nodes``, integrated as one block.
+    """
+    units = np.zeros((n, len(nodes)))
+    units[nodes, np.arange(len(nodes))] = 1.0
+    worst = float(apply(units).min())
+    if worst < -CLAMP_TOL:
+        warnings.warn(f"period map has a negative entry {worst:.3e} in its columns at the "
+                      "lowest-envelope nodes; the step count is too coarse for the "
+                      "positivity of the flow", stacklevel=3)
+
+
 def localization_width(phi: np.ndarray, w: np.ndarray) -> float:
     """Participation-ratio width of a field, as a fraction of the domain."""
     mass2 = float(np.dot(w, phi * phi))
@@ -197,10 +225,20 @@ def _envelope_range(op: DispersalOperator, m_hat: np.ndarray, lam: float) -> tup
     return float(h.min()), float(h.max())
 
 
+def _gap_tol(mu: float) -> float:
+    return 1e-6 * (1.0 + abs(mu))
+
+
 def classify_principal_eigenvalue(report: SpectrumReport) -> str:
     """'yes' when mu clears the envelope sup with a converged eigenpair,
-    'no' when mu sits on the envelope sup without one, else 'marginal'."""
-    gap_tol = 1e-6 * (1.0 + abs(report.mu_n))
+    'no' when mu sits on the envelope sup without one, else 'marginal'.
+
+    "Without one" means the residual power iteration leaves when its budget
+    runs out on a near-degenerate top of the spectrum; this is why
+    ``principal_spectrum_point`` takes every root on the envelope sup from
+    the dense route, whatever the grid size.
+    """
+    gap_tol = _gap_tol(report.mu_n)
     if report.mu_n > report.h_hat_max + gap_tol and report.residual < TOL_EIG:
         return "yes"
     if abs(report.mu_n - report.h_hat_max) < gap_tol and report.residual >= TOL_EIG:
@@ -334,19 +372,30 @@ def principal_spectrum_point(op: DispersalOperator, weight: Weight, lam: float,
     passed to avoid rebuilding the monodromy matrix.  Without one, grids of
     ``_KRYLOV_MIN_N`` nodes or more take the root from Arnoldi on vector
     periods and never form the matrix; ``iterations`` then counts vector
-    periods instead of power-iteration steps.
+    periods (Arnoldi's, one for the residual and one for the positivity
+    probe) instead of power-iteration steps.  A root on the envelope sup is
+    taken from the dense route instead, which supplies the evidence for the
+    "no" verdict.
     """
     w = op.quad_weights
-    if pmap is None and op.n >= _KRYLOV_MIN_N:
-        ratio, phi, residual, iterations = _krylov_perron(
-            period_action(op, weight, lam, n_steps), op.n)
+    m_hat = time_average(weight, op.grid, n_time)
+    h_min, h_max = _envelope_range(op, m_hat, lam)
+    krylov = pmap is None and op.n >= _KRYLOV_MIN_N
+    if krylov:
+        apply = period_action(op, weight, lam, n_steps)
+        ratio, phi, residual, iterations = _krylov_perron(apply, op.n)
+        mu = math.log(ratio) / weight.period
+        # on the envelope sup the verdict needs the dense route's residual
+        krylov = abs(mu - h_max) >= _gap_tol(mu)
+    if krylov:
+        lowest = np.argsort(-op.b + lam * m_hat, kind="stable")[:_PROBE_COLUMNS]
+        _probe_positivity(apply, op.n, lowest)
+        iterations += 1
     else:
         if pmap is None:
             pmap = period_map(op, weight, lam, n_steps=n_steps)
         ratio, phi, residual, iterations = _power_iteration(pmap.matrix, np.ones(op.n), w)
     mu = math.log(ratio) / weight.period
-    m_hat = time_average(weight, op.grid, n_time)
-    h_min, h_max = _envelope_range(op, m_hat, lam)
     s_conds = _s_conditions(weight, op, lam, m_hat) if with_s_conditions else None
     report = SpectrumReport(
         mu_n=mu,

@@ -1,6 +1,7 @@
 """Principal spectrum points: oracles, envelope bounds, and classification."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from perispec.evolution import period_map
 from perispec.geometry import Boundary, build_grid, make_kernel, wrap_kernel
 from perispec.operator import assemble
 from perispec.spectrum import (
+    POWER_MAX_ITER,
     PowerIterationError,
     SpectrumReport,
     _krylov_perron,
@@ -151,6 +153,23 @@ def test_cross_validation_on_krylov_route_builds_no_matrix(monkeypatch):
     forbid_period_map(monkeypatch)
     rep = principal_spectrum_point(op, w, 1.0, cross_validate=True)
     assert rep.diagnostics["method_gap"] < 1e-3
+
+
+def test_krylov_route_warns_on_a_too_coarse_step_count(monkeypatch):
+    # 16 steps leave negative entries in the map's columns near the deep well
+    # at x = 0 while the Perron vector stays nonnegative, so only the probe
+    # of the lowest-envelope columns can see them without the matrix
+    op = make_op(Boundary.NEUMANN, n=256, r=0.1)
+    w = closed_form("1 - 40*(1 - x)**8", 1.0)
+    with pytest.warns(UserWarning, match="negative entry"):
+        period_map(op, w, 1.0, n_steps=16)
+    forbid_period_map(monkeypatch)
+    with pytest.warns(UserWarning, match="negative entry .* too coarse"):
+        rep = principal_spectrum_point(op, w, 1.0, n_steps=16)
+    assert rep.residual < 1e-10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        principal_spectrum_point(op, w, 1.0)
 
 
 def test_krylov_nonconvergence_is_a_power_iteration_error(monkeypatch):
@@ -427,6 +446,30 @@ def test_near_degenerate_top_reports_no():
     assert rep.is_principal_eigenvalue == "no"
     assert rep.residual >= 1e-8
     assert abs(rep.mu_n - rep.h_hat_max) < 1e-6 * (1 + abs(rep.mu_n))
+
+
+def test_near_degenerate_top_reports_no_on_a_krylov_size_grid(monkeypatch):
+    # at 256 nodes the cusp must sit closer to the midpoint for the budget to
+    # run out; Arnoldi settles the tie, but a root on the envelope sup is taken
+    # from the dense route, so the verdict and its evidence are the dense ones
+    grid = build_grid(Boundary.DIRICHLET, (1.0,), 256)
+    op = assemble(make_kernel("parabolic", 1e5), grid)
+    w = closed_form("-((x - 0.50002)**2)**0.25", 1.0)
+    arnoldi_roots = []
+    original = perispec.spectrum._krylov_perron
+
+    def recording(*args):
+        result = original(*args)
+        arnoldi_roots.append(result[0])
+        return result
+    monkeypatch.setattr(perispec.spectrum, "_krylov_perron", recording)
+    rep = principal_spectrum_point(op, w, 1.0)
+    dense = principal_spectrum_point(op, w, 1.0, pmap=period_map(op, w, 1.0))
+    assert len(arnoldi_roots) == 1
+    assert rep.is_principal_eigenvalue == dense.is_principal_eigenvalue == "no"
+    assert rep.residual == dense.residual >= 1e-8
+    assert rep.mu_n == dense.mu_n
+    assert rep.iterations == dense.iterations == POWER_MAX_ITER
 
 
 def test_refinement_keeps_width_for_true_eigenfunction():
