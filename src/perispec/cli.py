@@ -41,8 +41,7 @@ from .spectrum import PowerIterationError, principal_spectrum_point
 from .validate import DEFAULT_SEED, run_checks
 from .weighted_solver import (LAMBDA_CAP, STATUS_UNIQUE, TOL_ROOT,
                               pe_sufficiency, solve_lambda_p, upper_bound_lambda_p)
-from .weights import (DEFAULT_N_TIME, S1Data, WeightExprError, closed_form,
-                      load_sampled_csv)
+from .weights import S1Data, WeightExprError, closed_form, load_sampled_csv
 
 TASKS = ("spectrum", "lambda_p", "upper_bound", "kpp_scan", "validate")
 
@@ -83,14 +82,29 @@ def _get(sec, key, default=None, required=False):
     return str(raw).strip()
 
 
-def _get_float(sec, key, default=None, required=False):
-    raw = _get(sec, key, required=required)
-    if raw is None:
-        return default
+def _number(key, raw, finite=True):
+    """``float(raw)``; NaN, non-numbers and, if ``finite``, infinities are config errors."""
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise ConfigError(f"{key} = {raw!r} is not a number") from None
+        value = math.nan
+    if math.isnan(value) or (finite and math.isinf(value)):
+        raise ConfigError(f"{key} = {raw!r} is not a {'finite ' if finite else ''}number")
+    return value
+
+
+def _get_float(sec, key, default=None, required=False, finite=True):
+    raw = _get(sec, key, required=required)
+    return default if raw is None else _number(key, raw, finite)
+
+
+def _float_list(key, raw):
+    """The comma- or semicolon-separated numbers of ``raw``."""
+    values = [_number(key, tok.strip()) for tok in raw.replace(";", ",").split(",")
+              if tok.strip()]
+    if not values:
+        raise ConfigError(f"{key} is empty")
+    return values
 
 
 def _get_int(sec, key, default=None, required=False):
@@ -113,29 +127,10 @@ def _get_bool(sec, key, default=False):
     return state
 
 
-def _parse_box(raw: str):
-    """Axis lengths of the box, e.g. ``1`` (1-D) or ``1, 2`` (2-D)."""
-    try:
-        lengths = [float(tok) for tok in raw.replace(";", ",").split(",")
-                   if tok.strip()]
-    except ValueError:
-        raise ConfigError(f"box = {raw!r} is not a list of axis lengths") from None
-    if not lengths:
-        raise ConfigError("box is empty")
-    return lengths
-
-
 def _parse_lambdas(sec):
     raw = _get(sec, "lambdas")
     if raw is not None:
-        try:
-            values = [float(tok) for tok in raw.replace(";", ",").split(",")
-                      if tok.strip()]
-        except ValueError:
-            raise ConfigError(f"lambdas = {raw!r} is not a number list") from None
-        if not values:
-            raise ConfigError("lambdas is empty")
-        return values
+        return _float_list("lambdas", raw)
     lo = _get_float(sec, "lambda_min")
     hi = _get_float(sec, "lambda_max")
     count = _get_int(sec, "lambda_count")
@@ -146,6 +141,16 @@ def _parse_lambdas(sec):
     return [float(v) for v in np.linspace(lo, hi, count)]
 
 
+def _root_options(sec):
+    """``tol_root`` and ``lam_cap`` of a root-search section; both must be positive."""
+    options = {"tol_root": _get_float(sec, "tol_root", default=TOL_ROOT),
+               "lam_cap": _get_float(sec, "lam_cap", default=LAMBDA_CAP)}
+    for key, value in options.items():
+        if value <= 0.0:
+            raise ConfigError(f"{key} = {value!r} must be positive")
+    return options
+
+
 def _build_problem(cp, config_dir: Path):
     sec = _section(cp, "problem")
     raw_boundary = _get(sec, "boundary", required=True)
@@ -153,7 +158,7 @@ def _build_problem(cp, config_dir: Path):
         boundary = Boundary(raw_boundary.lower())
     except ValueError:
         raise ConfigError(f"unknown boundary {raw_boundary!r}") from None
-    box = _parse_box(_get(sec, "box", required=True))
+    box = _float_list("box", _get(sec, "box", required=True))
     n_per_axis = _get_int(sec, "n_per_axis", required=True)
     profile = _get(sec, "kernel", required=True)
     radius = _get_float(sec, "support_radius", required=True)
@@ -175,9 +180,9 @@ def _build_problem(cp, config_dir: Path):
     s1_data = None
     maximizer_raw = _get(wsec, "s1_maximizer")
     if maximizer_raw is not None:
-        maximizer = tuple(float(tok) for tok in maximizer_raw.split(",") if tok.strip())
+        maximizer = tuple(_float_list("s1_maximizer", maximizer_raw))
         s1_data = S1Data(
-            smoothness=_get_float(wsec, "s1_smoothness", default=math.inf),
+            smoothness=_get_float(wsec, "s1_smoothness", default=math.inf, finite=False),
             maximizer=maximizer,
             flat_order=_get_int(wsec, "s1_flat_order", default=1),
         )
@@ -326,12 +331,11 @@ def _task_spectrum(cp, op, weight, outdir, threads):
     sec = _section(cp, "spectrum")
     lams = _parse_lambdas(sec)
     n_steps = _get_int(sec, "n_steps")
-    n_time = _get_int(sec, "n_time", default=DEFAULT_N_TIME)
     cross = _get_bool(sec, "cross_validate", default=False)
 
     def one(lam):
         return principal_spectrum_point(op, weight, lam, n_steps=n_steps,
-                                        n_time=n_time, cross_validate=cross)
+                                        cross_validate=cross)
 
     reports = _map_ordered(one, lams, threads)
     columns = ["lam", "mu_n", "residual", "iterations", "h_hat_min", "h_hat_max",
@@ -376,17 +380,11 @@ def _task_spectrum(cp, op, weight, outdir, threads):
 
 def _task_lambda_p(cp, op, weight, outdir, threads):
     sec = _section(cp, "lambda_p", required=False)
-    res = solve_lambda_p(
-        op, weight,
-        n_steps=_get_int(sec, "n_steps"),
-        n_time=_get_int(sec, "n_time", default=DEFAULT_N_TIME),
-        tol_root=_get_float(sec, "tol_root", default=TOL_ROOT),
-        lam_cap=_get_float(sec, "lam_cap", default=LAMBDA_CAP),
-    )
+    n_steps = _get_int(sec, "n_steps")
+    res = solve_lambda_p(op, weight, n_steps=n_steps, **_root_options(sec))
     pe = None
     if res.status == STATUS_UNIQUE and _get_bool(sec, "check_pe", default=True):
-        pe = pe_sufficiency(op, weight, res, n_steps=_get_int(sec, "n_steps"),
-                            n_time=_get_int(sec, "n_time", default=DEFAULT_N_TIME))
+        pe = pe_sufficiency(op, weight, res, n_steps=n_steps)
 
     _write_curve(outdir / "curve.csv", res.curve)
     summary = {"task": "lambda_p", "config": _config_echo(cp),
@@ -407,13 +405,8 @@ def _task_lambda_p(cp, op, weight, outdir, threads):
 
 def _task_upper_bound(cp, op, weight, outdir, threads):
     sec = _section(cp, "upper_bound", required=False)
-    out = upper_bound_lambda_p(
-        op, weight,
-        n_steps=_get_int(sec, "n_steps"),
-        n_time=_get_int(sec, "n_time", default=DEFAULT_N_TIME),
-        tol_root=_get_float(sec, "tol_root", default=TOL_ROOT),
-        lam_cap=_get_float(sec, "lam_cap", default=LAMBDA_CAP),
-    )
+    out = upper_bound_lambda_p(op, weight, n_steps=_get_int(sec, "n_steps"),
+                               **_root_options(sec))
     _write_curve(outdir / "curve_time.csv", out.time_dependent.curve)
     _write_curve(outdir / "curve_averaged.csv", out.averaged.curve)
     summary = {
@@ -457,9 +450,7 @@ def _task_kpp_scan(cp, op, weight, outdir, threads):
     max_periods = _get_int(sec, "max_periods", default=MAX_PERIODS)
     check_uniqueness = _get_bool(sec, "check_uniqueness", default=False)
 
-    solver_result = solve_lambda_p(
-        op, weight, n_steps=_get_int(sec, "solver_n_steps"),
-        n_time=_get_int(sec, "n_time", default=DEFAULT_N_TIME))
+    solver_result = solve_lambda_p(op, weight, n_steps=_get_int(sec, "solver_n_steps"))
 
     def one(lam):
         return find_periodic_solution(op, weight, nonlin, lam, n_steps=n_steps,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operator import DispersalOperator
-from .weights import DEFAULT_N_TIME, Weight, sup_abs
+from .weights import Weight, sup_abs
 
 MIN_STEPS_PER_PERIOD = 64
 CLAMP_TOL = 1e-12
@@ -150,7 +150,7 @@ def propagate(op: DispersalOperator, weight: Weight, lam: float, u0, t0: float, 
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
     if n_steps is None:
-        n_steps = default_n_steps(t1 - t0, lam, sup_abs(weight, op.grid, DEFAULT_N_TIME))
+        n_steps = default_n_steps(t1 - t0, lam, sup_abs(weight, op.grid))
     times, states = _integrate(op, weight, lam, u0, t0, t1, n_steps, record_every=record_every)
     norms = np.abs(states).max(axis=1)
     return Trajectory(times, states, norms)
@@ -159,7 +159,7 @@ def propagate(op: DispersalOperator, weight: Weight, lam: float, u0, t0: float, 
 def _period_steps(op: DispersalOperator, weight: Weight, lam: float,
                   n_steps: int | None) -> int:
     if n_steps is None:
-        return default_n_steps(weight.period, lam, sup_abs(weight, op.grid, DEFAULT_N_TIME))
+        return default_n_steps(weight.period, lam, sup_abs(weight, op.grid))
     return n_steps
 
 

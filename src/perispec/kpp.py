@@ -11,13 +11,17 @@ package computes.  Persistence of the nonlinear dynamics therefore switches at
 the positive root of ``mu(lam)``: below it every population dies out, above it
 a unique positive time-periodic state attracts positive initial data.
 
-The nonlinear flow has no stepper of its own: ``simulate_kpp`` hands the
-crowding term to the RK4 stepper of ``evolution``, so both flows step with the
-same stage tables (``m`` at ``t_k + h/2`` and at ``t_k + h``).
+The nonlinear flow has no stepper of its own: it hands the crowding term to
+the RK4 stepper of ``evolution``, so both flows step with the same stage
+tables (``m`` at ``t_k + h/2`` and at ``t_k + h``).  ``_kpp_flow`` sets the
+flow up once per ``lam`` from one weight summary (``sup|m|``, the bound check,
+the carrying scale); ``simulate_kpp`` and every orbit period run through it.
 
 The periodic state is found by iterating the period map of the nonlinear flow
 (a Poincare iteration) from a small positive constant until the iterates
-either stabilize away from zero or collapse below an extinction floor.
+either stabilize away from zero or collapse below an extinction floor.  Each
+period is one ``_integrate`` call over ``[0, T]`` with the orbit's fixed step
+count from the previous period's end state, as ``simulate_kpp`` would run it.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ import numpy as np
 
 from .evolution import Trajectory, _integrate, default_n_steps, propagate
 from .operator import DispersalOperator
-from .weighted_solver import (STATUS_UNIQUE, LambdaPResult, solve_lambda_p)
-from .weights import DEFAULT_N_TIME, Weight, sup_abs
+from .weighted_solver import STATUS_UNIQUE, LambdaPResult, solve_lambda_p
+from .weights import Weight, sup_abs
 
 TOL_FIX = 1e-9
 TOL_EXT = 1e-8
@@ -93,6 +97,24 @@ class Nonlinearity:
         return growth_sup / (self.crowding - self.saturation * growth_sup)
 
 
+def _kpp_flow(op: DispersalOperator, weight: Weight, nonlin: Nonlinearity, lam: float):
+    """``(carrying, steps(duration, scale), run(u, t0, t1, n_steps, record_every=None))``;
+    each ``run`` guards ``[0, 10 * scale]``, ``scale = max(carrying, max u, 1e-30)``."""
+    growth_sup = abs(lam) * sup_abs(weight, op.grid)
+    carrying = nonlin.carrying_scale(growth_sup)  # raises if crowding cannot bound growth
+
+    def steps(duration, scale):
+        return default_n_steps(duration, 1.0, growth_sup + nonlin.penalty(scale))
+
+    def run(u, t0, t1, n_steps, record_every=None):
+        scale = max(carrying, float(u.max()), 1e-30)
+        if n_steps is None:
+            n_steps = steps(t1 - t0, scale)
+        return _integrate(op, weight, lam, u, t0, t1, n_steps, record_every,
+                          crowding=nonlin.penalty, scale=scale)
+    return carrying, steps, run
+
+
 def simulate_kpp(op: DispersalOperator, weight: Weight, nonlin: Nonlinearity,
                  lam: float, u0, t0: float, t1: float, *,
                  n_steps: int | None = None, record_every: int = 1) -> Trajectory:
@@ -111,13 +133,8 @@ def simulate_kpp(op: DispersalOperator, weight: Weight, nonlin: Nonlinearity,
         raise ValueError("initial state must not be identically zero")
     if not t1 > t0:
         raise ValueError("need t1 > t0")
-    growth_sup = lam * sup_abs(weight, op.grid) if lam >= 0 else abs(lam) * sup_abs(weight, op.grid)
-    nonlin.check_bounded(growth_sup)
-    scale = max(nonlin.carrying_scale(growth_sup), float(u0.max()), 1e-30)
-    if n_steps is None:
-        n_steps = default_n_steps(t1 - t0, 1.0, growth_sup + nonlin.penalty(scale))
-    times, states = _integrate(op, weight, lam, u0, t0, t1, n_steps, record_every,
-                               crowding=nonlin.penalty, scale=scale)
+    _, _, run = _kpp_flow(op, weight, nonlin, lam)
+    times, states = run(u0, t0, t1, n_steps, record_every)
     return Trajectory(times, states, np.abs(states).max(axis=1))
 
 
@@ -159,15 +176,12 @@ def _contraction_factor(op, weight, lam, u, n_steps):
     return float((lin[positive] / u[positive]).max())
 
 
-def _poincare_iterate(op, weight, nonlin, lam, u, n_steps, tol_fix, tol_ext,
+def _poincare_iterate(op, weight, lam, run, u, n_steps, tol_fix, tol_ext,
                       max_periods, floor):
-    """Iterate the nonlinear period map until it stabilizes or collapses."""
-    period = weight.period
+    """Iterate the nonlinear period map ``run`` until it stabilizes or collapses."""
     prev_sup = float(np.abs(u).max())
     for k in range(1, max_periods + 1):
-        traj = simulate_kpp(op, weight, nonlin, lam, u, 0.0, period,
-                            n_steps=n_steps, record_every=n_steps)
-        nxt = traj.final
+        nxt = run(u, 0.0, weight.period, n_steps)
         sup = float(np.abs(nxt).max())
         diff = float(np.abs(nxt - u).max())
         if sup <= tol_ext * floor:
@@ -200,22 +214,20 @@ def find_periodic_solution(op: DispersalOperator, weight: Weight,
     start near the carrying scale cross-checks uniqueness of the stabilized
     state.
     """
-    growth_sup = abs(lam) * sup_abs(weight, op.grid)
-    nonlin.check_bounded(growth_sup)
-    scale = nonlin.carrying_scale(growth_sup)
+    scale, steps, run = _kpp_flow(op, weight, nonlin, lam)
     period = weight.period
     if n_steps is None:
-        n_steps = default_n_steps(period, 1.0, growth_sup + nonlin.penalty(scale))
+        n_steps = steps(period, scale)
 
     u_low = np.full(op.n, 0.1 * scale)
     verdict, u_star, residual, used, certificate = _poincare_iterate(
-        op, weight, nonlin, lam, u_low, n_steps, tol_fix, tol_ext, max_periods, scale)
+        op, weight, lam, run, u_low, n_steps, tol_fix, tol_ext, max_periods, scale)
 
     gap = None
     if verdict == "persistence" and check_uniqueness:
         u_high = np.full(op.n, 0.9 * scale)
         verdict2, u_star2, _, _, _ = _poincare_iterate(
-            op, weight, nonlin, lam, u_high, n_steps, tol_fix, tol_ext,
+            op, weight, lam, run, u_high, n_steps, tol_fix, tol_ext,
             max_periods, scale)
         if verdict2 == "persistence":
             gap = float(np.abs(u_star - u_star2).max() / max(np.abs(u_star).max(), 1e-300))
@@ -226,19 +238,17 @@ def find_periodic_solution(op: DispersalOperator, weight: Weight,
 
     snap_steps = max(n_steps, n_snap)
     snap_steps += (-snap_steps) % n_snap  # divisible by n_snap
-    traj = simulate_kpp(op, weight, nonlin, lam, u_star, 0.0, period,
-                        n_steps=snap_steps, record_every=snap_steps // n_snap)
-    orbit = traj.states
+    times, orbit = run(u_star, 0.0, period, snap_steps, snap_steps // n_snap)
     return PeriodicOrbit(
         verdict="persistence",
         lam=lam,
         fixed_point=u_star,
-        residual=float(np.abs(traj.final - u_star).max()),
+        residual=float(np.abs(orbit[-1] - u_star).max()),
         min_of_orbit=float(orbit.min()),
         sup_of_orbit=float(orbit.max()),
         periods_used=used,
         uniqueness_gap=gap,
-        orbit_times=traj.times,
+        orbit_times=times,
         orbit_states=orbit,
     )
 
@@ -256,7 +266,6 @@ class ThresholdScan:
 
 def threshold_scan(op: DispersalOperator, weight: Weight, nonlin: Nonlinearity,
                    lams, *, n_steps: int | None = None,
-                   n_time: int = DEFAULT_N_TIME,
                    solver_result: LambdaPResult | None = None,
                    max_periods: int = MAX_PERIODS) -> ThresholdScan:
     """Run the persistence test at each ``lam`` and compare with the root.
@@ -274,7 +283,7 @@ def threshold_scan(op: DispersalOperator, weight: Weight, nonlin: Nonlinearity,
                                max_periods=max_periods, check_uniqueness=False)
         for lam in lams)
     if solver_result is None:
-        solver_result = solve_lambda_p(op, weight, n_steps=n_steps, n_time=n_time)
+        solver_result = solve_lambda_p(op, weight, n_steps=n_steps)
     return summarize_scan(orbits, solver_result)
 
 

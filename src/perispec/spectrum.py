@@ -39,10 +39,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .evolution import CLAMP_TOL, PeriodMap, period_action, period_map
+from .evolution import (CLAMP_TOL, PeriodMap, default_n_steps, period_action,
+                        period_map)
 from .geometry import Boundary
 from .operator import DispersalOperator
-from .weights import DEFAULT_N_TIME, Weight, time_average
+from .weights import Weight, WeightSummary, summarize, time_average
 
 POWER_REL_TOL = 1e-12
 POWER_MAX_ITER = 10000
@@ -214,10 +215,9 @@ def localization_width(phi: np.ndarray, w: np.ndarray) -> float:
     return mass2 * mass2 / mass4 / volume
 
 
-def essential_interval(op: DispersalOperator, weight: Weight, lam: float,
-                       n_time: int = DEFAULT_N_TIME) -> tuple[float, float]:
+def essential_interval(op: DispersalOperator, weight: Weight, lam: float) -> tuple[float, float]:
     """Range of the local growth envelope ``-b + lam * m_hat`` over the grid."""
-    return _envelope_range(op, time_average(weight, op.grid, n_time), lam)
+    return _envelope_range(op, time_average(weight, op.grid), lam)
 
 
 def _envelope_range(op: DispersalOperator, m_hat: np.ndarray, lam: float) -> tuple[float, float]:
@@ -311,9 +311,8 @@ def _fit_contact_exponent(h: np.ndarray, nodes: np.ndarray, spacing: float) -> f
     return float(slope)
 
 
-def check_S_conditions(weight: Weight, op: DispersalOperator, lam: float,
-                       n_time: int = DEFAULT_N_TIME) -> SConditions:
-    return _s_conditions(weight, op, lam, time_average(weight, op.grid, n_time))
+def check_S_conditions(weight: Weight, op: DispersalOperator, lam: float) -> SConditions:
+    return _s_conditions(weight, op, lam, time_average(weight, op.grid))
 
 
 def _s_conditions(weight: Weight, op: DispersalOperator, lam: float,
@@ -362,7 +361,7 @@ def _check_s1(weight: Weight, op: DispersalOperator, lam: float, m_hat: np.ndarr
 
 
 def principal_spectrum_point(op: DispersalOperator, weight: Weight, lam: float,
-                             n_steps: int | None = None, n_time: int = DEFAULT_N_TIME,
+                             n_steps: int | None = None,
                              with_s_conditions: bool = True,
                              cross_validate: bool = False,
                              pmap: PeriodMap | None = None) -> SpectrumReport:
@@ -377,8 +376,17 @@ def principal_spectrum_point(op: DispersalOperator, weight: Weight, lam: float,
     taken from the dense route instead, which supplies the evidence for the
     "no" verdict.
     """
+    return _spectrum_point(op, weight, summarize(weight, op.grid), lam, n_steps,
+                           with_s_conditions, cross_validate, pmap)
+
+
+def _spectrum_point(op: DispersalOperator, weight: Weight, summary: WeightSummary, lam,
+                    n_steps, with_s_conditions, cross_validate=False, pmap=None):
+    """``principal_spectrum_point`` on a summary that a root search builds once."""
     w = op.quad_weights
-    m_hat = time_average(weight, op.grid, n_time)
+    m_hat = summary.m_hat
+    if n_steps is None:
+        n_steps = default_n_steps(weight.period, lam, summary.sup_abs)
     h_min, h_max = _envelope_range(op, m_hat, lam)
     krylov = pmap is None and op.n >= _KRYLOV_MIN_N
     if krylov:

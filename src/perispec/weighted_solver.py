@@ -33,10 +33,9 @@ import numpy as np
 
 from .geometry import Boundary
 from .operator import DispersalOperator
-from .spectrum import (SpectrumReport, autonomous_spectrum_point,
+from .spectrum import (SpectrumReport, _spectrum_point, autonomous_spectrum_point,
                        principal_spectrum_point)
-from .weights import (DEFAULT_N_TIME, ConditionReport, Weight, WeightSummary,
-                      summarize)
+from .weights import ConditionReport, Weight, WeightSummary, summarize
 
 STATUS_UNIQUE = "unique_root"
 STATUS_NONE = "no_positive_root"
@@ -78,11 +77,9 @@ class _MuCache:
         return tuple(sorted(self.cache.items()))
 
 
-def _mu_period_map(op: DispersalOperator, weight: Weight, n_steps, n_time):
-    def fn(lam):
-        return principal_spectrum_point(op, weight, lam, n_steps=n_steps, n_time=n_time,
-                                        with_s_conditions=False).mu_n
-    return _MuCache(fn)
+def _mu_period_map(op: DispersalOperator, weight: Weight, summary: WeightSummary, n_steps):
+    return _MuCache(lambda lam: _spectrum_point(op, weight, summary, lam, n_steps,
+                                                with_s_conditions=False).mu_n)
 
 
 def _upward_crossing(mu: _MuCache, lo: float, lam: float, tol_root: float,
@@ -223,18 +220,17 @@ def _solve_core(mu: _MuCache, boundary: Boundary, cond: ConditionReport,
 
 
 def solve_lambda_p(op: DispersalOperator, weight: Weight, *,
-                   n_steps: int | None = None, n_time: int = DEFAULT_N_TIME,
-                   tol_root: float = TOL_ROOT, lam_cap: float = LAMBDA_CAP) -> LambdaPResult:
+                   n_steps: int | None = None, tol_root: float = TOL_ROOT,
+                   lam_cap: float = LAMBDA_CAP) -> LambdaPResult:
     """Find the positive root of the principal-spectrum-point curve, if any."""
-    return _solve_lambda_p(op, weight, summarize(weight, op.grid, n_time), n_steps,
-                           n_time, tol_root, lam_cap)
+    return _solve_lambda_p(op, weight, summarize(weight, op.grid), n_steps,
+                           tol_root, lam_cap)
 
 
 def _solve_lambda_p(op: DispersalOperator, weight: Weight, summary: WeightSummary,
-                    n_steps: int | None, n_time: int, tol_root: float,
-                    lam_cap: float) -> LambdaPResult:
+                    n_steps: int | None, tol_root: float, lam_cap: float) -> LambdaPResult:
     cond = ConditionReport.from_values(summary.p_value, summary.time_space_integral)
-    mu = _mu_period_map(op, weight, n_steps, n_time)
+    mu = _mu_period_map(op, weight, summary, n_steps)
     return _solve_core(mu, op.boundary, cond, summary.space_independent,
                        float(summary.m_hat.mean()), summary.sup_abs, tol_root, lam_cap)
 
@@ -250,8 +246,7 @@ class UpperBoundResult:
 
 
 def upper_bound_lambda_p(op: DispersalOperator, weight: Weight, *,
-                         n_steps: int | None = None, n_time: int = DEFAULT_N_TIME,
-                         tol_root: float = TOL_ROOT,
+                         n_steps: int | None = None, tol_root: float = TOL_ROOT,
                          lam_cap: float = LAMBDA_CAP) -> UpperBoundResult:
     """Compare the threshold of ``m`` with that of its time average.
 
@@ -260,8 +255,8 @@ def upper_bound_lambda_p(op: DispersalOperator, weight: Weight, *,
     averaged problem is autonomous and is solved by the same search logic on
     the exact spectral bound of the frozen generator (no time stepping).
     """
-    summary = summarize(weight, op.grid, n_time)
-    res_time = _solve_lambda_p(op, weight, summary, n_steps, n_time, tol_root, lam_cap)
+    summary = summarize(weight, op.grid)
+    res_time = _solve_lambda_p(op, weight, summary, n_steps, tol_root, lam_cap)
     m_hat = summary.m_hat
 
     mu_auto = _MuCache(lambda lam: autonomous_spectrum_point(op, m_hat, lam).mu)
@@ -289,7 +284,7 @@ class PeSufficiency:
 
 
 def pe_sufficiency(op: DispersalOperator, weight: Weight, result: LambdaPResult, *,
-                   n_steps: int | None = None, n_time: int = DEFAULT_N_TIME) -> PeSufficiency:
+                   n_steps: int | None = None) -> PeSufficiency:
     """Decide whether the spectrum point at the root is a true eigenvalue.
 
     Analytic sufficiency (smooth flat interior maximum, or divergent contact
@@ -297,8 +292,7 @@ def pe_sufficiency(op: DispersalOperator, weight: Weight, result: LambdaPResult,
     """
     if result.status != STATUS_UNIQUE or result.lambda_p is None:
         raise ValueError("pe_sufficiency needs a unique_root result")
-    report = principal_spectrum_point(op, weight, result.lambda_p,
-                                      n_steps=n_steps, n_time=n_time)
+    report = principal_spectrum_point(op, weight, result.lambda_p, n_steps=n_steps)
     s = report.s_conditions
     if s.s1 == "yes":
         return PeSufficiency("yes", "S1", report)

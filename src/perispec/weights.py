@@ -10,6 +10,11 @@ The two scalar functionals that drive the existence theory are
 * ``time_average`` -- the per-node time mean, written ``m_hat`` throughout, and
 * ``p_functional`` -- the time integral of the spatial maximum, i.e. the best
   instantaneous growth rate accumulated over one period.
+
+Neither depends on the coupling ``lam``.  ``summarize`` is the one place they
+are computed, with ``sup|m|`` and the space-time integral, from one time
+lattice; the other functionals are views of its ``WeightSummary``, which a
+solve or an orbit builds once.
 """
 
 from __future__ import annotations
@@ -217,26 +222,6 @@ def _time_lattice(weight: Weight, grid: Grid, n_time: int) -> tuple[np.ndarray, 
     return times, weight.table(times, grid)
 
 
-def time_average(weight: Weight, grid: Grid, n_time: int = DEFAULT_N_TIME) -> np.ndarray:
-    """Per-node time mean over one period (composite trapezoid rule)."""
-    _, table = _time_lattice(weight, grid, n_time)
-    coeff = np.ones(n_time + 1)
-    coeff[0] = coeff[-1] = 0.5
-    return (coeff[:, None] * table).sum(axis=0) / n_time
-
-
-def p_functional(weight: Weight, grid: Grid, n_time: int = DEFAULT_N_TIME) -> float:
-    """Time integral of the spatial maximum: trapezoid of ``max_x m(t, x)``.
-
-    For a time-independent weight this is exactly ``T * max m``.
-    """
-    _, table = _time_lattice(weight, grid, n_time)
-    best = table.max(axis=1)
-    coeff = np.ones(n_time + 1)
-    coeff[0] = coeff[-1] = 0.5
-    return float((coeff * best).sum() / n_time * weight.period)
-
-
 @dataclass(frozen=True)
 class WeightSummary:
     m_hat: np.ndarray         # per-node time average
@@ -273,10 +258,22 @@ def summarize(weight: Weight, grid: Grid, n_time: int = DEFAULT_N_TIME) -> Weigh
     )
 
 
+def time_average(weight: Weight, grid: Grid, n_time: int = DEFAULT_N_TIME) -> np.ndarray:
+    """Per-node time mean over one period (composite trapezoid rule)."""
+    return summarize(weight, grid, n_time).m_hat
+
+
+def p_functional(weight: Weight, grid: Grid, n_time: int = DEFAULT_N_TIME) -> float:
+    """Time integral of the spatial maximum: trapezoid of ``max_x m(t, x)``.
+
+    For a time-independent weight this is exactly ``T * max m``.
+    """
+    return summarize(weight, grid, n_time).p_value
+
+
 def sup_abs(weight: Weight, grid: Grid, n_time: int = DEFAULT_N_TIME) -> float:
     """Sup of |m| over the sample lattice; used for step-size heuristics."""
-    _, table = _time_lattice(weight, grid, n_time)
-    return float(np.abs(table).max())
+    return summarize(weight, grid, n_time).sup_abs
 
 
 def space_independent(weight: Weight, grid: Grid, n_time: int = DEFAULT_N_TIME) -> bool:

@@ -224,11 +224,40 @@ def test_sampled_weight_round_trip(tmp_path):
      "both expr and samples"),
     (lambda s: s.replace("expr = sin(2*pi*t/T) + cos(2*pi*x) - 0.2", ""), "neither"),
     (lambda s: s.replace("period = 1.0", "period = -1.0"), "period"),
+    (lambda s: s.replace("period = 1.0", "period = 1.0\ns1_maximizer = half"),
+     "s1_maximizer"),
 ])
 def test_bad_config_exits_two(tmp_path, capsys, mutation, name):
     cfg = write_ini(tmp_path, mutation(BASE_PROBLEM + "\n[spectrum]\nlambdas = 1\n"))
     assert run("spectrum", cfg, tmp_path / "out") == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_infinite_s1_smoothness_is_legal(tmp_path):
+    # infinity is the default smoothness, so a config may state it
+    cfg = write_ini(tmp_path, BASE_PROBLEM + "s1_maximizer = 0.5\ns1_smoothness = inf\n"
+                    "\n[spectrum]\nlambdas = 1\n")
+    assert run("spectrum", cfg, tmp_path / "out") == 0
+
+
+@pytest.mark.parametrize("task, section, key", [
+    ("spectrum", "[spectrum]\nlambdas = 0.5, nan", "lambdas"),
+    ("spectrum", "[spectrum]\nlambdas = 0.5, inf", "lambdas"),
+    ("spectrum", "[spectrum]\nlambda_min = 0\nlambda_max = inf\nlambda_count = 3",
+     "lambda_max"),
+    ("lambda_p", "[lambda_p]\nlam_cap = nan", "lam_cap"),
+    ("lambda_p", "[lambda_p]\nlam_cap = 0", "lam_cap"),
+    ("lambda_p", "[lambda_p]\ntol_root = -1", "tol_root"),
+    ("upper_bound", "[upper_bound]\ntol_root = inf", "tol_root"),
+    ("kpp_scan", "[kpp_scan]\nlambdas = 1\nsaturation = nan", "saturation"),
+    ("spectrum", "s1_maximizer = 0.5\ns1_smoothness = nan\n[spectrum]\nlambdas = 1",
+     "s1_smoothness"),
+])
+def test_bad_numeric_key_exits_two(tmp_path, capsys, task, section, key):
+    cfg = write_ini(tmp_path, BASE_PROBLEM + "\n" + section + "\n")
+    assert run(task, cfg, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
 
 
 def test_missing_config_file_exits_two(tmp_path, capsys):

@@ -10,10 +10,12 @@ import re
 import numpy as np
 import pytest
 
-from perispec.evolution import UnstableStepError, propagate
+import perispec.weights
+from perispec.evolution import UnstableStepError, default_n_steps, propagate
 from perispec.geometry import Boundary, build_grid, make_kernel, wrap_kernel
-from perispec.kpp import (Nonlinearity, PeriodicOrbit, find_periodic_solution,
-                          simulate_kpp, summarize_scan, threshold_scan)
+from perispec.kpp import (TOL_FIX, Nonlinearity, PeriodicOrbit,
+                          find_periodic_solution, simulate_kpp, summarize_scan,
+                          threshold_scan)
 from perispec.operator import assemble
 from perispec.spectrum import principal_spectrum_point
 from perispec.weighted_solver import solve_lambda_p
@@ -174,6 +176,9 @@ def test_flow_decreases_from_above_carrying_scale():
     u0 = np.full(op.n, 2.0 * scale)
     traj = simulate_kpp(op, w, nl, 1.5, u0, 0.0, 1.0)
     assert traj.final.max() < u0.max()
+    # the invariant region and the default step count follow a state far above it
+    high = simulate_kpp(op, w, nl, 1.5, 30.0 * u0, 0.0, 1.0)
+    assert high.final.max() < u0.max()
 
 
 # --------------------------------------------------- autonomous equilibrium
@@ -238,6 +243,53 @@ def test_saturating_family_persists(dirichlet_threshold):
     assert orbit.verdict == "persistence"
     assert orbit.min_of_orbit > 1e-4
     assert orbit.residual < 1e-8
+
+
+def test_poincare_iteration_equals_simulate_kpp_period_by_period(dirichlet_threshold):
+    # the orbit sets the flow up once, yet every period, the stopping period
+    # and the snapshot match what simulate_kpp gives period by period, bit for bit
+    op, w, res = dirichlet_threshold
+    nl = Nonlinearity("saturating", crowding=2.0, saturation=0.5)
+    lam = 1.5 * res.lambda_p
+    orbit = find_periodic_solution(op, w, nl, lam, check_uniqueness=False)
+    assert orbit.verdict == "persistence"
+
+    growth = lam * sup_abs(w, op.grid)
+    scale = nl.carrying_scale(growth)
+    n_steps = default_n_steps(w.period, 1.0, growth + nl.penalty(scale))
+    u = np.full(op.n, 0.1 * scale)
+    for k in range(1, orbit.periods_used + 1):
+        nxt = simulate_kpp(op, w, nl, lam, u, 0.0, w.period, n_steps=n_steps,
+                           record_every=n_steps).final
+        settled = np.abs(nxt - u).max() < TOL_FIX * np.abs(nxt).max()
+        assert settled == (k == orbit.periods_used)
+        u = nxt
+    np.testing.assert_array_equal(orbit.fixed_point, u)
+
+    snap_steps = n_steps + (-n_steps) % 16  # 16 snapshots
+    snap = simulate_kpp(op, w, nl, lam, u, 0.0, w.period, n_steps=snap_steps,
+                        record_every=snap_steps // 16)
+    np.testing.assert_array_equal(orbit.orbit_states, snap.states)
+    np.testing.assert_array_equal(orbit.orbit_times, snap.times)
+    assert orbit.residual == float(np.abs(snap.final - u).max())
+
+
+def test_orbit_builds_one_time_lattice(dirichlet_threshold, monkeypatch):
+    # sup|m| once per orbit, not once per Poincare period
+    op, w, res = dirichlet_threshold
+    calls = []
+    original = perispec.weights._time_lattice
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(perispec.weights, "_time_lattice", counting)
+    for factor, verdict in ((1.25, "persistence"), (0.8, "extinction")):
+        calls.clear()
+        orbit = find_periodic_solution(op, w, Nonlinearity(), factor * res.lambda_p)
+        assert orbit.verdict == verdict
+        assert orbit.periods_used > 1
+        assert len(calls) == 1
 
 
 # ----------------------------------------------------------------- scanning

@@ -203,8 +203,8 @@ def test_krylov_rejects_a_root_that_is_no_perron_root():
 
 
 def test_spectrum_point_builds_one_time_lattice_per_use(monkeypatch):
-    # sup|m| for the step count and m_hat for the envelope and the S tests
-    op = make_op(Boundary.DIRICHLET)
+    # one weight summary gives sup|m| for the step count and m_hat for the
+    # envelope and the S tests, on the dense route (n = 64) and Arnoldi's
     w = closed_form(STANDARD_WEIGHT, 1.0)
     calls = []
     original = perispec.weights._time_lattice
@@ -213,11 +213,11 @@ def test_spectrum_point_builds_one_time_lattice_per_use(monkeypatch):
         calls.append(1)
         return original(*args, **kwargs)
     monkeypatch.setattr(perispec.weights, "_time_lattice", counting)
-    principal_spectrum_point(op, w, 1.0)
-    assert len(calls) == 2
+    principal_spectrum_point(make_op(Boundary.DIRICHLET, n=64), w, 1.0)
+    assert len(calls) == 1
     calls.clear()
     principal_spectrum_point(make_op(Boundary.DIRICHLET, n=256), w, 1.0)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 # --------------------------------------------------------- zero-weight point

@@ -202,8 +202,9 @@ def test_import_does_not_load_scipy_optimize():
     assert out.stdout.strip() == "False False"
 
 
-def test_upper_bound_reuses_the_weight_summary(monkeypatch):
-    # one summary, then one sup|m| lattice per mu evaluation (8 of them)
+@pytest.fixture
+def lattice_calls(monkeypatch):
+    """A list that grows by one entry per weight time lattice built."""
     calls = []
     original = perispec.weights._time_lattice
 
@@ -211,9 +212,23 @@ def test_upper_bound_reuses_the_weight_summary(monkeypatch):
         calls.append(1)
         return original(*args, **kwargs)
     monkeypatch.setattr(perispec.weights, "_time_lattice", counting)
+    return calls
+
+
+def test_upper_bound_reuses_the_weight_summary(lattice_calls):
+    # one summary serves the condition report, both problems and all 8
+    # mu evaluations of the time-dependent root search
     ub = upper_bound_lambda_p(make_op(Boundary.DIRICHLET), closed_form(STANDARD_WEIGHT, 1.0))
     assert ub.time_dependent.status == "unique_root"
-    assert len(calls) == 17
+    assert len(lattice_calls) == 1
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_solve_builds_one_weight_summary(lattice_calls, boundary):
+    res = solve_lambda_p(make_op(boundary), closed_form(STANDARD_WEIGHT, 1.0))
+    assert res.status == "unique_root"
+    assert len(res.curve) > 5
+    assert len(lattice_calls) == 1
 
 
 def test_curve_has_single_sign_change():
