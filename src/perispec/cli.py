@@ -39,9 +39,9 @@ from .kpp import MAX_PERIODS, Nonlinearity, find_periodic_solution, summarize_sc
 from .operator import assemble
 from .spectrum import PowerIterationError, principal_spectrum_point
 from .validate import DEFAULT_SEED, run_checks
-from .weighted_solver import (LAMBDA_CAP, STATUS_UNIQUE, TOL_ROOT,
-                              pe_sufficiency, solve_lambda_p, upper_bound_lambda_p)
-from .weights import S1Data, WeightExprError, closed_form, load_sampled_csv
+from .weighted_solver import (LAMBDA_CAP, STATUS_UNIQUE, TOL_ROOT, _pe_sufficiency,
+                              _solve_lambda_p, solve_lambda_p, upper_bound_lambda_p)
+from .weights import S1Data, WeightExprError, closed_form, load_sampled_csv, summarize
 
 TASKS = ("spectrum", "lambda_p", "upper_bound", "kpp_scan", "validate")
 
@@ -381,10 +381,12 @@ def _task_spectrum(cp, op, weight, outdir, threads):
 def _task_lambda_p(cp, op, weight, outdir, threads):
     sec = _section(cp, "lambda_p", required=False)
     n_steps = _get_int(sec, "n_steps")
-    res = solve_lambda_p(op, weight, n_steps=n_steps, **_root_options(sec))
+    # one weight summary serves the root search and the check at the root
+    weight_summary = summarize(weight, op.grid)
+    res = _solve_lambda_p(op, weight, weight_summary, n_steps, **_root_options(sec))
     pe = None
     if res.status == STATUS_UNIQUE and _get_bool(sec, "check_pe", default=True):
-        pe = pe_sufficiency(op, weight, res, n_steps=n_steps)
+        pe = _pe_sufficiency(op, weight, weight_summary, res, n_steps)
 
     _write_curve(outdir / "curve.csv", res.curve)
     summary = {"task": "lambda_p", "config": _config_echo(cp),
@@ -472,7 +474,8 @@ def _task_kpp_scan(cp, op, weight, outdir, threads):
         "task": "kpp_scan",
         "config": _config_echo(cp),
         "verdicts": [{"lam": o.lam, "verdict": o.verdict,
-                      "periods_used": o.periods_used} for o in scan.orbits],
+                      "periods_used": o.periods_used, "certificate": o.certificate}
+                     for o in scan.orbits],
         "threshold": _root_dict(scan.lambda_result),
         "switch_bracket": list(scan.switch_bracket) if scan.switch_bracket else None,
         "monotone": scan.monotone,

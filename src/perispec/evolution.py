@@ -30,6 +30,7 @@ from .weights import Weight, sup_abs
 
 MIN_STEPS_PER_PERIOD = 64
 CLAMP_TOL = 1e-12
+ORDER_TOL = 1e-10  # order violations of the discrete flow, relative to the state's scale
 
 
 class UnstableStepError(RuntimeError):
@@ -244,6 +245,6 @@ def comparison_check(op: DispersalOperator, weight_pairs, field_pairs, t1: float
             min_gap=float(gap.min()),
             strictly_ordered=bool(gap.min() > 0.0),
         ))
-    tol = 1e-10 * scale
+    tol = ORDER_TOL * scale
     worst = max((r.max_violation for r in results), default=0.0)
     return ComparisonReport(tuple(results), worst, tol, worst <= tol)

@@ -17,11 +17,21 @@ tables (``m`` at ``t_k + h/2`` and at ``t_k + h``).  ``_kpp_flow`` sets the
 flow up once per ``lam`` from one weight summary (``sup|m|``, the bound check,
 the carrying scale); ``simulate_kpp`` and every orbit period run through it.
 
-The periodic state is found by iterating the period map of the nonlinear flow
-(a Poincare iteration) from a small positive constant until the iterates
-either stabilize away from zero or collapse below an extinction floor.  Each
-period is one ``_integrate`` call over ``[0, T]`` with the orbit's fixed step
-count from the previous period's end state, as ``simulate_kpp`` would run it.
+The periodic state is found by iterating the period map ``P`` of the
+nonlinear flow from a small positive constant.  Each period is one
+``_integrate`` call over ``[0, T]`` with the orbit's fixed step count, as
+``simulate_kpp`` would run it.  The orbit first looks for a certificate of
+persistence: when the principal spectrum point ``mu(lam)`` of the linearized
+period map is positive, its Perron vector ``phi`` gives a sub-solution
+``eps * phi`` once ``P(eps * phi) - eps * phi`` clears the order tolerance on
+every node for some ``eps`` of a short ladder.  The flow preserves order, so
+the iterates from any start above ``eps * phi`` stay above it and a positive
+periodic state exists.  Under that certificate the iteration is accelerated
+by type-II Anderson mixing on ``G(u) = P(u) - u`` (Walker & Ni, SIAM J.
+Numer. Anal. 49(4), 2011), with each mixed iterate projected onto the
+invariant order interval ``[0, carrying]``.  Without it the plain iteration
+runs, and it alone can end in extinction: the sup norm falls below a floor,
+or one linear period contracts the state uniformly.
 """
 
 from __future__ import annotations
@@ -31,14 +41,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import Trajectory, _integrate, default_n_steps, propagate
+from .evolution import ORDER_TOL, Trajectory, _integrate, default_n_steps, propagate
 from .operator import DispersalOperator
+from .spectrum import PowerIterationError, _spectrum_point
 from .weighted_solver import STATUS_UNIQUE, LambdaPResult, solve_lambda_p
-from .weights import Weight, sup_abs
+from .weights import Weight, WeightSummary, summarize
 
 TOL_FIX = 1e-9
 TOL_EXT = 1e-8
 MAX_PERIODS = 500
+# sub-solution amplitudes tried by the persistence certificate, as fractions
+# of the carrying scale
+CERT_EPS = (1e-1, 1e-2, 1e-3, 1e-4)
+ANDERSON_DEPTH = 5
 
 
 @dataclass(frozen=True)
@@ -97,10 +112,11 @@ class Nonlinearity:
         return growth_sup / (self.crowding - self.saturation * growth_sup)
 
 
-def _kpp_flow(op: DispersalOperator, weight: Weight, nonlin: Nonlinearity, lam: float):
+def _kpp_flow(op: DispersalOperator, weight: Weight, summary: WeightSummary,
+              nonlin: Nonlinearity, lam: float):
     """``(carrying, steps(duration, scale), run(u, t0, t1, n_steps, record_every=None))``;
     each ``run`` guards ``[0, 10 * scale]``, ``scale = max(carrying, max u, 1e-30)``."""
-    growth_sup = abs(lam) * sup_abs(weight, op.grid)
+    growth_sup = abs(lam) * summary.sup_abs
     carrying = nonlin.carrying_scale(growth_sup)  # raises if crowding cannot bound growth
 
     def steps(duration, scale):
@@ -133,7 +149,7 @@ def simulate_kpp(op: DispersalOperator, weight: Weight, nonlin: Nonlinearity,
         raise ValueError("initial state must not be identically zero")
     if not t1 > t0:
         raise ValueError("need t1 > t0")
-    _, _, run = _kpp_flow(op, weight, nonlin, lam)
+    _, _, run = _kpp_flow(op, weight, summarize(weight, op.grid), nonlin, lam)
     times, states = run(u0, t0, t1, n_steps, record_every)
     return Trajectory(times, states, np.abs(states).max(axis=1))
 
@@ -199,42 +215,113 @@ def _poincare_iterate(op, weight, lam, run, u, n_steps, tol_fix, tol_ext,
     return "undecided", u, float("nan"), max_periods, None
 
 
+def _persistence_certificate(op, weight, summary, lam, run, n_steps, carrying):
+    """``(certificate, periods)`` from a sub-solution ``eps * phi``, or ``(None, periods)``.
+
+    ``phi`` is the Perron vector of the linearized period map at the orbit's
+    step count, tried only when its ``mu`` is positive.  The first ``eps`` of
+    ``CERT_EPS`` (times the carrying scale) with ``P(eps * phi) - eps * phi``
+    above ``ORDER_TOL`` times the scale on every node is the certificate;
+    ``periods`` counts the KPP periods the ladder ran.
+    """
+    try:
+        rep = _spectrum_point(op, weight, summary, lam, n_steps, with_s_conditions=False)
+    except PowerIterationError:
+        return None, 0
+    if not rep.mu_n > 0.0:
+        return None, 0
+    for k, frac in enumerate(CERT_EPS, start=1):
+        sub = frac * carrying * rep.eigenfunction
+        gain = float((run(sub, 0.0, weight.period, n_steps) - sub).min())
+        if gain > ORDER_TOL * carrying:
+            return (f"P(eps*phi) exceeds eps*phi by at least {gain:.3e} on every node at "
+                    f"eps = {frac:.0e} of the carrying scale (mu = {rep.mu_n:.6g} > 0), "
+                    "so the iterates stay above eps*phi"), k
+    return None, len(CERT_EPS)
+
+
+def _anderson_iterate(run, u, period, n_steps, tol_fix, max_periods, ceiling):
+    """Type-II Anderson mixing of depth ``ANDERSON_DEPTH`` on ``G(u) = P(u) - u``.
+
+    The mixed iterate minimizes the linearized residual over the last steps
+    (``lstsq`` on the residual differences), is projected onto
+    ``[0, ceiling]``, and the history restarts when the residual grows.  The
+    stopping rule is the plain iteration's, and the fixed point is ``P(u)``.
+    """
+    xs, gs = [], []
+    prev = math.inf
+    for k in range(1, max_periods + 1):
+        nxt = run(u, 0.0, period, n_steps)
+        g = nxt - u
+        sup = float(np.abs(nxt).max())
+        diff = float(np.abs(g).max())
+        if diff < tol_fix * max(sup, 1e-300):
+            return "persistence", nxt, diff, k
+        if diff > prev:
+            xs, gs = [], []
+        prev = diff
+        xs.append(u)
+        gs.append(g)
+        del xs[:-ANDERSON_DEPTH - 1], gs[:-ANDERSON_DEPTH - 1]
+        if len(xs) > 1:
+            d_x = np.diff(xs, axis=0).T
+            d_g = np.diff(gs, axis=0).T
+            gamma = np.linalg.lstsq(d_g, g, rcond=None)[0]
+            nxt = u + g - (d_x + d_g) @ gamma
+        u = np.clip(nxt, 0.0, ceiling)
+    return "undecided", u, float("nan"), max_periods
+
+
 def find_periodic_solution(op: DispersalOperator, weight: Weight,
                            nonlin: Nonlinearity, lam: float, *,
                            n_steps: int | None = None, tol_fix: float = TOL_FIX,
                            tol_ext: float = TOL_EXT, max_periods: int = MAX_PERIODS,
                            n_snap: int = 16, check_uniqueness: bool = True) -> PeriodicOrbit:
-    """Classify ``lam`` as persistent or extinct via the Poincare iteration.
+    """Classify ``lam`` as persistent or extinct: a certificate first, then
+    the accelerated or the plain Poincare iteration.
 
-    Persistence means the iteration from a small positive constant stabilizes
-    (relative change below ``tol_fix``) at a state bounded away from zero;
-    extinction means the sup norm fell below ``tol_ext`` times the carrying
-    scale, or a linear period was observed to contract the current state
-    uniformly, which bounds all later iterates by a geometric decay.  A second
-    start near the carrying scale cross-checks uniqueness of the stabilized
-    state.
+    The certificate of persistence is a sub-solution ``eps * phi`` from the
+    Perron vector of the linearized period map (see the module docstring); it
+    needs ``mu(lam) > 0`` and one KPP period per ``eps`` tried.  Under it,
+    Anderson mixing iterates the period map from a small positive constant
+    until the relative change of one period falls below ``tol_fix``.  Without
+    it, the plain iteration from the same start decides: persistence by the
+    same stopping rule at a state bounded away from zero; extinction when the
+    sup norm falls below ``tol_ext`` times the carrying scale, or when one
+    linear period contracts the current state uniformly, which bounds all
+    later iterates by a geometric decay.  ``periods_used`` counts the
+    certificate's periods and those of the iteration from the small start;
+    ``max_periods`` bounds the iteration from each start.  A second start
+    near the carrying scale cross-checks uniqueness of the stabilized state.
     """
-    scale, steps, run = _kpp_flow(op, weight, nonlin, lam)
+    summary = summarize(weight, op.grid)
+    scale, steps, run = _kpp_flow(op, weight, summary, nonlin, lam)
     period = weight.period
     if n_steps is None:
         n_steps = steps(period, scale)
 
-    u_low = np.full(op.n, 0.1 * scale)
-    verdict, u_star, residual, used, certificate = _poincare_iterate(
-        op, weight, lam, run, u_low, n_steps, tol_fix, tol_ext, max_periods, scale)
+    certificate, cert_periods = _persistence_certificate(
+        op, weight, summary, lam, run, n_steps, scale)
+
+    def iterate(u0):
+        if certificate is None:
+            return _poincare_iterate(op, weight, lam, run, u0, n_steps, tol_fix,
+                                     tol_ext, max_periods, scale)
+        return _anderson_iterate(run, u0, period, n_steps, tol_fix, max_periods,
+                                 scale) + (certificate,)
+
+    verdict, u_star, residual, used, reason = iterate(np.full(op.n, 0.1 * scale))
+    used += cert_periods
 
     gap = None
     if verdict == "persistence" and check_uniqueness:
-        u_high = np.full(op.n, 0.9 * scale)
-        verdict2, u_star2, _, _, _ = _poincare_iterate(
-            op, weight, lam, run, u_high, n_steps, tol_fix, tol_ext,
-            max_periods, scale)
+        verdict2, u_star2, _, _, _ = iterate(np.full(op.n, 0.9 * scale))
         if verdict2 == "persistence":
             gap = float(np.abs(u_star - u_star2).max() / max(np.abs(u_star).max(), 1e-300))
 
     if verdict != "persistence":
         return PeriodicOrbit(verdict, lam, None, residual, 0.0, 0.0, used,
-                             gap, None, None, certificate)
+                             gap, None, None, reason)
 
     snap_steps = max(n_steps, n_snap)
     snap_steps += (-snap_steps) % n_snap  # divisible by n_snap
@@ -250,6 +337,7 @@ def find_periodic_solution(op: DispersalOperator, weight: Weight,
         uniqueness_gap=gap,
         orbit_times=times,
         orbit_states=orbit,
+        certificate=certificate,
     )
 
 

@@ -33,8 +33,7 @@ import numpy as np
 
 from .geometry import Boundary
 from .operator import DispersalOperator
-from .spectrum import (SpectrumReport, _spectrum_point, autonomous_spectrum_point,
-                       principal_spectrum_point)
+from .spectrum import SpectrumReport, _spectrum_point, autonomous_spectrum_point
 from .weights import ConditionReport, Weight, WeightSummary, summarize
 
 STATUS_UNIQUE = "unique_root"
@@ -290,9 +289,16 @@ def pe_sufficiency(op: DispersalOperator, weight: Weight, result: LambdaPResult,
     Analytic sufficiency (smooth flat interior maximum, or divergent contact
     integral) is preferred; the numerical gap classification is the fallback.
     """
+    return _pe_sufficiency(op, weight, summarize(weight, op.grid), result, n_steps)
+
+
+def _pe_sufficiency(op: DispersalOperator, weight: Weight, summary: WeightSummary,
+                    result: LambdaPResult, n_steps: int | None) -> PeSufficiency:
+    """``pe_sufficiency`` on the summary that the root search was given."""
     if result.status != STATUS_UNIQUE or result.lambda_p is None:
         raise ValueError("pe_sufficiency needs a unique_root result")
-    report = principal_spectrum_point(op, weight, result.lambda_p, n_steps=n_steps)
+    report = _spectrum_point(op, weight, summary, result.lambda_p, n_steps,
+                             with_s_conditions=True)
     s = report.s_conditions
     if s.s1 == "yes":
         return PeSufficiency("yes", "S1", report)

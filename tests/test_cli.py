@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import perispec.validate
+import perispec.weights
 from perispec.cli import main
 from perispec.geometry import Boundary, build_grid
 from perispec.weights import closed_form, sample_closed_form, save_sampled_csv
@@ -82,6 +83,22 @@ def test_lambda_p_task(tmp_path):
     assert len(curve) > 4
 
 
+def test_lambda_p_task_builds_one_time_lattice(tmp_path, monkeypatch):
+    # the root search and the eigenvalue check at the root share one summary
+    calls = []
+    original = perispec.weights._time_lattice
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(perispec.weights, "_time_lattice", counting)
+    cfg = write_ini(tmp_path, BASE_PROBLEM)
+    assert run("lambda_p", cfg, tmp_path / "out") == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["principal_eigenvalue"]["is_principal_eigenvalue"] == "yes"
+    assert len(calls) == 1
+
+
 def test_lambda_p_degenerate_status(tmp_path):
     cfg = write_ini(tmp_path, BASE_PROBLEM.replace("dirichlet", "neumann")
                     .replace("sin(2*pi*t/T) + cos(2*pi*x) - 0.2", "sin(2*pi*t/T)"))
@@ -111,6 +128,9 @@ def test_kpp_scan_task(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     verdicts = [v["verdict"] for v in summary["verdicts"]]
     assert verdicts == ["extinction", "extinction", "persistence", "persistence"]
+    for entry in summary["verdicts"]:
+        # extinction by contraction or the floor; persistence by a sub-solution
+        assert ("eps = " in entry["certificate"]) == (entry["verdict"] == "persistence")
     assert summary["monotone"] is True
     assert summary["consistent_with_root"] is True
     lo, hi = summary["switch_bracket"]

@@ -10,6 +10,7 @@ import re
 import numpy as np
 import pytest
 
+import perispec.kpp
 import perispec.weights
 from perispec.evolution import UnstableStepError, default_n_steps, propagate
 from perispec.geometry import Boundary, build_grid, make_kernel, wrap_kernel
@@ -17,7 +18,7 @@ from perispec.kpp import (TOL_FIX, Nonlinearity, PeriodicOrbit,
                           find_periodic_solution, simulate_kpp, summarize_scan,
                           threshold_scan)
 from perispec.operator import assemble
-from perispec.spectrum import principal_spectrum_point
+from perispec.spectrum import PowerIterationError, principal_spectrum_point
 from perispec.weighted_solver import solve_lambda_p
 from perispec.weights import closed_form, sup_abs
 
@@ -245,33 +246,199 @@ def test_saturating_family_persists(dirichlet_threshold):
     assert orbit.residual < 1e-8
 
 
-def test_poincare_iteration_equals_simulate_kpp_period_by_period(dirichlet_threshold):
-    # the orbit sets the flow up once, yet every period, the stopping period
-    # and the snapshot match what simulate_kpp gives period by period, bit for bit
-    op, w, res = dirichlet_threshold
-    nl = Nonlinearity("saturating", crowding=2.0, saturation=0.5)
-    lam = 1.5 * res.lambda_p
-    orbit = find_periodic_solution(op, w, nl, lam, check_uniqueness=False)
-    assert orbit.verdict == "persistence"
-
+def _plain_iteration(op, w, nl, lam, n_periods):
+    """The first ``n_periods`` plain Poincare iterates through ``simulate_kpp``."""
     growth = lam * sup_abs(w, op.grid)
     scale = nl.carrying_scale(growth)
     n_steps = default_n_steps(w.period, 1.0, growth + nl.penalty(scale))
-    u = np.full(op.n, 0.1 * scale)
-    for k in range(1, orbit.periods_used + 1):
-        nxt = simulate_kpp(op, w, nl, lam, u, 0.0, w.period, n_steps=n_steps,
-                           record_every=n_steps).final
-        settled = np.abs(nxt - u).max() < TOL_FIX * np.abs(nxt).max()
-        assert settled == (k == orbit.periods_used)
-        u = nxt
-    np.testing.assert_array_equal(orbit.fixed_point, u)
+    iterates = [np.full(op.n, 0.1 * scale)]
+    for _ in range(n_periods):
+        iterates.append(simulate_kpp(op, w, nl, lam, iterates[-1], 0.0, w.period,
+                                     n_steps=n_steps, record_every=n_steps).final)
+    return iterates, n_steps
 
+
+def _assert_snapshot_from_fixed_point(op, w, nl, lam, orbit, n_steps):
     snap_steps = n_steps + (-n_steps) % 16  # 16 snapshots
-    snap = simulate_kpp(op, w, nl, lam, u, 0.0, w.period, n_steps=snap_steps,
-                        record_every=snap_steps // 16)
+    snap = simulate_kpp(op, w, nl, lam, orbit.fixed_point, 0.0, w.period,
+                        n_steps=snap_steps, record_every=snap_steps // 16)
     np.testing.assert_array_equal(orbit.orbit_states, snap.states)
     np.testing.assert_array_equal(orbit.orbit_times, snap.times)
-    assert orbit.residual == float(np.abs(snap.final - u).max())
+    assert orbit.residual == float(np.abs(snap.final - orbit.fixed_point).max())
+
+
+def test_every_poincare_period_is_one_simulate_kpp_period(dirichlet_threshold, monkeypatch):
+    # the orbit sets the flow up once, yet every period it runs (the
+    # certificate's and the accelerated iteration's) is one simulate_kpp
+    # period bit for bit, the stopping rule holds at the last one only, the
+    # fixed point is that period's image, and the snapshot starts from it
+    op, w, res = dirichlet_threshold
+    nl = Nonlinearity("saturating", crowding=2.0, saturation=0.5)
+    lam = 1.5 * res.lambda_p
+    periods = []
+    original = perispec.kpp._integrate
+
+    def recording(op_, w_, lam_, u, t0, t1, n_steps, record_every=None, **kwargs):
+        out = original(op_, w_, lam_, u, t0, t1, n_steps, record_every, **kwargs)
+        if record_every is None:
+            periods.append((u.copy(), out.copy(), n_steps))
+        return out
+    monkeypatch.setattr(perispec.kpp, "_integrate", recording)
+    orbit = find_periodic_solution(op, w, nl, lam, check_uniqueness=False)
+    monkeypatch.undo()
+    assert orbit.verdict == "persistence"
+    assert "eps = " in orbit.certificate
+    assert len(periods) == orbit.periods_used
+    n_steps = periods[0][2]
+    for k, (u, image, steps) in enumerate(periods, start=1):
+        assert steps == n_steps
+        ref = simulate_kpp(op, w, nl, lam, u, 0.0, w.period, n_steps=n_steps,
+                           record_every=n_steps).final
+        np.testing.assert_array_equal(image, ref)
+        settled = np.abs(image - u).max() < TOL_FIX * np.abs(image).max()
+        assert settled == (k == len(periods))
+    np.testing.assert_array_equal(orbit.fixed_point, periods[-1][1])
+    _assert_snapshot_from_fixed_point(op, w, nl, lam, orbit, n_steps)
+
+
+def test_plain_iteration_runs_without_a_certificate(dirichlet_threshold, monkeypatch):
+    # with the certificate withheld, the orbit is the plain iteration of
+    # simulate_kpp periods, bit for bit, and stops at its first settled period
+    op, w, res = dirichlet_threshold
+    nl = Nonlinearity("saturating", crowding=2.0, saturation=0.5)
+    lam = 1.5 * res.lambda_p
+    monkeypatch.setattr(perispec.kpp, "_persistence_certificate", lambda *args: (None, 0))
+    orbit = find_periodic_solution(op, w, nl, lam, check_uniqueness=False)
+    assert orbit.verdict == "persistence"
+    assert orbit.certificate is None
+    iterates, n_steps = _plain_iteration(op, w, nl, lam, orbit.periods_used)
+    for k in range(1, orbit.periods_used + 1):
+        u, nxt = iterates[k - 1], iterates[k]
+        settled = np.abs(nxt - u).max() < TOL_FIX * np.abs(nxt).max()
+        assert settled == (k == orbit.periods_used)
+    np.testing.assert_array_equal(orbit.fixed_point, iterates[-1])
+    _assert_snapshot_from_fixed_point(op, w, nl, lam, orbit, n_steps)
+
+
+@pytest.fixture(scope="module")
+def quickstart_threshold():
+    """The README quick-start problem: Dirichlet, parabolic kernel, n = 64."""
+    op = make_op(Boundary.DIRICHLET, n=64)
+    w = closed_form(STANDARD_WEIGHT, 1.0)
+    res = solve_lambda_p(op, w)
+    assert res.status == "unique_root"
+    return op, w, res
+
+
+def test_extinction_comes_from_plain_iterates(quickstart_threshold, monkeypatch):
+    # mu < 0 at 0.98 lambda_p: no certificate, so the accelerated iteration
+    # never runs and the verdict rests on the plain iterates of simulate_kpp
+    op, w, res = quickstart_threshold
+    nl = Nonlinearity()
+    lam = 0.98 * res.lambda_p
+
+    def forbidden(*args):
+        raise AssertionError("accelerated iteration without a certificate")
+    monkeypatch.setattr(perispec.kpp, "_anderson_iterate", forbidden)
+    orbit = find_periodic_solution(op, w, nl, lam)
+    assert orbit.verdict == "extinction"
+    assert "contracts" in orbit.certificate or "floor" in orbit.certificate
+    iterates, _ = _plain_iteration(op, w, nl, lam, orbit.periods_used)
+    assert orbit.residual == float(np.abs(iterates[-1] - iterates[-2]).max())
+
+
+@pytest.mark.parametrize("factor", [1.005, 1.02])
+def test_persistence_is_decided_near_the_threshold(quickstart_threshold, factor):
+    # the plain iteration needs more than its 500 periods here; the certificate
+    # decides persistence and the accelerated orbit converges in tens of periods
+    op, w, res = quickstart_threshold
+    nl = Nonlinearity()
+    lam = factor * res.lambda_p
+    orbit = find_periodic_solution(op, w, nl, lam, check_uniqueness=False)
+    assert orbit.verdict == "persistence"
+    assert orbit.residual < 1e-9
+    assert orbit.min_of_orbit > 0.0
+    assert orbit.periods_used < 100
+    # the sub-solution the certificate names, checked through the public API
+    eps = float(re.search(r"eps = (\S+) of the carrying scale", orbit.certificate).group(1))
+    scale = nl.carrying_scale(lam * sup_abs(w, op.grid))
+    n_steps = _plain_iteration(op, w, nl, lam, 0)[1]
+    rep = principal_spectrum_point(op, w, lam, n_steps=n_steps, with_s_conditions=False)
+    assert rep.mu_n > 0.0
+    sub = eps * scale * rep.eigenfunction
+    image = simulate_kpp(op, w, nl, lam, sub, 0.0, w.period, n_steps=n_steps,
+                         record_every=n_steps).final
+    assert (image - sub).min() > 1e-10 * scale
+
+
+def test_accelerated_fixed_point_equals_the_plain_one(quickstart_threshold, monkeypatch):
+    op, w, res = quickstart_threshold
+    lam = 1.25 * res.lambda_p
+    fast = find_periodic_solution(op, w, Nonlinearity(), lam, check_uniqueness=False)
+    monkeypatch.setattr(perispec.kpp, "_persistence_certificate", lambda *args: (None, 0))
+    plain = find_periodic_solution(op, w, Nonlinearity(), lam, check_uniqueness=False)
+    assert fast.certificate is not None and plain.certificate is None
+    assert fast.periods_used < plain.periods_used
+    scale = np.abs(plain.fixed_point).max()
+    assert np.abs(fast.fixed_point - plain.fixed_point).max() < 1e-8 * scale
+
+
+def test_accelerated_iterates_stay_in_the_order_interval(monkeypatch):
+    # a constant weight under a mass-conserving boundary has its fixed point
+    # on the carrying scale itself; mixing overshoots it, the projection does not
+    op = make_op(Boundary.NEUMANN)
+    nl = Nonlinearity()
+    lam = 1.5
+    inputs = []
+    original = perispec.kpp._integrate
+
+    def recording(op_, w_, lam_, u, t0, t1, n_steps, record_every=None, **kwargs):
+        if record_every is None:
+            inputs.append(u.copy())
+        return original(op_, w_, lam_, u, t0, t1, n_steps, record_every, **kwargs)
+    monkeypatch.setattr(perispec.kpp, "_integrate", recording)
+    orbit = find_periodic_solution(op, closed_form("1", 1.0), nl, lam)
+    assert orbit.verdict == "persistence"
+    assert orbit.certificate is not None
+    carrying = nl.carrying_scale(lam)
+    assert all(u.min() >= 0.0 and u.max() <= carrying for u in inputs)
+    np.testing.assert_allclose(orbit.fixed_point, carrying, rtol=1e-9)
+
+
+def test_failed_spectrum_point_leaves_the_plain_iteration(quickstart_threshold, monkeypatch):
+    # no Perron vector, no certificate: the plain iteration decides as before
+    op, w, res = quickstart_threshold
+
+    def failing(*args, **kwargs):
+        raise PowerIterationError("power iteration did not stabilize")
+    monkeypatch.setattr(perispec.kpp, "_spectrum_point", failing)
+    orbit = find_periodic_solution(op, w, Nonlinearity(), 2.0 * res.lambda_p,
+                                   check_uniqueness=False)
+    assert orbit.verdict == "persistence"
+    assert orbit.certificate is None
+
+
+def test_anderson_mixing_solves_a_slow_affine_contraction():
+    # P(u) = A u + c, order preserving (A >= 0) with spectral radius 0.99:
+    # the plain iteration needs thousands of periods, depth-5 mixing a few
+    # dozen, and every mixed iterate stays inside the projection box
+    rng = np.random.default_rng(3)
+    a = rng.uniform(0.0, 1.0, (6, 6))
+    a *= 0.99 / np.abs(np.linalg.eigvals(a)).max()
+    c = rng.uniform(0.01, 0.02, 6)
+    exact = np.linalg.solve(np.eye(6) - a, c)
+    ceiling = 2.0 * exact.max()
+    seen = []
+
+    def run(u, t0, t1, n_steps):
+        seen.append(u.copy())
+        return a @ u + c
+    verdict, u, diff, used = perispec.kpp._anderson_iterate(
+        run, np.zeros(6), 1.0, 1, 1e-12, 200, ceiling)
+    assert verdict == "persistence"
+    assert used < 40
+    assert np.abs(u - exact).max() < 1e-9 * exact.max()
+    assert all(v.min() >= 0.0 and v.max() <= ceiling for v in seen)
 
 
 def test_orbit_builds_one_time_lattice(dirichlet_threshold, monkeypatch):
