@@ -381,12 +381,14 @@ def _task_spectrum(cp, op, weight, outdir, threads):
 def _task_lambda_p(cp, op, weight, outdir, threads):
     sec = _section(cp, "lambda_p", required=False)
     n_steps = _get_int(sec, "n_steps")
-    # one weight summary serves the root search and the check at the root
+    # one weight summary serves the root search, and the spectrum point the
+    # search computed at the root serves the check there
     weight_summary = summarize(weight, op.grid)
-    res = _solve_lambda_p(op, weight, weight_summary, n_steps, **_root_options(sec))
+    res, root_report = _solve_lambda_p(op, weight, weight_summary, n_steps,
+                                       **_root_options(sec))
     pe = None
     if res.status == STATUS_UNIQUE and _get_bool(sec, "check_pe", default=True):
-        pe = _pe_sufficiency(op, weight, weight_summary, res, n_steps)
+        pe = _pe_sufficiency(op, weight, weight_summary, root_report)
 
     _write_curve(outdir / "curve.csv", res.curve)
     summary = {"task": "lambda_p", "config": _config_echo(cp),

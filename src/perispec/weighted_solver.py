@@ -4,13 +4,19 @@
 boundary and ``mu(0) = 0`` under the mass-conserving ones.  That shape drives
 the search:
 
-* Dirichlet-type: double ``lam`` until the curve turns positive, then refine
+* Dirichlet-type: bracket the upward crossing above ``lam = 0``, then refine
   the sign change.  A unique positive root exists iff the accumulated best-case
   growth ``P`` is positive.
 * Neumann-type / periodic: the curve leaves zero with slope proportional to
   the space-time integral of the weight, so a positive root requires an
   initial negative dip followed by the convex upturn.  The solver hunts the
-  dip on a geometric ``lam`` ladder and then brackets the upward crossing.
+  dip on a geometric ``lam`` ladder from ``DIP_EPS`` and then brackets the
+  upward crossing above the dip.
+
+Both boundaries bracket the crossing on one ladder: it starts at
+``lam = 1`` (or twice the dip, when that is larger), doubles while the curve
+is negative, and halves back toward the last negative point while it is
+positive, so the bracket is normally a factor 2 wide wherever the root lies.
 
 When the applicable existence condition fails, one-signedness of the curve
 follows from analytic envelopes (``mu(lam) <= mu(0) + lam * P / T`` from
@@ -27,13 +33,14 @@ positive or negative once it clears ``tol_root``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .geometry import Boundary
 from .operator import DispersalOperator
-from .spectrum import SpectrumReport, _spectrum_point, autonomous_spectrum_point
+from .spectrum import (SpectrumReport, _s_conditions, _spectrum_point,
+                       autonomous_spectrum_point)
 from .weights import ConditionReport, Weight, WeightSummary, summarize
 
 STATUS_UNIQUE = "unique_root"
@@ -62,31 +69,39 @@ class LambdaPResult:
 
 
 class _MuCache:
-    def __init__(self, fn):
+    """``mu(lam)`` evaluated once per ``lam``; ``reports`` keeps what ``fn`` returned."""
+
+    def __init__(self, fn, mu_of):
         self.fn = fn
-        self.cache: dict[float, float] = {}
+        self.mu_of = mu_of
+        self.reports: dict[float, object] = {}
 
     def __call__(self, lam: float) -> float:
         lam = float(lam)
-        if lam not in self.cache:
-            self.cache[lam] = float(self.fn(lam))
-        return self.cache[lam]
+        if lam not in self.reports:
+            self.reports[lam] = self.fn(lam)
+        return float(self.mu_of(self.reports[lam]))
 
     def curve(self) -> tuple[tuple[float, float], ...]:
-        return tuple(sorted(self.cache.items()))
+        return tuple(sorted((lam, float(self.mu_of(r))) for lam, r in self.reports.items()))
 
 
 def _mu_period_map(op: DispersalOperator, weight: Weight, summary: WeightSummary, n_steps):
     return _MuCache(lambda lam: _spectrum_point(op, weight, summary, lam, n_steps,
-                                                with_s_conditions=False).mu_n)
+                                                with_s_conditions=False),
+                    lambda report: report.mu_n)
 
 
 def _upward_crossing(mu: _MuCache, lo: float, lam: float, tol_root: float,
                      lam_cap: float):
-    """Double ``lam`` from ``lo`` until ``mu > tol_root``, then refine the root.
+    """Double ``lam`` until ``mu > tol_root``, then refine the root above ``lo``.
 
-    ``mu(lo)`` must be negative.  Returns ``(root, mu(root), (lo, hi))``, or
-    ``None`` when the curve stays at or below ``tol_root`` up to ``lam_cap``.
+    ``mu(lo)`` must be negative.  When ``mu`` is already positive at the start,
+    the ladder halves back toward ``lo`` while it stays positive, so the
+    bracket is a factor 2 wide either way, unless it reaches ``lo`` or meets
+    a value within ``tol_root`` of zero.  Returns
+    ``(root, mu(root), (lo, hi))``, or ``None`` when the curve stays at or
+    below ``tol_root`` up to ``lam_cap``.
     """
     # imported here: loading scipy.optimize would make ``import perispec`` 5x slower
     from scipy.optimize import brentq
@@ -94,6 +109,10 @@ def _upward_crossing(mu: _MuCache, lo: float, lam: float, tol_root: float,
     while lam <= lam_cap:
         val = mu(lam)
         if val > tol_root:
+            while lam > 2.0 * lo and mu(0.5 * lam) > tol_root:
+                lam *= 0.5
+            if lam > 2.0 * lo and mu(0.5 * lam) < -tol_root:
+                lo = 0.5 * lam
             root = brentq(mu, lo, lam, xtol=XTOL_REL, rtol=XTOL_REL)
             return root, mu(root), (lo, lam)
         if val < -tol_root:
@@ -175,7 +194,7 @@ def _solve_mass_conserving(mu: _MuCache, cond: ConditionReport, tol_root: float,
                     "the weight promises an initial dip (negative space-time "
                     "integral) but none was resolved above the noise floor")
 
-    found = _upward_crossing(mu, dip_lam, dip_lam * 2.0, tol_root, lam_cap)
+    found = _upward_crossing(mu, dip_lam, max(2.0 * dip_lam, 1.0), tol_root, lam_cap)
     if found is None:
         return (STATUS_NONE, None, None, None,
                 f"curve dipped negative at lam={dip_lam:.6g} but never re-crossed "
@@ -223,15 +242,18 @@ def solve_lambda_p(op: DispersalOperator, weight: Weight, *,
                    lam_cap: float = LAMBDA_CAP) -> LambdaPResult:
     """Find the positive root of the principal-spectrum-point curve, if any."""
     return _solve_lambda_p(op, weight, summarize(weight, op.grid), n_steps,
-                           tol_root, lam_cap)
+                           tol_root, lam_cap)[0]
 
 
 def _solve_lambda_p(op: DispersalOperator, weight: Weight, summary: WeightSummary,
-                    n_steps: int | None, tol_root: float, lam_cap: float) -> LambdaPResult:
+                    n_steps: int | None, tol_root: float, lam_cap: float):
+    """``(result, report)``: ``report`` is the spectrum point (without S-conditions)
+    that the search computed at the root, ``None`` without a root."""
     cond = ConditionReport.from_values(summary.p_value, summary.time_space_integral)
     mu = _mu_period_map(op, weight, summary, n_steps)
-    return _solve_core(mu, op.boundary, cond, summary.space_independent,
-                       float(summary.m_hat.mean()), summary.sup_abs, tol_root, lam_cap)
+    res = _solve_core(mu, op.boundary, cond, summary.space_independent,
+                      float(summary.m_hat.mean()), summary.sup_abs, tol_root, lam_cap)
+    return res, mu.reports.get(res.lambda_p)
 
 
 @dataclass(frozen=True)
@@ -255,10 +277,11 @@ def upper_bound_lambda_p(op: DispersalOperator, weight: Weight, *,
     the exact spectral bound of the frozen generator (no time stepping).
     """
     summary = summarize(weight, op.grid)
-    res_time = _solve_lambda_p(op, weight, summary, n_steps, tol_root, lam_cap)
+    res_time = _solve_lambda_p(op, weight, summary, n_steps, tol_root, lam_cap)[0]
     m_hat = summary.m_hat
 
-    mu_auto = _MuCache(lambda lam: autonomous_spectrum_point(op, m_hat, lam).mu)
+    mu_auto = _MuCache(lambda lam: autonomous_spectrum_point(op, m_hat, lam),
+                       lambda spec: spec.mu)
     cond_auto = ConditionReport.from_values(weight.period * summary.m_hat_max,
                                             summary.time_space_integral)
     spread = summary.m_hat_max - summary.m_hat_min
@@ -289,16 +312,20 @@ def pe_sufficiency(op: DispersalOperator, weight: Weight, result: LambdaPResult,
     Analytic sufficiency (smooth flat interior maximum, or divergent contact
     integral) is preferred; the numerical gap classification is the fallback.
     """
-    return _pe_sufficiency(op, weight, summarize(weight, op.grid), result, n_steps)
+    if result.status != STATUS_UNIQUE or result.lambda_p is None:
+        raise ValueError("pe_sufficiency needs a unique_root result")
+    summary = summarize(weight, op.grid)
+    report = _spectrum_point(op, weight, summary, result.lambda_p, n_steps,
+                             with_s_conditions=False)
+    return _pe_sufficiency(op, weight, summary, report)
 
 
 def _pe_sufficiency(op: DispersalOperator, weight: Weight, summary: WeightSummary,
-                    result: LambdaPResult, n_steps: int | None) -> PeSufficiency:
-    """``pe_sufficiency`` on the summary that the root search was given."""
-    if result.status != STATUS_UNIQUE or result.lambda_p is None:
-        raise ValueError("pe_sufficiency needs a unique_root result")
-    report = _spectrum_point(op, weight, summary, result.lambda_p, n_steps,
-                             with_s_conditions=True)
+                    report: SpectrumReport) -> PeSufficiency:
+    """``pe_sufficiency`` on the spectrum point that the root search computed at
+    the root; only the S-conditions are added to it."""
+    report = replace(report, s_conditions=_s_conditions(weight, op, report.lam,
+                                                        summary.m_hat))
     s = report.s_conditions
     if s.s1 == "yes":
         return PeSufficiency("yes", "S1", report)

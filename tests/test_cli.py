@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import perispec.spectrum
 import perispec.validate
 import perispec.weights
 from perispec.cli import main
@@ -97,6 +98,25 @@ def test_lambda_p_task_builds_one_time_lattice(tmp_path, monkeypatch):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["principal_eigenvalue"]["is_principal_eigenvalue"] == "yes"
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "neumann", "periodic"])
+def test_lambda_p_task_builds_one_map_per_lam(tmp_path, monkeypatch, boundary):
+    # the eigenvalue check at the root reuses the root search's spectrum point
+    lams = []
+    original = perispec.spectrum.period_map
+
+    def counting(op, weight, lam, n_steps=None):
+        lams.append(lam)
+        return original(op, weight, lam, n_steps=n_steps)
+    monkeypatch.setattr(perispec.spectrum, "period_map", counting)
+    cfg = write_ini(tmp_path, BASE_PROBLEM.replace("dirichlet", boundary))
+    assert run("lambda_p", cfg, tmp_path / "out") == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["result"]["status"] == "unique_root"
+    assert "principal_eigenvalue" in summary
+    assert len(lams) == len(set(lams)) == summary["result"]["curve_points"]
+    assert summary["result"]["lambda_p"] in lams
 
 
 def test_lambda_p_degenerate_status(tmp_path):
@@ -204,6 +224,17 @@ def test_krylov_size_outputs_do_not_depend_on_threads(tmp_path):
     # n = 256 takes the matrix-free route; Arnoldi must not see the schedule
     cfg = write_ini(tmp_path, BASE_PROBLEM.replace("n_per_axis = 24", "n_per_axis = 256")
                     + "\n[spectrum]\nlambdas = 0.5, 2\ncross_validate = true\n")
+    outs = [tmp_path / f"out{i}" for i in range(2)]
+    assert run("spectrum", cfg, outs[0], "--threads", "1") == 0
+    assert run("spectrum", cfg, outs[1], "--threads", "2") == 0
+    for name in ("spectrum.csv", "summary.json", "report.txt"):
+        assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
+
+
+def test_dense_route_outputs_do_not_depend_on_threads(tmp_path):
+    # n = 64 takes the dense route: every worker owns its shifted copy of K
+    cfg = write_ini(tmp_path, BASE_PROBLEM.replace("n_per_axis = 24", "n_per_axis = 64")
+                    + "\n[spectrum]\nlambdas = 0, 0.5, 1, 2, 4\n")
     outs = [tmp_path / f"out{i}" for i in range(2)]
     assert run("spectrum", cfg, outs[0], "--threads", "1") == 0
     assert run("spectrum", cfg, outs[1], "--threads", "2") == 0

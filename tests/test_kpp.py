@@ -505,7 +505,8 @@ def test_simulate_equals_stagewise_reference():
     # one weight evaluation per stage time, in the order the stages need them:
     # m(t0) starts the first step, then step k takes m(t_k + h/2) for its
     # middle stages and m(t_k + h), t_k = t0 + k h, for its end stage, and
-    # that end value also starts step k + 1 (the linear flow's stage scheme)
+    # that end value also starts step k + 1; the step sums into u + h/6 k1,
+    # then adds h/3 k2, h/3 k3 and h/6 k4 (the linear flow's stage scheme)
     op = make_op(Boundary.DIRICHLET, n=16)
     w = closed_form(STANDARD_WEIGHT, 1.0)
     nl = Nonlinearity("saturating", crowding=2.0, saturation=0.2)
@@ -529,7 +530,10 @@ def test_simulate_equals_stagewise_reference():
         k2 = rhs(m_half, u + 0.5 * h * k1)
         k3 = rhs(m_half, u + 0.5 * h * k2)
         k4 = rhs(m_next, u + h * k3)
-        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        u = u + (h / 6.0) * k1
+        u = u + (h / 3.0) * k2
+        u = u + (h / 3.0) * k3
+        u = u + (h / 6.0) * k4
         u[(u < 0.0) & (u > -1e-12 * scale)] = 0.0
         m_curr = m_next
         states.append(u)
