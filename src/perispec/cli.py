@@ -46,6 +46,8 @@ from .weights import S1Data, WeightExprError, closed_form, load_sampled_csv, sum
 TASKS = ("spectrum", "lambda_p", "upper_bound", "kpp_scan", "validate")
 
 _BOOLEAN = configparser.ConfigParser.BOOLEAN_STATES
+# integer keys that count steps or periods: zero or fewer is no run at all
+_COUNTS = ("n_steps", "solver_n_steps", "max_periods")
 
 
 class ConfigError(Exception):
@@ -112,9 +114,12 @@ def _get_int(sec, key, default=None, required=False):
     if raw is None:
         return default
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise ConfigError(f"{key} = {raw!r} is not an integer") from None
+    if key in _COUNTS and value < 1:
+        raise ConfigError(f"{key} = {raw!r} must be at least 1")
+    return value
 
 
 def _get_bool(sec, key, default=False):

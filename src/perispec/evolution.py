@@ -95,6 +95,8 @@ def _integrate(op: DispersalOperator, weight: Weight, lam: float, state: np.ndar
     guard is the invariant region ``0 <= u <= 10 * scale`` instead, after
     rounding-level undershoot below zero is scrubbed.
     """
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be at least 1, got {n_steps}")
     K, b, grid = op.K, op.b, op.grid
     h = (t1 - t0) / n_steps
 

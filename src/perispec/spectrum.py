@@ -10,12 +10,20 @@ on the grid size ``n``:
 * from 256 nodes on, Arnoldi (ARPACK via ``scipy.sparse.linalg.eigs``) runs
   on the map applied to vectors, one weight period of the flow per
   application, and the matrix is never formed.  A dense map costs ``n^3`` per
-  time step and a vector period ``n^2``; the crossover is measured.  Two
-  things the dense route gets from the whole matrix are kept: when the root
-  sits on the envelope sup, the dense route runs after all, because the "no"
-  verdict below rests on the residual its iteration budget leaves; and the
-  map's columns at the lowest-envelope nodes are checked for the negative
-  entries of a too-coarse step count, as ``period_map`` checks all of them.
+  time step and a vector period ``n^2``; the crossover is measured.  The
+  solve starts from the Perron vector of the time-averaged generator
+  ``K - b + lam * m_hat`` (Lanczos on vectors), and one period certifies
+  it: when the period map leaves that vector fixed up to its Rayleigh
+  ratio to ``POWER_REL_TOL``, it is the Perron vector and Arnoldi does not
+  run.  That is the case for a weight ``m1(x) + m2(t)``: the generator at
+  each time is the time-averaged one plus a multiple of the identity, so
+  every RK4 stage is a polynomial in that one operator.  Otherwise Arnoldi
+  runs from that vector.  Two things the dense route gets from the whole
+  matrix are kept: when the root sits on the envelope sup, the dense route
+  runs after all, because the "no" verdict below rests on the residual its
+  iteration budget leaves; and the map's columns at the lowest-envelope
+  nodes are checked for the negative entries of a too-coarse step count, as
+  ``period_map`` checks all of them.
 
 A Lyapunov-exponent estimate (averaged log growth of a propagated field)
 provides an independent route to the same number and is used as a
@@ -150,10 +158,54 @@ def _power_iteration(mat: np.ndarray, v0: np.ndarray, w: np.ndarray,
     return ratio, v, residual, iterations
 
 
-def _krylov_perron(apply, n: int):
+def _frozen_perron(op: DispersalOperator, m_hat: np.ndarray, lam: float) -> np.ndarray | None:
+    """Perron vector of the time-averaged generator ``K - b + lam * m_hat``, or None.
+
+    Lanczos (ARPACK through ``scipy.sparse.linalg.eigsh``) on ``K`` plus the
+    shifted diagonal, applied to vectors, so no ``n x n`` matrix is formed.
+    The shift makes the diagonal positive, as in ``autonomous_spectrum_point``:
+    without it the constant start can lie in the kernel (``K - b`` on
+    Neumann at ``lam = 0``).  The vector is scaled to sup 1 at a positive
+    entry; None when Lanczos does not converge or the vector has a
+    substantive negative entry.  ``K`` is symmetric, but nothing rests on
+    that: ``_krylov_perron`` certifies the vector against the period map.
+    """
+    # imported here: loading scipy.sparse.linalg would slow ``import perispec``
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+    diag = -op.b + lam * m_hat
+    diag = diag + (max(0.0, -float(diag.min())) + 1.0)
+    K = op.K
+
+    def matvec(v):
+        v = v.ravel()
+        return K @ v + diag * v
+
+    try:
+        _, vecs = eigsh(LinearOperator((op.n, op.n), matvec=matvec, dtype=float), k=1,
+                        which="LA", v0=np.ones(op.n), tol=0)
+    except ArpackError:
+        return None
+    v = vecs[:, 0]
+    v = v / v[int(np.argmax(np.abs(v)))]
+    if float(v.min()) < -CLAMP_TOL:
+        return None
+    v[v < 0.0] = 0.0
+    return v
+
+
+def _krylov_perron(apply, n: int, start: np.ndarray | None = None,
+                   w: np.ndarray | float = 1.0):
     """Perron (ratio, vector, residual, applications) of a map given only as ``apply``.
 
-    Arnoldi (ARPACK through ``scipy.sparse.linalg.eigs``) from the constant
+    A nonnegative ``start`` is tried first: one application gives its
+    Rayleigh ratio ``rho`` in the quadrature weights ``w`` and the residual
+    ``|P start - rho start|_inf``.  When ``rho > 0`` and the residual is at
+    most ``POWER_REL_TOL * rho``, ``start`` is an eigenvector of the map to
+    working precision, and a nonnegative eigenvector of a positive map is its
+    Perron vector: it is returned with that residual after one application.
+    Otherwise, or without a ``start``, Arnoldi (ARPACK through
+    ``scipy.sparse.linalg.eigs``) runs, from ``start`` or from the constant
     field.  The vector is the real part of the Ritz vector, scaled to sup 1;
     rounding-level negatives are clamped, larger ones are an error, as is a
     root that is not real and positive.  One more application gives the
@@ -170,9 +222,17 @@ def _krylov_perron(apply, n: int):
         count += 1
         return apply(v.ravel())
 
+    v0 = np.ones(n)
+    if start is not None:
+        image = matvec(start)
+        rho = float(np.dot(w * start, image)) / float(np.dot(w * start, start))
+        residual = float(np.abs(image - rho * start).max())
+        if float(start.min()) >= 0.0 and rho > 0.0 and residual <= POWER_REL_TOL * rho:
+            return rho, start, residual, count
+        v0 = start
     try:
         vals, vecs = eigs(LinearOperator((n, n), matvec=matvec, dtype=float), k=1,
-                          which="LM", v0=np.ones(n), tol=POWER_REL_TOL)
+                          which="LM", v0=v0, tol=POWER_REL_TOL)
     except ArpackNoConvergence as exc:
         raise PowerIterationError(f"Arnoldi did not converge: {exc}") from None
     root = complex(vals[0])
@@ -371,8 +431,9 @@ def principal_spectrum_point(op: DispersalOperator, weight: Weight, lam: float,
     passed to avoid rebuilding the monodromy matrix.  Without one, grids of
     ``_KRYLOV_MIN_N`` nodes or more take the root from Arnoldi on vector
     periods and never form the matrix; ``iterations`` then counts vector
-    periods (Arnoldi's, one for the residual and one for the positivity
-    probe) instead of power-iteration steps.  A root on the envelope sup is
+    periods instead of power-iteration steps: one certifying the start
+    vector, Arnoldi's and one for the residual when it does not hold, and
+    one for the positivity probe.  A root on the envelope sup is
     taken from the dense route instead, which supplies the evidence for the
     "no" verdict.
     """
@@ -391,7 +452,8 @@ def _spectrum_point(op: DispersalOperator, weight: Weight, summary: WeightSummar
     krylov = pmap is None and op.n >= _KRYLOV_MIN_N
     if krylov:
         apply = period_action(op, weight, lam, n_steps)
-        ratio, phi, residual, iterations = _krylov_perron(apply, op.n)
+        ratio, phi, residual, iterations = _krylov_perron(
+            apply, op.n, _frozen_perron(op, m_hat, lam), w)
         mu = math.log(ratio) / weight.period
         # on the envelope sup the verdict needs the dense route's residual
         krylov = abs(mu - h_max) >= _gap_tol(mu)

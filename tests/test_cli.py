@@ -221,14 +221,22 @@ def test_reruns_are_byte_identical(tmp_path, monkeypatch):
 
 
 def test_krylov_size_outputs_do_not_depend_on_threads(tmp_path):
-    # n = 256 takes the matrix-free route; Arnoldi must not see the schedule
-    cfg = write_ini(tmp_path, BASE_PROBLEM.replace("n_per_axis = 24", "n_per_axis = 256")
-                    + "\n[spectrum]\nlambdas = 0.5, 2\ncross_validate = true\n")
-    outs = [tmp_path / f"out{i}" for i in range(2)]
-    assert run("spectrum", cfg, outs[0], "--threads", "1") == 0
-    assert run("spectrum", cfg, outs[1], "--threads", "2") == 0
-    for name in ("spectrum.csv", "summary.json", "report.txt"):
-        assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
+    # n = 256 takes the matrix-free route; neither the start vector's solve
+    # nor Arnoldi may see the schedule
+    for k, expr in enumerate([
+        "sin(2*pi*t/T) + cos(2*pi*x) - 0.2",  # the start vector is certified
+        "cos(2*pi*x)*(1 + sin(2*pi*t/T)) - 0.2",  # Arnoldi runs from it
+    ]):
+        problem = BASE_PROBLEM.replace("n_per_axis = 24", "n_per_axis = 256").replace(
+            "expr = sin(2*pi*t/T) + cos(2*pi*x) - 0.2", f"expr = {expr}")
+        cfg = write_ini(tmp_path, problem
+                        + "\n[spectrum]\nlambdas = 0.5, 2\ncross_validate = true\n",
+                        name=f"config{k}.ini")
+        outs = [tmp_path / f"out{k}_{i}" for i in range(2)]
+        assert run("spectrum", cfg, outs[0], "--threads", "1") == 0
+        assert run("spectrum", cfg, outs[1], "--threads", "2") == 0
+        for name in ("spectrum.csv", "summary.json", "report.txt"):
+            assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
 
 
 def test_dense_route_outputs_do_not_depend_on_threads(tmp_path):
@@ -303,6 +311,12 @@ def test_infinite_s1_smoothness_is_legal(tmp_path):
     ("kpp_scan", "[kpp_scan]\nlambdas = 1\nsaturation = nan", "saturation"),
     ("spectrum", "s1_maximizer = 0.5\ns1_smoothness = nan\n[spectrum]\nlambdas = 1",
      "s1_smoothness"),
+    ("spectrum", "[spectrum]\nlambdas = 1\nn_steps = 0", "n_steps"),
+    ("lambda_p", "[lambda_p]\nn_steps = -4", "n_steps"),
+    ("upper_bound", "[upper_bound]\nn_steps = 0", "n_steps"),
+    ("kpp_scan", "[kpp_scan]\nlambdas = 1\nn_steps = 0", "n_steps"),
+    ("kpp_scan", "[kpp_scan]\nlambdas = 1\nsolver_n_steps = -4", "solver_n_steps"),
+    ("kpp_scan", "[kpp_scan]\nlambdas = 1\nmax_periods = 0", "max_periods"),
 ])
 def test_bad_numeric_key_exits_two(tmp_path, capsys, task, section, key):
     cfg = write_ini(tmp_path, BASE_PROBLEM + "\n" + section + "\n")

@@ -199,6 +199,19 @@ def test_propagate_validates_inputs():
         propagate(op, w, 0.0, np.ones(op.n), 1.0, 1.0)
 
 
+@pytest.mark.parametrize("n_steps", [0, -4])
+def test_step_counts_below_one_are_refused(n_steps):
+    # zero steps divided by zero; negative ones ran no step and returned the start
+    op = make_op(n=8)
+    w = closed_form("sin(2*pi*t/T) + cos(2*pi*x)", 1.0)
+    with pytest.raises(ValueError, match="n_steps must be at least 1"):
+        propagate(op, w, 1.0, np.ones(op.n), 0.0, 1.0, n_steps=n_steps)
+    with pytest.raises(ValueError, match="n_steps must be at least 1"):
+        period_map(op, w, 1.0, n_steps=n_steps)
+    with pytest.raises(ValueError, match="n_steps must be at least 1"):
+        evolution.period_action(op, w, 1.0, n_steps=n_steps)(np.ones(op.n))
+
+
 def test_default_step_heuristic():
     assert default_n_steps(1.0, 0.0, 1.0) == MIN_STEPS_PER_PERIOD
     assert default_n_steps(2.0, 3.0, 2.0) == max(64, math.ceil(8 * 2 * 7))

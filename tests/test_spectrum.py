@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 import perispec.spectrum
 import perispec.weights
@@ -99,13 +100,17 @@ def test_autonomous_map_against_expm_radius():
 
 # ------------------------------------------------- matrix-free Krylov route
 
+# m1(x) + m2(t): the time-averaged generator's Perron vector is the period
+# map's, so the start vector is certified in one period
+SEPARABLE_2D = "cos(2*pi*x)*cos(pi*y) - 0.2 + sin(2*pi*t/T)"
+NONSEPARABLE_2D = "cos(2*pi*x)*cos(pi*y)*(1 + sin(2*pi*t/T)) - 0.2 + sin(2*pi*t/T)"
+
 KRYLOV_CASES = [
     pytest.param(lambda: make_op(Boundary.DIRICHLET, n=256), STANDARD_WEIGHT, id="dirichlet-256"),
     pytest.param(lambda: make_op(Boundary.NEUMANN, n=256), STANDARD_WEIGHT, id="neumann-256"),
     pytest.param(lambda: make_op(Boundary.PERIODIC, n=256), STANDARD_WEIGHT, id="periodic-256"),
-    pytest.param(lambda: make_op_2d(16),
-                 "cos(2*pi*x)*cos(pi*y)*(1 + sin(2*pi*t/T)) - 0.2 + sin(2*pi*t/T)",
-                 id="neumann-16x16"),
+    pytest.param(lambda: make_op_2d(16), NONSEPARABLE_2D, id="neumann-16x16"),
+    pytest.param(lambda: make_op_2d(16), SEPARABLE_2D, id="neumann-16x16-separable"),
 ]
 
 
@@ -129,8 +134,6 @@ def test_krylov_route_matches_dense_power_iteration(make, expr, monkeypatch):
 
 
 def test_krylov_route_counts_vector_periods(monkeypatch):
-    op = make_op(Boundary.DIRICHLET, n=256)
-    w = closed_form(STANDARD_WEIGHT, 1.0)
     periods = []
     original = perispec.spectrum.period_action
 
@@ -142,9 +145,16 @@ def test_krylov_route_counts_vector_periods(monkeypatch):
             return apply(v)
         return counted
     monkeypatch.setattr(perispec.spectrum, "period_action", counting)
-    rep = principal_spectrum_point(op, w, 1.0, with_s_conditions=False)
-    assert rep.iterations == len(periods)
-    assert 10 <= rep.iterations <= 100
+    for op, expr, lo, hi in [
+        # certified start: one period for the certificate, one for the probe
+        (make_op(Boundary.DIRICHLET, n=256), STANDARD_WEIGHT, 2, 2),
+        (make_op_2d(16), NONSEPARABLE_2D, 10, 100),
+    ]:
+        periods.clear()
+        rep = principal_spectrum_point(op, closed_form(expr, 1.0), 1.0,
+                                       with_s_conditions=False)
+        assert rep.iterations == len(periods)
+        assert lo <= rep.iterations <= hi
 
 
 def test_cross_validation_on_krylov_route_builds_no_matrix(monkeypatch):
@@ -174,14 +184,89 @@ def test_krylov_route_warns_on_a_too_coarse_step_count(monkeypatch):
 
 def test_krylov_nonconvergence_is_a_power_iteration_error(monkeypatch):
     import scipy.sparse.linalg
-    from scipy.sparse.linalg import ArpackNoConvergence
 
     def stalls(*args, **kwargs):
         raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((256, 0)))
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", stalls)
-    op = make_op(Boundary.DIRICHLET, n=256)
+    # a non-separable weight: the start vector is not certified, so Arnoldi runs
+    op = make_op_2d(16)
     with pytest.raises(PowerIterationError, match="Arnoldi did not converge"):
-        principal_spectrum_point(op, closed_form(STANDARD_WEIGHT, 1.0), 1.0)
+        principal_spectrum_point(op, closed_form(NONSEPARABLE_2D, 1.0), 1.0)
+
+
+def test_krylov_certifies_only_a_nonnegative_eigenvector():
+    rng = np.random.default_rng(3)
+    positive = rng.uniform(0.5, 1.0, size=(8, 8))
+    vals, vecs = np.linalg.eig(positive)
+    top = int(np.argmax(vals.real))
+    perron = vecs[:, top].real / vecs[np.argmax(np.abs(vecs[:, top])), top].real
+    ratio, v, residual, count = _krylov_perron(lambda u: positive @ u, 8, perron)
+    assert count == 1 and v is perron
+    assert ratio == pytest.approx(vals[top].real, rel=1e-12) and residual < 1e-12
+    # a start off by 1e-6 is no certificate: Arnoldi runs from it
+    perturbed = perron.copy()
+    perturbed[0] += 1e-6
+    ratio, v, residual, count = _krylov_perron(lambda u: positive @ u, 8, perturbed)
+    assert count > 2
+    assert ratio == pytest.approx(vals[top].real, rel=1e-12) and residual < 1e-12
+    np.testing.assert_allclose(v, perron, atol=1e-12)
+    # an exact eigenvector with zero residual, but signed: not the Perron vector
+    spiked = np.ones((8, 8)) + np.eye(8)  # Perron pair (9, ones); 1 on its complement
+    signed = np.zeros(8)
+    signed[:2] = [1.0, -1.0]
+    assert np.array_equal(spiked @ signed, signed)
+    ratio, v, residual, count = _krylov_perron(lambda u: spiked @ u, 8, signed)
+    assert count > 2
+    assert ratio == pytest.approx(9.0, rel=1e-12) and residual < 1e-12
+    np.testing.assert_allclose(v, np.ones(8), atol=1e-12)
+
+
+@pytest.mark.parametrize("error", [
+    ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((256, 0))),
+    ArpackError(-9),
+], ids=["no-convergence", "arpack-error"])
+def test_failed_start_vector_solve_gives_the_same_point(error, monkeypatch):
+    import scipy.sparse.linalg
+
+    op = make_op(Boundary.DIRICHLET, n=256)
+    w = closed_form(STANDARD_WEIGHT, 1.0)
+    started = principal_spectrum_point(op, w, 1.0)
+
+    def fails(*args, **kwargs):
+        raise error
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fails)
+    assert perispec.spectrum._frozen_perron(op, time_average(w, op.grid), 1.0) is None
+    rep = principal_spectrum_point(op, w, 1.0)
+    assert started.iterations == 2 < rep.iterations
+    assert rep.mu_n == pytest.approx(started.mu_n, abs=1e-12)
+    assert rep.residual < 1e-10
+    np.testing.assert_allclose(rep.eigenfunction, started.eigenfunction, atol=1e-9)
+
+
+def test_start_vector_at_zero_coupling_on_neumann_is_constant():
+    # K - b annihilates constants on Neumann: only the shift keeps Lanczos
+    # from stopping on a zero image of its constant start
+    op = make_op(Boundary.NEUMANN, n=256)
+    m_hat = time_average(closed_form(STANDARD_WEIGHT, 1.0), op.grid)
+    start = perispec.spectrum._frozen_perron(op, m_hat, 0.0)
+    assert start is not None
+    np.testing.assert_allclose(start, np.ones(op.n), atol=1e-12)
+
+
+def test_start_vector_solve_forms_no_matrix():
+    import tracemalloc
+
+    op = make_op_2d(24)
+    m_hat = time_average(closed_form(NONSEPARABLE_2D, 1.0), op.grid)
+    perispec.spectrum._frozen_perron(op, m_hat, 1.0)  # imports and caches
+    tracemalloc.start()
+    try:
+        start = perispec.spectrum._frozen_perron(op, m_hat, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert start is not None and start.max() == 1.0 and start.min() >= 0.0
+    assert peak < op.K.nbytes / 4
 
 
 def test_krylov_rejects_a_root_that_is_no_perron_root():
