@@ -294,6 +294,8 @@ def find_periodic_solution(op: DispersalOperator, weight: Weight,
     ``max_periods`` bounds the iteration from each start.  A second start
     near the carrying scale cross-checks uniqueness of the stabilized state.
     """
+    if max_periods < 1:
+        raise ValueError(f"max_periods must be at least 1, got {max_periods}")
     summary = summarize(weight, op.grid)
     scale, steps, run = _kpp_flow(op, weight, summary, nonlin, lam)
     period = weight.period

@@ -1,29 +1,26 @@
 """Principal spectrum points of the time-periodic dispersal flow.
 
-The principal spectrum point is computed as ``mu = ln(rho(Phi(T))) / T`` where
-``Phi(T)`` is the period map.  Which route finds the spectral radius depends
-on the grid size ``n``:
-
-* below ``_KRYLOV_MIN_N`` = 256 nodes, or whenever a precomputed map is
-  passed in, the dense ``n x n`` map is built and power-iterated from the
-  constant field, which is safe because the map has nonnegative entries;
-* from 256 nodes on, Arnoldi (ARPACK via ``scipy.sparse.linalg.eigs``) runs
-  on the map applied to vectors, one weight period of the flow per
-  application, and the matrix is never formed.  A dense map costs ``n^3`` per
-  time step and a vector period ``n^2``; the crossover is measured.  The
-  solve starts from the Perron vector of the time-averaged generator
-  ``K - b + lam * m_hat`` (Lanczos on vectors), and one period certifies
-  it: when the period map leaves that vector fixed up to its Rayleigh
-  ratio to ``POWER_REL_TOL``, it is the Perron vector and Arnoldi does not
-  run.  That is the case for a weight ``m1(x) + m2(t)``: the generator at
-  each time is the time-averaged one plus a multiple of the identity, so
-  every RK4 stage is a polynomial in that one operator.  Otherwise Arnoldi
-  runs from that vector.  Two things the dense route gets from the whole
-  matrix are kept: when the root sits on the envelope sup, the dense route
-  runs after all, because the "no" verdict below rests on the residual its
-  iteration budget leaves; and the map's columns at the lowest-envelope
-  nodes are checked for the negative entries of a too-coarse step count, as
-  ``period_map`` checks all of them.
+The principal spectrum point is ``mu = ln(rho(Phi(T))) / T``, with ``Phi(T)``
+the period map, and the route to ``rho`` follows the weight's structure and
+the grid size ``n``.  A separable weight ``m1(x) + m2(t)`` at any ``n``, and
+any weight from ``_KRYLOV_MIN_N`` = 256 nodes on, start from the Perron vector
+of the time-averaged generator ``K - b + lam * m_hat`` (Lanczos on vectors);
+when one period of the flow leaves it fixed up to its Rayleigh ratio to
+``POWER_REL_TOL``, it is the Perron vector and no matrix is formed.  A
+separable weight passes: the generator at each time is the time-averaged one
+plus a multiple of the identity, so every RK4 stage is a polynomial in that
+one operator.  The certificate still decides, since the stages fall between
+the lattice times on which separability is read.  When it fails from 256 nodes
+on, Arnoldi (ARPACK via ``scipy.sparse.linalg.eigs``) runs from that vector on
+vector periods: a dense map costs ``n^3`` per time step and a vector period
+``n^2``, and the crossover is measured on non-separable weights.  The dense
+``n x n`` map, power-iterated from the constant field (safe, as the map has
+nonnegative entries), serves the rest: a non-separable weight or a failed
+certificate below 256 nodes (ARPACK's ``eigs`` needs ``n >= 3``), a
+precomputed map, and a root on the envelope sup, whose "no" verdict below
+rests on the residual that the dense iteration's budget leaves.  Off the dense
+route, the map's columns at the lowest-envelope nodes are checked for negative
+entries, as ``period_map`` checks all of them.
 
 A Lyapunov-exponent estimate (averaged log growth of a propagated field)
 provides an independent route to the same number and is used as a
@@ -56,13 +53,13 @@ from .weights import Weight, WeightSummary, summarize, time_average
 POWER_REL_TOL = 1e-12
 POWER_MAX_ITER = 10000
 TOL_EIG = 1e-8
-# Grids with at least this many nodes take the Perron root from Arnoldi on
-# vector periods instead of power iteration on the dense period map.  Summed
-# over lam = 0.25, 0.5, 1, 2, 4 (parabolic kernel, 64 steps, one BLAS
-# thread), dense against Arnoldi: 1-D Dirichlet n = 224 1.06 s vs 1.15 s,
-# n = 256 1.49 s vs 1.38 s; 1-D Neumann n = 224 0.96 s vs 1.17 s, n = 256
-# 1.52 s vs 1.27 s; 2-D Neumann n = 196 0.80 s vs 0.78 s, n = 256 1.59 s vs
-# 1.07 s.
+# From this many nodes on, a failed start certificate is followed by Arnoldi
+# on vector periods instead of power iteration on the dense map.  Summed over
+# lam = 0.25, 0.5, 1, 2, 4 on non-separable weights (parabolic kernel, 64
+# steps, one BLAS thread), dense against Arnoldi: 1-D Dirichlet (radius 1)
+# n = 224 0.81 s vs 0.89 s, n = 256 1.10 s vs 1.00 s; 1-D Neumann (radius
+# 0.5) n = 224 0.63 s vs 0.66 s, n = 256 0.97 s vs 0.96 s; 2-D Neumann
+# (radius 0.5) n = 196 0.47 s vs 0.56 s, n = 256 1.19 s vs 0.86 s.
 _KRYLOV_MIN_N = 256
 # A too-coarse step count turns the flow negative first where the envelope
 # is lowest.  In 51 such 1-D cases at n = 256 (Lorentzian wells, 8 to 48
@@ -163,8 +160,8 @@ def _frozen_perron(op: DispersalOperator, m_hat: np.ndarray, lam: float) -> np.n
 
     Lanczos (ARPACK through ``scipy.sparse.linalg.eigsh``) on ``K`` plus the
     shifted diagonal, applied to vectors, so no ``n x n`` matrix is formed.
-    The shift makes the diagonal positive, as in ``autonomous_spectrum_point``:
-    without it the constant start can lie in the kernel (``K - b`` on
+    The diagonal is shifted by ``max(0, -min) + 1`` to make it positive:
+    without the shift the constant start can lie in the kernel (``K - b`` on
     Neumann at ``lam = 0``).  The vector is scaled to sup 1 at a positive
     entry; None when Lanczos does not converge or the vector has a
     substantive negative entry.  ``K`` is symmetric, but nothing rests on
@@ -195,7 +192,7 @@ def _frozen_perron(op: DispersalOperator, m_hat: np.ndarray, lam: float) -> np.n
 
 
 def _krylov_perron(apply, n: int, start: np.ndarray | None = None,
-                   w: np.ndarray | float = 1.0):
+                   w: np.ndarray | float = 1.0, arnoldi: bool = True):
     """Perron (ratio, vector, residual, applications) of a map given only as ``apply``.
 
     A nonnegative ``start`` is tried first: one application gives its
@@ -205,10 +202,11 @@ def _krylov_perron(apply, n: int, start: np.ndarray | None = None,
     working precision, and a nonnegative eigenvector of a positive map is its
     Perron vector: it is returned with that residual after one application.
     Otherwise, or without a ``start``, Arnoldi (ARPACK through
-    ``scipy.sparse.linalg.eigs``) runs, from ``start`` or from the constant
-    field.  The vector is the real part of the Ritz vector, scaled to sup 1;
-    rounding-level negatives are clamped, larger ones are an error, as is a
-    root that is not real and positive.  One more application gives the
+    ``scipy.sparse.linalg.eigs``, which needs ``n >= 3``) runs, from
+    ``start`` or from the constant field; without ``arnoldi`` the result is
+    None instead.  The vector is the real part of the Ritz vector, scaled to
+    sup 1; rounding-level negatives are clamped, larger ones are an error, as
+    is a root that is not real and positive.  One more application gives the
     eigen-residual; every application is counted.  A nonnegative Ritz vector
     does not show that the map is nonnegative: see ``_probe_positivity``.
     """
@@ -230,6 +228,8 @@ def _krylov_perron(apply, n: int, start: np.ndarray | None = None,
         if float(start.min()) >= 0.0 and rho > 0.0 and residual <= POWER_REL_TOL * rho:
             return rho, start, residual, count
         v0 = start
+    if not arnoldi:
+        return None
     try:
         vals, vecs = eigs(LinearOperator((n, n), matvec=matvec, dtype=float), k=1,
                           which="LM", v0=v0, tol=POWER_REL_TOL)
@@ -277,11 +277,7 @@ def localization_width(phi: np.ndarray, w: np.ndarray) -> float:
 
 def essential_interval(op: DispersalOperator, weight: Weight, lam: float) -> tuple[float, float]:
     """Range of the local growth envelope ``-b + lam * m_hat`` over the grid."""
-    return _envelope_range(op, time_average(weight, op.grid), lam)
-
-
-def _envelope_range(op: DispersalOperator, m_hat: np.ndarray, lam: float) -> tuple[float, float]:
-    h = -op.b + lam * m_hat
+    h = -op.b + lam * time_average(weight, op.grid)
     return float(h.min()), float(h.max())
 
 
@@ -428,14 +424,12 @@ def principal_spectrum_point(op: DispersalOperator, weight: Weight, lam: float,
     """Principal spectrum point via the period-map spectral radius.
 
     A precomputed ``pmap`` (for this operator, weight and ``lam``) can be
-    passed to avoid rebuilding the monodromy matrix.  Without one, grids of
-    ``_KRYLOV_MIN_N`` nodes or more take the root from Arnoldi on vector
-    periods and never form the matrix; ``iterations`` then counts vector
-    periods instead of power-iteration steps: one certifying the start
-    vector, Arnoldi's and one for the residual when it does not hold, and
-    one for the positivity probe.  A root on the envelope sup is
-    taken from the dense route instead, which supplies the evidence for the
-    "no" verdict.
+    passed to avoid rebuilding the monodromy matrix.  Without one, the route
+    follows the weight's structure and the grid size (see the module
+    docstring).  Off the dense route ``iterations`` counts vector periods:
+    one certifying the start vector, Arnoldi's and one for the residual when
+    it fails, and one for the positivity probe; a certified point, which
+    every separable weight gives at any grid size, reads 2.
     """
     return _spectrum_point(op, weight, summarize(weight, op.grid), lam, n_steps,
                            with_s_conditions, cross_validate, pmap)
@@ -448,18 +442,19 @@ def _spectrum_point(op: DispersalOperator, weight: Weight, summary: WeightSummar
     m_hat = summary.m_hat
     if n_steps is None:
         n_steps = default_n_steps(weight.period, lam, summary.sup_abs)
-    h_min, h_max = _envelope_range(op, m_hat, lam)
-    krylov = pmap is None and op.n >= _KRYLOV_MIN_N
-    if krylov:
+    h = -op.b + lam * m_hat
+    h_min, h_max = float(h.min()), float(h.max())
+    found = None
+    if pmap is None and (op.n >= _KRYLOV_MIN_N or summary.separable):
         apply = period_action(op, weight, lam, n_steps)
-        ratio, phi, residual, iterations = _krylov_perron(
-            apply, op.n, _frozen_perron(op, m_hat, lam), w)
+        found = _krylov_perron(apply, op.n, _frozen_perron(op, m_hat, lam), w,
+                               arnoldi=op.n >= _KRYLOV_MIN_N)
+    if found is not None:
+        ratio, phi, residual, iterations = found
         mu = math.log(ratio) / weight.period
-        # on the envelope sup the verdict needs the dense route's residual
-        krylov = abs(mu - h_max) >= _gap_tol(mu)
-    if krylov:
-        lowest = np.argsort(-op.b + lam * m_hat, kind="stable")[:_PROBE_COLUMNS]
-        _probe_positivity(apply, op.n, lowest)
+    # on the envelope sup the verdict needs the dense route's residual
+    if found is not None and abs(mu - h_max) >= _gap_tol(mu):
+        _probe_positivity(apply, op.n, np.argsort(h, kind="stable")[:_PROBE_COLUMNS])
         iterations += 1
     else:
         if pmap is None:
@@ -536,15 +531,17 @@ def autonomous_spectrum_point(op: DispersalOperator, m_field: np.ndarray, lam: f
     """Spectral bound of the frozen generator ``K - b + lam * m_field``.
 
     For a time-independent weight this equals the periodic principal spectrum
-    point, with no time-stepping error: the generator is shifted to a
-    nonnegative matrix and power-iterated directly.
+    point, with no time-stepping error: ``mu`` is the quadrature Rayleigh
+    ratio of the Perron vector from ``_frozen_perron``.
     """
-    diag = -op.b + lam * np.asarray(m_field, dtype=float)
-    shift = max(0.0, -float(diag.min())) + 1.0
-    mat = op.K + np.diag(diag + shift)
-    ratio, phi, _, _ = _power_iteration(mat, np.ones(op.n), op.quad_weights)
-    mu = ratio - shift
-    residual = float(np.abs(op.K @ phi + diag * phi - mu * phi).max())
+    m_field = np.asarray(m_field, dtype=float)
+    phi = _frozen_perron(op, m_field, lam)
+    if phi is None:
+        raise PowerIterationError("no nonnegative Perron vector of the frozen generator")
+    image = op.K @ phi + (lam * m_field - op.b) * phi
+    w_phi = op.quad_weights * phi
+    mu = float(np.dot(w_phi, image)) / float(np.dot(w_phi, phi))
+    residual = float(np.abs(image - mu * phi).max())
     return AutonomousSpectrum(mu=mu, eigenfunction=phi, residual=residual)
 
 

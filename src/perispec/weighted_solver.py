@@ -86,12 +86,6 @@ class _MuCache:
         return tuple(sorted((lam, float(self.mu_of(r))) for lam, r in self.reports.items()))
 
 
-def _mu_period_map(op: DispersalOperator, weight: Weight, summary: WeightSummary, n_steps):
-    return _MuCache(lambda lam: _spectrum_point(op, weight, summary, lam, n_steps,
-                                                with_s_conditions=False),
-                    lambda report: report.mu_n)
-
-
 def _upward_crossing(mu: _MuCache, lo: float, lam: float, tol_root: float,
                      lam_cap: float):
     """Double ``lam`` until ``mu > tol_root``, then refine the root above ``lo``.
@@ -250,7 +244,9 @@ def _solve_lambda_p(op: DispersalOperator, weight: Weight, summary: WeightSummar
     """``(result, report)``: ``report`` is the spectrum point (without S-conditions)
     that the search computed at the root, ``None`` without a root."""
     cond = ConditionReport.from_values(summary.p_value, summary.time_space_integral)
-    mu = _mu_period_map(op, weight, summary, n_steps)
+    mu = _MuCache(lambda lam: _spectrum_point(op, weight, summary, lam, n_steps,
+                                              with_s_conditions=False),
+                  lambda report: report.mu_n)
     res = _solve_core(mu, op.boundary, cond, summary.space_independent,
                       float(summary.m_hat.mean()), summary.sup_abs, tol_root, lam_cap)
     return res, mu.reports.get(res.lambda_p)

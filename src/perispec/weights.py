@@ -12,7 +12,8 @@ The two scalar functionals that drive the existence theory are
   instantaneous growth rate accumulated over one period.
 
 Neither depends on the coupling ``lam``.  ``summarize`` is the one place they
-are computed, with ``sup|m|`` and the space-time integral, from one time
+are computed, with ``sup|m|``, the space-time integral and the weight's
+structure (separable ``m1(x) + m2(t)``, space-independent) from one time
 lattice; the other functionals are views of its ``WeightSummary``, which a
 solve or an orbit builds once.
 """
@@ -233,6 +234,7 @@ class WeightSummary:
     m_hat_min: float
     sup_abs: float
     space_independent: bool   # every time slice spatially constant up to rounding
+    separable: bool           # m - m_hat spatially constant on the lattice: m1(x) + m2(t)
 
 
 def summarize(weight: Weight, grid: Grid, n_time: int = DEFAULT_N_TIME) -> WeightSummary:
@@ -245,6 +247,7 @@ def summarize(weight: Weight, grid: Grid, n_time: int = DEFAULT_N_TIME) -> Weigh
     integral = float(weight.period * np.dot(grid.quad_weights, m_hat))
     sup = float(np.abs(table).max())
     spread = float((m_tilde - table.min(axis=1)).max())
+    drift = table - m_hat  # spatially constant rows for m1(x) + m2(t)
     return WeightSummary(
         m_hat=_frozen(m_hat),
         m_tilde=_frozen(m_tilde),
@@ -255,6 +258,7 @@ def summarize(weight: Weight, grid: Grid, n_time: int = DEFAULT_N_TIME) -> Weigh
         m_hat_min=float(m_hat.min()),
         sup_abs=sup,
         space_independent=spread <= 1e-12 * (1.0 + sup),
+        separable=float((drift.max(axis=1) - drift.min(axis=1)).max()) <= 1e-12 * (1.0 + sup),
     )
 
 

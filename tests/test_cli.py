@@ -100,9 +100,11 @@ def test_lambda_p_task_builds_one_time_lattice(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("boundary", ["dirichlet", "neumann", "periodic"])
-def test_lambda_p_task_builds_one_map_per_lam(tmp_path, monkeypatch, boundary):
-    # the eigenvalue check at the root reuses the root search's spectrum point
+NONSEPARABLE_EXPR = "cos(2*pi*x)*(1 + sin(2*pi*t/T)) - 0.2 + sin(2*pi*t/T)"
+
+
+def count_period_maps(monkeypatch):
+    """The ``lam`` of every dense period map built from here on."""
     lams = []
     original = perispec.spectrum.period_map
 
@@ -110,13 +112,34 @@ def test_lambda_p_task_builds_one_map_per_lam(tmp_path, monkeypatch, boundary):
         lams.append(lam)
         return original(op, weight, lam, n_steps=n_steps)
     monkeypatch.setattr(perispec.spectrum, "period_map", counting)
-    cfg = write_ini(tmp_path, BASE_PROBLEM.replace("dirichlet", boundary))
+    return lams
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "neumann", "periodic"])
+def test_lambda_p_task_builds_one_map_per_lam(tmp_path, monkeypatch, boundary):
+    # a non-separable weight takes the dense route on 24 nodes; the eigenvalue
+    # check at the root reuses the root search's spectrum point
+    lams = count_period_maps(monkeypatch)
+    cfg = write_ini(tmp_path, BASE_PROBLEM.replace("dirichlet", boundary).replace(
+        "expr = sin(2*pi*t/T) + cos(2*pi*x) - 0.2", f"expr = {NONSEPARABLE_EXPR}"))
     assert run("lambda_p", cfg, tmp_path / "out") == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["result"]["status"] == "unique_root"
     assert "principal_eigenvalue" in summary
     assert len(lams) == len(set(lams)) == summary["result"]["curve_points"]
     assert summary["result"]["lambda_p"] in lams
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "neumann", "periodic"])
+def test_separable_lambda_p_task_builds_no_map(tmp_path, monkeypatch, boundary):
+    # m1(x) + m2(t): every spectrum point is certified from the frozen start
+    lams = count_period_maps(monkeypatch)
+    cfg = write_ini(tmp_path, BASE_PROBLEM.replace("dirichlet", boundary))
+    assert run("lambda_p", cfg, tmp_path / "out") == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["result"]["status"] == "unique_root"
+    assert "principal_eigenvalue" in summary
+    assert lams == []
 
 
 def test_lambda_p_degenerate_status(tmp_path):
@@ -239,13 +262,18 @@ def test_krylov_size_outputs_do_not_depend_on_threads(tmp_path):
             assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
 
 
-def test_dense_route_outputs_do_not_depend_on_threads(tmp_path):
-    # n = 64 takes the dense route: every worker owns its shifted copy of K
+def test_dense_route_outputs_do_not_depend_on_threads(tmp_path, monkeypatch):
+    # a non-separable weight at n = 64 takes the dense route: every worker
+    # owns its shifted copy of K
+    lams = count_period_maps(monkeypatch)
     cfg = write_ini(tmp_path, BASE_PROBLEM.replace("n_per_axis = 24", "n_per_axis = 64")
+                    .replace("expr = sin(2*pi*t/T) + cos(2*pi*x) - 0.2",
+                             f"expr = {NONSEPARABLE_EXPR}")
                     + "\n[spectrum]\nlambdas = 0, 0.5, 1, 2, 4\n")
     outs = [tmp_path / f"out{i}" for i in range(2)]
     assert run("spectrum", cfg, outs[0], "--threads", "1") == 0
     assert run("spectrum", cfg, outs[1], "--threads", "2") == 0
+    assert len(lams) == 10
     for name in ("spectrum.csv", "summary.json", "report.txt"):
         assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
 

@@ -100,6 +100,14 @@ def test_simulate_input_validation():
         simulate_kpp(op, w, nl, 1.0, good, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("max_periods", [0, -3])
+def test_periodic_solution_refuses_fewer_than_one_period(max_periods):
+    op = make_op(Boundary.DIRICHLET, n=16)
+    w = closed_form("sin(2*pi*t/T) + cos(2*pi*x) - 0.2", 1.0)
+    with pytest.raises(ValueError, match="max_periods must be at least 1"):
+        find_periodic_solution(op, w, Nonlinearity(), 0.5, max_periods=max_periods)
+
+
 def test_trajectory_bookkeeping():
     op = make_op(Boundary.DIRICHLET, n=16)
     traj = simulate_kpp(op, closed_form("0.5", 1.0), Nonlinearity(), 1.0,

@@ -50,6 +50,7 @@ def forbid_period_map(monkeypatch):
 
 
 STANDARD_WEIGHT = "sin(2*pi*t/T) + cos(2*pi*x) - 0.2"
+NONSEPARABLE_1D = "cos(2*pi*x)*(1 + sin(2*pi*t/T)) - 0.2 + sin(2*pi*t/T)"
 
 
 def analytic_parabolic_mass(x, r=1.0):
@@ -80,6 +81,13 @@ def test_autonomous_route_matches_dense_eigensolver():
     assert auto.mu == pytest.approx(top, abs=1e-10)
     assert auto.residual < 1e-8
     assert np.all(auto.eigenfunction >= 0.0)
+
+
+def test_autonomous_route_without_a_perron_vector_is_an_error(monkeypatch):
+    monkeypatch.setattr(perispec.spectrum, "_frozen_perron", lambda *args: None)
+    op = make_op(Boundary.DIRICHLET, n=14)
+    with pytest.raises(PowerIterationError, match="frozen generator"):
+        autonomous_spectrum_point(op, np.cos(2 * np.pi * op.grid.nodes[:, 0]), 1.3)
 
 
 def test_periodic_route_agrees_with_autonomous_for_frozen_weight():
@@ -131,6 +139,53 @@ def test_krylov_route_matches_dense_power_iteration(make, expr, monkeypatch):
         assert krylov.localization_width == pytest.approx(dense.localization_width, rel=1e-7)
         assert krylov.h_hat_max == dense.h_hat_max
         assert krylov.s_conditions == dense.s_conditions
+
+
+# a weight m1(x) + m2(t) takes the certified start at every grid size: one
+# period certifies it, one probes positivity, and no dense map is built
+SEPARABLE_CASES = [pytest.param(boundary, n, id=f"{boundary.value}-{n}")
+                   for boundary in Boundary for n in (32, 64, 128)]
+
+
+@pytest.mark.parametrize("boundary, n", SEPARABLE_CASES)
+def test_separable_route_matches_dense_power_iteration(boundary, n, monkeypatch):
+    op = make_op(boundary, n=n)
+    w = closed_form(STANDARD_WEIGHT, 1.0)
+    for lam in (0.0, 1.0, 2.5):
+        dense = principal_spectrum_point(op, w, lam, pmap=period_map(op, w, lam))
+        with monkeypatch.context() as mp:
+            forbid_period_map(mp)
+            rep = principal_spectrum_point(op, w, lam)
+        assert rep.mu_n == pytest.approx(dense.mu_n, abs=1e-9)
+        assert rep.is_principal_eigenvalue == dense.is_principal_eigenvalue
+        assert rep.iterations == 2
+        assert rep.residual < 1e-12
+
+
+@pytest.mark.parametrize("failure", ["no-start", "uncertified-start"])
+def test_failed_certificate_below_the_crossover_takes_the_dense_route(failure, monkeypatch):
+    import scipy.sparse.linalg
+
+    op = make_op(Boundary.DIRICHLET, n=64)
+    w = closed_form(STANDARD_WEIGHT, 1.0)
+    dense = principal_spectrum_point(op, w, 1.0, pmap=period_map(op, w, 1.0))
+    original = perispec.spectrum._frozen_perron
+
+    def failing(*args):
+        start = original(*args)
+        if failure == "no-start":
+            return None
+        start[0] += 1e-6
+        return start
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Arnoldi ran below the crossover")
+    monkeypatch.setattr(perispec.spectrum, "_frozen_perron", failing)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", refuse)
+    rep = principal_spectrum_point(op, w, 1.0)
+    assert rep.mu_n == dense.mu_n
+    assert rep.iterations == dense.iterations
+    np.testing.assert_array_equal(rep.eigenfunction, dense.eigenfunction)
 
 
 def test_krylov_route_counts_vector_periods(monkeypatch):
@@ -289,8 +344,8 @@ def test_krylov_rejects_a_root_that_is_no_perron_root():
 
 def test_spectrum_point_builds_one_time_lattice_per_use(monkeypatch):
     # one weight summary gives sup|m| for the step count and m_hat for the
-    # envelope and the S tests, on the dense route (n = 64) and Arnoldi's
-    w = closed_form(STANDARD_WEIGHT, 1.0)
+    # envelope and the S tests, on the dense route (a non-separable weight at
+    # n = 64) and the matrix-free one (a separable weight)
     calls = []
     original = perispec.weights._time_lattice
 
@@ -298,11 +353,10 @@ def test_spectrum_point_builds_one_time_lattice_per_use(monkeypatch):
         calls.append(1)
         return original(*args, **kwargs)
     monkeypatch.setattr(perispec.weights, "_time_lattice", counting)
-    principal_spectrum_point(make_op(Boundary.DIRICHLET, n=64), w, 1.0)
-    assert len(calls) == 1
-    calls.clear()
-    principal_spectrum_point(make_op(Boundary.DIRICHLET, n=256), w, 1.0)
-    assert len(calls) == 1
+    for n, expr in [(64, NONSEPARABLE_1D), (64, STANDARD_WEIGHT), (256, STANDARD_WEIGHT)]:
+        calls.clear()
+        principal_spectrum_point(make_op(Boundary.DIRICHLET, n=n), closed_form(expr, 1.0), 1.0)
+        assert len(calls) == 1
 
 
 # --------------------------------------------------------- zero-weight point
@@ -543,8 +597,8 @@ def test_near_degenerate_top_reports_no_on_a_krylov_size_grid(monkeypatch):
     arnoldi_roots = []
     original = perispec.spectrum._krylov_perron
 
-    def recording(*args):
-        result = original(*args)
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
         arnoldi_roots.append(result[0])
         return result
     monkeypatch.setattr(perispec.spectrum, "_krylov_perron", recording)

@@ -286,6 +286,18 @@ def test_autonomous_weight_equals_its_average():
     assert rel / ub.averaged.lambda_p < 1e-6
 
 
+def test_time_averaging_bound_is_an_equality_for_separable_weights():
+    # for m1(x) + m2(t) the period map is the frozen generator's flow times a
+    # scalar, so lambda_p(m) = lambda_p(m_hat): the slack is the RK4 time
+    # error alone, and it falls at the method's order
+    op = make_op(Boundary.DIRICHLET, n=64)
+    w = closed_form("cos(2*pi*x) - 0.2 + sin(2*pi*t/T + 0.7)", 1.0)
+    slacks = [abs(upper_bound_lambda_p(op, w, n_steps=n_steps).slack)
+              for n_steps in (64, 128, 256)]
+    assert slacks[0] >= 16 * slacks[1] >= 256 * slacks[2]
+    assert slacks[2] < 1e-11
+
+
 def test_upper_bound_none_when_either_root_missing():
     ub = upper_bound_lambda_p(make_op(Boundary.NEUMANN),
                               closed_form("cos(2*pi*x) + 0.2", 1.0))

@@ -434,6 +434,23 @@ def test_space_independent_detection(grid):
     assert not space_independent(closed_form("sin(2*pi*t/T) + 0.001*x", 1.0), grid)
 
 
+@pytest.mark.parametrize("expr, separable", [
+    ("0.3", True),
+    ("sin(2*pi*t/T)", True),
+    ("cos(2*pi*x) - 0.2 + sin(2*pi*t/T + 0.7)", True),
+    ("x*x + 3*cos(2*pi*t/T)**2", True),
+    ("cos(2*pi*x)*(1 + sin(2*pi*t/T))", False),
+    ("cos(2*pi*(x - t/T))", False),
+    ("cos(2*pi*x) + 1e-9*x*sin(2*pi*t/T)", False),
+])
+def test_separable_detection(grid, expr, separable):
+    # m1(x) + m2(t): the fluctuation m - m_hat is constant in space at every time
+    w = closed_form(expr, 1.0)
+    assert summarize(w, grid).separable is separable
+    # linear interpolation between lattice rows keeps the structure
+    assert summarize(sample_closed_form(w, grid, 32), grid).separable is separable
+
+
 # --------------------------------------------------- existence conditions
 
 def test_conditions_pure_oscillation_marginal(grid):
