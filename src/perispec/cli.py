@@ -37,7 +37,7 @@ from .evolution import UnstableStepError
 from .geometry import Boundary, build_grid, make_kernel, wrap_kernel
 from .kpp import MAX_PERIODS, Nonlinearity, find_periodic_solution, summarize_scan
 from .operator import assemble
-from .spectrum import PowerIterationError, principal_spectrum_point
+from .spectrum import PowerIterationError, _spectrum_point
 from .validate import DEFAULT_SEED, run_checks
 from .weighted_solver import (LAMBDA_CAP, STATUS_UNIQUE, TOL_ROOT, _pe_sufficiency,
                               _solve_lambda_p, solve_lambda_p, upper_bound_lambda_p)
@@ -337,10 +337,12 @@ def _task_spectrum(cp, op, weight, outdir, threads):
     lams = _parse_lambdas(sec)
     n_steps = _get_int(sec, "n_steps")
     cross = _get_bool(sec, "cross_validate", default=False)
+    # one weight summary serves every coupling
+    weight_summary = summarize(weight, op.grid)
 
     def one(lam):
-        return principal_spectrum_point(op, weight, lam, n_steps=n_steps,
-                                        cross_validate=cross)
+        return _spectrum_point(op, weight, weight_summary, lam, n_steps,
+                               with_s_conditions=True, cross_validate=cross)
 
     reports = _map_ordered(one, lams, threads)
     columns = ["lam", "mu_n", "residual", "iterations", "h_hat_min", "h_hat_max",

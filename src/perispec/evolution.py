@@ -8,9 +8,9 @@ regardless of evaluation schedule.
 One stepper, ``_integrate``, serves both flows: the KPP flow of ``kpp`` is
 the linear flow plus a per-capita crowding term that vanishes at ``u = 0``.
 The weight values at the RK stage times come from two stage tables, each built
-in one ``Weight.table`` call per integration: the half-step table at
-``t_k + h/2`` and the end-step table at ``t_k + h``, whose row ends step k and
-also starts step k + 1 (row 0 holds ``m(t0)``).
+in one ``Weight.table`` call per integration, or once per ``period_action``:
+the half-step table at ``t_k + h/2`` and the end-step table at ``t_k + h``,
+whose row ends step k and also starts step k + 1 (row 0 holds ``m(t0)``).
 
 The stage scheme: each stage input ``u + c h k_i`` and the step's sum
 ``u + h/6 k1``, then ``+= h/3 k2``, ``+= h/3 k3``, ``+= h/6 k4``, live in
@@ -81,9 +81,30 @@ class PeriodMap:
         return self.matrix.shape[0]
 
 
+def _stage_tables(op: DispersalOperator, weight: Weight, lam: float, t0: float,
+                  t1: float, n_steps: int):
+    """``(halves, ends, m_seen)`` for ``n_steps`` RK4 steps over ``[t0, t1]``.
+
+    With ``t_k = t0 + k h``, ``halves[k]`` holds ``lam m(t_k + h/2) - b``;
+    ``ends[0]`` holds ``lam m(t0) - b`` and ``ends[k + 1]`` holds
+    ``lam m(t_k + h) - b``, which also starts step k + 1.  ``m_seen[k]`` is
+    the largest ``|m|`` met by the end of step k, for the growth envelope.
+    """
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be at least 1, got {n_steps}")
+    h = (t1 - t0) / n_steps
+    t = t0 + np.arange(n_steps) * h
+    halves = weight.table(t + 0.5 * h, op.grid)
+    ends = weight.table(np.concatenate(([t0], t + h)), op.grid)
+    end_sup = np.abs(ends).max(axis=1)
+    m_seen = np.maximum.accumulate(np.maximum(np.maximum(end_sup[:-1], end_sup[1:]),
+                                              np.abs(halves).max(axis=1))).tolist()
+    return lam * halves - op.b, lam * ends - op.b, m_seen
+
+
 def _integrate(op: DispersalOperator, weight: Weight, lam: float, state: np.ndarray,
                t0: float, t1: float, n_steps: int, record_every: int | None = None,
-               crowding=None, scale: float = 1.0):
+               crowding=None, scale: float = 1.0, tables=None):
     """Shared RK4 loop for vector and matrix states.
 
     Returns (recorded times, recorded states) when ``record_every`` is set,
@@ -93,30 +114,19 @@ def _integrate(op: DispersalOperator, weight: Weight, lam: float, state: np.ndar
     run can reach.  With a per-capita ``crowding(u)`` (vector states only) the
     right-hand side becomes ``K u + (lam m - b - crowding(u)) u`` and the
     guard is the invariant region ``0 <= u <= 10 * scale`` instead, after
-    rounding-level undershoot below zero is scrubbed.
+    rounding-level undershoot below zero is scrubbed.  ``tables`` are the
+    ``_stage_tables`` of the same arguments, built here when not given.
     """
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be at least 1, got {n_steps}")
-    K, b, grid = op.K, op.b, op.grid
+    if tables is None:
+        tables = _stage_tables(op, weight, lam, t0, t1, n_steps)
+    halves, ends, m_seen = tables
+    K = op.K
     h = (t1 - t0) / n_steps
 
     u0_norm = float(np.abs(state).max())
-    b_norm = float(np.abs(b).max())
+    b_norm = float(np.abs(op.b).max())
     log_u0 = math.log(max(u0_norm, 1e-300))
-
-    # stage tables for t_k = t0 + k h: halves[k] holds m(t_k + h/2); ends[0]
-    # holds m(t0) and ends[k + 1] holds m(t_k + h), which also starts step k + 1
-    t = t0 + np.arange(n_steps) * h
-    halves = weight.table(t + 0.5 * h, grid)
-    ends = weight.table(np.concatenate(([t0], t + h)), grid)
-    end_sup = np.abs(ends).max(axis=1)
-    # largest |m| met by the end of each step, for the growth envelope
-    m_seen = np.maximum.accumulate(np.maximum(np.maximum(end_sup[:-1], end_sup[1:]),
-                                              np.abs(halves).max(axis=1))).tolist()
     ceiling = 10.0 * scale
-    # from here on the stage tables hold the diagonal term lam m - b
-    halves = lam * halves - b
-    ends = lam * ends - b
 
     # a C-ordered copy: the products' rounding depends on the memory layout
     u = np.array(state, dtype=float, order="C")
@@ -235,13 +245,15 @@ def period_action(op: DispersalOperator, weight: Weight, lam: float,
     applied to a vector, without forming the monodromy matrix.
 
     The step count is fixed once, as ``period_map`` would choose it, so every
-    application integrates the same discrete flow.
+    application integrates the same discrete flow, and the stage tables are
+    built once for all applications.
     """
     n_steps = _period_steps(op, weight, lam, n_steps)
+    tables = _stage_tables(op, weight, lam, 0.0, weight.period, n_steps)
 
     def apply(v):
         return _integrate(op, weight, lam, np.asarray(v, dtype=float), 0.0,
-                          weight.period, n_steps)
+                          weight.period, n_steps, tables=tables)
     return apply
 
 

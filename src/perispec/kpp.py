@@ -29,9 +29,9 @@ the iterates from any start above ``eps * phi`` stay above it and a positive
 periodic state exists.  Under that certificate the iteration is accelerated
 by type-II Anderson mixing on ``G(u) = P(u) - u`` (Walker & Ni, SIAM J.
 Numer. Anal. 49(4), 2011), with each mixed iterate projected onto the
-invariant order interval ``[0, carrying]``.  Without it the plain iteration
-runs, and it alone can end in extinction: the sup norm falls below a floor,
-or one linear period contracts the state uniformly.
+certified order interval ``[eps * phi, carrying]``.  Without it the plain
+iteration runs, and it alone can end in extinction: the sup norm falls below
+a floor, or one linear period contracts the state uniformly.
 """
 
 from __future__ import annotations
@@ -216,7 +216,8 @@ def _poincare_iterate(op, weight, lam, run, u, n_steps, tol_fix, tol_ext,
 
 
 def _persistence_certificate(op, weight, summary, lam, run, n_steps, carrying):
-    """``(certificate, periods)`` from a sub-solution ``eps * phi``, or ``(None, periods)``.
+    """``(certificate, eps * phi, periods)`` from a sub-solution ``eps * phi``,
+    or ``(None, None, periods)``.
 
     ``phi`` is the Perron vector of the linearized period map at the orbit's
     step count, tried only when its ``mu`` is positive.  The first ``eps`` of
@@ -227,26 +228,31 @@ def _persistence_certificate(op, weight, summary, lam, run, n_steps, carrying):
     try:
         rep = _spectrum_point(op, weight, summary, lam, n_steps, with_s_conditions=False)
     except PowerIterationError:
-        return None, 0
+        return None, None, 0
     if not rep.mu_n > 0.0:
-        return None, 0
+        return None, None, 0
     for k, frac in enumerate(CERT_EPS, start=1):
         sub = frac * carrying * rep.eigenfunction
         gain = float((run(sub, 0.0, weight.period, n_steps) - sub).min())
         if gain > ORDER_TOL * carrying:
             return (f"P(eps*phi) exceeds eps*phi by at least {gain:.3e} on every node at "
                     f"eps = {frac:.0e} of the carrying scale (mu = {rep.mu_n:.6g} > 0), "
-                    "so the iterates stay above eps*phi"), k
-    return None, len(CERT_EPS)
+                    "so the iterates stay above eps*phi"), sub, k
+    return None, None, len(CERT_EPS)
 
 
-def _anderson_iterate(run, u, period, n_steps, tol_fix, max_periods, ceiling):
+def _anderson_iterate(run, u, period, n_steps, tol_fix, max_periods, floor, ceiling):
     """Type-II Anderson mixing of depth ``ANDERSON_DEPTH`` on ``G(u) = P(u) - u``.
 
     The mixed iterate minimizes the linearized residual over the last steps
-    (``lstsq`` on the residual differences), is projected onto
-    ``[0, ceiling]``, and the history restarts when the residual grows.  The
-    stopping rule is the plain iteration's, and the fixed point is ``P(u)``.
+    (``lstsq`` on the residual differences) and is projected onto
+    ``[floor, ceiling]``, where ``floor`` is the certified sub-solution
+    ``eps * phi``.  The history restarts when the residual grows, and when the
+    mixed iterate falls below ``floor`` on some node: the secant model then
+    heads for the zero state, the other root of ``G``, so the plain image
+    ``P(u)``, which stays above ``floor``, is taken instead.  The stopping rule
+    is the plain iteration's, met by a ``P(u)`` not below ``floor`` on any
+    node, and the fixed point is that ``P(u)``.
     """
     xs, gs = [], []
     prev = math.inf
@@ -255,7 +261,7 @@ def _anderson_iterate(run, u, period, n_steps, tol_fix, max_periods, ceiling):
         g = nxt - u
         sup = float(np.abs(nxt).max())
         diff = float(np.abs(g).max())
-        if diff < tol_fix * max(sup, 1e-300):
+        if diff < tol_fix * sup and np.all(nxt >= floor):
             return "persistence", nxt, diff, k
         if diff > prev:
             xs, gs = [], []
@@ -267,8 +273,12 @@ def _anderson_iterate(run, u, period, n_steps, tol_fix, max_periods, ceiling):
             d_x = np.diff(xs, axis=0).T
             d_g = np.diff(gs, axis=0).T
             gamma = np.linalg.lstsq(d_g, g, rcond=None)[0]
-            nxt = u + g - (d_x + d_g) @ gamma
-        u = np.clip(nxt, 0.0, ceiling)
+            mixed = u + g - (d_x + d_g) @ gamma
+            if np.all(mixed >= floor):
+                nxt = mixed
+            else:
+                xs, gs = [], []
+        u = np.clip(nxt, floor, ceiling)
     return "undecided", u, float("nan"), max_periods
 
 
@@ -302,7 +312,7 @@ def find_periodic_solution(op: DispersalOperator, weight: Weight,
     if n_steps is None:
         n_steps = steps(period, scale)
 
-    certificate, cert_periods = _persistence_certificate(
+    certificate, sub, cert_periods = _persistence_certificate(
         op, weight, summary, lam, run, n_steps, scale)
 
     def iterate(u0):
@@ -310,7 +320,7 @@ def find_periodic_solution(op: DispersalOperator, weight: Weight,
             return _poincare_iterate(op, weight, lam, run, u0, n_steps, tol_fix,
                                      tol_ext, max_periods, scale)
         return _anderson_iterate(run, u0, period, n_steps, tol_fix, max_periods,
-                                 scale) + (certificate,)
+                                 sub, scale) + (certificate,)
 
     verdict, u_star, residual, used, reason = iterate(np.full(op.n, 0.1 * scale))
     used += cert_periods

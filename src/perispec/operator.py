@@ -5,6 +5,15 @@ The integral part is assembled by the Nystrom construction
 the integral at node ``j``.  All entries are nonnegative, so the matrix flow
 preserves ordering of states.
 
+On the uniform midpoint grid ``x_k - x_j`` is the node offset ``k - j`` times
+the spacing, and every quadrature weight is the cell volume, so ``K[j, k]``
+depends on ``k - j`` alone.  The kernel (the wrapped kernel on periodic grids)
+is evaluated once per offset, on a ``(2N - 1)^d`` stencil, and ``K`` is one
+copy of that stencil laid out by sliding windows: Toeplitz in 1-D and
+block-Toeplitz in 2-D.  Each offset is taken as ``|k - j|`` times the spacing
+on every axis.  The kernels are even in each coordinate, so this changes
+values by rounding at most, and it makes ``K`` exactly symmetric.
+
 The subtraction field ``b`` encodes the boundary regime:
 
 * Dirichlet-type: ``b = 1`` exactly (mass leaks into a hostile exterior);
@@ -23,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import Boundary, Grid, Kernel, WrappedKernel
 from .weights import Weight
@@ -64,8 +74,14 @@ def assemble(kernel: Kernel | WrappedKernel, grid: Grid) -> DispersalOperator:
     if kernel.dim != grid.dim:
         raise ValueError(f"kernel dim {kernel.dim} does not match grid dim {grid.dim}")
 
-    diffs = grid.nodes[None, :, :] - grid.nodes[:, None, :]
-    K = kernel.evaluate(diffs) * grid.quad_weights[None, :]
+    N = grid.n_per_axis
+    axes = [np.abs(np.arange(1 - N, N)) * h for h in grid.spacing]
+    offsets = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    stencil = kernel.evaluate(offsets) * grid.quad_weights[0]
+    # window a holds offset a + c - (N - 1) at position c on each axis, so with
+    # the window axes reversed (a = N - 1 - j) entry [j, k] holds offset k - j
+    windows = sliding_window_view(stencil, (N,) * grid.dim)[(slice(None, None, -1),) * grid.dim]
+    K = np.ascontiguousarray(windows).reshape(grid.n, grid.n)
     if grid.boundary is Boundary.DIRICHLET:
         b = np.ones(grid.n)
     else:

@@ -19,7 +19,7 @@ from perispec.evolution import (
 )
 from perispec.geometry import Boundary, build_grid, make_kernel, wrap_kernel
 from perispec.operator import assemble
-from perispec.weights import closed_form
+from perispec.weights import Weight, closed_form
 
 
 def make_op(boundary=Boundary.DIRICHLET, n=16, r=1.0):
@@ -395,6 +395,29 @@ def test_block_period_equals_stagewise_reference():
         np.asfortranarray(block)), got)
     assert np.abs(got - reference_rk4(op, w, 1.7, block, 0.0, 1.3, 77)).max() <= (
         1e-13 * np.abs(got).max())
+
+
+def test_period_action_builds_its_stage_tables_once(monkeypatch):
+    # the certificate, Arnoldi, the residual and the probe share one action
+    op = make_op(Boundary.NEUMANN, n=24, r=0.3)
+    w = closed_form("sin(2*pi*t/T + 0.4) + cos(2*pi*(x - t/T)) - 0.2", 1.3)
+    rows = []
+    original = Weight.table
+
+    def counting(self, times, grid):
+        rows.append(len(times))
+        return original(self, times, grid)
+    monkeypatch.setattr(Weight, "table", counting)
+    apply = evolution.period_action(op, w, 1.7, n_steps=77)
+    v = np.linspace(0.2, 1.0, op.n)
+    block = np.zeros((op.n, 3))
+    block[[0, 5, 11], [0, 1, 2]] = 1.0
+    got = [apply(v), apply(block), apply(v)]
+    assert rows == [77, 78]
+    monkeypatch.undo()
+    assert np.array_equal(got[0], stage_scheme_rk4(op, w, 1.7, v, 0.0, 1.3, 77))
+    assert np.array_equal(got[1], stage_scheme_rk4(op, w, 1.7, block, 0.0, 1.3, 77))
+    assert np.array_equal(got[2], got[0])
 
 
 @pytest.mark.parametrize("boundary,n,n_steps", [

@@ -315,7 +315,7 @@ def test_plain_iteration_runs_without_a_certificate(dirichlet_threshold, monkeyp
     op, w, res = dirichlet_threshold
     nl = Nonlinearity("saturating", crowding=2.0, saturation=0.5)
     lam = 1.5 * res.lambda_p
-    monkeypatch.setattr(perispec.kpp, "_persistence_certificate", lambda *args: (None, 0))
+    monkeypatch.setattr(perispec.kpp, "_persistence_certificate", lambda *args: (None, None, 0))
     orbit = find_periodic_solution(op, w, nl, lam, check_uniqueness=False)
     assert orbit.verdict == "persistence"
     assert orbit.certificate is None
@@ -383,7 +383,7 @@ def test_accelerated_fixed_point_equals_the_plain_one(quickstart_threshold, monk
     op, w, res = quickstart_threshold
     lam = 1.25 * res.lambda_p
     fast = find_periodic_solution(op, w, Nonlinearity(), lam, check_uniqueness=False)
-    monkeypatch.setattr(perispec.kpp, "_persistence_certificate", lambda *args: (None, 0))
+    monkeypatch.setattr(perispec.kpp, "_persistence_certificate", lambda *args: (None, None, 0))
     plain = find_periodic_solution(op, w, Nonlinearity(), lam, check_uniqueness=False)
     assert fast.certificate is not None and plain.certificate is None
     assert fast.periods_used < plain.periods_used
@@ -426,6 +426,30 @@ def test_failed_spectrum_point_leaves_the_plain_iteration(quickstart_threshold, 
     assert orbit.certificate is None
 
 
+def test_accelerated_iteration_from_a_low_start_stays_above_the_sub_solution(
+        quickstart_threshold):
+    # from P(eps*phi), eps = 1e-3 of the carrying scale, at 1.02 lambda_p the
+    # mixing heads for the zero state, the other root of P(u) - u; projected
+    # onto [0, carrying] it stopped there with sup 0 after 116 periods
+    op, w, res = quickstart_threshold
+    lam = 1.02 * res.lambda_p
+    nl = Nonlinearity()
+    carrying, steps, run = perispec.kpp._kpp_flow(
+        op, w, perispec.weights.summarize(w, op.grid), nl, lam)
+    n_steps = steps(w.period, carrying)
+    phi = principal_spectrum_point(op, w, lam, n_steps=n_steps,
+                                   with_s_conditions=False).eigenfunction
+    floor = 1e-3 * carrying * phi
+    verdict, u, _, used = perispec.kpp._anderson_iterate(
+        run, run(floor, 0.0, w.period, n_steps), w.period, n_steps, TOL_FIX, 200,
+        floor, carrying)
+    assert verdict == "persistence"
+    assert np.all(u >= floor)
+    settled = find_periodic_solution(op, w, nl, lam, check_uniqueness=False)
+    scale = settled.fixed_point.max()
+    assert np.abs(u - settled.fixed_point).max() < 1e-6 * scale
+
+
 def test_anderson_mixing_solves_a_slow_affine_contraction():
     # P(u) = A u + c, order preserving (A >= 0) with spectral radius 0.99:
     # the plain iteration needs thousands of periods, depth-5 mixing a few
@@ -442,7 +466,7 @@ def test_anderson_mixing_solves_a_slow_affine_contraction():
         seen.append(u.copy())
         return a @ u + c
     verdict, u, diff, used = perispec.kpp._anderson_iterate(
-        run, np.zeros(6), 1.0, 1, 1e-12, 200, ceiling)
+        run, np.zeros(6), 1.0, 1, 1e-12, 200, np.zeros(6), ceiling)
     assert verdict == "persistence"
     assert used < 40
     assert np.abs(u - exact).max() < 1e-9 * exact.max()

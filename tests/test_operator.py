@@ -1,5 +1,7 @@
 """Nystrom assembly of the dispersal operator and its structural identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,19 +10,29 @@ from perispec.operator import apply_generator, assemble
 from perispec.weights import closed_form
 
 
+def make_op(boundary, box, n, profile="parabolic", r=1.0):
+    kernel = make_kernel(profile, r, dim=len(box))
+    if boundary is Boundary.PERIODIC:
+        kernel = wrap_kernel(kernel, box)
+    return assemble(kernel, build_grid(boundary, box, n))
+
+
 def dirichlet_op(n=32, profile="parabolic", r=1.0):
-    grid = build_grid(Boundary.DIRICHLET, (1.0,), n)
-    return assemble(make_kernel(profile, r), grid)
+    return make_op(Boundary.DIRICHLET, (1.0,), n, profile, r)
 
 
 def neumann_op(n=32, profile="parabolic", r=1.0):
-    grid = build_grid(Boundary.NEUMANN, (1.0,), n)
-    return assemble(make_kernel(profile, r), grid)
+    return make_op(Boundary.NEUMANN, (1.0,), n, profile, r)
 
 
 def periodic_op(n=32, profile="parabolic", r=1.0, p=1.0):
-    grid = build_grid(Boundary.PERIODIC, (p,), n)
-    return assemble(wrap_kernel(make_kernel(profile, r), [p]), grid)
+    return make_op(Boundary.PERIODIC, (p,), n, profile, r)
+
+
+def pairwise_matrix(op):
+    """The kernel evaluated at every node difference, pair by pair."""
+    nodes = op.grid.nodes
+    return op.kernel.evaluate(nodes[None, :, :] - nodes[:, None, :]) * op.quad_weights[None, :]
 
 
 def analytic_parabolic_mass(x, r=1.0):
@@ -111,6 +123,67 @@ def test_matrix_encodes_kernel_samples():
     w = op.quad_weights
     expected = op.kernel.evaluate(x[None, :] - x[:, None]) * w[None, :]
     np.testing.assert_allclose(op.K, expected, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+@pytest.mark.parametrize("box, n, profile, r", [
+    ((1.0,), 24, "parabolic", 0.3),
+    ((1.0,), 16, "cosine", 1.7),       # three wrapped translates meet on periodic grids
+    ((1.0,), 24, "indicator", 1 / 3),  # the support edge on the node offset 8
+    ((1.0, 0.7), 9, "parabolic", 0.5),
+    ((1.3, 0.9), 8, "cosine", 1.7),
+])
+def test_matrix_is_symmetric_and_block_toeplitz(boundary, box, n, profile, r):
+    op = make_op(boundary, box, n, profile, r)
+    np.testing.assert_array_equal(op.K, op.K.T)
+    # K[j, k] depends on k - j only: shifting both nodes along an axis keeps it
+    dim = len(box)
+    blocks = op.K.reshape((n,) * (2 * dim))
+    for axis in range(dim):
+        head, tail = [slice(None)] * (2 * dim), [slice(None)] * (2 * dim)
+        head[axis] = head[dim + axis] = slice(1, None)
+        tail[axis] = tail[dim + axis] = slice(None, -1)
+        np.testing.assert_array_equal(blocks[tuple(head)], blocks[tuple(tail)])
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+@pytest.mark.parametrize("profile", ["parabolic", "cosine"])
+@pytest.mark.parametrize("box, n, r", [
+    ((0.7,), 63, 0.3), ((1.3,), 127, 0.8), ((1.0, 0.7), 15, 0.8), ((1.3, 0.9), 23, 0.3),
+])
+def test_matrix_matches_pairwise_evaluation(boundary, profile, box, n, r):
+    # each node difference of the pairwise build is rounded on its own, by up
+    # to an ulp of the box length; the kernel's slope, at most 2 / r times its
+    # peak for both profiles, carries that into K
+    op = make_op(boundary, box, n, profile, r)
+    eps = np.finfo(float).eps
+    tol = op.K.max() * (2.0 / r * np.spacing(max(box)) + 4.0 * eps)
+    assert np.abs(op.K - pairwise_matrix(op)).max() <= tol
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+@pytest.mark.parametrize("profile", ["parabolic", "cosine", "indicator"])
+@pytest.mark.parametrize("n", [8, 64, 128])
+def test_matrix_is_bit_identical_on_power_of_two_grids(boundary, profile, n):
+    # on the unit box with n a power of two every node difference is exact;
+    # the radius stays within one period, where the pairwise build is symmetric
+    for r in (0.5, 1.0):
+        op = make_op(boundary, (1.0,), n, profile, r)
+        np.testing.assert_array_equal(op.K, pairwise_matrix(op))
+
+
+def test_assembly_holds_one_matrix_at_its_peak():
+    # the stencil is (2N - 1)^2 entries; the pairwise build held an (n, n, 2)
+    # difference array and kernel temporaries beside K, 5.1 times its size
+    grid = build_grid(Boundary.NEUMANN, (1.0, 1.0), 32)
+    kernel = make_kernel("parabolic", 0.5, dim=2)
+    tracemalloc.start()
+    try:
+        op = assemble(kernel, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * op.K.nbytes
 
 
 def test_self_adjoint_in_quadrature_inner_product():
