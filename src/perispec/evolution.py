@@ -17,14 +17,17 @@ The stage scheme: each stage input ``u + c h k_i`` and the step's sum
 buffers allocated once per call and updated in place.  For the ``n x n``
 state of a period map the right-hand side ``K U + (lam m - b) U`` is one
 GEMM with a private copy of ``K`` whose diagonal is set to
-``diag(K) + lam m - b`` before each stage, an O(n) write.  A vector state,
-or a block of a few columns, keeps the product with ``K`` plus the diagonal
-product: for a vector the copy of ``K`` and the strided diagonal writes cost
-more than the elementwise work they save, and for a block the copy costs
-more memory than the block.  Folding the diagonal into the GEMM changes the
-rounding of a map by a few ulps against the textbook ``K U + d U`` form; the
-saving needs that change.  ``op.K`` is never written, and every call owns
-its buffers, so concurrent calls stay deterministic.
+``diag(K) + lam m - b`` before each stage, an O(n) write.  A vector state
+keeps the product with ``K`` plus the diagonal product, and the product is
+``op.matvec``: a GEMV in 1-D, two small GEMMs through the kernel stencil in
+2-D, which never read the dense ``K``.  A block of a few columns (the
+positivity probe) keeps the GEMM with ``K``.  For a vector the copy of ``K``
+and the strided diagonal writes cost more than the elementwise work they
+save, and for a block the copy costs more memory than the block.  Folding
+the diagonal into the GEMM changes the rounding of a map by a few ulps
+against the textbook ``K U + d U`` form; the saving needs that change.
+``op.K`` is never written, and every call owns its buffers, so concurrent
+calls stay deterministic.
 
 Exact positivity of the flow is only preserved up to the integrator's order,
 so the period map clamps rounding-level negative entries (magnitude below
@@ -36,6 +39,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -142,14 +146,17 @@ def _integrate(op: DispersalOperator, weight: Weight, lam: float, state: np.ndar
             np.add(k_diag, d, out=diag)
             np.matmul(A, Y, out=slope)
     else:
-        # a vector, or a block narrower than K, which is not worth a copy of K
+        # a vector, through op.matvec, or a block narrower than K, which is not
+        # worth a copy of K
+        apply_K = op.matvec
         if u.ndim == 2:
             halves, ends = halves[:, :, None], ends[:, :, None]
+            apply_K = partial(np.matmul, K)
 
         def rhs(d, Y):
             if crowding is not None:
                 d = d - crowding(Y)
-            np.matmul(K, Y, out=slope)
+            apply_K(Y, out=slope)
             np.add(slope, d * Y, out=slope)
 
     times = [t0]

@@ -15,7 +15,9 @@ The nonlinear flow has no stepper of its own: it hands the crowding term to
 the RK4 stepper of ``evolution``, so both flows step with the same stage
 tables (``m`` at ``t_k + h/2`` and at ``t_k + h``).  ``_kpp_flow`` sets the
 flow up once per ``lam`` from one weight summary (``sup|m|``, the bound check,
-the carrying scale); ``simulate_kpp`` and every orbit period run through it.
+the carrying scale); ``simulate_kpp`` and every orbit period run through it,
+and it builds the stage tables once per step count, so every Poincare period
+and every linear contraction test of an orbit share them.
 
 The periodic state is found by iterating the period map ``P`` of the
 nonlinear flow from a small positive constant.  Each period is one
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import ORDER_TOL, Trajectory, _integrate, default_n_steps, propagate
+from .evolution import ORDER_TOL, Trajectory, _integrate, _stage_tables, default_n_steps
 from .operator import DispersalOperator
 from .spectrum import PowerIterationError, _spectrum_point
 from .weighted_solver import STATUS_UNIQUE, LambdaPResult, solve_lambda_p
@@ -114,20 +116,28 @@ class Nonlinearity:
 
 def _kpp_flow(op: DispersalOperator, weight: Weight, summary: WeightSummary,
               nonlin: Nonlinearity, lam: float):
-    """``(carrying, steps(duration, scale), run(u, t0, t1, n_steps, record_every=None))``;
-    each ``run`` guards ``[0, 10 * scale]``, ``scale = max(carrying, max u, 1e-30)``."""
+    """``(carrying, steps(duration, scale), run(u, t0, t1, n_steps, record_every=None,
+    linear=False))``; each ``run`` guards ``[0, 10 * scale]``,
+    ``scale = max(carrying, max u, 1e-30)``.  With ``linear`` it runs the
+    linearization at zero instead, under the growth-envelope guard.  The stage
+    tables are built once per ``(t0, t1, n_steps)`` and shared by both flows."""
     growth_sup = abs(lam) * summary.sup_abs
     carrying = nonlin.carrying_scale(growth_sup)  # raises if crowding cannot bound growth
+    tables = {}
 
     def steps(duration, scale):
         return default_n_steps(duration, 1.0, growth_sup + nonlin.penalty(scale))
 
-    def run(u, t0, t1, n_steps, record_every=None):
+    def run(u, t0, t1, n_steps, record_every=None, linear=False):
         scale = max(carrying, float(u.max()), 1e-30)
         if n_steps is None:
             n_steps = steps(t1 - t0, scale)
+        key = (t0, t1, n_steps)
+        if key not in tables:
+            tables[key] = _stage_tables(op, weight, lam, t0, t1, n_steps)
         return _integrate(op, weight, lam, u, t0, t1, n_steps, record_every,
-                          crowding=nonlin.penalty, scale=scale)
+                          crowding=None if linear else nonlin.penalty, scale=scale,
+                          tables=tables[key])
     return carrying, steps, run
 
 
@@ -175,15 +185,14 @@ class PeriodicOrbit:
         return self.verdict == "persistence"
 
 
-def _contraction_factor(op, weight, lam, u, n_steps):
+def _contraction_factor(run, u, period, n_steps):
     """Uniform contraction factor of one linear period applied to ``u``.
 
     Crowding only removes mass, so the nonlinear flow is dominated by the
     linear one; if ``Phi u <= theta u`` with ``theta < 1`` the iterates decay
     at least geometrically from here on and extinction is certain.
     """
-    lin = propagate(op, weight, lam, u, 0.0, weight.period,
-                    n_steps=n_steps, record_every=n_steps).final
+    lin = run(u, 0.0, period, n_steps, linear=True)
     positive = u > 0.0
     if np.any(lin[~positive] > 0.0):
         return math.inf
@@ -192,18 +201,17 @@ def _contraction_factor(op, weight, lam, u, n_steps):
     return float((lin[positive] / u[positive]).max())
 
 
-def _poincare_iterate(op, weight, lam, run, u, n_steps, tol_fix, tol_ext,
-                      max_periods, floor):
+def _poincare_iterate(run, u, period, n_steps, tol_fix, tol_ext, max_periods, floor):
     """Iterate the nonlinear period map ``run`` until it stabilizes or collapses."""
     prev_sup = float(np.abs(u).max())
     for k in range(1, max_periods + 1):
-        nxt = run(u, 0.0, weight.period, n_steps)
+        nxt = run(u, 0.0, period, n_steps)
         sup = float(np.abs(nxt).max())
         diff = float(np.abs(nxt - u).max())
         if sup <= tol_ext * floor:
             return "extinction", nxt, diff, k, "sup norm fell below the extinction floor"
         if sup < 0.5 * floor and sup < prev_sup and k % 5 == 0:
-            theta = _contraction_factor(op, weight, lam, nxt, n_steps)
+            theta = _contraction_factor(run, nxt, period, n_steps)
             if theta < 1.0 - 1e-9:
                 return ("extinction", nxt, diff, k,
                         f"one linear period contracts the state uniformly "
@@ -317,8 +325,8 @@ def find_periodic_solution(op: DispersalOperator, weight: Weight,
 
     def iterate(u0):
         if certificate is None:
-            return _poincare_iterate(op, weight, lam, run, u0, n_steps, tol_fix,
-                                     tol_ext, max_periods, scale)
+            return _poincare_iterate(run, u0, period, n_steps, tol_fix, tol_ext,
+                                     max_periods, scale)
         return _anderson_iterate(run, u0, period, n_steps, tol_fix, max_periods,
                                  sub, scale) + (certificate,)
 

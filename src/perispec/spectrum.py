@@ -13,7 +13,10 @@ one operator.  The certificate still decides, since the stages fall between
 the lattice times on which separability is read.  When it fails from 256 nodes
 on, Arnoldi (ARPACK via ``scipy.sparse.linalg.eigs``) runs from that vector on
 vector periods: a dense map costs ``n^3`` per time step and a vector period
-``n^2``, and the crossover is measured on non-separable weights.  The dense
+``n^2``, and the crossover is measured on non-separable weights.  Every
+product of ``K`` with a vector here (Lanczos, the vector periods, the frozen
+generator's image) goes through ``op.matvec``, which in 2-D reads the kernel
+stencil instead of the dense ``K``.  The dense
 ``n x n`` map, power-iterated from the constant field (safe, as the map has
 nonnegative entries), serves the rest: a non-separable weight or a failed
 certificate below 256 nodes (ARPACK's ``eigs`` needs ``n >= 3``), a
@@ -172,11 +175,10 @@ def _frozen_perron(op: DispersalOperator, m_hat: np.ndarray, lam: float) -> np.n
 
     diag = -op.b + lam * m_hat
     diag = diag + (max(0.0, -float(diag.min())) + 1.0)
-    K = op.K
 
     def matvec(v):
         v = v.ravel()
-        return K @ v + diag * v
+        return op.matvec(v) + diag * v
 
     try:
         _, vecs = eigsh(LinearOperator((op.n, op.n), matvec=matvec, dtype=float), k=1,
@@ -538,7 +540,7 @@ def autonomous_spectrum_point(op: DispersalOperator, m_field: np.ndarray, lam: f
     phi = _frozen_perron(op, m_field, lam)
     if phi is None:
         raise PowerIterationError("no nonnegative Perron vector of the frozen generator")
-    image = op.K @ phi + (lam * m_field - op.b) * phi
+    image = op.matvec(phi) + (lam * m_field - op.b) * phi
     w_phi = op.quad_weights * phi
     mu = float(np.dot(w_phi, image)) / float(np.dot(w_phi, phi))
     residual = float(np.abs(image - mu * phi).max())

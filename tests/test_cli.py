@@ -245,13 +245,19 @@ def test_reruns_are_byte_identical(tmp_path, monkeypatch):
 
 def test_krylov_size_outputs_do_not_depend_on_threads(tmp_path):
     # n = 256 takes the matrix-free route; neither the start vector's solve
-    # nor Arnoldi may see the schedule
-    for k, expr in enumerate([
-        "sin(2*pi*t/T) + cos(2*pi*x) - 0.2",  # the start vector is certified
-        "cos(2*pi*x)*(1 + sin(2*pi*t/T)) - 0.2",  # Arnoldi runs from it
+    # nor Arnoldi may see the schedule, on 1-D grids (GEMV) or on 2-D 16x16
+    # grids (K through its stencil)
+    problem_1d = BASE_PROBLEM.replace("n_per_axis = 24", "n_per_axis = 256")
+    problem_2d = (BASE_PROBLEM.replace("boundary = dirichlet", "boundary = neumann")
+                  .replace("box = 1", "box = 1, 1").replace("n_per_axis = 24", "n_per_axis = 16")
+                  .replace("support_radius = 1.0", "support_radius = 0.5"))
+    for k, (base, expr) in enumerate([
+        (problem_1d, "sin(2*pi*t/T) + cos(2*pi*x) - 0.2"),  # the start vector is certified
+        (problem_1d, "cos(2*pi*x)*(1 + sin(2*pi*t/T)) - 0.2"),  # Arnoldi runs from it
+        (problem_2d, "sin(2*pi*t/T) + cos(2*pi*x)*cos(pi*y) - 0.2"),
+        (problem_2d, "cos(2*pi*x)*cos(pi*y)*(1 + sin(2*pi*t/T)) - 0.2"),
     ]):
-        problem = BASE_PROBLEM.replace("n_per_axis = 24", "n_per_axis = 256").replace(
-            "expr = sin(2*pi*t/T) + cos(2*pi*x) - 0.2", f"expr = {expr}")
+        problem = base.replace("expr = sin(2*pi*t/T) + cos(2*pi*x) - 0.2", f"expr = {expr}")
         cfg = write_ini(tmp_path, problem
                         + "\n[spectrum]\nlambdas = 0.5, 2\ncross_validate = true\n",
                         name=f"config{k}.ini")

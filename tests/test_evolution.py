@@ -1,6 +1,8 @@
 """RK4 propagation, the period map, and order preservation of the flow."""
 
+import dataclasses
 import math
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -418,6 +420,32 @@ def test_period_action_builds_its_stage_tables_once(monkeypatch):
     assert np.array_equal(got[0], stage_scheme_rk4(op, w, 1.7, v, 0.0, 1.3, 77))
     assert np.array_equal(got[1], stage_scheme_rk4(op, w, 1.7, block, 0.0, 1.3, 77))
     assert np.array_equal(got[2], got[0])
+
+
+@pytest.mark.parametrize("n_per_axis", [24, 32])
+def test_two_dimensional_period_goes_through_the_stencil(n_per_axis):
+    # the vector stepper applies K by two small GEMMs: one period matches the
+    # GEMV path to 1e-12 and holds no n x n temporary
+    grid = build_grid(Boundary.NEUMANN, (1.0, 1.0), n_per_axis)
+    op = assemble(make_kernel("parabolic", 0.5, dim=2), grid)
+    gemv = dataclasses.replace(op, rows=None, fold=None)
+    w = closed_form("cos(2*pi*x)*cos(pi*y)*(1 + sin(2*pi*t/T)) - 0.2 + sin(2*pi*t/T)", 1.0)
+    v = np.cos(3.0 * grid.nodes[:, 0]) + grid.nodes[:, 1] + 1.0
+    apply = evolution.period_action(op, w, 1.5, n_steps=64)
+    got = apply(v)
+    ref = evolution.period_action(gemv, w, 1.5, n_steps=64)(v)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    tracemalloc.start()
+    try:
+        again = apply(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(again, got)
+    assert peak < op.K.nbytes / 4
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        threaded = list(pool.map(apply, [v, 2.0 * v, v]))
+    assert np.array_equal(threaded[0], got) and np.array_equal(threaded[2], got)
 
 
 @pytest.mark.parametrize("boundary,n,n_steps", [

@@ -491,6 +491,32 @@ def test_orbit_builds_one_time_lattice(dirichlet_threshold, monkeypatch):
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("factor, short, long", [
+    (0.98, 5, 20),  # plain iterates with linear contraction tests every 5 periods
+    (1.02, 8, 54),  # the certificate, then Anderson mixing and the snapshot
+])
+def test_orbit_builds_its_stage_tables_once(quickstart_threshold, monkeypatch,
+                                            factor, short, long):
+    # every Poincare period shares the orbit's stage tables, so the weight is
+    # tabulated as often for 54 periods as for 8
+    op, w, res = quickstart_threshold
+    calls = []
+    original = perispec.weights.Weight.table
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+    monkeypatch.setattr(perispec.weights.Weight, "table", counting)
+    counts = []
+    for max_periods, used in ((short, short), (500, long)):
+        calls.clear()
+        orbit = find_periodic_solution(op, w, Nonlinearity(), factor * res.lambda_p,
+                                       max_periods=max_periods, check_uniqueness=False)
+        assert orbit.periods_used >= used
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 # ----------------------------------------------------------------- scanning
 
 def test_threshold_scan_brackets_root(dirichlet_threshold):

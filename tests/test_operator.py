@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from perispec.geometry import Boundary, build_grid, make_kernel, wrap_kernel
+from perispec.geometry import Boundary, Grid, build_grid, make_kernel, wrap_kernel
 from perispec.operator import apply_generator, assemble
 from perispec.weights import closed_form
 
@@ -184,6 +184,48 @@ def test_assembly_holds_one_matrix_at_its_peak():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * op.K.nbytes
+
+
+def grid_of(boundary, box, n):
+    """``build_grid``'s grid, also at one node per axis, which it refuses."""
+    if n > 1:
+        return build_grid(boundary, box, n)
+    nodes = np.array([[0.5 * L for L in box]])
+    weights = np.array([float(np.prod(box))])
+    return Grid(boundary, tuple(box), 1, nodes, weights)
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+@pytest.mark.parametrize("box, n, profile, r", [
+    ((1.0, 1.0), 24, "parabolic", 0.5),
+    ((1.0, 0.7), 9, "parabolic", 0.5),    # rectangular: the axes are told apart
+    ((1.3, 0.9), 8, "cosine", 1.7),       # three wrapped translates meet on periodic grids
+    ((1.0, 1.0), 12, "indicator", 1 / 3),  # the support edge on the node offset 4
+    ((0.8, 1.1), 2, "parabolic", 0.9),
+    ((0.8, 1.1), 1, "cosine", 0.6),
+])
+def test_stencil_application_matches_the_matrix(boundary, box, n, profile, r):
+    # the two GEMMs sum in another order than the GEMV: a few ulps of |K| |v|
+    kernel = make_kernel(profile, r, dim=2)
+    if boundary is Boundary.PERIODIC:
+        kernel = wrap_kernel(kernel, box)
+    op = assemble(kernel, grid_of(boundary, box, n))
+    rng = np.random.default_rng(n)
+    for v in (rng.normal(size=op.n), np.ones(op.n), np.eye(op.n)[-1]):
+        image = op.matvec(v)
+        bound = 4.0 * np.finfo(float).eps * (op.K @ np.abs(v))
+        assert np.all(np.abs(image - op.K @ v) <= bound)
+        out = np.empty(op.n)
+        assert op.matvec(v, out=out) is out
+        np.testing.assert_array_equal(out, image)
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_one_dimensional_application_is_the_gemv(boundary):
+    op = make_op(boundary, (1.0,), 48, "cosine", 0.7)
+    v = np.random.default_rng(4).normal(size=op.n)
+    assert op.rows is None and op.fold is None
+    np.testing.assert_array_equal(op.matvec(v), op.K @ v)
 
 
 def test_self_adjoint_in_quadrature_inner_product():
