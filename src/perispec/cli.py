@@ -37,11 +37,11 @@ from .evolution import UnstableStepError
 from .geometry import Boundary, build_grid, make_kernel, wrap_kernel
 from .kpp import MAX_PERIODS, Nonlinearity, find_periodic_solution, summarize_scan
 from .operator import assemble
-from .spectrum import PowerIterationError, _spectrum_point
+from .spectrum import PowerIterationError, principal_spectrum_point
 from .validate import DEFAULT_SEED, run_checks
-from .weighted_solver import (LAMBDA_CAP, STATUS_UNIQUE, TOL_ROOT, _pe_sufficiency,
-                              _solve_lambda_p, solve_lambda_p, upper_bound_lambda_p)
-from .weights import S1Data, WeightExprError, closed_form, load_sampled_csv, summarize
+from .weighted_solver import (LAMBDA_CAP, STATUS_UNIQUE, TOL_ROOT, pe_sufficiency,
+                              solve_lambda_p, upper_bound_lambda_p)
+from .weights import S1Data, WeightExprError, closed_form, load_sampled_csv
 
 TASKS = ("spectrum", "lambda_p", "upper_bound", "kpp_scan", "validate")
 
@@ -337,12 +337,9 @@ def _task_spectrum(cp, op, weight, outdir, threads):
     lams = _parse_lambdas(sec)
     n_steps = _get_int(sec, "n_steps")
     cross = _get_bool(sec, "cross_validate", default=False)
-    # one weight summary serves every coupling
-    weight_summary = summarize(weight, op.grid)
 
     def one(lam):
-        return _spectrum_point(op, weight, weight_summary, lam, n_steps,
-                               with_s_conditions=True, cross_validate=cross)
+        return principal_spectrum_point(op, weight, lam, n_steps, cross_validate=cross)
 
     reports = _map_ordered(one, lams, threads)
     columns = ["lam", "mu_n", "residual", "iterations", "h_hat_min", "h_hat_max",
@@ -387,15 +384,10 @@ def _task_spectrum(cp, op, weight, outdir, threads):
 
 def _task_lambda_p(cp, op, weight, outdir, threads):
     sec = _section(cp, "lambda_p", required=False)
-    n_steps = _get_int(sec, "n_steps")
-    # one weight summary serves the root search, and the spectrum point the
-    # search computed at the root serves the check there
-    weight_summary = summarize(weight, op.grid)
-    res, root_report = _solve_lambda_p(op, weight, weight_summary, n_steps,
-                                       **_root_options(sec))
+    res = solve_lambda_p(op, weight, n_steps=_get_int(sec, "n_steps"), **_root_options(sec))
     pe = None
     if res.status == STATUS_UNIQUE and _get_bool(sec, "check_pe", default=True):
-        pe = _pe_sufficiency(op, weight, weight_summary, root_report)
+        pe = pe_sufficiency(op, weight, res)
 
     _write_curve(outdir / "curve.csv", res.curve)
     summary = {"task": "lambda_p", "config": _config_echo(cp),
@@ -520,7 +512,12 @@ def _task_validate(cp, outdir):
     names = None
     if names_raw:
         names = [tok.strip() for tok in names_raw.split(";") if tok.strip()]
-    results = run_checks(seed, names)
+        if not names:
+            raise ConfigError("checks is empty")
+    try:
+        results = run_checks(seed, names)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
     rows = [[r.name, r.passed, r.detail.replace(",", ";")] for r in results]
     write_csv(outdir / "checks.csv", ["name", "passed", "detail"], rows)

@@ -14,10 +14,10 @@ a unique positive time-periodic state attracts positive initial data.
 The nonlinear flow has no stepper of its own: it hands the crowding term to
 the RK4 stepper of ``evolution``, so both flows step with the same stage
 tables (``m`` at ``t_k + h/2`` and at ``t_k + h``).  ``_kpp_flow`` sets the
-flow up once per ``lam`` from one weight summary (``sup|m|``, the bound check,
-the carrying scale); ``simulate_kpp`` and every orbit period run through it,
-and it builds the stage tables once per step count, so every Poincare period
-and every linear contraction test of an orbit share them.
+flow up once per ``lam`` (``sup|m|`` from the weight's summary, the bound
+check, the carrying scale); ``simulate_kpp`` and every orbit period run
+through it, and it builds the stage tables once per step count, so every
+Poincare period and every linear contraction test of an orbit share them.
 
 The periodic state is found by iterating the period map ``P`` of the
 nonlinear flow from a small positive constant.  Each period is one
@@ -45,9 +45,9 @@ import numpy as np
 
 from .evolution import ORDER_TOL, Trajectory, _integrate, _stage_tables, default_n_steps
 from .operator import DispersalOperator
-from .spectrum import PowerIterationError, _spectrum_point
+from .spectrum import PowerIterationError, principal_spectrum_point
 from .weighted_solver import STATUS_UNIQUE, LambdaPResult, solve_lambda_p
-from .weights import Weight, WeightSummary, summarize
+from .weights import Weight, sup_abs
 
 TOL_FIX = 1e-9
 TOL_EXT = 1e-8
@@ -114,14 +114,13 @@ class Nonlinearity:
         return growth_sup / (self.crowding - self.saturation * growth_sup)
 
 
-def _kpp_flow(op: DispersalOperator, weight: Weight, summary: WeightSummary,
-              nonlin: Nonlinearity, lam: float):
+def _kpp_flow(op: DispersalOperator, weight: Weight, nonlin: Nonlinearity, lam: float):
     """``(carrying, steps(duration, scale), run(u, t0, t1, n_steps, record_every=None,
     linear=False))``; each ``run`` guards ``[0, 10 * scale]``,
     ``scale = max(carrying, max u, 1e-30)``.  With ``linear`` it runs the
     linearization at zero instead, under the growth-envelope guard.  The stage
     tables are built once per ``(t0, t1, n_steps)`` and shared by both flows."""
-    growth_sup = abs(lam) * summary.sup_abs
+    growth_sup = abs(lam) * sup_abs(weight, op.grid)
     carrying = nonlin.carrying_scale(growth_sup)  # raises if crowding cannot bound growth
     tables = {}
 
@@ -159,7 +158,7 @@ def simulate_kpp(op: DispersalOperator, weight: Weight, nonlin: Nonlinearity,
         raise ValueError("initial state must not be identically zero")
     if not t1 > t0:
         raise ValueError("need t1 > t0")
-    _, _, run = _kpp_flow(op, weight, summarize(weight, op.grid), nonlin, lam)
+    _, _, run = _kpp_flow(op, weight, nonlin, lam)
     times, states = run(u0, t0, t1, n_steps, record_every)
     return Trajectory(times, states, np.abs(states).max(axis=1))
 
@@ -223,7 +222,7 @@ def _poincare_iterate(run, u, period, n_steps, tol_fix, tol_ext, max_periods, fl
     return "undecided", u, float("nan"), max_periods, None
 
 
-def _persistence_certificate(op, weight, summary, lam, run, n_steps, carrying):
+def _persistence_certificate(op, weight, lam, run, n_steps, carrying):
     """``(certificate, eps * phi, periods)`` from a sub-solution ``eps * phi``,
     or ``(None, None, periods)``.
 
@@ -234,7 +233,7 @@ def _persistence_certificate(op, weight, summary, lam, run, n_steps, carrying):
     ``periods`` counts the KPP periods the ladder ran.
     """
     try:
-        rep = _spectrum_point(op, weight, summary, lam, n_steps, with_s_conditions=False)
+        rep = principal_spectrum_point(op, weight, lam, n_steps, with_s_conditions=False)
     except PowerIterationError:
         return None, None, 0
     if not rep.mu_n > 0.0:
@@ -314,14 +313,13 @@ def find_periodic_solution(op: DispersalOperator, weight: Weight,
     """
     if max_periods < 1:
         raise ValueError(f"max_periods must be at least 1, got {max_periods}")
-    summary = summarize(weight, op.grid)
-    scale, steps, run = _kpp_flow(op, weight, summary, nonlin, lam)
+    scale, steps, run = _kpp_flow(op, weight, nonlin, lam)
     period = weight.period
     if n_steps is None:
         n_steps = steps(period, scale)
 
     certificate, sub, cert_periods = _persistence_certificate(
-        op, weight, summary, lam, run, n_steps, scale)
+        op, weight, lam, run, n_steps, scale)
 
     def iterate(u0):
         if certificate is None:

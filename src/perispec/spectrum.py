@@ -51,7 +51,7 @@ from .evolution import (CLAMP_TOL, PeriodMap, default_n_steps, period_action,
                         period_map)
 from .geometry import Boundary
 from .operator import DispersalOperator
-from .weights import Weight, WeightSummary, summarize, time_average
+from .weights import Weight, summarize, time_average
 
 POWER_REL_TOL = 1e-12
 POWER_MAX_ITER = 10000
@@ -370,13 +370,9 @@ def _fit_contact_exponent(h: np.ndarray, nodes: np.ndarray, spacing: float) -> f
 
 
 def check_S_conditions(weight: Weight, op: DispersalOperator, lam: float) -> SConditions:
-    return _s_conditions(weight, op, lam, time_average(weight, op.grid))
-
-
-def _s_conditions(weight: Weight, op: DispersalOperator, lam: float,
-                  m_hat: np.ndarray) -> SConditions:
     grid = op.grid
     dim = grid.dim
+    m_hat = time_average(weight, grid)
     m_spread = float(m_hat.max() - m_hat.min())
 
     s2_lhs = abs(lam) * m_spread
@@ -433,13 +429,7 @@ def principal_spectrum_point(op: DispersalOperator, weight: Weight, lam: float,
     it fails, and one for the positivity probe; a certified point, which
     every separable weight gives at any grid size, reads 2.
     """
-    return _spectrum_point(op, weight, summarize(weight, op.grid), lam, n_steps,
-                           with_s_conditions, cross_validate, pmap)
-
-
-def _spectrum_point(op: DispersalOperator, weight: Weight, summary: WeightSummary, lam,
-                    n_steps, with_s_conditions, cross_validate=False, pmap=None):
-    """``principal_spectrum_point`` on a summary that a root search builds once."""
+    summary = summarize(weight, op.grid)
     w = op.quad_weights
     m_hat = summary.m_hat
     if n_steps is None:
@@ -463,7 +453,7 @@ def _spectrum_point(op: DispersalOperator, weight: Weight, summary: WeightSummar
             pmap = period_map(op, weight, lam, n_steps=n_steps)
         ratio, phi, residual, iterations = _power_iteration(pmap.matrix, np.ones(op.n), w)
     mu = math.log(ratio) / weight.period
-    s_conds = _s_conditions(weight, op, lam, m_hat) if with_s_conditions else None
+    s_conds = check_S_conditions(weight, op, lam) if with_s_conditions else None
     report = SpectrumReport(
         mu_n=mu,
         method="period_map_radius",

@@ -207,7 +207,13 @@ CHECKS = (
 
 
 def run_checks(seed: int = DEFAULT_SEED, names=None) -> tuple[CheckResult, ...]:
-    """Run the battery (or the subset matching ``names``) with a seeded RNG."""
+    """Run the battery (or the subset named by ``names``) with a seeded RNG.
+
+    A name that is no check's label is a ``ValueError``, not a skipped check.
+    """
+    unknown = sorted(set(names or ()) - dict(CHECKS).keys())
+    if unknown:
+        raise ValueError(f"unknown check {', '.join(map(repr, unknown))}")
     selected = CHECKS if names is None else tuple(
         (label, fn) for label, fn in CHECKS if label in set(names))
     results = []

@@ -33,15 +33,15 @@ positive or negative once it clears ``tol_root``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .geometry import Boundary
 from .operator import DispersalOperator
-from .spectrum import (SpectrumReport, _s_conditions, _spectrum_point,
-                       autonomous_spectrum_point)
-from .weights import ConditionReport, Weight, WeightSummary, summarize
+from .spectrum import (AutonomousSpectrum, SpectrumReport, autonomous_spectrum_point,
+                       check_S_conditions, principal_spectrum_point)
+from .weights import ConditionReport, Weight, summarize
 
 STATUS_UNIQUE = "unique_root"
 STATUS_NONE = "no_positive_root"
@@ -66,6 +66,8 @@ class LambdaPResult:
     curve: tuple[tuple[float, float], ...]  # sampled (lam, mu) pairs, sorted
     condition_report: ConditionReport
     evidence: str
+    # the spectrum point the search computed at the root (without S-conditions)
+    root_report: SpectrumReport | AutonomousSpectrum | None = field(default=None, compare=False)
 
 
 class _MuCache:
@@ -228,6 +230,7 @@ def _solve_core(mu: _MuCache, boundary: Boundary, cond: ConditionReport,
         curve=mu.curve(),
         condition_report=cond,
         evidence=evidence,
+        root_report=mu.reports.get(lam_p),
     )
 
 
@@ -235,21 +238,13 @@ def solve_lambda_p(op: DispersalOperator, weight: Weight, *,
                    n_steps: int | None = None, tol_root: float = TOL_ROOT,
                    lam_cap: float = LAMBDA_CAP) -> LambdaPResult:
     """Find the positive root of the principal-spectrum-point curve, if any."""
-    return _solve_lambda_p(op, weight, summarize(weight, op.grid), n_steps,
-                           tol_root, lam_cap)[0]
-
-
-def _solve_lambda_p(op: DispersalOperator, weight: Weight, summary: WeightSummary,
-                    n_steps: int | None, tol_root: float, lam_cap: float):
-    """``(result, report)``: ``report`` is the spectrum point (without S-conditions)
-    that the search computed at the root, ``None`` without a root."""
+    summary = summarize(weight, op.grid)
     cond = ConditionReport.from_values(summary.p_value, summary.time_space_integral)
-    mu = _MuCache(lambda lam: _spectrum_point(op, weight, summary, lam, n_steps,
-                                              with_s_conditions=False),
+    mu = _MuCache(lambda lam: principal_spectrum_point(op, weight, lam, n_steps,
+                                                       with_s_conditions=False),
                   lambda report: report.mu_n)
-    res = _solve_core(mu, op.boundary, cond, summary.space_independent,
-                      float(summary.m_hat.mean()), summary.sup_abs, tol_root, lam_cap)
-    return res, mu.reports.get(res.lambda_p)
+    return _solve_core(mu, op.boundary, cond, summary.space_independent,
+                       float(summary.m_hat.mean()), summary.sup_abs, tol_root, lam_cap)
 
 
 @dataclass(frozen=True)
@@ -272,10 +267,10 @@ def upper_bound_lambda_p(op: DispersalOperator, weight: Weight, *,
     averaged problem is autonomous and is solved by the same search logic on
     the exact spectral bound of the frozen generator (no time stepping).
     """
+    res_time = solve_lambda_p(op, weight, n_steps=n_steps, tol_root=tol_root,
+                              lam_cap=lam_cap)
     summary = summarize(weight, op.grid)
-    res_time = _solve_lambda_p(op, weight, summary, n_steps, tol_root, lam_cap)[0]
     m_hat = summary.m_hat
-
     mu_auto = _MuCache(lambda lam: autonomous_spectrum_point(op, m_hat, lam),
                        lambda spec: spec.mu)
     cond_auto = ConditionReport.from_values(weight.period * summary.m_hat_max,
@@ -301,27 +296,21 @@ class PeSufficiency:
     report: SpectrumReport
 
 
-def pe_sufficiency(op: DispersalOperator, weight: Weight, result: LambdaPResult, *,
-                   n_steps: int | None = None) -> PeSufficiency:
+def pe_sufficiency(op: DispersalOperator, weight: Weight,
+                   result: LambdaPResult) -> PeSufficiency:
     """Decide whether the spectrum point at the root is a true eigenvalue.
 
     Analytic sufficiency (smooth flat interior maximum, or divergent contact
     integral) is preferred; the numerical gap classification is the fallback.
+    Only the S-conditions are computed: the spectrum point is ``result.root_report``.
     """
     if result.status != STATUS_UNIQUE or result.lambda_p is None:
         raise ValueError("pe_sufficiency needs a unique_root result")
-    summary = summarize(weight, op.grid)
-    report = _spectrum_point(op, weight, summary, result.lambda_p, n_steps,
-                             with_s_conditions=False)
-    return _pe_sufficiency(op, weight, summary, report)
-
-
-def _pe_sufficiency(op: DispersalOperator, weight: Weight, summary: WeightSummary,
-                    report: SpectrumReport) -> PeSufficiency:
-    """``pe_sufficiency`` on the spectrum point that the root search computed at
-    the root; only the S-conditions are added to it."""
-    report = replace(report, s_conditions=_s_conditions(weight, op, report.lam,
-                                                        summary.m_hat))
+    if not isinstance(result.root_report, SpectrumReport):
+        raise ValueError("pe_sufficiency needs a solve_lambda_p result, which carries the "
+                         "spectrum point at the root; the averaged problem's does not")
+    report = replace(result.root_report,
+                     s_conditions=check_S_conditions(weight, op, result.root_report.lam))
     s = report.s_conditions
     if s.s1 == "yes":
         return PeSufficiency("yes", "S1", report)

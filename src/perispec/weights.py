@@ -14,15 +14,17 @@ The two scalar functionals that drive the existence theory are
 Neither depends on the coupling ``lam``.  ``summarize`` is the one place they
 are computed, with ``sup|m|``, the space-time integral and the weight's
 structure (separable ``m1(x) + m2(t)``, space-independent) from one time
-lattice; the other functionals are views of its ``WeightSummary``, which a
-solve or an orbit builds once.
+lattice; the other functionals are views of its ``WeightSummary``.  The
+summary is kept on the weight, once per grid and lattice size, so every
+spectrum point, root search and orbit of one weight reads the same one.
 """
 
 from __future__ import annotations
 
 import ast
 import math
-from dataclasses import dataclass, replace
+import threading
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -110,6 +112,8 @@ class Weight:
     expr: str | None = None
     samples: np.ndarray | None = None  # (n_time_lattice, n_nodes)
     s1_data: S1Data | None = None
+    # ``summarize``'s results by (id(grid), n_time); ``replace`` starts afresh
+    _summaries: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def is_closed_form(self) -> bool:
@@ -237,29 +241,41 @@ class WeightSummary:
     separable: bool           # m - m_hat spatially constant on the lattice: m1(x) + m2(t)
 
 
+_SUMMARY_LOCK = threading.Lock()
+
+
 def summarize(weight: Weight, grid: Grid, n_time: int = DEFAULT_N_TIME) -> WeightSummary:
-    times, table = _time_lattice(weight, grid, n_time)
-    coeff = np.ones(n_time + 1)
-    coeff[0] = coeff[-1] = 0.5
-    m_hat = (coeff[:, None] * table).sum(axis=0) / n_time
-    m_tilde = table.max(axis=1)
-    p_value = float((coeff * m_tilde).sum() / n_time * weight.period)
-    integral = float(weight.period * np.dot(grid.quad_weights, m_hat))
-    sup = float(np.abs(table).max())
-    spread = float((m_tilde - table.min(axis=1)).max())
-    drift = table - m_hat  # spatially constant rows for m1(x) + m2(t)
-    return WeightSummary(
-        m_hat=_frozen(m_hat),
-        m_tilde=_frozen(m_tilde),
-        times=_frozen(times),
-        p_value=p_value,
-        time_space_integral=integral,
-        m_hat_max=float(m_hat.max()),
-        m_hat_min=float(m_hat.min()),
-        sup_abs=sup,
-        space_independent=spread <= 1e-12 * (1.0 + sup),
-        separable=float((drift.max(axis=1) - drift.min(axis=1)).max()) <= 1e-12 * (1.0 + sup),
-    )
+    """The lam-independent data of ``weight`` on ``grid``, built once per grid and ``n_time``:
+    kept on the weight with the grid, so the key's grid id cannot be reused while
+    the entry lives, and built under a lock, so threads asking at once share it."""
+    key = (id(grid), n_time)
+    with _SUMMARY_LOCK:
+        if key in weight._summaries:
+            return weight._summaries[key][1]
+        times, table = _time_lattice(weight, grid, n_time)
+        coeff = np.ones(n_time + 1)
+        coeff[0] = coeff[-1] = 0.5
+        m_hat = (coeff[:, None] * table).sum(axis=0) / n_time
+        m_tilde = table.max(axis=1)
+        p_value = float((coeff * m_tilde).sum() / n_time * weight.period)
+        integral = float(weight.period * np.dot(grid.quad_weights, m_hat))
+        sup = float(np.abs(table).max())
+        spread = float((m_tilde - table.min(axis=1)).max())
+        drift = table - m_hat  # spatially constant rows for m1(x) + m2(t)
+        summary = WeightSummary(
+            m_hat=_frozen(m_hat),
+            m_tilde=_frozen(m_tilde),
+            times=_frozen(times),
+            p_value=p_value,
+            time_space_integral=integral,
+            m_hat_max=float(m_hat.max()),
+            m_hat_min=float(m_hat.min()),
+            sup_abs=sup,
+            space_independent=spread <= 1e-12 * (1.0 + sup),
+            separable=float((drift.max(axis=1) - drift.min(axis=1)).max()) <= 1e-12 * (1.0 + sup),
+        )
+        weight._summaries[key] = (grid, summary)
+    return summary
 
 
 def time_average(weight: Weight, grid: Grid, n_time: int = DEFAULT_N_TIME) -> np.ndarray:

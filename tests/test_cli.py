@@ -1,6 +1,7 @@
 """Command-line front end: config ingestion, outputs, determinism, exit codes."""
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 import perispec.spectrum
 import perispec.validate
+import perispec.weighted_solver
 import perispec.weights
 from perispec.cli import main
 from perispec.geometry import Boundary, build_grid
@@ -84,8 +86,9 @@ def test_lambda_p_task(tmp_path):
     assert len(curve) > 4
 
 
-def test_lambda_p_task_builds_one_time_lattice(tmp_path, monkeypatch):
-    # the root search and the eigenvalue check at the root share one summary
+@pytest.fixture
+def lattice_calls(monkeypatch):
+    """A list that grows by one entry per weight time lattice built."""
     calls = []
     original = perispec.weights._time_lattice
 
@@ -93,11 +96,76 @@ def test_lambda_p_task_builds_one_time_lattice(tmp_path, monkeypatch):
         calls.append(1)
         return original(*args, **kwargs)
     monkeypatch.setattr(perispec.weights, "_time_lattice", counting)
+    return calls
+
+
+def test_lambda_p_task_builds_one_time_lattice(tmp_path, lattice_calls):
+    # the root search and the eigenvalue check at the root share one summary
     cfg = write_ini(tmp_path, BASE_PROBLEM)
     assert run("lambda_p", cfg, tmp_path / "out") == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["principal_eigenvalue"]["is_principal_eigenvalue"] == "yes"
-    assert len(calls) == 1
+    assert len(lattice_calls) == 1
+
+
+@pytest.mark.parametrize("task, section, threads", [
+    ("spectrum", "\n[spectrum]\nlambdas = 0, 0.5, 1, 2\n", "2"),
+    ("kpp_scan", "\n[kpp_scan]\nlambdas = 0.5, 1.4\n", "1"),
+])
+def test_task_builds_one_time_lattice(tmp_path, lattice_calls, task, section, threads):
+    # the weight keeps its summary: every coupling, worker thread, orbit and
+    # the kpp_scan root search read the one lattice
+    cfg = write_ini(tmp_path, BASE_PROBLEM + section)
+    assert run(task, cfg, tmp_path / "out", "--threads", threads) == 0
+    assert len(lattice_calls) == 1
+
+
+def count_calls(monkeypatch, *functions):
+    """Calls of each function by its name, rebound in every ``perispec`` module that
+    binds it, as a tracer that wraps public names sees them."""
+    modules = [m for name, m in sys.modules.items()
+               if m is not None and (name == "perispec" or name.startswith("perispec."))]
+    counts = {fn.__name__: [] for fn in functions}
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            counts[fn.__name__].append(1)
+            return fn(*args, **kwargs)
+        return wrapper
+    for fn in functions:
+        wrapper = counting(fn)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize("task, section", [
+    ("lambda_p", ""),
+    ("upper_bound", ""),
+    ("spectrum", "\n[spectrum]\nlambdas = 0, 0.5, 1\n"),
+    ("kpp_scan", "\n[kpp_scan]\nlambdas = 0.5, 1.4\n"),
+])
+def test_tasks_go_through_the_public_entry_points(tmp_path, monkeypatch, task, section):
+    # every spectrum point and root search of a task is a call of the
+    # public function, so wrapping those names counts the work
+    counts = count_calls(monkeypatch, perispec.spectrum.principal_spectrum_point,
+                         perispec.weighted_solver.solve_lambda_p)
+    cfg = write_ini(tmp_path, BASE_PROBLEM + section)
+    assert run(task, cfg, tmp_path / "out") == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    points = len(counts["principal_spectrum_point"])
+    solves = len(counts["solve_lambda_p"])
+    if task == "lambda_p":
+        assert "principal_eigenvalue" in summary
+        assert solves == 1 and points == summary["result"]["curve_points"]
+    elif task == "upper_bound":
+        assert solves == 1 and points == summary["time_dependent"]["curve_points"]
+    elif task == "spectrum":
+        assert solves == 0 and points == 3
+    else:
+        assert solves == 1 and points >= summary["threshold"]["curve_points"]
 
 
 NONSEPARABLE_EXPR = "cos(2*pi*x)*(1 + sin(2*pi*t/T)) - 0.2 + sin(2*pi*t/T)"
@@ -211,6 +279,25 @@ def test_validate_with_seed_and_subset(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["seed"] == 123
     assert len(summary["checks"]) == 2
+
+
+@pytest.mark.parametrize("checks", [
+    "kernel mass is normalised to one",
+    "kernel mass is normalized to one; no such check",
+])
+def test_validate_unknown_check_exits_two(tmp_path, capsys, checks):
+    # a misspelt name used to run nothing and report "all 0 checks passed"
+    cfg = write_ini(tmp_path, f"[validate]\nchecks = {checks}\n")
+    assert run("validate", cfg, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "unknown check" in err
+    assert repr(checks.split("; ")[-1]) in err
+
+
+def test_run_checks_refuses_an_unknown_name():
+    with pytest.raises(ValueError, match="'no such check'"):
+        perispec.validate.run_checks(names=["kernel mass is normalized to one",
+                                            "no such check"])
 
 
 def test_validate_failure_exits_one(tmp_path, monkeypatch):

@@ -419,7 +419,7 @@ def test_failed_spectrum_point_leaves_the_plain_iteration(quickstart_threshold, 
 
     def failing(*args, **kwargs):
         raise PowerIterationError("power iteration did not stabilize")
-    monkeypatch.setattr(perispec.kpp, "_spectrum_point", failing)
+    monkeypatch.setattr(perispec.kpp, "principal_spectrum_point", failing)
     orbit = find_periodic_solution(op, w, Nonlinearity(), 2.0 * res.lambda_p,
                                    check_uniqueness=False)
     assert orbit.verdict == "persistence"
@@ -434,8 +434,7 @@ def test_accelerated_iteration_from_a_low_start_stays_above_the_sub_solution(
     op, w, res = quickstart_threshold
     lam = 1.02 * res.lambda_p
     nl = Nonlinearity()
-    carrying, steps, run = perispec.kpp._kpp_flow(
-        op, w, perispec.weights.summarize(w, op.grid), nl, lam)
+    carrying, steps, run = perispec.kpp._kpp_flow(op, w, nl, lam)
     n_steps = steps(w.period, carrying)
     phi = principal_spectrum_point(op, w, lam, n_steps=n_steps,
                                    with_s_conditions=False).eigenfunction
@@ -474,8 +473,9 @@ def test_anderson_mixing_solves_a_slow_affine_contraction():
 
 
 def test_orbit_builds_one_time_lattice(dirichlet_threshold, monkeypatch):
-    # sup|m| once per orbit, not once per Poincare period
-    op, w, res = dirichlet_threshold
+    # sup|m| once per orbit, not once per Poincare period; the fixture's
+    # weight already holds its summary, so each orbit gets a fresh weight
+    op, _, res = dirichlet_threshold
     calls = []
     original = perispec.weights._time_lattice
 
@@ -485,7 +485,8 @@ def test_orbit_builds_one_time_lattice(dirichlet_threshold, monkeypatch):
     monkeypatch.setattr(perispec.weights, "_time_lattice", counting)
     for factor, verdict in ((1.25, "persistence"), (0.8, "extinction")):
         calls.clear()
-        orbit = find_periodic_solution(op, w, Nonlinearity(), factor * res.lambda_p)
+        orbit = find_periodic_solution(op, closed_form(STANDARD_WEIGHT, 1.0), Nonlinearity(),
+                                       factor * res.lambda_p)
         assert orbit.verdict == verdict
         assert orbit.periods_used > 1
         assert len(calls) == 1

@@ -14,10 +14,12 @@ import numpy as np
 import pytest
 
 import perispec
+import perispec.spectrum
+import perispec.weighted_solver
 import perispec.weights
 from perispec.geometry import Boundary, build_grid, make_kernel, wrap_kernel
 from perispec.operator import assemble
-from perispec.spectrum import principal_spectrum_point
+from perispec.spectrum import AutonomousSpectrum, principal_spectrum_point
 from perispec.weighted_solver import (LambdaPResult, pe_sufficiency,
                                       solve_lambda_p, upper_bound_lambda_p)
 from perispec.weights import closed_form
@@ -323,3 +325,37 @@ def test_pe_sufficiency_requires_unique_root():
     res = solve_lambda_p(op, w)
     with pytest.raises(ValueError):
         pe_sufficiency(op, w, res)
+
+
+def test_pe_sufficiency_adds_only_the_s_conditions(monkeypatch):
+    # a non-separable weight takes the dense route; the check at the root
+    # reads the spectrum point the search computed there, at its step count
+    op = make_op(Boundary.DIRICHLET)
+    w = closed_form("cos(2*pi*x)*(1 + sin(2*pi*t/T)) - 0.2", 1.0)
+    res = solve_lambda_p(op, w, n_steps=96)
+    assert res.status == "unique_root"
+    assert res.root_report.lam == res.lambda_p and res.root_report.s_conditions is None
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("pe_sufficiency recomputed the spectrum point")
+    for module in (perispec.spectrum, perispec.weighted_solver):
+        monkeypatch.setattr(module, "principal_spectrum_point", forbidden)
+    for name in ("period_map", "period_action"):
+        monkeypatch.setattr(perispec.spectrum, name, forbidden)
+    suff = pe_sufficiency(op, w, res)
+    assert suff.report.mu_n == res.mu_at_root
+    assert suff.report.s_conditions is not None
+    # the report rides along but takes no part in equality
+    monkeypatch.undo()
+    assert solve_lambda_p(op, w, n_steps=96) == res
+
+
+def test_pe_sufficiency_refuses_the_averaged_root():
+    op = make_op(Boundary.DIRICHLET)
+    w = closed_form(STANDARD_WEIGHT, 1.0)
+    ub = upper_bound_lambda_p(op, w)
+    assert ub.averaged.status == "unique_root"
+    assert isinstance(ub.averaged.root_report, AutonomousSpectrum)
+    with pytest.raises(ValueError, match="averaged"):
+        pe_sufficiency(op, w, ub.averaged)
+    assert pe_sufficiency(op, w, ub.time_dependent).report.lam == ub.time_dependent.lambda_p

@@ -1,12 +1,16 @@
 """Weight fields: evaluation, averaging functionals, and existence conditions."""
 
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import perispec.weights
 from perispec.geometry import Boundary, build_grid
 from perispec.weights import (
     ConditionReport,
@@ -449,6 +453,56 @@ def test_separable_detection(grid, expr, separable):
     assert summarize(w, grid).separable is separable
     # linear interpolation between lattice rows keeps the structure
     assert summarize(sample_closed_form(w, grid, 32), grid).separable is separable
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+def test_summary_is_kept_per_weight_grid_and_lattice(grid, sampled):
+    w = closed_form("sin(2*pi*t/T) + cos(2*pi*x) - 0.2", 1.0)
+    if sampled:
+        w = sample_closed_form(w, grid, 32)
+    s = summarize(w, grid)
+    assert summarize(w, grid) is s
+    assert time_average(w, grid) is s.m_hat
+    other_grid = build_grid(Boundary.DIRICHLET, (1.0,), 16)
+    derived = [w.shifted(0.5), w.scaled(2.0), w + w, 3.0 * w]
+    fresh = [summarize(v, grid) for v in derived]
+    fresh += [summarize(w, other_grid), summarize(w, grid, n_time=128)]
+    assert all(f is not s for f in fresh)
+    assert len({id(f) for f in fresh}) == len(fresh)
+    np.testing.assert_allclose(summarize(w.shifted(0.5), grid).m_hat, s.m_hat + 0.5,
+                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(summarize(w + w, grid).m_hat, 2.0 * s.m_hat, rtol=1e-14)
+    # the kept summaries take no part in equality
+    u = closed_form("x", 1.0)
+    summarize(u, grid)
+    assert u == closed_form("x", 1.0)
+
+
+def test_threads_asking_at_once_share_one_lattice(grid, monkeypatch):
+    calls = []
+    original = perispec.weights._time_lattice
+
+    def slow(*args, **kwargs):
+        calls.append(1)
+        time.sleep(0.05)  # every thread asks while the first lattice is built
+        return original(*args, **kwargs)
+    monkeypatch.setattr(perispec.weights, "_time_lattice", slow)
+    w = closed_form("sin(2*pi*t/T) + cos(2*pi*x)", 1.0)
+    got = []
+    threads = [threading.Thread(target=lambda: got.append(summarize(w, grid)))
+               for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(calls) == 1
+    assert len(got) == 4 and all(s is got[0] for s in got)
 
 
 # --------------------------------------------------- existence conditions
