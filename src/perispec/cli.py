@@ -387,7 +387,7 @@ def _task_lambda_p(cp, op, weight, outdir, threads):
     res = solve_lambda_p(op, weight, n_steps=_get_int(sec, "n_steps"), **_root_options(sec))
     pe = None
     if res.status == STATUS_UNIQUE and _get_bool(sec, "check_pe", default=True):
-        pe = pe_sufficiency(op, weight, res)
+        pe = pe_sufficiency(res)
 
     _write_curve(outdir / "curve.csv", res.curve)
     summary = {"task": "lambda_p", "config": _config_echo(cp),

@@ -233,7 +233,7 @@ def _persistence_certificate(op, weight, lam, run, n_steps, carrying):
     ``periods`` counts the KPP periods the ladder ran.
     """
     try:
-        rep = principal_spectrum_point(op, weight, lam, n_steps, with_s_conditions=False)
+        rep = principal_spectrum_point(op, weight, lam, n_steps)
     except PowerIterationError:
         return None, None, 0
     if not rep.mu_n > 0.0:

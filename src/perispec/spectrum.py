@@ -43,12 +43,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import (CLAMP_TOL, PeriodMap, default_n_steps, period_action,
-                        period_map)
+from .evolution import CLAMP_TOL, PeriodMap, period_action, period_map
 from .geometry import Boundary
 from .operator import DispersalOperator
 from .weights import Weight, summarize, time_average
@@ -103,17 +102,20 @@ class SConditions:
 @dataclass(frozen=True)
 class SpectrumReport:
     mu_n: float
-    method: str                       # "period_map_radius" or "lyapunov_limit"
     lam: float
     eigenfunction: np.ndarray | None  # sup-normalized, nonnegative
     residual: float
     h_hat_min: float
     h_hat_max: float
-    is_principal_eigenvalue: str      # "yes" | "no" | "marginal"
-    s_conditions: SConditions | None
+    s_conditions: SConditions
     iterations: int
     localization_width: float         # eigenfunction mass fraction of the domain
     diagnostics: dict
+
+    @property
+    def is_principal_eigenvalue(self) -> str:
+        """The verdict of ``classify_principal_eigenvalue``: "yes", "no" or "marginal"."""
+        return classify_principal_eigenvalue(self)
 
 
 def _power_iteration(mat: np.ndarray, v0: np.ndarray, w: np.ndarray,
@@ -416,7 +418,6 @@ def _check_s1(weight: Weight, op: DispersalOperator, lam: float, m_hat: np.ndarr
 
 def principal_spectrum_point(op: DispersalOperator, weight: Weight, lam: float,
                              n_steps: int | None = None,
-                             with_s_conditions: bool = True,
                              cross_validate: bool = False,
                              pmap: PeriodMap | None = None) -> SpectrumReport:
     """Principal spectrum point via the period-map spectral radius.
@@ -427,13 +428,12 @@ def principal_spectrum_point(op: DispersalOperator, weight: Weight, lam: float,
     docstring).  Off the dense route ``iterations`` counts vector periods:
     one certifying the start vector, Arnoldi's and one for the residual when
     it fails, and one for the positivity probe; a certified point, which
-    every separable weight gives at any grid size, reads 2.
+    every separable weight gives at any grid size, reads 2.  Every report
+    carries the S-conditions at ``lam``.
     """
     summary = summarize(weight, op.grid)
     w = op.quad_weights
     m_hat = summary.m_hat
-    if n_steps is None:
-        n_steps = default_n_steps(weight.period, lam, summary.sup_abs)
     h = -op.b + lam * m_hat
     h_min, h_max = float(h.min()), float(h.max())
     found = None
@@ -453,28 +453,23 @@ def principal_spectrum_point(op: DispersalOperator, weight: Weight, lam: float,
             pmap = period_map(op, weight, lam, n_steps=n_steps)
         ratio, phi, residual, iterations = _power_iteration(pmap.matrix, np.ones(op.n), w)
     mu = math.log(ratio) / weight.period
-    s_conds = check_S_conditions(weight, op, lam) if with_s_conditions else None
-    report = SpectrumReport(
+    diagnostics = {}
+    if cross_validate:
+        mu_lyap = lyapunov_estimate(op, weight, lam, n_periods=50, n_steps=n_steps,
+                                    pmap=pmap)
+        diagnostics = {"lyapunov_mu": mu_lyap, "method_gap": abs(mu - mu_lyap)}
+    return SpectrumReport(
         mu_n=mu,
-        method="period_map_radius",
         lam=float(lam),
         eigenfunction=phi,
         residual=residual,
         h_hat_min=h_min,
         h_hat_max=h_max,
-        is_principal_eigenvalue="marginal",
-        s_conditions=s_conds,
+        s_conditions=check_S_conditions(weight, op, lam),
         iterations=iterations,
         localization_width=localization_width(phi, w),
-        diagnostics={},
+        diagnostics=diagnostics,
     )
-    report = replace(report, is_principal_eigenvalue=classify_principal_eigenvalue(report))
-    if cross_validate:
-        mu_lyap = lyapunov_estimate(op, weight, lam, n_periods=50, n_steps=n_steps,
-                                     pmap=pmap)
-        report.diagnostics["lyapunov_mu"] = mu_lyap
-        report.diagnostics["method_gap"] = abs(mu - mu_lyap)
-    return report
 
 
 def lyapunov_estimate(op: DispersalOperator, weight: Weight, lam: float,

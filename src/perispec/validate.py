@@ -110,10 +110,8 @@ def check_shift_law(rng) -> tuple[bool, str]:
     op, weight = _random_setup(rng, Boundary.DIRICHLET)
     lam = float(rng.uniform(0.5, 2.0))
     c = float(rng.uniform(-0.4, 0.4))
-    base = principal_spectrum_point(op, weight, lam, n_steps=256,
-                                    with_s_conditions=False).mu_n
-    shifted = principal_spectrum_point(op, weight.shifted(c), lam, n_steps=256,
-                                       with_s_conditions=False).mu_n
+    base = principal_spectrum_point(op, weight, lam, n_steps=256).mu_n
+    shifted = principal_spectrum_point(op, weight.shifted(c), lam, n_steps=256).mu_n
     gap = abs(shifted - (base + lam * c))
     return gap < 1e-8, f"|mu(m + c) - mu(m) - lam c| = {gap:.3e}"
 
@@ -124,18 +122,15 @@ def check_weight_monotonicity(rng) -> tuple[bool, str]:
     bigger = weight + closed_form(f"{bump!r} * (1 + cos(2 * pi * x)) / 2",
                                   period=weight.period)
     lam = float(rng.uniform(0.5, 1.5))
-    lo = principal_spectrum_point(op, weight, lam, n_steps=256,
-                                  with_s_conditions=False).mu_n
-    hi = principal_spectrum_point(op, bigger, lam, n_steps=256,
-                                  with_s_conditions=False).mu_n
+    lo = principal_spectrum_point(op, weight, lam, n_steps=256).mu_n
+    hi = principal_spectrum_point(op, bigger, lam, n_steps=256).mu_n
     return hi >= lo - 1e-10, f"mu(bigger) - mu(base) = {hi - lo:.3e}"
 
 
 def check_essential_floor(rng) -> tuple[bool, str]:
     op, weight = _random_setup(rng, Boundary.DIRICHLET)
     lam = float(rng.uniform(0.0, 2.0))
-    mu = principal_spectrum_point(op, weight, lam, n_steps=256,
-                                  with_s_conditions=False).mu_n
+    mu = principal_spectrum_point(op, weight, lam, n_steps=256).mu_n
     _, h_max = essential_interval(op, weight, lam)
     return mu >= h_max - 1e-8, f"mu - envelope max = {mu - h_max:.3e}"
 
@@ -143,8 +138,7 @@ def check_essential_floor(rng) -> tuple[bool, str]:
 def check_time_averaging(rng) -> tuple[bool, str]:
     op, weight = _random_setup(rng, Boundary.NEUMANN)
     lam = float(rng.uniform(0.5, 1.5))
-    mu = principal_spectrum_point(op, weight, lam, n_steps=256,
-                                  with_s_conditions=False).mu_n
+    mu = principal_spectrum_point(op, weight, lam, n_steps=256).mu_n
     m_hat = summarize(weight, op.grid).m_hat
     mu_avg = autonomous_spectrum_point(op, m_hat, lam).mu
     return mu >= mu_avg - 1e-8, f"mu(m) - mu(average) = {mu - mu_avg:.3e}"
@@ -154,8 +148,7 @@ def check_convexity(rng) -> tuple[bool, str]:
     op, weight = _random_setup(rng, Boundary.DIRICHLET)
     l1 = float(rng.uniform(0.2, 0.6))
     l2 = l1 + float(rng.uniform(0.5, 1.2))
-    mus = [principal_spectrum_point(op, weight, lam, n_steps=512,
-                                    with_s_conditions=False).mu_n
+    mus = [principal_spectrum_point(op, weight, lam, n_steps=512).mu_n
            for lam in (l1, 0.5 * (l1 + l2), l2)]
     slack = 0.5 * (mus[0] + mus[2]) - mus[1]
     return slack >= -1e-9, f"midpoint convexity slack {slack:.3e}"

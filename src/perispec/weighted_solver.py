@@ -33,14 +33,14 @@ positive or negative once it clears ``tol_root``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import Boundary
 from .operator import DispersalOperator
 from .spectrum import (AutonomousSpectrum, SpectrumReport, autonomous_spectrum_point,
-                       check_S_conditions, principal_spectrum_point)
+                       principal_spectrum_point)
 from .weights import ConditionReport, Weight, summarize
 
 STATUS_UNIQUE = "unique_root"
@@ -66,7 +66,7 @@ class LambdaPResult:
     curve: tuple[tuple[float, float], ...]  # sampled (lam, mu) pairs, sorted
     condition_report: ConditionReport
     evidence: str
-    # the spectrum point the search computed at the root (without S-conditions)
+    # the spectrum point the search computed at the root
     root_report: SpectrumReport | AutonomousSpectrum | None = field(default=None, compare=False)
 
 
@@ -240,8 +240,7 @@ def solve_lambda_p(op: DispersalOperator, weight: Weight, *,
     """Find the positive root of the principal-spectrum-point curve, if any."""
     summary = summarize(weight, op.grid)
     cond = ConditionReport.from_values(summary.p_value, summary.time_space_integral)
-    mu = _MuCache(lambda lam: principal_spectrum_point(op, weight, lam, n_steps,
-                                                       with_s_conditions=False),
+    mu = _MuCache(lambda lam: principal_spectrum_point(op, weight, lam, n_steps),
                   lambda report: report.mu_n)
     return _solve_core(mu, op.boundary, cond, summary.space_independent,
                        float(summary.m_hat.mean()), summary.sup_abs, tol_root, lam_cap)
@@ -296,21 +295,19 @@ class PeSufficiency:
     report: SpectrumReport
 
 
-def pe_sufficiency(op: DispersalOperator, weight: Weight,
-                   result: LambdaPResult) -> PeSufficiency:
+def pe_sufficiency(result: LambdaPResult) -> PeSufficiency:
     """Decide whether the spectrum point at the root is a true eigenvalue.
 
     Analytic sufficiency (smooth flat interior maximum, or divergent contact
     integral) is preferred; the numerical gap classification is the fallback.
-    Only the S-conditions are computed: the spectrum point is ``result.root_report``.
+    Nothing is computed: ``result.root_report`` already carries the S-conditions.
     """
     if result.status != STATUS_UNIQUE or result.lambda_p is None:
         raise ValueError("pe_sufficiency needs a unique_root result")
     if not isinstance(result.root_report, SpectrumReport):
         raise ValueError("pe_sufficiency needs a solve_lambda_p result, which carries the "
                          "spectrum point at the root; the averaged problem's does not")
-    report = replace(result.root_report,
-                     s_conditions=check_S_conditions(weight, op, result.root_report.lam))
+    report = result.root_report
     s = report.s_conditions
     if s.s1 == "yes":
         return PeSufficiency("yes", "S1", report)

@@ -115,6 +115,17 @@ class Weight:
     # ``summarize``'s results by (id(grid), n_time); ``replace`` starts afresh
     _summaries: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
+    def __eq__(self, other):
+        # the generated ``__eq__`` compares ``samples`` inside a tuple, which
+        # raises for arrays of more than one element
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if (self.samples is None) != (other.samples is None):
+            return False
+        return (self.period == other.period and self.expr == other.expr
+                and self.s1_data == other.s1_data
+                and (self.samples is None or np.array_equal(self.samples, other.samples)))
+
     @property
     def is_closed_form(self) -> bool:
         return self.expr is not None
@@ -202,8 +213,8 @@ def closed_form(expr: str, period: float, s1_data: S1Data | None = None) -> Weig
 
 
 def from_samples(samples, period: float) -> Weight:
-    """Build a sampled weight from a (time lattice, node) array."""
-    samples = np.asarray(samples, dtype=float)
+    """Build a sampled weight from a (time lattice, node) array, copied."""
+    samples = np.array(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[0] < 2:
         raise ValueError("samples must be a (n_time >= 2, n_nodes) array")
     if not period > 0.0:

@@ -202,21 +202,17 @@ def test_07_convexity_and_ordering_in_lam(ops32):
     lams = np.linspace(0.05, 2.0, 20)
     mus_lo, envelope_slack = [], []
     for lam in lams:
-        rep = principal_spectrum_point(op, w_lo, lam, n_steps=256,
-                                       with_s_conditions=False)
+        rep = principal_spectrum_point(op, w_lo, lam, n_steps=256)
         mus_lo.append(rep.mu_n)
         envelope_slack.append(rep.mu_n - rep.h_hat_max)
-    mus_hi = [principal_spectrum_point(op, w_hi, lam, n_steps=256,
-                                       with_s_conditions=False).mu_n for lam in lams]
+    mus_hi = [principal_spectrum_point(op, w_hi, lam, n_steps=256).mu_n for lam in lams]
     convexity = min(mus_lo[k - 1] + mus_lo[k + 1] - 2.0 * mus_lo[k]
                     for k in range(1, len(lams) - 1))
     ordering = min(hi - lo for hi, lo in zip(mus_hi, mus_lo))
     envelope = min(envelope_slack)
     rep_mid = principal_spectrum_point(op, w_lo, 1.25, n_steps=256)
-    mu_a = principal_spectrum_point(op, w_lo, 0.5, n_steps=256,
-                                    with_s_conditions=False).mu_n
-    mu_b = principal_spectrum_point(op, w_lo, 2.0, n_steps=256,
-                                    with_s_conditions=False).mu_n
+    mu_a = principal_spectrum_point(op, w_lo, 0.5, n_steps=256).mu_n
+    mu_b = principal_spectrum_point(op, w_lo, 2.0, n_steps=256).mu_n
     strict_gap = 0.5 * (mu_a + mu_b) - rep_mid.mu_n
     ok = (convexity >= -1e-8 and ordering >= -1e-8 and envelope >= -1e-8
           and strict_gap > 1e-6 and rep_mid.is_principal_eigenvalue == "yes")

@@ -237,10 +237,8 @@ def test_extinction_below_threshold(dirichlet_threshold):
 
 def test_verdicts_track_spectrum_sign(dirichlet_threshold):
     op, w, res = dirichlet_threshold
-    mu_hi = principal_spectrum_point(op, w, 1.25 * res.lambda_p,
-                                     with_s_conditions=False).mu_n
-    mu_lo = principal_spectrum_point(op, w, 0.8 * res.lambda_p,
-                                     with_s_conditions=False).mu_n
+    mu_hi = principal_spectrum_point(op, w, 1.25 * res.lambda_p).mu_n
+    mu_lo = principal_spectrum_point(op, w, 0.8 * res.lambda_p).mu_n
     assert mu_hi > 1e-3
     assert mu_lo < -1e-3
 
@@ -371,7 +369,7 @@ def test_persistence_is_decided_near_the_threshold(quickstart_threshold, factor)
     eps = float(re.search(r"eps = (\S+) of the carrying scale", orbit.certificate).group(1))
     scale = nl.carrying_scale(lam * sup_abs(w, op.grid))
     n_steps = _plain_iteration(op, w, nl, lam, 0)[1]
-    rep = principal_spectrum_point(op, w, lam, n_steps=n_steps, with_s_conditions=False)
+    rep = principal_spectrum_point(op, w, lam, n_steps=n_steps)
     assert rep.mu_n > 0.0
     sub = eps * scale * rep.eigenfunction
     image = simulate_kpp(op, w, nl, lam, sub, 0.0, w.period, n_steps=n_steps,
@@ -436,8 +434,7 @@ def test_accelerated_iteration_from_a_low_start_stays_above_the_sub_solution(
     nl = Nonlinearity()
     carrying, steps, run = perispec.kpp._kpp_flow(op, w, nl, lam)
     n_steps = steps(w.period, carrying)
-    phi = principal_spectrum_point(op, w, lam, n_steps=n_steps,
-                                   with_s_conditions=False).eigenfunction
+    phi = principal_spectrum_point(op, w, lam, n_steps=n_steps).eigenfunction
     floor = 1e-3 * carrying * phi
     verdict, u, _, used = perispec.kpp._anderson_iterate(
         run, run(floor, 0.0, w.period, n_steps), w.period, n_steps, TOL_FIX, 200,

@@ -1,5 +1,6 @@
 """Principal spectrum points: oracles, envelope bounds, and classification."""
 
+import dataclasses
 import math
 import warnings
 
@@ -16,6 +17,7 @@ from perispec.operator import assemble
 from perispec.spectrum import (
     POWER_MAX_ITER,
     PowerIterationError,
+    SConditions,
     SpectrumReport,
     _krylov_perron,
     _power_iteration,
@@ -67,7 +69,7 @@ def test_power_iteration_matches_dense_eigensolver(boundary):
     op = make_op(boundary, n=16)
     w = closed_form(STANDARD_WEIGHT, 1.0)
     pm = period_map(op, w, 1.0)
-    rep = principal_spectrum_point(op, w, 1.0, pmap=pm, with_s_conditions=False)
+    rep = principal_spectrum_point(op, w, 1.0, pmap=pm)
     rho = float(np.abs(np.linalg.eigvals(pm.matrix)).max())
     assert rep.mu_n == pytest.approx(math.log(rho) / 1.0, abs=1e-10)
 
@@ -93,7 +95,7 @@ def test_autonomous_route_without_a_perron_vector_is_an_error(monkeypatch):
 def test_periodic_route_agrees_with_autonomous_for_frozen_weight():
     op = make_op(Boundary.NEUMANN, n=20)
     w = closed_form("cos(2*pi*x) - 0.2", 1.0)
-    rep = principal_spectrum_point(op, w, 1.0, n_steps=256, with_s_conditions=False)
+    rep = principal_spectrum_point(op, w, 1.0, n_steps=256)
     auto = autonomous_spectrum_point(op, w.evaluate(0.0, op.grid), 1.0)
     assert rep.mu_n == pytest.approx(auto.mu, abs=1e-7)
 
@@ -188,6 +190,33 @@ def test_failed_certificate_below_the_crossover_takes_the_dense_route(failure, m
     np.testing.assert_array_equal(rep.eigenfunction, dense.eigenfunction)
 
 
+# every route builds its report whole: the S-conditions ride on it, and the
+# verdict is read from its fields, so a copy with another residual cannot keep
+# a stale one
+ROUTE_CASES = [
+    pytest.param(32, NONSEPARABLE_1D, True, id="dense-pmap"),
+    pytest.param(64, STANDARD_WEIGHT, False, id="certified-separable"),
+    pytest.param(256, NONSEPARABLE_1D, False, id="arnoldi-256"),
+]
+
+
+@pytest.mark.parametrize("n, expr, dense", ROUTE_CASES)
+def test_every_route_carries_s_conditions_and_its_own_verdict(n, expr, dense, monkeypatch):
+    op = make_op(Boundary.DIRICHLET, n=n)
+    w = closed_form(expr, 1.0)
+    pmap = period_map(op, w, 1.0) if dense else None
+    if not dense:
+        forbid_period_map(monkeypatch)
+    rep = principal_spectrum_point(op, w, 1.0, pmap=pmap)
+    if not dense:
+        assert (rep.iterations == 2) == (expr == STANDARD_WEIGHT)
+    assert rep.s_conditions == check_S_conditions(w, op, 1.0)
+    assert rep.is_principal_eigenvalue == classify_principal_eigenvalue(rep) == "yes"
+    unconverged = dataclasses.replace(rep, residual=1.0)
+    assert unconverged.is_principal_eigenvalue == "marginal"
+    assert classify_principal_eigenvalue(unconverged) == "marginal"
+
+
 def test_krylov_route_counts_vector_periods(monkeypatch):
     periods = []
     original = perispec.spectrum.period_action
@@ -206,8 +235,7 @@ def test_krylov_route_counts_vector_periods(monkeypatch):
         (make_op_2d(16), NONSEPARABLE_2D, 10, 100),
     ]:
         periods.clear()
-        rep = principal_spectrum_point(op, closed_form(expr, 1.0), 1.0,
-                                       with_s_conditions=False)
+        rep = principal_spectrum_point(op, closed_form(expr, 1.0), 1.0)
         assert rep.iterations == len(periods)
         assert lo <= rep.iterations <= hi
 
@@ -366,7 +394,7 @@ def test_mass_conserving_zero_point(boundary):
     # constants are equilibria, so the spectrum point at lam = 0 is exactly 0
     op = make_op(boundary)
     w = closed_form(STANDARD_WEIGHT, 1.0)
-    rep = principal_spectrum_point(op, w, 0.0, with_s_conditions=False)
+    rep = principal_spectrum_point(op, w, 0.0)
     assert abs(rep.mu_n) < 1e-10
     assert rep.residual < 1e-10
     np.testing.assert_allclose(rep.eigenfunction, 1.0, atol=1e-9)
@@ -375,7 +403,7 @@ def test_mass_conserving_zero_point(boundary):
 def test_dirichlet_zero_point_negative():
     op = make_op(Boundary.DIRICHLET, n=64)
     w = closed_form(STANDARD_WEIGHT, 1.0)
-    rep = principal_spectrum_point(op, w, 0.0, with_s_conditions=False)
+    rep = principal_spectrum_point(op, w, 0.0)
     assert rep.mu_n < -1e-3
 
 
@@ -387,7 +415,7 @@ def test_lyapunov_route_agrees_with_period_map(boundary, lam):
     op = make_op(boundary)
     w = closed_form(STANDARD_WEIGHT, 1.0)
     pm = period_map(op, w, lam)
-    rep = principal_spectrum_point(op, w, lam, pmap=pm, with_s_conditions=False)
+    rep = principal_spectrum_point(op, w, lam, pmap=pm)
     mu_lyap = lyapunov_estimate(op, w, lam, n_periods=400, pmap=pm)
     assert abs(rep.mu_n - mu_lyap) < 1e-6
 
@@ -446,7 +474,7 @@ def test_envelope_shifts_with_weight_average():
 def test_spectrum_point_dominates_envelope(boundary, lam):
     op = make_op(boundary)
     w = closed_form(STANDARD_WEIGHT, 1.0)
-    rep = principal_spectrum_point(op, w, lam, with_s_conditions=False)
+    rep = principal_spectrum_point(op, w, lam)
     assert rep.mu_n >= rep.h_hat_max - 1e-8
 
 
@@ -455,7 +483,7 @@ def test_time_averaging_lower_bound():
     for boundary in Boundary:
         op = make_op(boundary)
         w = closed_form(STANDARD_WEIGHT, 1.0)
-        rep = principal_spectrum_point(op, w, 1.5, with_s_conditions=False)
+        rep = principal_spectrum_point(op, w, 1.5)
         auto = autonomous_spectrum_point(op, time_average(w, op.grid), 1.5)
         assert rep.mu_n >= auto.mu - 1e-8
 
@@ -466,9 +494,8 @@ def test_shift_law_for_spectrum_point():
     op = make_op(Boundary.DIRICHLET)
     w = closed_form(STANDARD_WEIGHT, 1.0)
     lam, c = 1.2, 0.45
-    mu = principal_spectrum_point(op, w, lam, n_steps=192, with_s_conditions=False).mu_n
-    mu_shift = principal_spectrum_point(op, w.shifted(c), lam, n_steps=192,
-                                        with_s_conditions=False).mu_n
+    mu = principal_spectrum_point(op, w, lam, n_steps=192).mu_n
+    mu_shift = principal_spectrum_point(op, w.shifted(c), lam, n_steps=192).mu_n
     assert mu_shift == pytest.approx(mu + lam * c, abs=1e-9)
 
 
@@ -476,10 +503,8 @@ def test_monotone_in_the_weight():
     op = make_op(Boundary.NEUMANN)
     base = closed_form(STANDARD_WEIGHT, 1.0)
     bump = closed_form("0.3 * (1 + cos(2*pi*x))", 1.0)  # nonnegative
-    mu_lo = principal_spectrum_point(op, base, 1.0, n_steps=192,
-                                     with_s_conditions=False).mu_n
-    mu_hi = principal_spectrum_point(op, base + bump, 1.0, n_steps=192,
-                                     with_s_conditions=False).mu_n
+    mu_lo = principal_spectrum_point(op, base, 1.0, n_steps=192).mu_n
+    mu_hi = principal_spectrum_point(op, base + bump, 1.0, n_steps=192).mu_n
     assert mu_hi >= mu_lo - 1e-10
 
 
@@ -489,9 +514,8 @@ def test_continuity_in_the_weight():
     w = closed_form(STANDARD_WEIGHT, 1.0)
     eps = 0.01
     g = closed_form(f"({eps!r}) * sin(2*pi*x)", 1.0)  # |g| <= eps
-    mu = principal_spectrum_point(op, w, 1.0, n_steps=192, with_s_conditions=False).mu_n
-    mu_pert = principal_spectrum_point(op, w + g, 1.0, n_steps=192,
-                                       with_s_conditions=False).mu_n
+    mu = principal_spectrum_point(op, w, 1.0, n_steps=192).mu_n
+    mu_pert = principal_spectrum_point(op, w + g, 1.0, n_steps=192).mu_n
     assert abs(mu_pert - mu) <= eps + 1e-8
 
 
@@ -500,8 +524,7 @@ def test_midpoint_convexity_in_lam():
     w = closed_form(STANDARD_WEIGHT, 1.0)
 
     def mu(lam):
-        return principal_spectrum_point(op, w, lam, n_steps=256,
-                                        with_s_conditions=False).mu_n
+        return principal_spectrum_point(op, w, lam, n_steps=256).mu_n
 
     for lo, hi in [(0.0, 1.0), (0.5, 2.0), (1.0, 3.0)]:
         assert mu(0.5 * (lo + hi)) <= 0.5 * (mu(lo) + mu(hi)) + 1e-9
@@ -511,7 +534,7 @@ def test_strict_convexity_on_space_dependent_weight():
     op = make_op(Boundary.DIRICHLET)
     w = closed_form("cos(2*pi*x)", 1.0)
     n = 256
-    mus = [principal_spectrum_point(op, w, lam, n_steps=n, with_s_conditions=False).mu_n
+    mus = [principal_spectrum_point(op, w, lam, n_steps=n).mu_n
            for lam in (0.0, 1.0, 2.0)]
     assert 0.5 * (mus[0] + mus[2]) - mus[1] > 1e-6
 
@@ -520,7 +543,7 @@ def test_space_independent_weight_is_affine_in_lam():
     # m = a(t): mu(lam) = mu(0) + lam * mean(a), exactly linear
     op = make_op(Boundary.NEUMANN)
     w = closed_form("0.5 + 0.3*sin(2*pi*t/T)", 1.0)
-    mus = [principal_spectrum_point(op, w, lam, n_steps=256, with_s_conditions=False).mu_n
+    mus = [principal_spectrum_point(op, w, lam, n_steps=256).mu_n
            for lam in (0.0, 1.0, 2.0)]
     assert mus[0] == pytest.approx(0.0, abs=1e-10)
     assert mus[1] == pytest.approx(0.5, abs=1e-8)
@@ -531,9 +554,9 @@ def test_space_independent_weight_is_affine_in_lam():
 
 def _report_with(mu, h_max, residual):
     return SpectrumReport(
-        mu_n=mu, method="period_map_radius", lam=1.0, eigenfunction=None,
+        mu_n=mu, lam=1.0, eigenfunction=None,
         residual=residual, h_hat_min=h_max - 1.0, h_hat_max=h_max,
-        is_principal_eigenvalue="marginal", s_conditions=None, iterations=10,
+        s_conditions=SConditions("unknown", "no", "no", 2.0, 1.0, 0.5), iterations=10,
         localization_width=0.5, diagnostics={},
     )
 
@@ -746,11 +769,8 @@ def test_report_bookkeeping():
     op = make_op(Boundary.DIRICHLET, n=16)
     w = closed_form(STANDARD_WEIGHT, 1.0)
     rep = principal_spectrum_point(op, w, 0.8)
-    assert rep.method == "period_map_radius"
     assert rep.lam == 0.8
     assert rep.iterations >= 1
     assert float(rep.eigenfunction.max()) == pytest.approx(1.0)
     assert np.all(rep.eigenfunction >= 0.0)
-    assert rep.s_conditions is not None
-    rep_bare = principal_spectrum_point(op, w, 0.8, with_s_conditions=False)
-    assert rep_bare.s_conditions is None
+    assert rep.diagnostics == {}

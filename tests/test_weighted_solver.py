@@ -8,6 +8,7 @@ iteration, so agreement is evidence that both halves are right.
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ import perispec.weighted_solver
 import perispec.weights
 from perispec.geometry import Boundary, build_grid, make_kernel, wrap_kernel
 from perispec.operator import assemble
-from perispec.spectrum import AutonomousSpectrum, principal_spectrum_point
+from perispec.spectrum import AutonomousSpectrum, check_S_conditions, principal_spectrum_point
 from perispec.weighted_solver import (LambdaPResult, pe_sufficiency,
                                       solve_lambda_p, upper_bound_lambda_p)
 from perispec.weights import closed_form
@@ -73,7 +74,7 @@ def test_dirichlet_time_only_weight_closed_form():
     # to the time mean, so the root has an exact expression
     op = make_op(Boundary.DIRICHLET)
     w = closed_form("0.6 + 0.4*sin(2*pi*t/T)", 1.0)
-    mu0 = principal_spectrum_point(op, w, 0.0, with_s_conditions=False).mu_n
+    mu0 = principal_spectrum_point(op, w, 0.0).mu_n
     assert mu0 < 0.0
     res = solve_lambda_p(op, w)
     assert res.status == "unique_root"
@@ -313,7 +314,7 @@ def test_pe_sufficiency_quadratic_max_via_contact_exponent():
     op = make_op(Boundary.DIRICHLET)
     w = closed_form(STANDARD_WEIGHT, 1.0)
     res = solve_lambda_p(op, w)
-    suff = pe_sufficiency(op, w, res)
+    suff = pe_sufficiency(res)
     assert suff.is_principal_eigenvalue == "yes"
     assert suff.basis in ("S1", "S3", "gap")
     assert suff.report.lam == pytest.approx(res.lambda_p)
@@ -324,7 +325,7 @@ def test_pe_sufficiency_requires_unique_root():
     w = closed_form("sin(2*pi*t/T)", 1.0)
     res = solve_lambda_p(op, w)
     with pytest.raises(ValueError):
-        pe_sufficiency(op, w, res)
+        pe_sufficiency(res)
 
 
 def test_pe_sufficiency_adds_only_the_s_conditions(monkeypatch):
@@ -334,20 +335,43 @@ def test_pe_sufficiency_adds_only_the_s_conditions(monkeypatch):
     w = closed_form("cos(2*pi*x)*(1 + sin(2*pi*t/T)) - 0.2", 1.0)
     res = solve_lambda_p(op, w, n_steps=96)
     assert res.status == "unique_root"
-    assert res.root_report.lam == res.lambda_p and res.root_report.s_conditions is None
+    assert res.root_report.lam == res.lambda_p
+    assert res.root_report.s_conditions == check_S_conditions(w, op, res.lambda_p)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("pe_sufficiency recomputed the spectrum point")
     for module in (perispec.spectrum, perispec.weighted_solver):
         monkeypatch.setattr(module, "principal_spectrum_point", forbidden)
+        monkeypatch.setattr(module, "check_S_conditions", forbidden, raising=False)
     for name in ("period_map", "period_action"):
         monkeypatch.setattr(perispec.spectrum, name, forbidden)
-    suff = pe_sufficiency(op, w, res)
-    assert suff.report.mu_n == res.mu_at_root
-    assert suff.report.s_conditions is not None
+    suff = pe_sufficiency(res)
+    assert suff.report is res.root_report
     # the report rides along but takes no part in equality
     monkeypatch.undo()
     assert solve_lambda_p(op, w, n_steps=96) == res
+
+
+# the weights of the acceptance suite's twelve cases, a non-separable one
+# (dense route) and a cusp, whose envelope has no quadratic cap for the
+# contact-exponent fit
+WARNING_FREE_WEIGHTS = [
+    STANDARD_WEIGHT, "-0.5 + 0.25*cos(2*pi*x)", "cos(2*pi*x) + 0.2", "sin(2*pi*t/T)",
+    "cos(2*pi*x)*(1 + sin(2*pi*t/T)) - 0.2", "-((x - 0.5)**2)**0.25",
+]
+
+
+def test_root_search_with_s_conditions_emits_no_warning():
+    # every point of the search fits the contact exponent
+    for boundary in Boundary:
+        op = make_op(boundary)
+        for expr in WARNING_FREE_WEIGHTS:
+            w = closed_form(expr, 1.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = solve_lambda_p(op, w)
+            if res.status == "unique_root":
+                assert res.root_report.s_conditions == check_S_conditions(w, op, res.lambda_p)
 
 
 def test_pe_sufficiency_refuses_the_averaged_root():
@@ -357,5 +381,5 @@ def test_pe_sufficiency_refuses_the_averaged_root():
     assert ub.averaged.status == "unique_root"
     assert isinstance(ub.averaged.root_report, AutonomousSpectrum)
     with pytest.raises(ValueError, match="averaged"):
-        pe_sufficiency(op, w, ub.averaged)
-    assert pe_sufficiency(op, w, ub.time_dependent).report.lam == ub.time_dependent.lambda_p
+        pe_sufficiency(ub.averaged)
+    assert pe_sufficiency(ub.time_dependent).report.lam == ub.time_dependent.lambda_p

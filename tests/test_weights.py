@@ -207,6 +207,27 @@ def test_from_samples_validation():
         from_samples(bad, 1.0)
 
 
+def test_from_samples_copies_the_callers_array():
+    a = np.ones((4, 3))
+    w = from_samples(a, 1.0)
+    assert w.samples is not a and not w.samples.flags.writeable
+    a[0, 0] = 2.0
+    assert w.samples[0, 0] == 1.0
+
+
+def test_sampled_weights_compare_by_value():
+    a = np.ones((4, 3))
+    b = a.copy()
+    b[1, 2] = 0.5
+    w = from_samples(a, 1.0)
+    assert w == from_samples(a.copy(), 1.0)
+    assert w != from_samples(b, 1.0)
+    assert w != from_samples(np.ones((4, 4)), 1.0)
+    assert w != from_samples(a, 2.0)
+    assert w != closed_form("1", 1.0) and closed_form("1", 1.0) != w
+    assert w != "not a weight"
+
+
 def test_sample_closed_form_matches_on_lattice(grid):
     w = closed_form("sin(2*pi*t/T) * (1 + x)", 0.5)
     ws = sample_closed_form(w, grid, 32)
