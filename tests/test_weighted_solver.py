@@ -336,17 +336,18 @@ def test_pe_sufficiency_adds_only_the_s_conditions(monkeypatch):
     res = solve_lambda_p(op, w, n_steps=96)
     assert res.status == "unique_root"
     assert res.root_report.lam == res.lambda_p
+    assert res.root_report.mu_n == res.mu_at_root
     assert res.root_report.s_conditions == check_S_conditions(w, op, res.lambda_p)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("pe_sufficiency recomputed the spectrum point")
     for module in (perispec.spectrum, perispec.weighted_solver):
         monkeypatch.setattr(module, "principal_spectrum_point", forbidden)
-        monkeypatch.setattr(module, "check_S_conditions", forbidden, raising=False)
-    for name in ("period_map", "period_action"):
+    for name in ("check_S_conditions", "period_map", "period_action"):
         monkeypatch.setattr(perispec.spectrum, name, forbidden)
     suff = pe_sufficiency(res)
     assert suff.report is res.root_report
+    assert suff.report.mu_n == res.mu_at_root
     # the report rides along but takes no part in equality
     monkeypatch.undo()
     assert solve_lambda_p(op, w, n_steps=96) == res
@@ -361,7 +362,7 @@ WARNING_FREE_WEIGHTS = [
 ]
 
 
-def test_root_search_with_s_conditions_emits_no_warning():
+def test_root_search_fitting_s_conditions_emits_no_warning():
     # every point of the search fits the contact exponent
     for boundary in Boundary:
         op = make_op(boundary)
