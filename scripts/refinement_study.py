@@ -7,8 +7,8 @@ consecutive levels (midpoint quadrature puts the expected order near 2).
 import argparse
 import math
 
-from perispec.geometry import Boundary, build_grid, make_kernel, wrap_kernel
-from perispec.operator import assemble
+from perispec.geometry import Boundary
+from perispec.operator import Problem
 from perispec.weighted_solver import solve_lambda_p
 from perispec.weights import closed_form
 
@@ -27,17 +27,15 @@ def main(argv=None) -> int:
     ap.add_argument("--levels", type=int, default=4)
     args = ap.parse_args(argv)
 
-    boundary = Boundary(args.boundary)
-    weight = closed_form(args.weight, args.period)
-    kernel = make_kernel("parabolic", args.radius)
+    problem = Problem(Boundary(args.boundary), (1.0,), "parabolic", args.radius,
+                      closed_form(args.weight, args.period))
 
     values = []
     print(f"{'n':>6s} {'steps':>7s} {'lambda_p':>16s} {'drift':>12s} {'order':>7s}")
     for level in range(args.levels):
         n = args.n0 * 2 ** level
         steps = args.steps0 * 2 ** level
-        kern = wrap_kernel(kernel, (1.0,)) if boundary is Boundary.PERIODIC else kernel
-        op = assemble(kern, build_grid(boundary, (1.0,), n))
+        op, weight = problem.at(n)
         res = solve_lambda_p(op, weight, n_steps=steps)
         if res.status != "unique_root":
             print(f"{n:6d} {steps:7d}  status={res.status}; stopping")

@@ -10,8 +10,8 @@ import pathlib
 
 import numpy as np
 
-from perispec.geometry import Boundary, build_grid, make_kernel, wrap_kernel
-from perispec.operator import assemble
+from perispec.geometry import Boundary
+from perispec.operator import Problem
 from perispec.spectrum import principal_spectrum_point
 from perispec.weights import closed_form
 
@@ -34,11 +34,9 @@ def main(argv=None) -> int:
 
     weight = closed_form(args.weight, args.period)
     lams = np.linspace(args.lam_min, args.lam_max, args.count)
-    kernel = make_kernel("parabolic", args.radius)
     rows = []
     for boundary in Boundary:
-        kern = wrap_kernel(kernel, (1.0,)) if boundary is Boundary.PERIODIC else kernel
-        op = assemble(kern, build_grid(boundary, (1.0,), args.n))
+        op, _ = Problem(boundary, (1.0,), "parabolic", args.radius, weight).at(args.n)
         print(f"\n{boundary.value}  (n={args.n}, steps={args.n_steps})")
         print(f"{'lam':>8s} {'mu':>14s} {'envelope_top':>13s} {'eigenvalue':>11s}")
         mus = []

@@ -8,21 +8,13 @@ import argparse
 import csv
 import pathlib
 
-from perispec.geometry import Boundary, build_grid, make_kernel, wrap_kernel
+from perispec.geometry import Boundary
 from perispec.kpp import Nonlinearity, threshold_scan
-from perispec.operator import assemble
+from perispec.operator import Problem
 from perispec.weighted_solver import solve_lambda_p
 from perispec.weights import closed_form
 
 DEFAULT_WEIGHT = "cos(2*pi*x) - 0.2 + sin(2*pi*t/T)"
-
-
-def build_operator(boundary: Boundary, box: float, n: int, radius: float):
-    grid = build_grid(boundary, (box,), n)
-    kernel = make_kernel("parabolic", radius)
-    if boundary is Boundary.PERIODIC:
-        kernel = wrap_kernel(kernel, (box,))
-    return assemble(kernel, grid)
 
 
 def main(argv=None) -> int:
@@ -42,8 +34,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     boundary = Boundary(args.boundary)
-    op = build_operator(boundary, args.box, args.n, args.radius)
-    weight = closed_form(args.weight, args.period)
+    op, weight = Problem(boundary, (args.box,), "parabolic", args.radius,
+                         closed_form(args.weight, args.period)).at(args.n)
 
     res = solve_lambda_p(op, weight)
     cond = res.condition_report

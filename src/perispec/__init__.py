@@ -16,7 +16,7 @@ from .geometry import (Boundary, Grid, Kernel, WrappedKernel, build_grid,
 from .kpp import (Nonlinearity, PeriodicOrbit, ThresholdScan,
                   find_periodic_solution, simulate_kpp, summarize_scan,
                   threshold_scan)
-from .operator import DispersalOperator, apply_generator, assemble
+from .operator import DispersalOperator, Problem, apply_generator, assemble
 from .spectrum import (AutonomousSpectrum, PowerIterationError, SConditions,
                        SpectrumReport, autonomous_spectrum_point,
                        check_S_conditions, classify_principal_eigenvalue,
@@ -37,7 +37,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AutonomousSpectrum", "Boundary", "CheckResult", "ConditionReport",
     "DispersalOperator", "Grid", "Kernel", "LambdaPResult", "Nonlinearity",
-    "PeSufficiency", "PeriodMap", "PeriodicOrbit", "PowerIterationError",
+    "PeSufficiency", "PeriodMap", "PeriodicOrbit", "PowerIterationError", "Problem",
     "S1Data", "SConditions", "SpectrumReport", "ThresholdScan", "Trajectory",
     "UnstableStepError", "UpperBoundResult", "Weight", "WeightExprError",
     "WeightSummary", "WrappedKernel", "apply_generator", "assemble",

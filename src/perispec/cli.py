@@ -34,14 +34,14 @@ import numpy as np
 
 from ._io import fmt, write_csv, write_json, write_text
 from .evolution import UnstableStepError
-from .geometry import Boundary, build_grid, make_kernel, wrap_kernel
+from .geometry import Boundary
 from .kpp import MAX_PERIODS, Nonlinearity, find_periodic_solution, summarize_scan
-from .operator import assemble
+from .operator import Problem
 from .spectrum import PowerIterationError, principal_spectrum_point
 from .validate import DEFAULT_SEED, run_checks
 from .weighted_solver import (LAMBDA_CAP, STATUS_UNIQUE, TOL_ROOT, pe_sufficiency,
                               solve_lambda_p, upper_bound_lambda_p)
-from .weights import S1Data, WeightExprError, closed_form, load_sampled_csv
+from .weights import S1Data, closed_form, load_sampled_csv
 
 TASKS = ("spectrum", "lambda_p", "upper_bound", "kpp_scan", "validate")
 
@@ -163,18 +163,10 @@ def _build_problem(cp, config_dir: Path):
         boundary = Boundary(raw_boundary.lower())
     except ValueError:
         raise ConfigError(f"unknown boundary {raw_boundary!r}") from None
-    box = _float_list("box", _get(sec, "box", required=True))
+    box = tuple(_float_list("box", _get(sec, "box", required=True)))
     n_per_axis = _get_int(sec, "n_per_axis", required=True)
     profile = _get(sec, "kernel", required=True)
     radius = _get_float(sec, "support_radius", required=True)
-    try:
-        grid = build_grid(boundary, box, n_per_axis)
-        kernel = make_kernel(profile, radius, dim=len(box))
-        if boundary is Boundary.PERIODIC:
-            kernel = wrap_kernel(kernel, box)
-        op = assemble(kernel, grid)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
     wsec = _section(cp, "weight")
     period = _get_float(wsec, "period", required=True)
@@ -199,15 +191,9 @@ def _build_problem(cp, config_dir: Path):
             if not path.is_absolute():
                 path = config_dir / path
             weight = load_sampled_csv(path, period)
-            if weight.samples.shape[1] != grid.n:
-                raise ConfigError(
-                    f"sampled weight has {weight.samples.shape[1]} nodes, "
-                    f"grid has {grid.n}")
-    except (WeightExprError, ValueError, OSError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+        return Problem(boundary, box, profile, radius, weight).at(n_per_axis)
+    except (ValueError, OSError) as exc:
         raise ConfigError(str(exc)) from None
-    return op, weight
 
 
 def _config_echo(cp):

@@ -55,8 +55,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .geometry import Boundary, Grid, Kernel, WrappedKernel
-from .weights import Weight
+from .geometry import (Boundary, Grid, Kernel, WrappedKernel, build_grid, make_kernel,
+                       wrap_kernel)
+from .weights import Weight, summarize
 
 
 @dataclass(frozen=True)
@@ -135,6 +136,33 @@ def assemble(kernel: Kernel | WrappedKernel, grid: Grid) -> DispersalOperator:
     K.setflags(write=False)
     b.setflags(write=False)
     return DispersalOperator(kernel, grid, K, b, rows, fold)
+
+
+@dataclass(frozen=True)
+class Problem:
+    """One problem at any grid size: boundary, box, kernel profile and radius, weight."""
+
+    boundary: Boundary
+    box: tuple[float, ...]
+    profile: str
+    radius: float
+    weight: Weight
+
+    def at(self, n_per_axis: int) -> tuple[DispersalOperator, Weight]:
+        """The operator on ``n_per_axis`` cells per axis, and the weight summarized on its grid.
+
+        Periodic grids get the kernel wrapped over the box.  A weight that does
+        not fit the grid (a sampled weight with another node count, ``y`` on a
+        1-D grid, a value that is not finite on the time lattice) raises
+        ``Weight.table``'s ``ValueError`` here, not inside a task.
+        """
+        grid = build_grid(self.boundary, self.box, n_per_axis)
+        kernel = make_kernel(self.profile, self.radius, dim=grid.dim)
+        if grid.boundary is Boundary.PERIODIC:
+            kernel = wrap_kernel(kernel, grid.box)
+        op = assemble(kernel, grid)
+        summarize(self.weight, grid)
+        return op, self.weight
 
 
 def apply_generator(op: DispersalOperator, weight: Weight, lam: float, t: float, u: np.ndarray) -> np.ndarray:

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import period_map, propagate
-from .geometry import Boundary, build_grid, make_kernel, wrap_kernel
+from .geometry import Boundary, make_kernel
 from .kpp import Nonlinearity, simulate_kpp
-from .operator import assemble
+from .operator import Problem
 from .spectrum import (autonomous_spectrum_point, essential_interval,
                        principal_spectrum_point)
 from .weighted_solver import solve_lambda_p
@@ -56,11 +56,8 @@ def _random_weight(rng, coupling=True):
 
 
 def _random_setup(rng, boundary, n=28):
-    grid = build_grid(boundary, (1.0,), n)
-    kernel = make_kernel("parabolic", float(rng.uniform(0.2, 0.4)))
-    if boundary is Boundary.PERIODIC:
-        kernel = wrap_kernel(kernel, (1.0,))
-    return assemble(kernel, grid), _random_weight(rng)
+    radius = float(rng.uniform(0.2, 0.4))  # before the weight: a seed's draws keep their order
+    return Problem(boundary, (1.0,), "parabolic", radius, _random_weight(rng)).at(n)
 
 
 def check_kernel_mass(rng) -> tuple[bool, str]:
@@ -155,12 +152,10 @@ def check_convexity(rng) -> tuple[bool, str]:
 
 
 def check_threshold_root(rng) -> tuple[bool, str]:
-    grid = build_grid(Boundary.DIRICHLET, (1.0,), 24)
-    kernel = make_kernel("parabolic", 0.3)
-    op = assemble(kernel, grid)
     a = float(rng.uniform(0.4, 0.8))
     weight = closed_form(
         f"cos(2 * pi * x) * ({a!r} + 0.3 * sin(2 * pi * t)) + 0.2", period=1.0)
+    op, weight = Problem(Boundary.DIRICHLET, (1.0,), "parabolic", 0.3, weight).at(24)
     res = solve_lambda_p(op, weight, n_steps=256)
     if res.status != "unique_root":
         return False, f"expected unique_root, got {res.status}"

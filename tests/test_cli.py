@@ -147,13 +147,16 @@ def count_calls(monkeypatch, *functions):
     ("spectrum", "\n[spectrum]\nlambdas = 0, 0.5, 1\n"),
     ("kpp_scan", "\n[kpp_scan]\nlambdas = 0.5, 1.4\n"),
 ])
-def test_tasks_go_through_the_public_entry_points(tmp_path, monkeypatch, task, section):
+def test_tasks_go_through_the_public_entry_points(tmp_path, monkeypatch, problem_at_calls,
+                                                  task, section):
     # every spectrum point and root search of a task is a call of the
-    # public function, so wrapping those names counts the work
+    # public function, so wrapping those names counts the work; the problem
+    # is built once, at the config's grid size
     counts = count_calls(monkeypatch, perispec.spectrum.principal_spectrum_point,
                          perispec.weighted_solver.solve_lambda_p)
     cfg = write_ini(tmp_path, BASE_PROBLEM + section)
     assert run(task, cfg, tmp_path / "out") == 0
+    assert problem_at_calls == [24]
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     points = len(counts["principal_spectrum_point"])
     solves = len(counts["solve_lambda_p"])
@@ -470,6 +473,22 @@ def test_sampled_node_mismatch_exits_two(tmp_path, capsys):
         "expr = sin(2*pi*t/T) + cos(2*pi*x) - 0.2", "samples = weight.csv"))
     assert run("lambda_p", cfg, tmp_path / "out") == 2
     assert "nodes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task, section", [
+    ("lambda_p", ""),
+    ("spectrum", "\n[spectrum]\nlambdas = 1\n"),
+])
+@pytest.mark.parametrize("expr", [
+    "cos(2*pi*y) - 0.2",  # y on a 1-D grid
+    "1/(x-0.53125)",      # infinite at the node 8.5/16
+])
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+def test_weight_that_does_not_fit_the_grid_exits_two(tmp_path, capsys, task, section, expr):
+    cfg = write_ini(tmp_path, BASE_PROBLEM.replace("n_per_axis = 24", "n_per_axis = 16").replace(
+        "expr = sin(2*pi*t/T) + cos(2*pi*x) - 0.2", f"expr = {expr}") + section)
+    assert run(task, cfg, tmp_path / "out") == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_bad_thread_count_exits_two(tmp_path, capsys):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from perispec.geometry import Boundary, Grid, build_grid, make_kernel, wrap_kernel
-from perispec.operator import apply_generator, assemble
-from perispec.weights import closed_form
+from perispec.operator import Problem, apply_generator, assemble
+from perispec.weights import WeightExprError, closed_form, sample_closed_form
 
 
 def make_op(boundary, box, n, profile="parabolic", r=1.0):
@@ -285,6 +285,38 @@ def test_assemble_rejects_mismatched_kernels():
         assemble(wrap_kernel(k, [2.0]), build_grid(Boundary.PERIODIC, (1.0,), 8))
     with pytest.raises(ValueError):
         assemble(make_kernel("parabolic", 1.0, dim=2), build_grid(Boundary.NEUMANN, (1.0,), 8))
+
+
+@pytest.mark.parametrize("boundary, box", [
+    (Boundary.DIRICHLET, (1.0,)),
+    (Boundary.NEUMANN, (1.0,)),
+    (Boundary.PERIODIC, (1.0,)),
+    (Boundary.NEUMANN, (1.0, 0.5)),
+    (Boundary.PERIODIC, (1.0, 0.5)),
+])
+def test_problem_builds_the_hand_built_operator(boundary, box):
+    weight = closed_form("cos(2*pi*x) - 0.2 + sin(2*pi*t/T)", 1.0)
+    op, w = Problem(boundary, box, "cosine", 0.7, weight).at(12)
+    ref = make_op(boundary, box, 12, "cosine", 0.7)
+    assert w is weight
+    assert op.grid.boundary is boundary and op.grid.box == box
+    for name in ("K", "b", "rows", "fold"):
+        mine, theirs = getattr(op, name), getattr(ref, name)
+        assert (mine is None and theirs is None) or np.array_equal(mine, theirs), name
+
+
+@pytest.mark.parametrize("weight, error, message", [
+    (sample_closed_form(closed_form("cos(2*pi*x)", 1.0),
+                        build_grid(Boundary.NEUMANN, (1.0,), 12), 8),
+     ValueError, "sampled weight has 12 nodes, grid has 24"),
+    (closed_form("cos(2*pi*y)", 1.0), WeightExprError, "references y on a 1-D grid"),
+    (closed_form("1/(x-0.3125)", 1.0), WeightExprError, "not finite on the grid"),
+])
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+def test_problem_refuses_a_weight_that_does_not_fit_the_grid(weight, error, message):
+    # 0.3125 is the node 7.5/24
+    with pytest.raises(error, match=message):
+        Problem(Boundary.NEUMANN, (1.0,), "parabolic", 1.0, weight).at(24)
 
 
 def test_apply_generator_matches_matrix_arithmetic():

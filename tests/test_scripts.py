@@ -1,0 +1,23 @@
+"""The scripts run at their CI sizes and build every problem through ``Problem.at``."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize("script, argv, sizes", [
+    ("threshold_demo.py", ["--n", "16", "--factors", "0.5,1.6"], [16]),
+    ("threshold_demo.py", ["--n", "16", "--boundary", "periodic", "--factors", "0.5,1.6"],
+     [16]),
+    ("refinement_study.py", ["--levels", "2"], [8, 16]),
+    ("refinement_study.py", ["--levels", "2", "--boundary", "periodic"], [8, 16]),
+    ("spectrum_sweep.py", ["--n", "16", "--count", "3", "--n-steps", "64"], [16, 16, 16]),
+])
+def test_script_builds_through_problem_at(problem_at_calls, capsys, script, argv, sizes):
+    main = runpy.run_path(str(SCRIPTS / script), run_name="script")["main"]
+    assert main(argv) == 0
+    assert problem_at_calls == sizes
+    capsys.readouterr()
