@@ -1,29 +1,27 @@
 """Principal spectrum points of the time-periodic dispersal flow.
 
 The principal spectrum point is ``mu = ln(rho(Phi(T))) / T``, with ``Phi(T)``
-the period map, and the route to ``rho`` follows the weight's structure and
-the grid size ``n``.  A separable weight ``m1(x) + m2(t)`` at any ``n``, and
-any weight from ``_KRYLOV_MIN_N`` = 256 nodes on, start from the Perron vector
-of the time-averaged generator ``K - b + lam * m_hat`` (Lanczos on vectors);
-when one period of the flow leaves it fixed up to its Rayleigh ratio to
-``POWER_REL_TOL``, it is the Perron vector and no matrix is formed.  A
-separable weight passes: the generator at each time is the time-averaged one
-plus a multiple of the identity, so every RK4 stage is a polynomial in that
-one operator.  The certificate still decides, since the stages fall between
-the lattice times on which separability is read.  When it fails from 256 nodes
-on, Arnoldi (ARPACK via ``scipy.sparse.linalg.eigs``) runs from that vector on
-vector periods: a dense map costs ``n^3`` per time step and a vector period
-``n^2``, and the crossover is measured on non-separable weights.  Every
-product of ``K`` with a vector here (Lanczos, the vector periods, the frozen
-generator's image) goes through ``op.matvec``, which in 2-D reads the kernel
-stencil instead of the dense ``K``.  The dense
-``n x n`` map, power-iterated from the constant field (safe, as the map has
-nonnegative entries), serves the rest: a non-separable weight or a failed
-certificate below 256 nodes (ARPACK's ``eigs`` needs ``n >= 3``), a
-precomputed map, and a root on the envelope sup, whose "no" verdict below
-rests on the residual that the dense iteration's budget leaves.  Off the dense
-route, the map's columns at the lowest-envelope nodes are checked for negative
-entries, as ``period_map`` checks all of them.
+the period map, and it takes one of three routes, by the weight's structure
+and the grid size ``n``.  For a separable weight ``m1(x) + m2(t)`` the
+generator at each time is the time-averaged one, ``K - b + lam * m_hat``,
+plus a multiple of the identity, so the period map is that generator's flow
+times a scalar and ``mu`` is exactly the generator's spectral bound: the
+exact route takes it from the generator's Perron vector (Lanczos on vectors),
+with no time stepping.  Any other weight from ``_KRYLOV_MIN_N`` = 256 nodes
+on takes Arnoldi (ARPACK via ``scipy.sparse.linalg.eigs``) on vector periods,
+started from that Perron vector: a dense map costs ``n^3`` per time step and
+a vector period ``n^2``, and the crossover is measured on non-separable
+weights.  The dense ``n x n`` map, power-iterated from the constant field
+(safe, as the map has nonnegative entries), serves the rest: a non-separable
+weight below 256 nodes (ARPACK's ``eigs`` needs ``n >= 3``), a precomputed
+map, and a root on the envelope sup, whose "no" verdict below rests on the
+residual that the dense iteration's budget leaves.  A separable weight whose
+Lanczos solve fails is routed as a non-separable one.  After Arnoldi, the
+map's columns at the lowest-envelope nodes are checked for negative entries,
+as ``period_map`` checks all of them.  Every product of ``K`` with a vector
+here (Lanczos, the vector periods, the frozen generator's image) goes through
+``op.matvec``, which in 2-D reads the kernel stencil instead of the dense
+``K``.
 
 A Lyapunov-exponent estimate (averaged log growth of a propagated field)
 provides an independent route to the same number and is used as a
@@ -55,8 +53,8 @@ from .weights import Weight, summarize, time_average
 POWER_REL_TOL = 1e-12
 POWER_MAX_ITER = 10000
 TOL_EIG = 1e-8
-# From this many nodes on, a failed start certificate is followed by Arnoldi
-# on vector periods instead of power iteration on the dense map.  Summed over
+# From this many nodes on, a weight off the exact route takes Arnoldi on
+# vector periods instead of power iteration on the dense map.  Summed over
 # lam = 0.25, 0.5, 1, 2, 4 on non-separable weights (parabolic kernel, 64
 # steps, one BLAS thread), dense against Arnoldi: 1-D Dirichlet (radius 1)
 # n = 224 0.81 s vs 0.89 s, n = 256 1.10 s vs 1.00 s; 1-D Neumann (radius
@@ -169,8 +167,8 @@ def _frozen_perron(op: DispersalOperator, m_hat: np.ndarray, lam: float) -> np.n
     without the shift the constant start can lie in the kernel (``K - b`` on
     Neumann at ``lam = 0``).  The vector is scaled to sup 1 at a positive
     entry; None when Lanczos does not converge or the vector has a
-    substantive negative entry.  ``K`` is symmetric, but nothing rests on
-    that: ``_krylov_perron`` certifies the vector against the period map.
+    substantive negative entry.  It is the exact route's eigenfunction for a
+    separable weight and Arnoldi's start for any other.
     """
     # imported here: loading scipy.sparse.linalg would slow ``import perispec``
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
@@ -195,22 +193,14 @@ def _frozen_perron(op: DispersalOperator, m_hat: np.ndarray, lam: float) -> np.n
     return v
 
 
-def _krylov_perron(apply, n: int, start: np.ndarray | None = None,
-                   w: np.ndarray | float = 1.0, arnoldi: bool = True):
+def _krylov_perron(apply, n: int, start: np.ndarray | None = None):
     """Perron (ratio, vector, residual, applications) of a map given only as ``apply``.
 
-    A nonnegative ``start`` is tried first: one application gives its
-    Rayleigh ratio ``rho`` in the quadrature weights ``w`` and the residual
-    ``|P start - rho start|_inf``.  When ``rho > 0`` and the residual is at
-    most ``POWER_REL_TOL * rho``, ``start`` is an eigenvector of the map to
-    working precision, and a nonnegative eigenvector of a positive map is its
-    Perron vector: it is returned with that residual after one application.
-    Otherwise, or without a ``start``, Arnoldi (ARPACK through
-    ``scipy.sparse.linalg.eigs``, which needs ``n >= 3``) runs, from
-    ``start`` or from the constant field; without ``arnoldi`` the result is
-    None instead.  The vector is the real part of the Ritz vector, scaled to
-    sup 1; rounding-level negatives are clamped, larger ones are an error, as
-    is a root that is not real and positive.  One more application gives the
+    Arnoldi (ARPACK through ``scipy.sparse.linalg.eigs``, which needs
+    ``n >= 3``) runs from ``start``, or from the constant field without one.
+    The vector is the real part of the Ritz vector, scaled to sup 1;
+    rounding-level negatives are clamped, larger ones are an error, as is a
+    root that is not real and positive.  One more application gives the
     eigen-residual; every application is counted.  A nonnegative Ritz vector
     does not show that the map is nonnegative: see ``_probe_positivity``.
     """
@@ -224,19 +214,10 @@ def _krylov_perron(apply, n: int, start: np.ndarray | None = None,
         count += 1
         return apply(v.ravel())
 
-    v0 = np.ones(n)
-    if start is not None:
-        image = matvec(start)
-        rho = float(np.dot(w * start, image)) / float(np.dot(w * start, start))
-        residual = float(np.abs(image - rho * start).max())
-        if float(start.min()) >= 0.0 and rho > 0.0 and residual <= POWER_REL_TOL * rho:
-            return rho, start, residual, count
-        v0 = start
-    if not arnoldi:
-        return None
     try:
         vals, vecs = eigs(LinearOperator((n, n), matvec=matvec, dtype=float), k=1,
-                          which="LM", v0=v0, tol=POWER_REL_TOL)
+                          which="LM", v0=np.ones(n) if start is None else start,
+                          tol=POWER_REL_TOL)
     except ArpackNoConvergence as exc:
         raise PowerIterationError(f"Arnoldi did not converge: {exc}") from None
     root = complex(vals[0])
@@ -425,34 +406,35 @@ def principal_spectrum_point(op: DispersalOperator, weight: Weight, lam: float,
     A precomputed ``pmap`` (for this operator, weight and ``lam``) can be
     passed to avoid rebuilding the monodromy matrix.  Without one, the route
     follows the weight's structure and the grid size (see the module
-    docstring).  Off the dense route ``iterations`` counts vector periods:
-    one certifying the start vector, Arnoldi's and one for the residual when
-    it fails, and one for the positivity probe; a certified point, which
-    every separable weight gives at any grid size, reads 2.  Every report
-    carries the S-conditions at ``lam``.
+    docstring).  On the exact route ``iterations`` reads 0 and ``residual``
+    is the frozen generator's eigen-residual.  On the Arnoldi route
+    ``iterations`` counts vector periods: Arnoldi's, one for the residual and
+    one for the positivity probe.  On the dense route it counts power
+    iteration steps.  Every report carries the S-conditions at ``lam``.
     """
     summary = summarize(weight, op.grid)
     w = op.quad_weights
     m_hat = summary.m_hat
     h = -op.b + lam * m_hat
     h_min, h_max = float(h.min()), float(h.max())
-    found = None
-    if pmap is None and (op.n >= _KRYLOV_MIN_N or summary.separable):
+    mu = None
+    frozen = _frozen_point(op, m_hat, lam) if pmap is None and summary.separable else None
+    if frozen is not None:
+        mu, phi, residual, iterations = frozen.mu, frozen.eigenfunction, frozen.residual, 0
+    elif pmap is None and op.n >= _KRYLOV_MIN_N:
         apply = period_action(op, weight, lam, n_steps)
-        found = _krylov_perron(apply, op.n, _frozen_perron(op, m_hat, lam), w,
-                               arnoldi=op.n >= _KRYLOV_MIN_N)
-    if found is not None:
-        ratio, phi, residual, iterations = found
+        start = None if summary.separable else _frozen_perron(op, m_hat, lam)
+        ratio, phi, residual, iterations = _krylov_perron(apply, op.n, start)
         mu = math.log(ratio) / weight.period
+        if abs(mu - h_max) >= _gap_tol(mu):
+            _probe_positivity(apply, op.n, np.argsort(h, kind="stable")[:_PROBE_COLUMNS])
+            iterations += 1
     # on the envelope sup the verdict needs the dense route's residual
-    if found is not None and abs(mu - h_max) >= _gap_tol(mu):
-        _probe_positivity(apply, op.n, np.argsort(h, kind="stable")[:_PROBE_COLUMNS])
-        iterations += 1
-    else:
+    if mu is None or abs(mu - h_max) < _gap_tol(mu):
         if pmap is None:
             pmap = period_map(op, weight, lam, n_steps=n_steps)
         ratio, phi, residual, iterations = _power_iteration(pmap.matrix, np.ones(op.n), w)
-    mu = math.log(ratio) / weight.period
+        mu = math.log(ratio) / weight.period
     diagnostics = {}
     if cross_validate:
         mu_lyap = lyapunov_estimate(op, weight, lam, n_periods=50, n_steps=n_steps,
@@ -514,22 +496,34 @@ class AutonomousSpectrum:
     residual: float
 
 
-def autonomous_spectrum_point(op: DispersalOperator, m_field: np.ndarray, lam: float) -> AutonomousSpectrum:
-    """Spectral bound of the frozen generator ``K - b + lam * m_field``.
+def _frozen_point(op: DispersalOperator, m_field: np.ndarray,
+                  lam: float) -> AutonomousSpectrum | None:
+    """Spectral bound of ``K - b + lam * m_field`` from ``_frozen_perron``, or None.
 
-    For a time-independent weight this equals the periodic principal spectrum
-    point, with no time-stepping error: ``mu`` is the quadrature Rayleigh
-    ratio of the Perron vector from ``_frozen_perron``.
+    ``mu`` is the quadrature Rayleigh ratio of the Perron vector, and the
+    residual its eigen-residual under the generator.
     """
-    m_field = np.asarray(m_field, dtype=float)
     phi = _frozen_perron(op, m_field, lam)
     if phi is None:
-        raise PowerIterationError("no nonnegative Perron vector of the frozen generator")
+        return None
     image = op.matvec(phi) + (lam * m_field - op.b) * phi
     w_phi = op.quad_weights * phi
     mu = float(np.dot(w_phi, image)) / float(np.dot(w_phi, phi))
     residual = float(np.abs(image - mu * phi).max())
     return AutonomousSpectrum(mu=mu, eigenfunction=phi, residual=residual)
+
+
+def autonomous_spectrum_point(op: DispersalOperator, m_field: np.ndarray, lam: float) -> AutonomousSpectrum:
+    """Spectral bound of the frozen generator ``K - b + lam * m_field``.
+
+    For a separable weight and its time average ``m_field`` this equals the
+    periodic principal spectrum point, with no time-stepping error: it is the
+    exact route of ``principal_spectrum_point``.
+    """
+    point = _frozen_point(op, np.asarray(m_field, dtype=float), lam)
+    if point is None:
+        raise PowerIterationError("no nonnegative Perron vector of the frozen generator")
+    return point
 
 
 def refinement_diagnostics(report_lo: SpectrumReport, report_hi: SpectrumReport) -> dict:

@@ -12,9 +12,10 @@ The two scalar functionals that drive the existence theory are
   instantaneous growth rate accumulated over one period.
 
 Neither depends on the coupling ``lam``.  ``summarize`` is the one place they
-are computed, with ``sup|m|``, the space-time integral and the weight's
-structure (separable ``m1(x) + m2(t)``, space-independent) from one time
-lattice; the other functionals are views of its ``WeightSummary``.  The
+are computed, with ``sup|m|`` and the space-time integral from one time
+lattice and the weight's structure (separable ``m1(x) + m2(t)``,
+space-independent) from rows that no oscillation in time can alias; the
+other functionals are views of its ``WeightSummary``.  The
 summary is kept on the weight, once per grid and lattice size, so every
 spectrum point, root search and orbit of one weight reads the same one.
 """
@@ -32,6 +33,8 @@ import numpy as np
 from .geometry import Boundary, Grid
 
 DEFAULT_N_TIME = 256
+# where ``summarize``'s second lattice sits in each interval of the first
+_LATTICE_OFFSET = (math.sqrt(5.0) - 1.0) / 2.0
 
 _FUNCS = {"sin": np.sin, "cos": np.cos}
 _NAMES = {"t", "x", "y", "pi", "T"}
@@ -249,7 +252,7 @@ class WeightSummary:
     m_hat_min: float
     sup_abs: float
     space_independent: bool   # every time slice spatially constant up to rounding
-    separable: bool           # m - m_hat spatially constant on the lattice: m1(x) + m2(t)
+    separable: bool           # m - m_hat spatially constant at every time: m1(x) + m2(t)
 
 
 _SUMMARY_LOCK = threading.Lock()
@@ -271,8 +274,21 @@ def summarize(weight: Weight, grid: Grid, n_time: int = DEFAULT_N_TIME) -> Weigh
         p_value = float((coeff * m_tilde).sum() / n_time * weight.period)
         integral = float(weight.period * np.dot(grid.quad_weights, m_hat))
         sup = float(np.abs(table).max())
-        spread = float((m_tilde - table.min(axis=1)).max())
-        drift = table - m_hat  # spatially constant rows for m1(x) + m2(t)
+        # The structure flags are read on a sampled weight's own rows, which
+        # decide them at every time (the weight is linear in time between
+        # them), and on a closed form's lattice and on a second one offset by
+        # an irrational fraction of an interval: an oscillation at a multiple
+        # of the lattice frequency vanishes at every time of the first.  The
+        # drift is taken against the first lattice's m_hat on both.
+        if weight.samples is not None:
+            rows = weight.samples
+        else:
+            offset = (np.arange(n_time) + _LATTICE_OFFSET) * (weight.period / n_time)
+            rows = np.concatenate([table, weight.table(offset, grid)])
+        tol = 1e-12 * (1.0 + sup)
+        space_independent = float(np.ptp(rows, axis=1).max()) <= tol
+        # m - m_hat is spatially constant at every time for m1(x) + m2(t)
+        separable = float(np.ptp(rows - m_hat, axis=1).max()) <= tol
         summary = WeightSummary(
             m_hat=_frozen(m_hat),
             m_tilde=_frozen(m_tilde),
@@ -282,8 +298,8 @@ def summarize(weight: Weight, grid: Grid, n_time: int = DEFAULT_N_TIME) -> Weigh
             m_hat_max=float(m_hat.max()),
             m_hat_min=float(m_hat.min()),
             sup_abs=sup,
-            space_independent=spread <= 1e-12 * (1.0 + sup),
-            separable=float((drift.max(axis=1) - drift.min(axis=1)).max()) <= 1e-12 * (1.0 + sup),
+            space_independent=space_independent,
+            separable=separable,
         )
         weight._summaries[key] = (grid, summary)
     return summary
@@ -310,10 +326,8 @@ def sup_abs(weight: Weight, grid: Grid, n_time: int = DEFAULT_N_TIME) -> float:
 def space_independent(weight: Weight, grid: Grid, n_time: int = DEFAULT_N_TIME) -> bool:
     """True when every time slice is spatially constant up to rounding.
 
-    Decided on the sample lattice: the largest spatial range across slices must
-    stay below 1e-12 relative to the field scale.  Weights that depend on space
-    only on a measure-zero time set will (correctly, for this discretization)
-    be classified by their sampled values.
+    Decided on ``summarize``'s rows: the largest spatial range across slices
+    must stay below 1e-12 relative to the field scale.
     """
     return summarize(weight, grid, n_time).space_independent
 

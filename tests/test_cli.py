@@ -203,7 +203,7 @@ def test_lambda_p_task_builds_one_map_per_lam(tmp_path, monkeypatch, boundary):
 
 @pytest.mark.parametrize("boundary", ["dirichlet", "neumann", "periodic"])
 def test_separable_lambda_p_task_builds_no_map(tmp_path, monkeypatch, boundary):
-    # m1(x) + m2(t): every spectrum point is certified from the frozen start
+    # m1(x) + m2(t): every spectrum point is the frozen generator's
     lams = count_period_maps(monkeypatch)
     cfg = write_ini(tmp_path, BASE_PROBLEM.replace("dirichlet", boundary))
     assert run("lambda_p", cfg, tmp_path / "out") == 0
@@ -211,6 +211,21 @@ def test_separable_lambda_p_task_builds_no_map(tmp_path, monkeypatch, boundary):
     assert summary["result"]["status"] == "unique_root"
     assert "principal_eigenvalue" in summary
     assert lams == []
+
+
+@pytest.mark.parametrize("task, section", [
+    ("spectrum", "\n[spectrum]\nlambdas = 0, 0.5, 1, 2\n"),
+    ("lambda_p", ""),
+    ("upper_bound", ""),
+])
+def test_separable_tasks_step_no_time(tmp_path, monkeypatch, task, section):
+    # m1(x) + m2(t): every spectrum point is the frozen generator's
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a separable weight was stepped in time")
+    for name in ("period_map", "period_action"):
+        monkeypatch.setattr(perispec.spectrum, name, forbidden)
+    cfg = write_ini(tmp_path, BASE_PROBLEM + section)
+    assert run(task, cfg, tmp_path / "out") == 0
 
 
 def test_lambda_p_degenerate_status(tmp_path):
@@ -520,7 +535,8 @@ def test_unknown_task_exits_two(tmp_path, capsys):
 
 def test_numerical_failure_exits_three(tmp_path, capsys):
     # two cells with a kernel far narrower than the spacing: quadrature
-    # overshoots the row mass and the linear flow escapes its growth envelope
+    # overshoots the row mass and the linear flow escapes its growth envelope;
+    # the weight is not separable, so the flow is stepped in time
     cfg = write_ini(tmp_path, """
 [problem]
 boundary = dirichlet
@@ -531,7 +547,7 @@ support_radius = 0.05
 
 [weight]
 period = 1.0
-expr = 0.5
+expr = 0.5 + 0.1*x*sin(2*pi*t/T)
 
 [spectrum]
 lambdas = 1

@@ -400,7 +400,7 @@ def test_block_period_equals_stagewise_reference():
 
 
 def test_period_action_builds_its_stage_tables_once(monkeypatch):
-    # the certificate, Arnoldi, the residual and the probe share one action
+    # Arnoldi, the residual and the probe share one action
     op = make_op(Boundary.NEUMANN, n=24, r=0.3)
     w = closed_form("sin(2*pi*t/T + 0.4) + cos(2*pi*(x - t/T)) - 0.2", 1.3)
     rows = []

@@ -12,13 +12,13 @@ import pytest
 
 import perispec.kpp
 import perispec.weights
-from perispec.evolution import UnstableStepError, default_n_steps, propagate
+from perispec.evolution import UnstableStepError, default_n_steps, period_action, propagate
 from perispec.geometry import Boundary, build_grid, make_kernel, wrap_kernel
 from perispec.kpp import (TOL_FIX, Nonlinearity, PeriodicOrbit,
                           find_periodic_solution, simulate_kpp, summarize_scan,
                           threshold_scan)
 from perispec.operator import assemble
-from perispec.spectrum import PowerIterationError, principal_spectrum_point
+from perispec.spectrum import POWER_REL_TOL, PowerIterationError, principal_spectrum_point
 from perispec.weighted_solver import solve_lambda_p
 from perispec.weights import closed_form, sup_abs
 
@@ -375,6 +375,33 @@ def test_persistence_is_decided_near_the_threshold(quickstart_threshold, factor)
     image = simulate_kpp(op, w, nl, lam, sub, 0.0, w.period, n_steps=n_steps,
                          record_every=n_steps).final
     assert (image - sub).min() > 1e-10 * scale
+
+
+@pytest.mark.parametrize("factor", [1.005, 1.25])
+def test_certificate_phi_is_the_period_maps_perron_vector(quickstart_threshold, monkeypatch,
+                                                          factor):
+    # the weight is separable, so its spectrum point comes from the frozen
+    # generator with no time stepping; every RK4 stage is a polynomial in that
+    # generator, so its Perron vector is the period map's at any step count
+    op, w, res = quickstart_threshold
+    nl = Nonlinearity()
+    lam = factor * res.lambda_p
+    n_steps = _plain_iteration(op, w, nl, lam, 0)[1]
+    calls = []
+    original = perispec.kpp.principal_spectrum_point
+
+    def recording(*args, **kwargs):
+        calls.append((args, original(*args, **kwargs)))
+        return calls[-1][1]
+    monkeypatch.setattr(perispec.kpp, "principal_spectrum_point", recording)
+    orbit = find_periodic_solution(op, w, nl, lam, check_uniqueness=False)
+    assert orbit.certificate is not None
+    [(args, rep)] = calls
+    assert args[3] == n_steps and rep.iterations == 0
+    phi = rep.eigenfunction
+    image = period_action(op, w, lam, n_steps)(phi)
+    rho = float(np.dot(op.quad_weights * phi, image) / np.dot(op.quad_weights * phi, phi))
+    assert np.abs(image - rho * phi).max() <= POWER_REL_TOL * rho
 
 
 def test_accelerated_fixed_point_equals_the_plain_one(quickstart_threshold, monkeypatch):

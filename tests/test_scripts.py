@@ -15,6 +15,8 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
     ("refinement_study.py", ["--levels", "2"], [8, 16]),
     ("refinement_study.py", ["--levels", "2", "--boundary", "periodic"], [8, 16]),
     ("spectrum_sweep.py", ["--n", "16", "--count", "3", "--n-steps", "64"], [16, 16, 16]),
+    ("spectrum_sweep.py", ["--n", "16", "--count", "3", "--n-steps", "64",
+                           "--weight", "cos(2*pi*x)*(1 + sin(2*pi*t/T)) - 0.2"], [16, 16, 16]),
 ])
 def test_script_builds_through_problem_at(problem_at_calls, capsys, script, argv, sizes):
     main = runpy.run_path(str(SCRIPTS / script), run_name="script")["main"]

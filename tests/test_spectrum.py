@@ -30,7 +30,7 @@ from perispec.spectrum import (
     principal_spectrum_point,
     refinement_diagnostics,
 )
-from perispec.weights import S1Data, closed_form, time_average
+from perispec.weights import S1Data, closed_form, summarize, time_average
 
 
 def make_op(boundary, n=32, r=1.0):
@@ -49,6 +49,23 @@ def forbid_period_map(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the dense period map was built")
     monkeypatch.setattr(perispec.spectrum, "period_map", refuse)
+
+
+def forbid_time_stepping(monkeypatch):
+    forbid_period_map(monkeypatch)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a vector period was integrated")
+    monkeypatch.setattr(perispec.spectrum, "period_action", refuse)
+
+
+def assert_is_the_frozen_point(rep, op, w, lam):
+    # the exact route: the frozen generator's point, bit for bit, with no period
+    auto = autonomous_spectrum_point(op, time_average(w, op.grid), lam)
+    assert rep.mu_n == auto.mu
+    np.testing.assert_array_equal(rep.eigenfunction, auto.eigenfunction)
+    assert rep.residual == auto.residual < 1e-12
+    assert rep.iterations == 0
 
 
 STANDARD_WEIGHT = "sin(2*pi*t/T) + cos(2*pi*x) - 0.2"
@@ -108,31 +125,42 @@ def test_autonomous_map_against_expm_radius():
     np.testing.assert_allclose(pm.matrix, scipy.linalg.expm(gen), atol=1e-8)
 
 
-# ------------------------------------------------- matrix-free Krylov route
+# ----------------------------------------- matrix-free exact and Arnoldi routes
 
-# m1(x) + m2(t): the time-averaged generator's Perron vector is the period
-# map's, so the start vector is certified in one period
+# m1(x) + m2(t): the period map is the time-averaged generator's flow times a
+# scalar, so the spectrum point is that generator's, with no time stepping
 SEPARABLE_2D = "cos(2*pi*x)*cos(pi*y) - 0.2 + sin(2*pi*t/T)"
 NONSEPARABLE_2D = "cos(2*pi*x)*cos(pi*y)*(1 + sin(2*pi*t/T)) - 0.2 + sin(2*pi*t/T)"
 
+# at 256 nodes: the exact route for a separable weight, Arnoldi for the other
 KRYLOV_CASES = [
-    pytest.param(lambda: make_op(Boundary.DIRICHLET, n=256), STANDARD_WEIGHT, id="dirichlet-256"),
-    pytest.param(lambda: make_op(Boundary.NEUMANN, n=256), STANDARD_WEIGHT, id="neumann-256"),
-    pytest.param(lambda: make_op(Boundary.PERIODIC, n=256), STANDARD_WEIGHT, id="periodic-256"),
-    pytest.param(lambda: make_op_2d(16), NONSEPARABLE_2D, id="neumann-16x16"),
-    pytest.param(lambda: make_op_2d(16), SEPARABLE_2D, id="neumann-16x16-separable"),
+    pytest.param(lambda: make_op(Boundary.DIRICHLET, n=256), STANDARD_WEIGHT, True,
+                 id="dirichlet-256"),
+    pytest.param(lambda: make_op(Boundary.NEUMANN, n=256), STANDARD_WEIGHT, True,
+                 id="neumann-256"),
+    pytest.param(lambda: make_op(Boundary.PERIODIC, n=256), STANDARD_WEIGHT, True,
+                 id="periodic-256"),
+    pytest.param(lambda: make_op_2d(16), NONSEPARABLE_2D, False, id="neumann-16x16"),
+    pytest.param(lambda: make_op_2d(16), SEPARABLE_2D, True, id="neumann-16x16-separable"),
 ]
 
 
-@pytest.mark.parametrize("make, expr", KRYLOV_CASES)
-def test_krylov_route_matches_dense_power_iteration(make, expr, monkeypatch):
+@pytest.mark.parametrize("make, expr, separable", KRYLOV_CASES)
+def test_krylov_route_matches_dense_power_iteration(make, expr, separable, monkeypatch):
     op = make()
     w = closed_form(expr, 1.0)
+    assert summarize(w, op.grid).separable is separable
     for lam in (0.0, 1.0, 2.5):
-        dense = principal_spectrum_point(op, w, lam, pmap=period_map(op, w, lam))
         with monkeypatch.context() as mp:
-            forbid_period_map(mp)
+            if separable:
+                forbid_time_stepping(mp)
+            else:
+                forbid_period_map(mp)
             krylov = principal_spectrum_point(op, w, lam)
+        if separable:
+            assert_is_the_frozen_point(krylov, op, w, lam)
+            continue
+        dense = principal_spectrum_point(op, w, lam, pmap=period_map(op, w, lam))
         assert krylov.mu_n == pytest.approx(dense.mu_n, abs=1e-9)
         assert krylov.is_principal_eigenvalue == dense.is_principal_eigenvalue
         assert krylov.residual < 1e-10
@@ -143,8 +171,8 @@ def test_krylov_route_matches_dense_power_iteration(make, expr, monkeypatch):
         assert krylov.s_conditions == dense.s_conditions
 
 
-# a weight m1(x) + m2(t) takes the certified start at every grid size: one
-# period certifies it, one probes positivity, and no dense map is built
+# a weight m1(x) + m2(t) takes the exact route at every grid size; the RK4
+# map tends to it as the step count grows
 SEPARABLE_CASES = [pytest.param(boundary, n, id=f"{boundary.value}-{n}")
                    for boundary in Boundary for n in (32, 64, 128)]
 
@@ -154,35 +182,28 @@ def test_separable_route_matches_dense_power_iteration(boundary, n, monkeypatch)
     op = make_op(boundary, n=n)
     w = closed_form(STANDARD_WEIGHT, 1.0)
     for lam in (0.0, 1.0, 2.5):
-        dense = principal_spectrum_point(op, w, lam, pmap=period_map(op, w, lam))
         with monkeypatch.context() as mp:
-            forbid_period_map(mp)
+            forbid_time_stepping(mp)
             rep = principal_spectrum_point(op, w, lam)
-        assert rep.mu_n == pytest.approx(dense.mu_n, abs=1e-9)
-        assert rep.is_principal_eigenvalue == dense.is_principal_eigenvalue
-        assert rep.iterations == 2
-        assert rep.residual < 1e-12
+        assert_is_the_frozen_point(rep, op, w, lam)
+        if n <= 64:
+            dense = principal_spectrum_point(op, w, lam,
+                                             pmap=period_map(op, w, lam, n_steps=512))
+            assert rep.mu_n == pytest.approx(dense.mu_n, abs=1e-9)
+            np.testing.assert_allclose(rep.eigenfunction, dense.eigenfunction, atol=1e-9)
+            assert rep.is_principal_eigenvalue == dense.is_principal_eigenvalue
 
 
-@pytest.mark.parametrize("failure", ["no-start", "uncertified-start"])
-def test_failed_certificate_below_the_crossover_takes_the_dense_route(failure, monkeypatch):
+def test_failed_frozen_solve_below_the_crossover_takes_the_dense_route(monkeypatch):
     import scipy.sparse.linalg
 
     op = make_op(Boundary.DIRICHLET, n=64)
     w = closed_form(STANDARD_WEIGHT, 1.0)
     dense = principal_spectrum_point(op, w, 1.0, pmap=period_map(op, w, 1.0))
-    original = perispec.spectrum._frozen_perron
-
-    def failing(*args):
-        start = original(*args)
-        if failure == "no-start":
-            return None
-        start[0] += 1e-6
-        return start
 
     def refuse(*args, **kwargs):
         raise AssertionError("Arnoldi ran below the crossover")
-    monkeypatch.setattr(perispec.spectrum, "_frozen_perron", failing)
+    monkeypatch.setattr(perispec.spectrum, "_frozen_perron", lambda *args: None)
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", refuse)
     rep = principal_spectrum_point(op, w, 1.0)
     assert rep.mu_n == dense.mu_n
@@ -190,12 +211,34 @@ def test_failed_certificate_below_the_crossover_takes_the_dense_route(failure, m
     np.testing.assert_array_equal(rep.eigenfunction, dense.eigenfunction)
 
 
+def test_failed_frozen_solve_at_the_crossover_takes_arnoldi_from_the_constant_field(
+        monkeypatch):
+    op = make_op(Boundary.DIRICHLET, n=256)
+    w = closed_form(STANDARD_WEIGHT, 1.0)
+    exact = principal_spectrum_point(op, w, 1.0)
+    starts = []
+    original = perispec.spectrum._krylov_perron
+
+    def recording(apply, n, start=None):
+        starts.append(start)
+        return original(apply, n, start)
+    monkeypatch.setattr(perispec.spectrum, "_krylov_perron", recording)
+    monkeypatch.setattr(perispec.spectrum, "_frozen_perron", lambda *args: None)
+    forbid_period_map(monkeypatch)
+    rep = principal_spectrum_point(op, w, 1.0)
+    assert starts == [None] and rep.iterations > 2
+    # the RK4 map's Perron root, a time-stepping error away from the exact one
+    assert rep.mu_n == pytest.approx(exact.mu_n, abs=1e-8)
+    assert rep.residual < 1e-10
+    np.testing.assert_allclose(rep.eigenfunction, exact.eigenfunction, atol=1e-7)
+
+
 # every route builds its report whole: the S-conditions ride on it, and the
 # verdict is read from its fields, so a copy with another residual cannot keep
 # a stale one
 ROUTE_CASES = [
     pytest.param(32, NONSEPARABLE_1D, True, id="dense-pmap"),
-    pytest.param(64, STANDARD_WEIGHT, False, id="certified-separable"),
+    pytest.param(64, STANDARD_WEIGHT, False, id="exact-separable"),
     pytest.param(256, NONSEPARABLE_1D, False, id="arnoldi-256"),
 ]
 
@@ -209,7 +252,7 @@ def test_every_route_carries_s_conditions_and_its_own_verdict(n, expr, dense, mo
         forbid_period_map(monkeypatch)
     rep = principal_spectrum_point(op, w, 1.0, pmap=pmap)
     if not dense:
-        assert (rep.iterations == 2) == (expr == STANDARD_WEIGHT)
+        assert (rep.iterations == 0) == (expr == STANDARD_WEIGHT)
     assert rep.s_conditions == check_S_conditions(w, op, 1.0)
     assert rep.is_principal_eigenvalue == classify_principal_eigenvalue(rep) == "yes"
     unconverged = dataclasses.replace(rep, residual=1.0)
@@ -230,8 +273,8 @@ def test_krylov_route_counts_vector_periods(monkeypatch):
         return counted
     monkeypatch.setattr(perispec.spectrum, "period_action", counting)
     for op, expr, lo, hi in [
-        # certified start: one period for the certificate, one for the probe
-        (make_op(Boundary.DIRICHLET, n=256), STANDARD_WEIGHT, 2, 2),
+        # the exact route integrates no period
+        (make_op(Boundary.DIRICHLET, n=256), STANDARD_WEIGHT, 0, 0),
         (make_op_2d(16), NONSEPARABLE_2D, 10, 100),
     ]:
         periods.clear()
@@ -251,9 +294,10 @@ def test_cross_validation_on_krylov_route_builds_no_matrix(monkeypatch):
 def test_krylov_route_warns_on_a_too_coarse_step_count(monkeypatch):
     # 16 steps leave negative entries in the map's columns near the deep well
     # at x = 0 while the Perron vector stays nonnegative, so only the probe
-    # of the lowest-envelope columns can see them without the matrix
+    # of the lowest-envelope columns can see them without the matrix; the
+    # well breathes in time, so the weight takes the Arnoldi route
     op = make_op(Boundary.NEUMANN, n=256, r=0.1)
-    w = closed_form("1 - 40*(1 - x)**8", 1.0)
+    w = closed_form("1 - 40*(1 - x)**8*(1 + 0.1*sin(2*pi*t/T))", 1.0)
     with pytest.warns(UserWarning, match="negative entry"):
         period_map(op, w, 1.0, n_steps=16)
     forbid_period_map(monkeypatch)
@@ -271,22 +315,19 @@ def test_krylov_nonconvergence_is_a_power_iteration_error(monkeypatch):
     def stalls(*args, **kwargs):
         raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((256, 0)))
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", stalls)
-    # a non-separable weight: the start vector is not certified, so Arnoldi runs
+    # a non-separable weight at 256 nodes takes the Arnoldi route
     op = make_op_2d(16)
     with pytest.raises(PowerIterationError, match="Arnoldi did not converge"):
         principal_spectrum_point(op, closed_form(NONSEPARABLE_2D, 1.0), 1.0)
 
 
-def test_krylov_certifies_only_a_nonnegative_eigenvector():
+def test_krylov_from_a_start_finds_the_perron_vector():
     rng = np.random.default_rng(3)
     positive = rng.uniform(0.5, 1.0, size=(8, 8))
     vals, vecs = np.linalg.eig(positive)
     top = int(np.argmax(vals.real))
     perron = vecs[:, top].real / vecs[np.argmax(np.abs(vecs[:, top])), top].real
-    ratio, v, residual, count = _krylov_perron(lambda u: positive @ u, 8, perron)
-    assert count == 1 and v is perron
-    assert ratio == pytest.approx(vals[top].real, rel=1e-12) and residual < 1e-12
-    # a start off by 1e-6 is no certificate: Arnoldi runs from it
+    # a start near the Perron vector
     perturbed = perron.copy()
     perturbed[0] += 1e-6
     ratio, v, residual, count = _krylov_perron(lambda u: positive @ u, 8, perturbed)
@@ -309,18 +350,27 @@ def test_krylov_certifies_only_a_nonnegative_eigenvector():
     ArpackError(-9),
 ], ids=["no-convergence", "arpack-error"])
 def test_failed_start_vector_solve_gives_the_same_point(error, monkeypatch):
+    # without the frozen start, Arnoldi runs from the constant field
     import scipy.sparse.linalg
 
     op = make_op(Boundary.DIRICHLET, n=256)
-    w = closed_form(STANDARD_WEIGHT, 1.0)
+    w = closed_form(NONSEPARABLE_1D, 1.0)
+    starts = []
+    original = perispec.spectrum._krylov_perron
+
+    def recording(apply, n, start=None):
+        starts.append(start)
+        return original(apply, n, start)
+    monkeypatch.setattr(perispec.spectrum, "_krylov_perron", recording)
     started = principal_spectrum_point(op, w, 1.0)
 
     def fails(*args, **kwargs):
         raise error
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fails)
+    forbid_period_map(monkeypatch)
     assert perispec.spectrum._frozen_perron(op, time_average(w, op.grid), 1.0) is None
     rep = principal_spectrum_point(op, w, 1.0)
-    assert started.iterations == 2 < rep.iterations
+    assert starts[0] is not None and starts[1] is None
     assert rep.mu_n == pytest.approx(started.mu_n, abs=1e-12)
     assert rep.residual < 1e-10
     np.testing.assert_allclose(rep.eigenfunction, started.eigenfunction, atol=1e-9)
@@ -612,22 +662,23 @@ def test_near_degenerate_top_reports_no():
 
 def test_near_degenerate_top_reports_no_on_a_krylov_size_grid(monkeypatch):
     # at 256 nodes the cusp must sit closer to the midpoint for the budget to
-    # run out; Arnoldi settles the tie, but a root on the envelope sup is taken
-    # from the dense route, so the verdict and its evidence are the dense ones
+    # run out; the frozen generator settles the tie of this time-independent
+    # weight, but a root on the envelope sup is taken from the dense route, so
+    # the verdict and its evidence are the dense ones
     grid = build_grid(Boundary.DIRICHLET, (1.0,), 256)
     op = assemble(make_kernel("parabolic", 1e5), grid)
     w = closed_form("-((x - 0.50002)**2)**0.25", 1.0)
-    arnoldi_roots = []
-    original = perispec.spectrum._krylov_perron
+    frozen_mus = []
+    original = perispec.spectrum._frozen_point
 
     def recording(*args, **kwargs):
         result = original(*args, **kwargs)
-        arnoldi_roots.append(result[0])
+        frozen_mus.append(result.mu)
         return result
-    monkeypatch.setattr(perispec.spectrum, "_krylov_perron", recording)
+    monkeypatch.setattr(perispec.spectrum, "_frozen_point", recording)
     rep = principal_spectrum_point(op, w, 1.0)
     dense = principal_spectrum_point(op, w, 1.0, pmap=period_map(op, w, 1.0))
-    assert len(arnoldi_roots) == 1
+    assert len(frozen_mus) == 1
     assert rep.is_principal_eigenvalue == dense.is_principal_eigenvalue == "no"
     assert rep.residual == dense.residual >= 1e-8
     assert rep.mu_n == dense.mu_n
@@ -770,7 +821,7 @@ def test_report_bookkeeping():
     w = closed_form(STANDARD_WEIGHT, 1.0)
     rep = principal_spectrum_point(op, w, 0.8)
     assert rep.lam == 0.8
-    assert rep.iterations >= 1
+    assert rep.iterations == 0  # a separable weight: the exact route
     assert float(rep.eigenfunction.max()) == pytest.approx(1.0)
     assert np.all(rep.eigenfunction >= 0.0)
     assert rep.diagnostics == {}

@@ -459,6 +459,12 @@ def test_space_independent_detection(grid):
     assert not space_independent(closed_form("sin(2*pi*t/T) + 0.001*x", 1.0), grid)
 
 
+# products whose time factor vanishes at every time of the 256-interval
+# lattice; on the offset lattice the 512 one is the same spatially varying
+# row at every time, so its drift from that lattice's own mean would vanish
+ALIASED = ["cos(2*pi*x)*sin(256*pi*t/T) - 0.1", "cos(2*pi*x)*sin(512*pi*t/T) - 0.1"]
+
+
 @pytest.mark.parametrize("expr, separable", [
     ("0.3", True),
     ("sin(2*pi*t/T)", True),
@@ -467,13 +473,31 @@ def test_space_independent_detection(grid):
     ("cos(2*pi*x)*(1 + sin(2*pi*t/T))", False),
     ("cos(2*pi*(x - t/T))", False),
     ("cos(2*pi*x) + 1e-9*x*sin(2*pi*t/T)", False),
+    *[(expr, False) for expr in ALIASED],
 ])
 def test_separable_detection(grid, expr, separable):
     # m1(x) + m2(t): the fluctuation m - m_hat is constant in space at every time
     w = closed_form(expr, 1.0)
     assert summarize(w, grid).separable is separable
-    # linear interpolation between lattice rows keeps the structure
-    assert summarize(sample_closed_form(w, grid, 32), grid).separable is separable
+    if expr in ALIASED:
+        assert not summarize(w, grid).space_independent
+        # 32 rows sample the product only where it vanishes: that weight is -0.1
+        constant = summarize(sample_closed_form(w, grid, 32), grid)
+        assert constant.separable and constant.space_independent
+    else:
+        # linear interpolation between lattice rows keeps the structure
+        assert summarize(sample_closed_form(w, grid, 32), grid).separable is separable
+    # 100 rows fall between the lattice's times
+    assert summarize(sample_closed_form(w, grid, 100), grid).separable is separable
+
+
+def test_sampled_weight_reads_its_structure_on_its_own_rows(grid):
+    # 512 rows: the 256-interval lattice meets only the even ones, which are
+    # constant in space; the odd rows are not
+    samples = np.full((512, grid.n), -0.1)
+    samples[1::2] += np.cos(2 * np.pi * grid.nodes[:, 0])
+    summary = summarize(from_samples(samples, 1.0), grid)
+    assert not summary.separable and not summary.space_independent
 
 
 @pytest.mark.parametrize("sampled", [False, True])
