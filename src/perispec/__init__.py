@@ -17,11 +17,11 @@ from .kpp import (Nonlinearity, PeriodicOrbit, ThresholdScan,
                   find_periodic_solution, simulate_kpp, summarize_scan,
                   threshold_scan)
 from .operator import DispersalOperator, Problem, apply_generator, assemble
-from .spectrum import (AutonomousSpectrum, PowerIterationError, SConditions,
-                       SpectrumReport, autonomous_spectrum_point,
-                       check_S_conditions, classify_principal_eigenvalue,
-                       essential_interval, lyapunov_estimate,
-                       principal_spectrum_point, refinement_diagnostics)
+from .spectrum import (PowerIterationError, SConditions, SpectrumReport,
+                       autonomous_spectrum_point, check_S_conditions,
+                       classify_principal_eigenvalue, essential_interval,
+                       lyapunov_estimate, principal_spectrum_point,
+                       refinement_diagnostics)
 from .validate import CheckResult, run_checks
 from .weighted_solver import (LambdaPResult, PeSufficiency, UpperBoundResult,
                               pe_sufficiency, solve_lambda_p,
@@ -35,7 +35,7 @@ from .weights import (ConditionReport, S1Data, Weight, WeightExprError,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AutonomousSpectrum", "Boundary", "CheckResult", "ConditionReport",
+    "Boundary", "CheckResult", "ConditionReport",
     "DispersalOperator", "Grid", "Kernel", "LambdaPResult", "Nonlinearity",
     "PeSufficiency", "PeriodMap", "PeriodicOrbit", "PowerIterationError", "Problem",
     "S1Data", "SConditions", "SpectrumReport", "ThresholdScan", "Trajectory",

@@ -37,7 +37,7 @@ from .evolution import UnstableStepError
 from .geometry import Boundary
 from .kpp import MAX_PERIODS, Nonlinearity, find_periodic_solution, summarize_scan
 from .operator import Problem
-from .spectrum import PowerIterationError, principal_spectrum_point
+from .spectrum import PowerIterationError, check_S_conditions, principal_spectrum_point
 from .validate import DEFAULT_SEED, run_checks
 from .weighted_solver import (LAMBDA_CAP, STATUS_UNIQUE, TOL_ROOT, pe_sufficiency,
                               solve_lambda_p, upper_bound_lambda_p)
@@ -274,7 +274,7 @@ def _root_dict(res):
 
 
 def _pe_dict(pe):
-    s = pe.report.s_conditions
+    s = pe.s_conditions
     return {
         "is_principal_eigenvalue": pe.is_principal_eigenvalue,
         "basis": pe.basis,
@@ -325,17 +325,17 @@ def _task_spectrum(cp, op, weight, outdir, threads):
     cross = _get_bool(sec, "cross_validate", default=False)
 
     def one(lam):
-        return principal_spectrum_point(op, weight, lam, n_steps, cross_validate=cross)
+        return (principal_spectrum_point(op, weight, lam, n_steps, cross_validate=cross),
+                check_S_conditions(weight, op, lam))
 
-    reports = _map_ordered(one, lams, threads)
+    points = _map_ordered(one, lams, threads)
     columns = ["lam", "mu_n", "residual", "iterations", "h_hat_min", "h_hat_max",
                "is_principal_eigenvalue", "s1", "s2", "s3", "s3_exponent",
                "localization_width"]
     if cross:
         columns += ["lyapunov_mu", "method_gap"]
     rows = []
-    for rep in reports:
-        s = rep.s_conditions
+    for rep, s in points:
         row = [rep.lam, rep.mu_n, rep.residual, rep.iterations, rep.h_hat_min,
                rep.h_hat_max, rep.is_principal_eigenvalue, s.s1, s.s2, s.s3,
                s.s3_exponent, rep.localization_width]
@@ -351,21 +351,20 @@ def _task_spectrum(cp, op, weight, outdir, threads):
             {"lam": rep.lam, "mu_n": rep.mu_n, "residual": rep.residual,
              "is_principal_eigenvalue": rep.is_principal_eigenvalue,
              "h_hat_max": rep.h_hat_max,
-             "s_conditions": {"s1": rep.s_conditions.s1, "s2": rep.s_conditions.s2,
-                              "s3": rep.s_conditions.s3},
+             "s_conditions": {"s1": s.s1, "s2": s.s2, "s3": s.s3},
              **({"lyapunov_mu": rep.diagnostics["lyapunov_mu"],
                  "method_gap": rep.diagnostics["method_gap"]} if cross else {})}
-            for rep in reports],
+            for rep, s in points],
     }
     write_json(outdir / "summary.json", _clean(summary))
 
     lines = ["principal spectrum points", ""]
-    for rep in reports:
+    for rep, _ in points:
         lines.append(
             f"lam = {fmt(rep.lam)}: mu = {fmt(rep.mu_n)}, envelope max = "
             f"{fmt(rep.h_hat_max)}, principal eigenvalue: {rep.is_principal_eigenvalue}")
     write_text(outdir / "report.txt", "\n".join(lines) + "\n")
-    return 0, f"computed {len(reports)} spectrum points"
+    return 0, f"computed {len(points)} spectrum points"
 
 
 def _task_lambda_p(cp, op, weight, outdir, threads):
@@ -373,7 +372,7 @@ def _task_lambda_p(cp, op, weight, outdir, threads):
     res = solve_lambda_p(op, weight, n_steps=_get_int(sec, "n_steps"), **_root_options(sec))
     pe = None
     if res.status == STATUS_UNIQUE and _get_bool(sec, "check_pe", default=True):
-        pe = pe_sufficiency(res)
+        pe = pe_sufficiency(op, weight, res)
 
     _write_curve(outdir / "curve.csv", res.curve)
     summary = {"task": "lambda_p", "config": _config_echo(cp),

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,6 +51,7 @@ from .operator import DispersalOperator
 from .weights import Weight, summarize, time_average
 
 POWER_REL_TOL = 1e-12
+POWER_RESID_REL_TOL = 1e-10
 POWER_MAX_ITER = 10000
 TOL_EIG = 1e-8
 # From this many nodes on, a weight off the exact route takes Arnoldi on
@@ -105,7 +106,6 @@ class SpectrumReport:
     residual: float
     h_hat_min: float
     h_hat_max: float
-    s_conditions: SConditions
     iterations: int
     localization_width: float         # eigenfunction mass fraction of the domain
     diagnostics: dict
@@ -116,25 +116,24 @@ class SpectrumReport:
         return classify_principal_eigenvalue(self)
 
 
-def _power_iteration(mat: np.ndarray, v0: np.ndarray, w: np.ndarray,
-                     rel_tol: float = POWER_REL_TOL, max_iter: int = POWER_MAX_ITER,
-                     resid_rel_tol: float = 1e-10):
+def _power_iteration(mat: np.ndarray, w: np.ndarray):
     """Dominant (ratio, vector, residual, iterations) of a nonnegative matrix.
 
-    The Rayleigh-type ratio is taken in the quadrature inner product; the
-    vector is renormalized in sup norm every step.  Convergence requires both
-    a stable ratio (relative change below ``rel_tol`` three steps in a row)
-    and a small eigen-residual: the ratio settles roughly twice as fast as
-    the vector, and the classifier downstream needs the vector.  Exhausting
-    the budget with a stable ratio is not an error -- the lingering residual
-    is returned as evidence of a near-degenerate top of the spectrum.
+    Started from the constant field.  The Rayleigh-type ratio is taken in the
+    quadrature inner product; the vector is renormalized in sup norm every
+    step.  Convergence requires both a stable ratio (relative change below
+    ``POWER_REL_TOL`` three steps in a row) and an eigen-residual below
+    ``POWER_RESID_REL_TOL``: the ratio settles roughly twice as fast as the
+    vector, and the classifier downstream needs the vector.  Exhausting the
+    budget with a stable ratio is not an error -- the lingering residual is
+    returned as evidence of a near-degenerate top of the spectrum.
     """
-    v = v0 / float(np.abs(v0).max())
+    v = np.ones(mat.shape[0])
     ratio_prev = None
     stable = 0
     iterations = 0
     ratio = 0.0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, POWER_MAX_ITER + 1):
         fv = mat @ v
         den = float(np.dot(w * v, v))
         ratio = float(np.dot(w * v, fv)) / den
@@ -142,18 +141,18 @@ def _power_iteration(mat: np.ndarray, v0: np.ndarray, w: np.ndarray,
         if nrm == 0.0 or ratio <= 0.0:
             raise PowerIterationError("power iteration collapsed to zero; the map is degenerate")
         resid = float(np.abs(fv - ratio * v).max())
-        if ratio_prev is not None and abs(ratio - ratio_prev) <= rel_tol * abs(ratio):
+        if ratio_prev is not None and abs(ratio - ratio_prev) <= POWER_REL_TOL * abs(ratio):
             stable += 1
         else:
             stable = 0
         v = fv / nrm
-        if stable >= 3 and resid <= resid_rel_tol * (1.0 + abs(ratio)):
+        if stable >= 3 and resid <= POWER_RESID_REL_TOL * (1.0 + abs(ratio)):
             break
         ratio_prev = ratio
     else:
         if ratio_prev is None or abs(ratio - ratio_prev) > 1e-9 * abs(ratio):
             raise PowerIterationError(
-                f"power iteration did not stabilize in {max_iter} iterations")
+                f"power iteration did not stabilize in {POWER_MAX_ITER} iterations")
     residual = float(np.abs(mat @ v - ratio * v).max())
     return ratio, v, residual, iterations
 
@@ -163,9 +162,10 @@ def _frozen_perron(op: DispersalOperator, m_hat: np.ndarray, lam: float) -> np.n
 
     Lanczos (ARPACK through ``scipy.sparse.linalg.eigsh``) on ``K`` plus the
     shifted diagonal, applied to vectors, so no ``n x n`` matrix is formed.
-    The diagonal is shifted by ``max(0, -min) + 1`` to make it positive:
-    without the shift the constant start can lie in the kernel (``K - b`` on
-    Neumann at ``lam = 0``).  The vector is scaled to sup 1 at a positive
+    The diagonal is shifted by ``max(0, -min) + 1`` to make it positive, so a
+    positive eigenvector belongs to the spectral radius: the constant start is
+    returned when it is one to rounding, as Lanczos would restart from a
+    random vector.  Otherwise the vector is scaled to sup 1 at a positive
     entry; None when Lanczos does not converge or the vector has a
     substantive negative entry.  It is the exact route's eigenfunction for a
     separable weight and Arnoldi's start for any other.
@@ -180,9 +180,13 @@ def _frozen_perron(op: DispersalOperator, m_hat: np.ndarray, lam: float) -> np.n
         v = v.ravel()
         return op.matvec(v) + diag * v
 
+    start = np.ones(op.n)
+    image = matvec(start)
+    if float(image.max() - image.min()) <= 16 * np.finfo(float).eps * float(image.max()):
+        return start
     try:
         _, vecs = eigsh(LinearOperator((op.n, op.n), matvec=matvec, dtype=float), k=1,
-                        which="LA", v0=np.ones(op.n), tol=0)
+                        which="LA", v0=start, tol=0)
     except ArpackError:
         return None
     v = vecs[:, 0]
@@ -258,6 +262,16 @@ def localization_width(phi: np.ndarray, w: np.ndarray) -> float:
     if mass4 == 0.0:
         return 0.0
     return mass2 * mass2 / mass4 / volume
+
+
+def _report(op: DispersalOperator, lam: float, h: np.ndarray, mu: float, phi: np.ndarray,
+            residual: float, iterations: int) -> SpectrumReport:
+    """The one constructor of ``SpectrumReport``; ``h`` is the envelope ``-b + lam * m_hat``."""
+    return SpectrumReport(mu_n=mu, lam=float(lam), eigenfunction=phi, residual=residual,
+                          h_hat_min=float(h.min()), h_hat_max=float(h.max()),
+                          iterations=iterations,
+                          localization_width=localization_width(phi, op.quad_weights),
+                          diagnostics={})
 
 
 def essential_interval(op: DispersalOperator, weight: Weight, lam: float) -> tuple[float, float]:
@@ -353,6 +367,7 @@ def _fit_contact_exponent(h: np.ndarray, nodes: np.ndarray, spacing: float) -> f
 
 
 def check_S_conditions(weight: Weight, op: DispersalOperator, lam: float) -> SConditions:
+    """The S-conditions at ``lam``: they read the time average, not a spectrum point."""
     grid = op.grid
     dim = grid.dim
     m_hat = time_average(weight, grid)
@@ -410,48 +425,34 @@ def principal_spectrum_point(op: DispersalOperator, weight: Weight, lam: float,
     is the frozen generator's eigen-residual.  On the Arnoldi route
     ``iterations`` counts vector periods: Arnoldi's, one for the residual and
     one for the positivity probe.  On the dense route it counts power
-    iteration steps.  Every report carries the S-conditions at ``lam``.
+    iteration steps.
     """
     summary = summarize(weight, op.grid)
-    w = op.quad_weights
     m_hat = summary.m_hat
     h = -op.b + lam * m_hat
-    h_min, h_max = float(h.min()), float(h.max())
-    mu = None
-    frozen = _frozen_point(op, m_hat, lam) if pmap is None and summary.separable else None
-    if frozen is not None:
-        mu, phi, residual, iterations = frozen.mu, frozen.eigenfunction, frozen.residual, 0
-    elif pmap is None and op.n >= _KRYLOV_MIN_N:
+    h_max = float(h.max())
+    report = _frozen_point(op, m_hat, lam) if pmap is None and summary.separable else None
+    if report is None and pmap is None and op.n >= _KRYLOV_MIN_N:
         apply = period_action(op, weight, lam, n_steps)
         start = None if summary.separable else _frozen_perron(op, m_hat, lam)
         ratio, phi, residual, iterations = _krylov_perron(apply, op.n, start)
         mu = math.log(ratio) / weight.period
         if abs(mu - h_max) >= _gap_tol(mu):
             _probe_positivity(apply, op.n, np.argsort(h, kind="stable")[:_PROBE_COLUMNS])
-            iterations += 1
+            report = _report(op, lam, h, mu, phi, residual, iterations + 1)
     # on the envelope sup the verdict needs the dense route's residual
-    if mu is None or abs(mu - h_max) < _gap_tol(mu):
+    if report is None or abs(report.mu_n - h_max) < _gap_tol(report.mu_n):
         if pmap is None:
             pmap = period_map(op, weight, lam, n_steps=n_steps)
-        ratio, phi, residual, iterations = _power_iteration(pmap.matrix, np.ones(op.n), w)
-        mu = math.log(ratio) / weight.period
-    diagnostics = {}
+        ratio, phi, residual, iterations = _power_iteration(pmap.matrix, op.quad_weights)
+        report = _report(op, lam, h, math.log(ratio) / weight.period, phi, residual,
+                         iterations)
     if cross_validate:
         mu_lyap = lyapunov_estimate(op, weight, lam, n_periods=50, n_steps=n_steps,
                                     pmap=pmap)
-        diagnostics = {"lyapunov_mu": mu_lyap, "method_gap": abs(mu - mu_lyap)}
-    return SpectrumReport(
-        mu_n=mu,
-        lam=float(lam),
-        eigenfunction=phi,
-        residual=residual,
-        h_hat_min=h_min,
-        h_hat_max=h_max,
-        s_conditions=check_S_conditions(weight, op, lam),
-        iterations=iterations,
-        localization_width=localization_width(phi, w),
-        diagnostics=diagnostics,
-    )
+        report = replace(report, diagnostics={"lyapunov_mu": mu_lyap,
+                                              "method_gap": abs(report.mu_n - mu_lyap)})
+    return report
 
 
 def lyapunov_estimate(op: DispersalOperator, weight: Weight, lam: float,
@@ -489,36 +490,30 @@ def lyapunov_estimate(op: DispersalOperator, weight: Weight, lam: float,
     return float(tail.mean() / weight.period)
 
 
-@dataclass(frozen=True)
-class AutonomousSpectrum:
-    mu: float
-    eigenfunction: np.ndarray
-    residual: float
-
-
 def _frozen_point(op: DispersalOperator, m_field: np.ndarray,
-                  lam: float) -> AutonomousSpectrum | None:
+                  lam: float) -> SpectrumReport | None:
     """Spectral bound of ``K - b + lam * m_field`` from ``_frozen_perron``, or None.
 
     ``mu`` is the quadrature Rayleigh ratio of the Perron vector, and the
-    residual its eigen-residual under the generator.
+    residual its eigen-residual under the generator; ``iterations`` reads 0.
     """
     phi = _frozen_perron(op, m_field, lam)
     if phi is None:
         return None
-    image = op.matvec(phi) + (lam * m_field - op.b) * phi
+    h = -op.b + lam * m_field
+    image = op.matvec(phi) + h * phi
     w_phi = op.quad_weights * phi
     mu = float(np.dot(w_phi, image)) / float(np.dot(w_phi, phi))
     residual = float(np.abs(image - mu * phi).max())
-    return AutonomousSpectrum(mu=mu, eigenfunction=phi, residual=residual)
+    return _report(op, lam, h, mu, phi, residual, 0)
 
 
-def autonomous_spectrum_point(op: DispersalOperator, m_field: np.ndarray, lam: float) -> AutonomousSpectrum:
+def autonomous_spectrum_point(op: DispersalOperator, m_field: np.ndarray, lam: float) -> SpectrumReport:
     """Spectral bound of the frozen generator ``K - b + lam * m_field``.
 
     For a separable weight and its time average ``m_field`` this equals the
-    periodic principal spectrum point, with no time-stepping error: it is the
-    exact route of ``principal_spectrum_point``.
+    periodic principal spectrum point, with no time-stepping error: its report
+    is the one the exact route of ``principal_spectrum_point`` returns.
     """
     point = _frozen_point(op, np.asarray(m_field, dtype=float), lam)
     if point is None:

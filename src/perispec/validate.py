@@ -137,7 +137,7 @@ def check_time_averaging(rng) -> tuple[bool, str]:
     lam = float(rng.uniform(0.5, 1.5))
     mu = principal_spectrum_point(op, weight, lam, n_steps=256).mu_n
     m_hat = summarize(weight, op.grid).m_hat
-    mu_avg = autonomous_spectrum_point(op, m_hat, lam).mu
+    mu_avg = autonomous_spectrum_point(op, m_hat, lam).mu_n
     return mu >= mu_avg - 1e-8, f"mu(m) - mu(average) = {mu - mu_avg:.3e}"
 
 

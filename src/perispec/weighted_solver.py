@@ -39,8 +39,8 @@ import numpy as np
 
 from .geometry import Boundary
 from .operator import DispersalOperator
-from .spectrum import (AutonomousSpectrum, SpectrumReport, autonomous_spectrum_point,
-                       principal_spectrum_point)
+from .spectrum import (SConditions, SpectrumReport, autonomous_spectrum_point,
+                       check_S_conditions, principal_spectrum_point)
 from .weights import ConditionReport, Weight, summarize
 
 STATUS_UNIQUE = "unique_root"
@@ -67,25 +67,24 @@ class LambdaPResult:
     condition_report: ConditionReport
     evidence: str
     # the spectrum point the search computed at the root
-    root_report: SpectrumReport | AutonomousSpectrum | None = field(default=None, compare=False)
+    root_report: SpectrumReport | None = field(default=None, compare=False)
 
 
 class _MuCache:
-    """``mu(lam)`` evaluated once per ``lam``; ``reports`` keeps what ``fn`` returned."""
+    """``mu(lam)`` evaluated once per ``lam``; ``reports`` keeps the report ``fn`` returned."""
 
-    def __init__(self, fn, mu_of):
+    def __init__(self, fn):
         self.fn = fn
-        self.mu_of = mu_of
-        self.reports: dict[float, object] = {}
+        self.reports: dict[float, SpectrumReport] = {}
 
     def __call__(self, lam: float) -> float:
         lam = float(lam)
         if lam not in self.reports:
             self.reports[lam] = self.fn(lam)
-        return float(self.mu_of(self.reports[lam]))
+        return float(self.reports[lam].mu_n)
 
     def curve(self) -> tuple[tuple[float, float], ...]:
-        return tuple(sorted((lam, float(self.mu_of(r))) for lam, r in self.reports.items()))
+        return tuple(sorted((lam, float(r.mu_n)) for lam, r in self.reports.items()))
 
 
 def _upward_crossing(mu: _MuCache, lo: float, lam: float, tol_root: float,
@@ -240,8 +239,7 @@ def solve_lambda_p(op: DispersalOperator, weight: Weight, *,
     """Find the positive root of the principal-spectrum-point curve, if any."""
     summary = summarize(weight, op.grid)
     cond = ConditionReport.from_values(summary.p_value, summary.time_space_integral)
-    mu = _MuCache(lambda lam: principal_spectrum_point(op, weight, lam, n_steps),
-                  lambda report: report.mu_n)
+    mu = _MuCache(lambda lam: principal_spectrum_point(op, weight, lam, n_steps))
     return _solve_core(mu, op.boundary, cond, summary.space_independent,
                        float(summary.m_hat.mean()), summary.sup_abs, tol_root, lam_cap)
 
@@ -264,14 +262,14 @@ def upper_bound_lambda_p(op: DispersalOperator, weight: Weight, *,
     Averaging the weight in time can only raise the threshold, so
     ``lambda_p(m) <= lambda_p(m_hat) + 1e-8`` whenever both exist.  The
     averaged problem is autonomous and is solved by the same search logic on
-    the exact spectral bound of the frozen generator (no time stepping).
+    the exact spectral bound of the frozen generator (no time stepping): its
+    ``root_report`` is the ``SpectrumReport`` of ``autonomous_spectrum_point``.
     """
     res_time = solve_lambda_p(op, weight, n_steps=n_steps, tol_root=tol_root,
                               lam_cap=lam_cap)
     summary = summarize(weight, op.grid)
     m_hat = summary.m_hat
-    mu_auto = _MuCache(lambda lam: autonomous_spectrum_point(op, m_hat, lam),
-                       lambda spec: spec.mu)
+    mu_auto = _MuCache(lambda lam: autonomous_spectrum_point(op, m_hat, lam))
     cond_auto = ConditionReport.from_values(weight.period * summary.m_hat_max,
                                             summary.time_space_integral)
     spread = summary.m_hat_max - summary.m_hat_min
@@ -293,28 +291,29 @@ class PeSufficiency:
     is_principal_eigenvalue: str  # "yes" | "no" | "unknown"
     basis: str | None             # "S1" | "S3" | "gap" when yes
     report: SpectrumReport
+    s_conditions: SConditions     # at the root
 
 
-def pe_sufficiency(result: LambdaPResult) -> PeSufficiency:
+def pe_sufficiency(op: DispersalOperator, weight: Weight,
+                   result: LambdaPResult) -> PeSufficiency:
     """Decide whether the spectrum point at the root is a true eigenvalue.
 
     Analytic sufficiency (smooth flat interior maximum, or divergent contact
     integral) is preferred; the numerical gap classification is the fallback.
-    Nothing is computed: ``result.root_report`` already carries the S-conditions.
+    The S-conditions are fitted once, at the root; they read only the time
+    average of ``weight``, so the averaged root of ``upper_bound_lambda_p`` is
+    checked the same way, against its own ``root_report``.
     """
     if result.status != STATUS_UNIQUE or result.lambda_p is None:
         raise ValueError("pe_sufficiency needs a unique_root result")
-    if not isinstance(result.root_report, SpectrumReport):
-        raise ValueError("pe_sufficiency needs a solve_lambda_p result, which carries the "
-                         "spectrum point at the root; the averaged problem's does not")
     report = result.root_report
-    s = report.s_conditions
+    s = check_S_conditions(weight, op, result.lambda_p)
     if s.s1 == "yes":
-        return PeSufficiency("yes", "S1", report)
+        return PeSufficiency("yes", "S1", report, s)
     if s.s3 == "yes":
-        return PeSufficiency("yes", "S3", report)
+        return PeSufficiency("yes", "S3", report, s)
     if report.is_principal_eigenvalue == "yes":
-        return PeSufficiency("yes", "gap", report)
+        return PeSufficiency("yes", "gap", report, s)
     if report.is_principal_eigenvalue == "no":
-        return PeSufficiency("no", None, report)
-    return PeSufficiency("unknown", None, report)
+        return PeSufficiency("no", None, report, s)
+    return PeSufficiency("unknown", None, report, s)

@@ -151,24 +151,28 @@ def test_tasks_go_through_the_public_entry_points(tmp_path, monkeypatch, problem
                                                   task, section):
     # every spectrum point and root search of a task is a call of the
     # public function, so wrapping those names counts the work; the problem
-    # is built once, at the config's grid size
+    # is built once, at the config's grid size; the S-conditions are fitted
+    # once per spectrum row and once at a lambda_p root, never in a search
     counts = count_calls(monkeypatch, perispec.spectrum.principal_spectrum_point,
-                         perispec.weighted_solver.solve_lambda_p)
+                         perispec.weighted_solver.solve_lambda_p,
+                         perispec.spectrum.check_S_conditions)
     cfg = write_ini(tmp_path, BASE_PROBLEM + section)
     assert run(task, cfg, tmp_path / "out") == 0
     assert problem_at_calls == [24]
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     points = len(counts["principal_spectrum_point"])
     solves = len(counts["solve_lambda_p"])
+    fits = len(counts["check_S_conditions"])
     if task == "lambda_p":
         assert "principal_eigenvalue" in summary
-        assert solves == 1 and points == summary["result"]["curve_points"]
+        assert solves == 1 and points == summary["result"]["curve_points"] and fits == 1
     elif task == "upper_bound":
         assert solves == 1 and points == summary["time_dependent"]["curve_points"]
+        assert fits == 0
     elif task == "spectrum":
-        assert solves == 0 and points == 3
+        assert solves == 0 and points == fits == 3
     else:
-        assert solves == 1 and points >= summary["threshold"]["curve_points"]
+        assert solves == 1 and points >= summary["threshold"]["curve_points"] and fits == 0
 
 
 NONSEPARABLE_EXPR = "cos(2*pi*x)*(1 + sin(2*pi*t/T)) - 0.2 + sin(2*pi*t/T)"
@@ -531,6 +535,34 @@ def test_unknown_task_exits_two(tmp_path, capsys):
         main(["frobnicate", "x.ini"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_degenerate_frozen_generator_gives_one_answer(tmp_path):
+    # two cells with a kernel far narrower than the spacing: K = 7.5 I, so the
+    # frozen generator of the constant weight is 7 I, whose top is degenerate,
+    # and the constant start is already a Perron vector
+    cfg = write_ini(tmp_path, """
+[problem]
+boundary = dirichlet
+box = 1
+n_per_axis = 2
+kernel = parabolic
+support_radius = 0.05
+
+[weight]
+period = 1.0
+expr = 0.5
+
+[spectrum]
+lambdas = 1
+""")
+    outputs = set()
+    for k in range(5):
+        out = tmp_path / f"out{k}"
+        assert run("spectrum", cfg, out) == 0
+        outputs.add(tuple((out / name).read_bytes()
+                          for name in ("spectrum.csv", "summary.json", "report.txt")))
+    assert len(outputs) == 1
 
 
 def test_numerical_failure_exits_three(tmp_path, capsys):

@@ -20,7 +20,9 @@ import perispec.weighted_solver
 import perispec.weights
 from perispec.geometry import Boundary, build_grid, make_kernel, wrap_kernel
 from perispec.operator import assemble
-from perispec.spectrum import AutonomousSpectrum, check_S_conditions, principal_spectrum_point
+from perispec.kpp import Nonlinearity, find_periodic_solution
+from perispec.spectrum import (SpectrumReport, check_S_conditions, essential_interval,
+                               principal_spectrum_point)
 from perispec.weighted_solver import (LambdaPResult, pe_sufficiency,
                                       solve_lambda_p, upper_bound_lambda_p)
 from perispec.weights import closed_form
@@ -317,7 +319,7 @@ def test_pe_sufficiency_quadratic_max_via_contact_exponent():
     op = make_op(Boundary.DIRICHLET)
     w = closed_form(STANDARD_WEIGHT, 1.0)
     res = solve_lambda_p(op, w)
-    suff = pe_sufficiency(res)
+    suff = pe_sufficiency(op, w, res)
     assert suff.is_principal_eigenvalue == "yes"
     assert suff.basis in ("S1", "S3", "gap")
     assert suff.report.lam == pytest.approx(res.lambda_p)
@@ -328,32 +330,65 @@ def test_pe_sufficiency_requires_unique_root():
     w = closed_form("sin(2*pi*t/T)", 1.0)
     res = solve_lambda_p(op, w)
     with pytest.raises(ValueError):
-        pe_sufficiency(res)
+        pe_sufficiency(op, w, res)
+
+
+def count_s_condition_fits(monkeypatch):
+    """The ``lam`` of every ``check_S_conditions`` call from here on."""
+    lams = []
+
+    def counting(weight, op, lam):
+        lams.append(lam)
+        return check_S_conditions(weight, op, lam)
+    for module in (perispec.spectrum, perispec.weighted_solver):
+        monkeypatch.setattr(module, "check_S_conditions", counting)
+    return lams
 
 
 def test_pe_sufficiency_adds_only_the_s_conditions(monkeypatch):
     # a non-separable weight takes the dense route; the check at the root
-    # reads the spectrum point the search computed there, at its step count
+    # reads the spectrum point the search computed there, at its step count,
+    # and fits the S-conditions once, at the root
     op = make_op(Boundary.DIRICHLET)
     w = closed_form("cos(2*pi*x)*(1 + sin(2*pi*t/T)) - 0.2", 1.0)
     res = solve_lambda_p(op, w, n_steps=96)
     assert res.status == "unique_root"
     assert res.root_report.lam == res.lambda_p
     assert res.root_report.mu_n == res.mu_at_root
-    assert res.root_report.s_conditions == check_S_conditions(w, op, res.lambda_p)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("pe_sufficiency recomputed the spectrum point")
     for module in (perispec.spectrum, perispec.weighted_solver):
         monkeypatch.setattr(module, "principal_spectrum_point", forbidden)
-    for name in ("check_S_conditions", "period_map", "period_action"):
+    for name in ("period_map", "period_action"):
         monkeypatch.setattr(perispec.spectrum, name, forbidden)
-    suff = pe_sufficiency(res)
+    fits = count_s_condition_fits(monkeypatch)
+    suff = pe_sufficiency(op, w, res)
+    assert fits == [res.lambda_p]
     assert suff.report is res.root_report
     assert suff.report.mu_n == res.mu_at_root
     # the report rides along but takes no part in equality
     monkeypatch.undo()
+    assert suff.s_conditions == check_S_conditions(w, op, res.lambda_p)
     assert solve_lambda_p(op, w, n_steps=96) == res
+
+
+def test_only_the_verdict_at_the_root_fits_the_s_conditions(monkeypatch):
+    # the root searches and the KPP orbit read no S-condition
+    op = make_op(Boundary.DIRICHLET)
+    fits = count_s_condition_fits(monkeypatch)
+    for expr in ("cos(2*pi*x)*(1 + sin(2*pi*t/T)) - 0.2", STANDARD_WEIGHT):
+        w = closed_form(expr, 1.0)
+        res = solve_lambda_p(op, w)
+        ub = upper_bound_lambda_p(op, w)
+        assert res.status == ub.averaged.status == "unique_root"
+        orbit = find_periodic_solution(op, w, Nonlinearity(), 1.25 * res.lambda_p,
+                                       check_uniqueness=False)
+        assert orbit.verdict == "persistence"
+        assert fits == []
+        pe_sufficiency(op, w, res)
+        assert fits == [res.lambda_p]
+        fits.clear()
 
 
 # the weights of the acceptance suite's twelve cases, a non-separable one
@@ -366,7 +401,7 @@ WARNING_FREE_WEIGHTS = [
 
 
 def test_root_search_fitting_s_conditions_emits_no_warning():
-    # every point of the search fits the contact exponent
+    # the root search, and pe_sufficiency fitting the contact exponent at its root
     for boundary in Boundary:
         op = make_op(boundary)
         for expr in WARNING_FREE_WEIGHTS:
@@ -374,16 +409,22 @@ def test_root_search_fitting_s_conditions_emits_no_warning():
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 res = solve_lambda_p(op, w)
-            if res.status == "unique_root":
-                assert res.root_report.s_conditions == check_S_conditions(w, op, res.lambda_p)
+                if res.status == "unique_root":
+                    assert pe_sufficiency(op, w, res).report is res.root_report
 
 
-def test_pe_sufficiency_refuses_the_averaged_root():
+def test_pe_sufficiency_fits_the_s_conditions_on_the_averaged_root():
+    # the S-conditions read only the time average, so they hold for both
+    # problems; the averaged root's report is the frozen generator's point
     op = make_op(Boundary.DIRICHLET)
     w = closed_form(STANDARD_WEIGHT, 1.0)
     ub = upper_bound_lambda_p(op, w)
     assert ub.averaged.status == "unique_root"
-    assert isinstance(ub.averaged.root_report, AutonomousSpectrum)
-    with pytest.raises(ValueError, match="averaged"):
-        pe_sufficiency(ub.averaged)
-    assert pe_sufficiency(ub.time_dependent).report.lam == ub.time_dependent.lambda_p
+    rep = ub.averaged.root_report
+    assert isinstance(rep, SpectrumReport)
+    assert rep.lam == ub.averaged.lambda_p and rep.iterations == 0
+    assert (rep.h_hat_min, rep.h_hat_max) == essential_interval(op, w, rep.lam)
+    suff = pe_sufficiency(op, w, ub.averaged)
+    assert suff.s_conditions == check_S_conditions(w, op, ub.averaged.lambda_p)
+    assert suff.report is rep
+    assert pe_sufficiency(op, w, ub.time_dependent).report.lam == ub.time_dependent.lambda_p
