@@ -19,13 +19,19 @@ state of a period map the right-hand side ``K U + (lam m - b) U`` is one
 GEMM with a private copy of ``K`` whose diagonal is set to
 ``diag(K) + lam m - b`` before each stage, an O(n) write.  A vector state
 keeps the product with ``K`` plus the diagonal product, and the product is
-``op.matvec``: a GEMV in 1-D, two small GEMMs through the kernel stencil in
-2-D, which never read the dense ``K``.  A block of a few columns (the
-positivity probe) keeps the GEMM with ``K``.  For a vector the copy of ``K``
+``op.matvec``: a GEMV in 1-D, two small GEMMs through the factored kernel
+stencil in 2-D, which never read the dense ``K``.  A block of a few columns
+(the positivity probe) goes through the same product, with no copy of
+``K``: it is stepped as a C-ordered stack of its columns, and ``op.matvec``
+gives each column the bits it gives that vector alone, so a block's columns
+are their own vector periods bit for bit.  On 2-D Neumann 24x24 (64 steps,
+one BLAS thread) a vector period took 4.0-4.2 ms and the probe's 8-column
+period 17-20 ms, against 10.8-11.9 ms and 99-110 ms with the full-rank
+stencil and a GEMM with ``K``.  For a vector or a block the copy of ``K``
 and the strided diagonal writes cost more than the elementwise work they
-save, and for a block the copy costs more memory than the block.  Folding
-the diagonal into the GEMM changes the rounding of a map by a few ulps
-against the textbook ``K U + d U`` form; the saving needs that change.
+save.  Folding the diagonal into the GEMM changes the rounding of a map by a
+few ulps against the textbook ``K U + d U`` form; the saving needs that
+change.
 ``op.K`` is never written, and every call owns its buffers, so concurrent
 calls stay deterministic.
 
@@ -39,7 +45,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -111,9 +116,12 @@ def _integrate(op: DispersalOperator, weight: Weight, lam: float, state: np.ndar
                crowding=None, scale: float = 1.0, tables=None):
     """Shared RK4 loop for vector and matrix states.
 
-    Returns (recorded times, recorded states) when ``record_every`` is set,
-    otherwise just the final state.  Without ``crowding`` the norm monitor
-    raises once the state leaves the envelope
+    ``state`` is a vector, an ``n x n`` matrix (a period map's identity)
+    whose columns are stepped together by one GEMM, or a block of another
+    width whose columns are stepped as vectors.  Returns (recorded times,
+    recorded states) when ``record_every`` is set (vector states), otherwise
+    just the final state.  Without ``crowding`` the norm monitor raises once
+    the state leaves the envelope
     exp((||b|| + |lam| sup|m| + 1) (t - t0)) * 10 * ||u0||, which no stable
     run can reach.  With a per-capita ``crowding(u)`` (vector states only) the
     right-hand side becomes ``K u + (lam m - b - crowding(u)) u`` and the
@@ -124,7 +132,6 @@ def _integrate(op: DispersalOperator, weight: Weight, lam: float, state: np.ndar
     if tables is None:
         tables = _stage_tables(op, weight, lam, t0, t1, n_steps)
     halves, ends, m_seen = tables
-    K = op.K
     h = (t1 - t0) / n_steps
 
     u0_norm = float(np.abs(state).max())
@@ -132,13 +139,17 @@ def _integrate(op: DispersalOperator, weight: Weight, lam: float, state: np.ndar
     log_u0 = math.log(max(u0_norm, 1e-300))
     ceiling = 10.0 * scale
 
+    # an n x n state (a period map's columns) steps as one matrix; any other
+    # block's columns step as the rows of a stack, each through op.matvec
+    matrix = np.shape(state) == (op.n, op.n)
+    block = np.ndim(state) == 2 and not matrix
     # a C-ordered copy: the products' rounding depends on the memory layout
-    u = np.array(state, dtype=float, order="C")
+    u = np.array(np.transpose(state) if block else state, dtype=float, order="C")
     acc, y, slope = np.empty_like(u), np.empty_like(u), np.empty_like(u)
-    if u.shape == K.shape:
+    if matrix:
         # K U + (lam m - b) U as one GEMM with a private copy of K whose
         # diagonal is rewritten, in O(n), to diag(K) + lam m - b at each stage
-        A = np.array(K)
+        A = np.array(op.K)
         diag = A.reshape(-1)[::A.shape[0] + 1]
         k_diag = diag.copy()
 
@@ -146,17 +157,10 @@ def _integrate(op: DispersalOperator, weight: Weight, lam: float, state: np.ndar
             np.add(k_diag, d, out=diag)
             np.matmul(A, Y, out=slope)
     else:
-        # a vector, through op.matvec, or a block narrower than K, which is not
-        # worth a copy of K
-        apply_K = op.matvec
-        if u.ndim == 2:
-            halves, ends = halves[:, :, None], ends[:, :, None]
-            apply_K = partial(np.matmul, K)
-
         def rhs(d, Y):
             if crowding is not None:
                 d = d - crowding(Y)
-            apply_K(Y, out=slope)
+            op.matvec(Y, out=slope)
             np.add(slope, d * Y, out=slope)
 
     times = [t0]
@@ -206,7 +210,7 @@ def _integrate(op: DispersalOperator, weight: Weight, lam: float, state: np.ndar
 
     if record_every:
         return np.array(times), np.stack(states)
-    return u
+    return u.T if block else u
 
 
 def propagate(op: DispersalOperator, weight: Weight, lam: float, u0, t0: float, t1: float,
@@ -249,7 +253,8 @@ def period_map(op: DispersalOperator, weight: Weight, lam: float,
 def period_action(op: DispersalOperator, weight: Weight, lam: float,
                   n_steps: int | None = None):
     """The map ``v -> Phi(T, 0) v``: one weight period of the linear flow
-    applied to a vector, without forming the monodromy matrix.
+    applied to a vector, or to each column of a block, without forming the
+    monodromy matrix.
 
     The step count is fixed once, as ``period_map`` would choose it, so every
     application integrates the same discrete flow, and the stage tables are

@@ -14,26 +14,44 @@ block-Toeplitz in 2-D.  Each offset is taken as ``|k - j|`` times the spacing
 on every axis.  The kernels are even in each coordinate, so this changes
 values by rounding at most, and it makes ``K`` exactly symmetric.
 
-``matvec`` applies ``K`` to a vector (matrix states keep the GEMM with ``K``).
-In 1-D that is a GEMV with ``K``.  In 2-D the vector, reshaped to ``U[k, l]``
+``matvec`` applies ``K`` to a vector, or to each row of a stack of vectors
+(matrix states keep the GEMM with ``K``).  In 1-D that is a GEMV with ``K``
+per vector.  In 2-D ``K`` is never read: the vector, reshaped to ``V[k, l]``
 (``N x N``), goes through the stencil quarter ``s[a, c]`` (offsets
-``a, c >= 0``) in two small GEMMs, with tables ``assemble`` builds once:
+``a, c >= 0``).  For the kernels here ``s`` is numerically of low rank
+``R``, so ``assemble`` factors it once by a rank-revealing SVD,
+``s[a, c] = sum_r P[a, r] Q[c, r]``, cut at numpy's ``matrix_rank``
+tolerance ``sigma_max * N * eps``, and lays the factors out in two tables:
 
-* ``W = U @ rows``, ``rows[l, (a, j)] = s[a, |j - l|]`` (``N x N^2``), so
-  ``W[k, (a, j)]`` is the second-axis convolution of row ``k`` at offset ``a``;
-* ``out = fold @ W`` with ``W`` read as ``(k, a) x j`` and the 0/1 matrix
-  ``fold[i, (k, a)] = [a = |i - k|]`` (``N x N^2``), which sums
-  ``W[k, (|i - k|, j)]`` over ``k``.
+* ``W = V @ right``, ``right[l, (r, j)] = Q[|j - l|, r]`` (``N x RN``), so
+  ``W[k, (r, j)]`` is the second-axis convolution of row ``k`` with factor
+  ``r``;
+* ``out = left @ W`` with ``W`` read as ``(k, r) x j`` and
+  ``left[i, (k, r)] = P[|i - k|, r]`` (``N x NR``), which sums the first-axis
+  convolution over ``k`` and ``r``.
 
-Both GEMMs cost ``n^2`` multiply-adds, as the GEMV does, but they read two
-tables of ``n^1.5`` entries that stay in cache, where the GEMV streams all of
-``K``.  With one BLAS thread on 2-D Neumann grids one application took
-25-35 us against 84-100 us for the GEMV at 24x24, 113-133 us against
-307-354 us at 32x32, and about the same at 16x16; at 8x8 it took 5-8 us
-against 1-2 us.  A gather of ``W[k, |i - k|, j]`` by a precomputed index,
-summed over ``k``, took 39-51 us at 24x24 and 90-95 us at 32x32, and lost at
-8x8 and 16x16.  The sums run in another order than the GEMV's, so the
-results move by rounding.
+The two GEMMs cost ``2 R N^3`` multiply-adds, against ``N^4`` for the GEMV,
+and read tables of ``R N^2`` entries that stay in cache.  Each vector of a
+stack goes through the same two GEMMs as it would alone, so a stack's image
+equals its rows' images bit for bit.  One application, with one BLAS thread
+on 2-D Neumann grids with the parabolic kernel of radius 0.5 (best of 7
+rounds, the range over 3 or 4 processes; "unfactored" is the same pair of
+GEMMs through ``s`` itself, ``R = N``, summed by a 0/1 table):
+
+    ====  ==  ==========  ==========  =========
+    N     R   factored    unfactored  GEMV
+    ====  ==  ==========  ==========  =========
+    16    5   6-10 us     9-13 us     10-12 us
+    24    8   10-16 us    26-37 us    82-100 us
+    32    10  25-35 us    98-128 us   328-370 us
+    48    15  129-174 us  449-619 us  1.7-1.9 ms
+    64    19  386-512 us  1.4-1.8 ms
+    ====  ==  ==========  ==========  =========
+
+The factored product differs from the GEMV by rounding, by the SVD's own
+rounding, below the cut, and by the discarded singular values: to within a
+few ulps of ``|left| (|V| |right|)`` plus ``sigma_max N eps`` and their sum,
+times ``||v||_1``.
 
 The subtraction field ``b`` encodes the boundary regime:
 
@@ -66,8 +84,8 @@ class DispersalOperator:
     grid: Grid
     K: np.ndarray  # (n, n), nonnegative
     b: np.ndarray  # (n,), positive
-    rows: np.ndarray | None = None  # (N, N^2) in 2-D: rows[l, (a, j)] = s[a, |j - l|]
-    fold: np.ndarray | None = None  # (N, N^2) in 2-D: fold[i, (k, a)] = [a = |i - k|]
+    left: np.ndarray | None = None   # (N, NR) in 2-D: left[i, (k, r)] = P[|i - k|, r]
+    right: np.ndarray | None = None  # (N, RN) in 2-D: right[l, (r, j)] = Q[|j - l|, r]
 
     @property
     def n(self) -> int:
@@ -82,18 +100,27 @@ class DispersalOperator:
         return self.grid.quad_weights
 
     def matvec(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``K v`` for a vector ``v`` of length ``n``, written into ``out`` when given.
+        """``K v`` for a vector ``v`` of length ``n``, or for each row of an
+        ``(m, n)`` stack, written into ``out`` when given.
 
-        A GEMV in 1-D; in 2-D two GEMMs through the stencil (module docstring).
-        ``out`` must be a C-contiguous vector.
+        A GEMV per vector in 1-D.  In 2-D two GEMMs through the rank-``R``
+        factors of the stencil, ``2 R N^3`` multiply-adds per vector, that
+        never read ``K``: 10-16 us at 24x24 (``R`` = 8) against 82-100 us for
+        the GEMV, with the table for other sizes in the module docstring.  A
+        row of a stack gets the bits it would get alone.  ``out`` must be
+        C-contiguous.
         """
-        if self.rows is None:
+        if self.left is None and np.ndim(v) == 1:
             return np.matmul(self.K, v, out=out)
-        N = self.grid.n_per_axis
         if out is None:
-            out = np.empty(self.n)
-        W = np.matmul(np.reshape(v, (N, N)), self.rows)
-        np.matmul(self.fold, W.reshape(N * N, N), out=out.reshape(N, N))
+            out = np.empty(np.shape(v))
+        if self.left is None:
+            # one GEMV per row, as a vector alone gets
+            np.matmul(self.K, np.asarray(v)[..., None], out=out[..., None])
+            return out
+        N = self.grid.n_per_axis
+        W = np.matmul(np.reshape(v, (-1, N, N)), self.right)
+        np.matmul(self.left, W.reshape(len(W), -1, N), out=out.reshape(-1, N, N))
         return out
 
     def weighted_inner(self, u, v) -> float:
@@ -125,17 +152,30 @@ def assemble(kernel: Kernel | WrappedKernel, grid: Grid) -> DispersalOperator:
         b = np.ones(grid.n)
     else:
         b = K.sum(axis=1)
-    rows = fold = None
+    left = right = None
     if grid.dim == 2:
-        s = stencil[N - 1:, N - 1:]
-        dist = np.abs(np.arange(N)[:, None] - np.arange(N)[None, :])
-        rows = np.ascontiguousarray(s[:, dist].transpose(1, 0, 2)).reshape(N, N * N)
-        fold = (dist[:, :, None] == np.arange(N)).astype(float).reshape(N, N * N)
-        rows.setflags(write=False)
-        fold.setflags(write=False)
+        left, right = _factored_tables(stencil[N - 1:, N - 1:])
     K.setflags(write=False)
     b.setflags(write=False)
-    return DispersalOperator(kernel, grid, K, b, rows, fold)
+    return DispersalOperator(kernel, grid, K, b, left, right)
+
+
+def _factored_tables(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(left, right)`` of the stencil quarter ``s`` (module docstring).
+
+    ``s = P Q^T`` from the SVD, cut at numpy's ``matrix_rank`` tolerance,
+    with the singular values carried by ``P``.
+    """
+    N = s.shape[0]
+    U, sigma, Vt = np.linalg.svd(s)
+    rank = int(np.count_nonzero(sigma > sigma[0] * N * np.finfo(float).eps))
+    P, Q = U[:, :rank] * sigma[:rank], Vt[:rank].T
+    dist = np.abs(np.arange(N)[:, None] - np.arange(N)[None, :])
+    left = np.ascontiguousarray(P[dist]).reshape(N, N * rank)
+    right = np.ascontiguousarray(Q[dist].transpose(0, 2, 1)).reshape(N, rank * N)
+    left.setflags(write=False)
+    right.setflags(write=False)
+    return left, right
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,10 @@ residual that the dense iteration's budget leaves.  A separable weight whose
 Lanczos solve fails is routed as a non-separable one.  After Arnoldi, the
 map's columns at the lowest-envelope nodes are checked for negative entries,
 as ``period_map`` checks all of them.  Every product of ``K`` with a vector
-here (Lanczos, the vector periods, the frozen generator's image) goes through
-``op.matvec``, which in 2-D reads the kernel stencil instead of the dense
-``K``.
+here (Lanczos, the vector periods, the probe's block, the frozen generator's
+image) goes through ``op.matvec``, which in 2-D reads the factored kernel
+stencil instead of the dense ``K``, so the 2-D exact and Arnoldi routes never
+read ``K``.
 
 A Lyapunov-exponent estimate (averaged log growth of a propagated field)
 provides an independent route to the same number and is used as a
@@ -243,7 +244,8 @@ def _probe_positivity(apply, n: int, nodes: np.ndarray) -> None:
     """Warn when the map's columns at ``nodes`` have a substantive negative entry.
 
     The matrix-free counterpart of the check in ``period_map``: one period of
-    the unit fields at ``nodes``, integrated as one block.
+    the unit fields at ``nodes``, integrated as one block whose columns go
+    through ``op.matvec`` as vectors do.
     """
     units = np.zeros((n, len(nodes)))
     units[nodes, np.arange(len(nodes))] = 1.0

@@ -334,7 +334,8 @@ def stage_scheme_rk4(op, w, lam, u, t0, t1, n_steps):
     """RK4 in the stepper's stage scheme, with one weight evaluation per stage.
 
     An n x n state's right-hand side is one product with K whose diagonal
-    carries lam m - b; a vector's or a narrower block's is K u + (lam m - b) u.
+    carries lam m - b; a vector's or a narrower block's is K u + (lam m - b) u,
+    with K applied to a block's columns one by one.
     The step sums into u + h/6 k1, then adds h/3 k2, h/3 k3 and h/6 k4 in
     that order.
     """
@@ -347,7 +348,9 @@ def stage_scheme_rk4(op, w, lam, u, t0, t1, n_steps):
             A = np.array(K)
             A[np.diag_indices(op.n)] = np.diag(K) + d
             return A @ U
-        return K @ U + (d if U.ndim == 1 else d[:, None]) * U
+        if U.ndim == 1:
+            return K @ U + d * U
+        return np.stack([K @ np.ascontiguousarray(col) for col in U.T], axis=1) + d[:, None] * U
 
     m_curr = w.evaluate(t0, grid)
     u = u.astype(float)
@@ -428,7 +431,7 @@ def test_two_dimensional_period_goes_through_the_stencil(n_per_axis):
     # GEMV path to 1e-12 and holds no n x n temporary
     grid = build_grid(Boundary.NEUMANN, (1.0, 1.0), n_per_axis)
     op = assemble(make_kernel("parabolic", 0.5, dim=2), grid)
-    gemv = dataclasses.replace(op, rows=None, fold=None)
+    gemv = dataclasses.replace(op, left=None, right=None)
     w = closed_form("cos(2*pi*x)*cos(pi*y)*(1 + sin(2*pi*t/T)) - 0.2 + sin(2*pi*t/T)", 1.0)
     v = np.cos(3.0 * grid.nodes[:, 0]) + grid.nodes[:, 1] + 1.0
     apply = evolution.period_action(op, w, 1.5, n_steps=64)

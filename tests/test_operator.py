@@ -1,5 +1,6 @@
 """Nystrom assembly of the dispersal operator and its structural identities."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -195,36 +196,102 @@ def grid_of(boundary, box, n):
     return Grid(boundary, tuple(box), 1, nodes, weights)
 
 
-@pytest.mark.parametrize("boundary", list(Boundary))
-@pytest.mark.parametrize("box, n, profile, r", [
+STENCIL_CASES = [
     ((1.0, 1.0), 24, "parabolic", 0.5),
     ((1.0, 0.7), 9, "parabolic", 0.5),    # rectangular: the axes are told apart
     ((1.3, 0.9), 8, "cosine", 1.7),       # three wrapped translates meet on periodic grids
     ((1.0, 1.0), 12, "indicator", 1 / 3),  # the support edge on the node offset 4
     ((0.8, 1.1), 2, "parabolic", 0.9),
     ((0.8, 1.1), 1, "cosine", 0.6),
-])
-def test_stencil_application_matches_the_matrix(boundary, box, n, profile, r):
-    # the two GEMMs sum in another order than the GEMV: a few ulps of |K| |v|
+]
+
+
+def two_dimensional_op(boundary, box, n, profile, r):
     kernel = make_kernel(profile, r, dim=2)
     if boundary is Boundary.PERIODIC:
         kernel = wrap_kernel(kernel, box)
-    op = assemble(kernel, grid_of(boundary, box, n))
-    rng = np.random.default_rng(n)
-    for v in (rng.normal(size=op.n), np.ones(op.n), np.eye(op.n)[-1]):
+    return assemble(kernel, grid_of(boundary, box, n))
+
+
+def factored_bound(op, v):
+    """How far the factored product may sit from ``K v``, entry by entry.
+
+    The GEMMs (and the reference GEMV) round by a few ulps of
+    ``|left| (|V| |right|)``.  The factors miss the stencil quarter ``s`` by
+    the SVD's rounding, below the cut ``sigma_max N eps``, plus the discarded
+    singular values; an entry of ``s`` moved by ``e`` moves ``K v`` by at most
+    ``e ||v||_1``.
+    """
+    N = op.grid.n_per_axis
+    rank = op.left.shape[1] // N
+    eps = np.finfo(float).eps
+    sigma = np.linalg.svd(op.K.reshape(N, N, N, N)[0, 0], compute_uv=False)
+    magnitude = np.abs(op.left) @ (np.abs(v).reshape(N, N) @ np.abs(op.right)).reshape(N * rank, N)
+    missed = sigma[0] * N * eps + sigma[rank:].sum()
+    return 4.0 * eps * magnitude.ravel() + missed * np.abs(v).sum()
+
+
+def bound_vectors(op, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=op.n), np.ones(op.n), np.eye(op.n)[-1]
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+@pytest.mark.parametrize("box, n, profile, r", STENCIL_CASES)
+def test_stencil_application_matches_the_matrix(boundary, box, n, profile, r):
+    # an exact zero of K v comes out at rounding level, so the bound is taken
+    # on the factors, not on K |v|
+    op = two_dimensional_op(boundary, box, n, profile, r)
+    for v in bound_vectors(op, n):
         image = op.matvec(v)
-        bound = 4.0 * np.finfo(float).eps * (op.K @ np.abs(v))
-        assert np.all(np.abs(image - op.K @ v) <= bound)
+        assert np.all(np.abs(image - op.K @ v) <= factored_bound(op, v))
         out = np.empty(op.n)
         assert op.matvec(v, out=out) is out
         np.testing.assert_array_equal(out, image)
 
 
 @pytest.mark.parametrize("boundary", list(Boundary))
+@pytest.mark.parametrize("box, n, profile, r", STENCIL_CASES)
+def test_factored_bound_catches_a_perturbed_factor(boundary, box, n, profile, r):
+    # the entry that weighs the last node against itself, P[0, 0], moved by
+    # 1e-12 relative: the bound is tight enough to see it
+    op = two_dimensional_op(boundary, box, n, profile, r)
+    left = np.array(op.left)
+    left[-1, -(left.shape[1] // n)] *= 1.0 + 1e-12
+    bad = dataclasses.replace(op, left=left)
+    assert any(np.any(np.abs(bad.matvec(v) - op.K @ v) > factored_bound(op, v))
+               for v in bound_vectors(op, n))
+
+
+def test_stencil_rank_and_table_shapes():
+    # the parabolic kernel's stencil quarter at 24x24, radius 0.5, is of rank 8
+    op = make_op(Boundary.NEUMANN, (1.0, 1.0), 24, "parabolic", 0.5)
+    assert op.left.shape == op.right.shape == (24, 8 * 24)
+    assert not op.left.flags.writeable and not op.right.flags.writeable
+
+
+@pytest.mark.parametrize("boundary, box, n", [
+    (Boundary.NEUMANN, (1.0, 1.0), 24), (Boundary.PERIODIC, (1.3, 0.9), 16),
+    (Boundary.DIRICHLET, (1.0,), 48),
+])
+def test_block_product_is_the_vector_products(boundary, box, n):
+    # each row of a stack gets the bits it gets alone, whatever the stack's size
+    op = make_op(boundary, box, n, "parabolic", 0.5)
+    block = np.random.default_rng(5).normal(size=(8, op.n))
+    image = op.matvec(block)
+    assert image.shape == block.shape
+    for row, got in zip(block, image):
+        np.testing.assert_array_equal(got, op.matvec(row))
+    out = np.empty((3, op.n))
+    assert op.matvec(block[:3], out=out) is out
+    np.testing.assert_array_equal(out, image[:3])
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
 def test_one_dimensional_application_is_the_gemv(boundary):
     op = make_op(boundary, (1.0,), 48, "cosine", 0.7)
     v = np.random.default_rng(4).normal(size=op.n)
-    assert op.rows is None and op.fold is None
+    assert op.left is None and op.right is None
     np.testing.assert_array_equal(op.matvec(v), op.K @ v)
 
 
@@ -300,7 +367,7 @@ def test_problem_builds_the_hand_built_operator(boundary, box):
     ref = make_op(boundary, box, 12, "cosine", 0.7)
     assert w is weight
     assert op.grid.boundary is boundary and op.grid.box == box
-    for name in ("K", "b", "rows", "fold"):
+    for name in ("K", "b", "left", "right"):
         mine, theirs = getattr(op, name), getattr(ref, name)
         assert (mine is None and theirs is None) or np.array_equal(mine, theirs), name
 

@@ -279,6 +279,30 @@ def test_krylov_route_counts_vector_periods(monkeypatch):
         assert lo <= rep.iterations <= hi
 
 
+def test_two_dimensional_arnoldi_route_never_reads_the_matrix(monkeypatch):
+    # Lanczos, the vector periods and the positivity probe all apply K through
+    # the factored stencil, so an operator without K gives the same report
+    op = make_op_2d(16)
+    w = closed_form(NONSEPARABLE_2D, 1.0)
+    probes = []
+    original = perispec.spectrum._probe_positivity
+
+    def recording(*args):
+        probes.append(1)
+        return original(*args)
+    monkeypatch.setattr(perispec.spectrum, "_probe_positivity", recording)
+    forbid_period_map(monkeypatch)
+    bare = dataclasses.replace(op, K=None)
+    for lam in (0.5, 2.0):
+        rep = principal_spectrum_point(op, w, lam)
+        again = principal_spectrum_point(bare, w, lam)
+        for field in dataclasses.fields(SpectrumReport):
+            mine, theirs = getattr(rep, field.name), getattr(again, field.name)
+            assert np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else (
+                mine == theirs), field.name
+    assert len(probes) == 4
+
+
 def test_cross_validation_on_krylov_route_builds_no_matrix(monkeypatch):
     op = make_op(Boundary.DIRICHLET, n=256)
     w = closed_form(STANDARD_WEIGHT, 1.0)
