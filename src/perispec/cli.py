@@ -218,10 +218,28 @@ def _clean(obj):
     return obj
 
 
-def _map_ordered(fn, items, threads):
-    if threads <= 1 or len(items) <= 1:
+# From this many cells per axis on, a 2-D sweep spreads its entries over
+# worker threads; below it they run one after another.  A 2-D vector period
+# is hundreds of numpy calls of 1-10 us each, and two threads that pass the
+# interpreter lock on every call use twice the CPU and finish later.  Wall
+# time of a whole `perispec spectrum` process (non-separable Neumann weight,
+# radius 0.5, 4 couplings, one BLAS thread, 2 cores, 4 runs each),
+# --threads 1 against 2: 16x16 0.95-1.01 s vs 0.90-1.28 s, 24x24 1.11-1.52 s
+# vs 1.98-2.06 s, 32x32 2.32-2.52 s vs 2.52-2.69 s (3.6-3.8 s CPU), 40x40
+# 5.13-5.37 s vs 3.74-3.85 s, 48x48 10.7-11.1 s vs 6.8-7.5 s (2 runs).  A
+# 24x24 `kpp_scan` of 4 couplings took 5.3-5.9 s vs 6.4-7.0 s.
+_THREADED_2D_MIN_N = 40
+
+
+def _map_ordered(fn, items, threads, grid):
+    """``[fn(item) for item in items]`` on up to ``threads`` worker threads;
+    2-D grids below ``_THREADED_2D_MIN_N`` cells per axis take none."""
+    if grid.dim == 2 and grid.n_per_axis < _THREADED_2D_MIN_N:
+        threads = 1
+    workers = min(threads, len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
@@ -328,7 +346,7 @@ def _task_spectrum(cp, op, weight, outdir, threads):
         return (principal_spectrum_point(op, weight, lam, n_steps, cross_validate=cross),
                 check_S_conditions(weight, op, lam))
 
-    points = _map_ordered(one, lams, threads)
+    points = _map_ordered(one, lams, threads, op.grid)
     columns = ["lam", "mu_n", "residual", "iterations", "h_hat_min", "h_hat_max",
                "is_principal_eigenvalue", "s1", "s2", "s3", "s3_exponent",
                "localization_width"]
@@ -445,7 +463,7 @@ def _task_kpp_scan(cp, op, weight, outdir, threads):
                                       max_periods=max_periods,
                                       check_uniqueness=check_uniqueness)
 
-    orbits = _map_ordered(one, sorted(lams), threads)
+    orbits = _map_ordered(one, sorted(lams), threads, op.grid)
     scan = summarize_scan(orbits, solver_result)
 
     rows = [[o.lam, o.verdict, o.sup_of_orbit, o.min_of_orbit, o.residual,
@@ -539,7 +557,10 @@ def main(argv=None) -> int:
                         help="INI config file (optional for 'validate')")
     parser.add_argument("--output-dir", default=".", help="where to write results")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: PERISPEC_THREADS or 1)")
+                        help="up to N worker threads over the spectrum and kpp_scan "
+                             "entries; 2-D grids below "
+                             f"{_THREADED_2D_MIN_N} cells per axis run them one at a "
+                             "time (default: PERISPEC_THREADS or 1)")
     parser.add_argument("--verbose", action="store_true",
                         help="echo the report to stdout")
     args = parser.parse_args(argv)

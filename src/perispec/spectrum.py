@@ -61,7 +61,8 @@ TOL_EIG = 1e-8
 # steps, one BLAS thread), dense against Arnoldi: 1-D Dirichlet (radius 1)
 # n = 224 0.81 s vs 0.89 s, n = 256 1.10 s vs 1.00 s; 1-D Neumann (radius
 # 0.5) n = 224 0.63 s vs 0.66 s, n = 256 0.97 s vs 0.96 s; 2-D Neumann
-# (radius 0.5) n = 196 0.47 s vs 0.56 s, n = 256 1.19 s vs 0.86 s.
+# (radius 0.5, vectors through the factored stencil, median of 5) n = 144
+# 0.24 s vs 0.50 s, n = 196 0.43 s vs 0.43 s, n = 256 1.03 s vs 0.43 s.
 _KRYLOV_MIN_N = 256
 # A too-coarse step count turns the flow negative first where the envelope
 # is lowest.  In 51 such 1-D cases at n = 256 (Lorentzian wells, 8 to 48

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import perispec.cli
 import perispec.spectrum
 import perispec.validate
 import perispec.weighted_solver
@@ -352,29 +353,35 @@ def test_reruns_are_byte_identical(tmp_path, monkeypatch):
         assert (outs[2] / name).read_bytes() == ref
 
 
-def test_krylov_size_outputs_do_not_depend_on_threads(tmp_path):
+PROBLEM_2D_16 = (BASE_PROBLEM.replace("boundary = dirichlet", "boundary = neumann")
+                 .replace("box = 1", "box = 1, 1").replace("n_per_axis = 24", "n_per_axis = 16")
+                 .replace("support_radius = 1.0", "support_radius = 0.5"))
+
+
+def test_krylov_size_outputs_do_not_depend_on_threads(tmp_path, monkeypatch):
     # n = 256 takes the matrix-free route; neither the start vector's solve
     # nor Arnoldi may see the schedule, on 1-D grids (GEMV) or on 2-D 16x16
-    # grids (K through its stencil)
+    # grids (K through its stencil), which run on workers once the 2-D
+    # crossover is lowered to their size
+    monkeypatch.setattr(perispec.cli, "_THREADED_2D_MIN_N", 16)
     problem_1d = BASE_PROBLEM.replace("n_per_axis = 24", "n_per_axis = 256")
-    problem_2d = (BASE_PROBLEM.replace("boundary = dirichlet", "boundary = neumann")
-                  .replace("box = 1", "box = 1, 1").replace("n_per_axis = 24", "n_per_axis = 16")
-                  .replace("support_radius = 1.0", "support_radius = 0.5"))
     for k, (base, expr) in enumerate([
         (problem_1d, "sin(2*pi*t/T) + cos(2*pi*x) - 0.2"),  # the start vector is certified
         (problem_1d, "cos(2*pi*x)*(1 + sin(2*pi*t/T)) - 0.2"),  # Arnoldi runs from it
-        (problem_2d, "sin(2*pi*t/T) + cos(2*pi*x)*cos(pi*y) - 0.2"),
-        (problem_2d, "cos(2*pi*x)*cos(pi*y)*(1 + sin(2*pi*t/T)) - 0.2"),
+        (PROBLEM_2D_16, "sin(2*pi*t/T) + cos(2*pi*x)*cos(pi*y) - 0.2"),
+        (PROBLEM_2D_16, "cos(2*pi*x)*cos(pi*y)*(1 + sin(2*pi*t/T)) - 0.2"),
     ]):
         problem = base.replace("expr = sin(2*pi*t/T) + cos(2*pi*x) - 0.2", f"expr = {expr}")
         cfg = write_ini(tmp_path, problem
                         + "\n[spectrum]\nlambdas = 0.5, 2\ncross_validate = true\n",
                         name=f"config{k}.ini")
-        outs = [tmp_path / f"out{k}_{i}" for i in range(2)]
-        assert run("spectrum", cfg, outs[0], "--threads", "1") == 0
-        assert run("spectrum", cfg, outs[1], "--threads", "2") == 0
+        outs = [tmp_path / f"out{k}_{i}" for i in range(3)]
+        for out, threads in zip(outs, ("1", "2", "4")):
+            assert run("spectrum", cfg, out, "--threads", threads) == 0
         for name in ("spectrum.csv", "summary.json", "report.txt"):
-            assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
+            ref = (outs[0] / name).read_bytes()
+            assert (outs[1] / name).read_bytes() == ref
+            assert (outs[2] / name).read_bytes() == ref
 
 
 def test_dense_route_outputs_do_not_depend_on_threads(tmp_path, monkeypatch):
@@ -391,6 +398,65 @@ def test_dense_route_outputs_do_not_depend_on_threads(tmp_path, monkeypatch):
     assert len(lams) == 10
     for name in ("spectrum.csv", "summary.json", "report.txt"):
         assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The ``max_workers`` of every thread pool the CLI opens from here on."""
+    sizes = []
+    original = perispec.cli.ThreadPoolExecutor
+
+    def recording(max_workers):
+        sizes.append(max_workers)
+        return original(max_workers=max_workers)
+    monkeypatch.setattr(perispec.cli, "ThreadPoolExecutor", recording)
+    return sizes
+
+
+SWEEP_SECTIONS = {"spectrum": "\n[spectrum]\nlambdas = 0.5, 2\n",
+                  "kpp_scan": "\n[kpp_scan]\nlambdas = 0.5, 4\n"}
+
+
+@pytest.mark.parametrize("task", ["spectrum", "kpp_scan"])
+@pytest.mark.parametrize("by_env", [False, True], ids=["option", "environment"])
+def test_small_two_dimensional_sweeps_start_no_worker(tmp_path, monkeypatch, task, by_env):
+    # a 2-D vector period is hundreds of short numpy calls; threads that pass
+    # the interpreter lock on every call would only slow the sweep down
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a 2-D sweep below the crossover started worker threads")
+    monkeypatch.setattr(perispec.cli, "ThreadPoolExecutor", no_pool)
+    cfg = write_ini(tmp_path, PROBLEM_2D_16 + SWEEP_SECTIONS[task])
+    if by_env:
+        monkeypatch.setenv("PERISPEC_THREADS", "2")
+        extra = ()
+    else:
+        extra = ("--threads", "2")
+    assert run(task, cfg, tmp_path / "out", *extra) == 0
+
+
+@pytest.mark.parametrize("task", ["spectrum", "kpp_scan"])
+@pytest.mark.parametrize("threads, lams, workers", [
+    ("2", "0.5, 1, 2", 2),
+    ("4", "0.5, 2", 2),
+    ("1", "0.5, 2", None),
+])
+def test_one_dimensional_sweeps_map_on_the_asked_workers(tmp_path, pool_sizes, task,
+                                                         threads, lams, workers):
+    section = SWEEP_SECTIONS[task].replace("0.5, 2", lams)
+    cfg = write_ini(tmp_path, BASE_PROBLEM + section)
+    assert run(task, cfg, tmp_path / "out", "--threads", threads) == 0
+    assert pool_sizes == ([] if workers is None else [workers])
+
+
+def test_two_dimensional_sweeps_from_the_crossover_on_use_workers(tmp_path, monkeypatch,
+                                                                  pool_sizes):
+    monkeypatch.setattr(perispec.cli, "_THREADED_2D_MIN_N", 16)
+    cfg = write_ini(tmp_path, PROBLEM_2D_16 + SWEEP_SECTIONS["spectrum"])
+    assert run("spectrum", cfg, tmp_path / "out", "--threads", "2") == 0
+    assert pool_sizes == [2]
+    monkeypatch.setattr(perispec.cli, "_THREADED_2D_MIN_N", 17)
+    assert run("spectrum", cfg, tmp_path / "out", "--threads", "2") == 0
+    assert pool_sizes == [2]
 
 
 def test_sampled_weight_round_trip(tmp_path):
