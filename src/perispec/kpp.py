@@ -56,6 +56,9 @@ MAX_PERIODS = 500
 # of the carrying scale
 CERT_EPS = (1e-1, 1e-2, 1e-3, 1e-4)
 ANDERSON_DEPTH = 5
+# states recorded along a persistent orbit's last period (about this many:
+# one every n_steps // ORBIT_SNAPSHOTS steps, and the last)
+ORBIT_SNAPSHOTS = 16
 
 
 @dataclass(frozen=True)
@@ -293,7 +296,7 @@ def find_periodic_solution(op: DispersalOperator, weight: Weight,
                            nonlin: Nonlinearity, lam: float, *,
                            n_steps: int | None = None, tol_fix: float = TOL_FIX,
                            tol_ext: float = TOL_EXT, max_periods: int = MAX_PERIODS,
-                           n_snap: int = 16, check_uniqueness: bool = True) -> PeriodicOrbit:
+                           check_uniqueness: bool = True) -> PeriodicOrbit:
     """Classify ``lam`` as persistent or extinct: a certificate first, then
     the accelerated or the plain Poincare iteration.
 
@@ -341,9 +344,9 @@ def find_periodic_solution(op: DispersalOperator, weight: Weight,
         return PeriodicOrbit(verdict, lam, None, residual, 0.0, 0.0, used,
                              gap, None, None, reason)
 
-    snap_steps = max(n_steps, n_snap)
-    snap_steps += (-snap_steps) % n_snap  # divisible by n_snap
-    times, orbit = run(u_star, 0.0, period, snap_steps, snap_steps // n_snap)
+    # the orbit's own discrete map, so the residual is |P(u*) - u*| of the map
+    # that decided the verdict
+    times, orbit = run(u_star, 0.0, period, n_steps, max(1, n_steps // ORBIT_SNAPSHOTS))
     return PeriodicOrbit(
         verdict="persistence",
         lam=lam,

@@ -1,28 +1,25 @@
 """Principal spectrum points of the time-periodic dispersal flow.
 
 The principal spectrum point is ``mu = ln(rho(Phi(T))) / T``, with ``Phi(T)``
-the period map, and it takes one of three routes, by the weight's structure
-and the grid size ``n``.  For a separable weight ``m1(x) + m2(t)`` the
-generator at each time is the time-averaged one, ``K - b + lam * m_hat``,
-plus a multiple of the identity, so the period map is that generator's flow
-times a scalar and ``mu`` is exactly the generator's spectral bound: the
-exact route takes it from the generator's Perron vector (Lanczos on vectors),
-with no time stepping.  Any other weight from ``_KRYLOV_MIN_N`` = 256 nodes
-on takes Arnoldi (ARPACK via ``scipy.sparse.linalg.eigs``) on vector periods,
-started from that Perron vector: a dense map costs ``n^3`` per time step and
-a vector period ``n^2``, and the crossover is measured on non-separable
-weights.  The dense ``n x n`` map, power-iterated from the constant field
-(safe, as the map has nonnegative entries), serves the rest: a non-separable
-weight below 256 nodes (ARPACK's ``eigs`` needs ``n >= 3``), a precomputed
-map, and a root on the envelope sup, whose "no" verdict below rests on the
-residual that the dense iteration's budget leaves.  A separable weight whose
-Lanczos solve fails is routed as a non-separable one.  After Arnoldi, the
-map's columns at the lowest-envelope nodes are checked for negative entries,
-as ``period_map`` checks all of them.  Every product of ``K`` with a vector
-here (Lanczos, the vector periods, the probe's block, the frozen generator's
-image) goes through ``op.matvec``, which in 2-D reads the factored kernel
-stencil instead of the dense ``K``, so the 2-D exact and Arnoldi routes never
-read ``K``.
+the period map.  For a separable weight ``m1(x) + m2(t)`` the generator at
+each time is the time-averaged one, ``K - b + lam * m_hat``, plus a multiple
+of the identity, so the period map is that generator's flow times a scalar
+and ``mu`` is exactly the generator's spectral bound: the exact route takes
+it from the generator's Perron vector (Lanczos on vectors), with no time
+stepping.  Any other weight, and a separable one whose Lanczos solve fails,
+takes one Arnoldi solve (ARPACK via ``scipy.sparse.linalg.eigs``) for the
+Perron root of the time-stepped map; only the map's form follows the grid
+size ``n``.  Below ``_KRYLOV_MIN_N`` = 256 nodes Arnoldi applies the formed
+``n x n`` map, started from the constant field; from 256 nodes on it applies
+vector periods, started from the generator's Perron vector, as a dense map
+costs ``n^3`` per time step and a vector period ``n^2`` (the crossover is
+measured on non-separable weights).  ``period_map`` checks every entry of a
+formed map for negative values; after vector periods, the map's columns at
+the lowest-envelope nodes are checked instead.  Every product of ``K`` with a
+vector here (Lanczos, the vector periods, the probe's block, the frozen
+generator's image) goes through ``op.matvec``, which in 2-D reads the
+factored kernel stencil instead of the dense ``K``, so the 2-D exact and
+Arnoldi routes never read ``K``.
 
 A Lyapunov-exponent estimate (averaged log growth of a propagated field)
 provides an independent route to the same number and is used as a
@@ -34,8 +31,9 @@ against the sup of the local growth envelope ``h(x) = -b(x) + lam * m_hat(x)``
 together with the eigen-residual.  On a fixed grid a dominant eigenvector
 always exists; the continuum's eigenvalue-free regime shows up as ``mu``
 hugging the envelope sup while the eigenvector mass concentrates near the
-envelope maximizer, so the classifier reports localization diagnostics rather
-than pretending to decide the continuum question.
+envelope maximizer, so the classifier reads such a point "marginal" and
+reports localization diagnostics rather than pretending to decide the
+continuum question from one grid.
 """
 
 from __future__ import annotations
@@ -46,23 +44,23 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .evolution import CLAMP_TOL, PeriodMap, period_action, period_map
+from .evolution import CLAMP_TOL, period_action, period_map
 from .geometry import Boundary
 from .operator import DispersalOperator
 from .weights import Weight, summarize, time_average
 
 POWER_REL_TOL = 1e-12
-POWER_RESID_REL_TOL = 1e-10
-POWER_MAX_ITER = 10000
 TOL_EIG = 1e-8
-# From this many nodes on, a weight off the exact route takes Arnoldi on
-# vector periods instead of power iteration on the dense map.  Summed over
-# lam = 0.25, 0.5, 1, 2, 4 on non-separable weights (parabolic kernel, 64
-# steps, one BLAS thread), dense against Arnoldi: 1-D Dirichlet (radius 1)
-# n = 224 0.81 s vs 0.89 s, n = 256 1.10 s vs 1.00 s; 1-D Neumann (radius
-# 0.5) n = 224 0.63 s vs 0.66 s, n = 256 0.97 s vs 0.96 s; 2-D Neumann
+# From this many nodes on, a weight off the exact route applies vector
+# periods instead of the formed map.  Summed over lam = 0.25, 0.5, 1, 2, 4 on
+# non-separable weights (parabolic kernel, 64 steps, one BLAS thread), the
+# formed map with its Perron solve against vector periods: 1-D Dirichlet
+# (radius 1) n = 224 0.81 s vs 0.89 s, n = 256 1.10 s vs 1.00 s; 1-D Neumann
+# (radius 0.5) n = 224 0.63 s vs 0.66 s, n = 256 0.97 s vs 0.96 s; 2-D Neumann
 # (radius 0.5, vectors through the factored stencil, median of 5) n = 144
-# 0.24 s vs 0.50 s, n = 196 0.43 s vs 0.43 s, n = 256 1.03 s vs 0.43 s.
+# 0.24 s vs 0.50 s, n = 196 0.43 s vs 0.43 s, n = 256 1.03 s vs 0.43 s.  The
+# formed map dominates its side: at n = 64 to 255 the map took 6-700 ms and
+# Arnoldi on it 0.7-1.8 ms.
 _KRYLOV_MIN_N = 256
 # A too-coarse step count turns the flow negative first where the envelope
 # is lowest.  In 51 such 1-D cases at n = 256 (Lorentzian wells, 8 to 48
@@ -114,49 +112,8 @@ class SpectrumReport:
 
     @property
     def is_principal_eigenvalue(self) -> str:
-        """The verdict of ``classify_principal_eigenvalue``: "yes", "no" or "marginal"."""
+        """The verdict of ``classify_principal_eigenvalue``: "yes" or "marginal"."""
         return classify_principal_eigenvalue(self)
-
-
-def _power_iteration(mat: np.ndarray, w: np.ndarray):
-    """Dominant (ratio, vector, residual, iterations) of a nonnegative matrix.
-
-    Started from the constant field.  The Rayleigh-type ratio is taken in the
-    quadrature inner product; the vector is renormalized in sup norm every
-    step.  Convergence requires both a stable ratio (relative change below
-    ``POWER_REL_TOL`` three steps in a row) and an eigen-residual below
-    ``POWER_RESID_REL_TOL``: the ratio settles roughly twice as fast as the
-    vector, and the classifier downstream needs the vector.  Exhausting the
-    budget with a stable ratio is not an error -- the lingering residual is
-    returned as evidence of a near-degenerate top of the spectrum.
-    """
-    v = np.ones(mat.shape[0])
-    ratio_prev = None
-    stable = 0
-    iterations = 0
-    ratio = 0.0
-    for iterations in range(1, POWER_MAX_ITER + 1):
-        fv = mat @ v
-        den = float(np.dot(w * v, v))
-        ratio = float(np.dot(w * v, fv)) / den
-        nrm = float(np.abs(fv).max())
-        if nrm == 0.0 or ratio <= 0.0:
-            raise PowerIterationError("power iteration collapsed to zero; the map is degenerate")
-        resid = float(np.abs(fv - ratio * v).max())
-        if ratio_prev is not None and abs(ratio - ratio_prev) <= POWER_REL_TOL * abs(ratio):
-            stable += 1
-        else:
-            stable = 0
-        v = fv / nrm
-        if stable >= 3 and resid <= POWER_RESID_REL_TOL * (1.0 + abs(ratio)):
-            break
-        ratio_prev = ratio
-    else:
-        if ratio_prev is None or abs(ratio - ratio_prev) > 1e-9 * abs(ratio):
-            raise PowerIterationError(
-                f"power iteration did not stabilize in {POWER_MAX_ITER} iterations")
-    residual = float(np.abs(mat @ v - ratio * v).max())
-    return ratio, v, residual, iterations
 
 
 def _frozen_perron(op: DispersalOperator, m_hat: np.ndarray, lam: float) -> np.ndarray | None:
@@ -202,16 +159,18 @@ def _frozen_perron(op: DispersalOperator, m_hat: np.ndarray, lam: float) -> np.n
 def _krylov_perron(apply, n: int, start: np.ndarray | None = None):
     """Perron (ratio, vector, residual, applications) of a map given only as ``apply``.
 
-    Arnoldi (ARPACK through ``scipy.sparse.linalg.eigs``, which needs
-    ``n >= 3``) runs from ``start``, or from the constant field without one.
-    The vector is the real part of the Ritz vector, scaled to sup 1;
-    rounding-level negatives are clamped, larger ones are an error, as is a
-    root that is not real and positive.  One more application gives the
-    eigen-residual; every application is counted.  A nonnegative Ritz vector
+    Arnoldi (ARPACK through ``scipy.sparse.linalg.eigs``) runs from ``start``,
+    or from the constant field without one.  ``eigs`` needs ``n >= 3``: a
+    smaller map is formed from its ``n`` columns, and LAPACK's ``eig`` gives
+    its eigenpair of largest modulus.  The vector is the real part of the
+    eigenvector, scaled to sup 1; rounding-level negatives are clamped, larger
+    ones are an error, as is a root that is not real and positive and an
+    ARPACK failure (a zero map stops it at once).  One more application gives
+    the eigen-residual; every application is counted.  A nonnegative vector
     does not show that the map is nonnegative: see ``_probe_positivity``.
     """
     # imported here: loading scipy.sparse.linalg would slow ``import perispec``
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
 
     count = 0
 
@@ -220,12 +179,17 @@ def _krylov_perron(apply, n: int, start: np.ndarray | None = None):
         count += 1
         return apply(v.ravel())
 
-    try:
-        vals, vecs = eigs(LinearOperator((n, n), matvec=matvec, dtype=float), k=1,
-                          which="LM", v0=np.ones(n) if start is None else start,
-                          tol=POWER_REL_TOL)
-    except ArpackNoConvergence as exc:
-        raise PowerIterationError(f"Arnoldi did not converge: {exc}") from None
+    if n < 3:
+        vals, vecs = np.linalg.eig(np.stack([matvec(e) for e in np.eye(n)], axis=1))
+        top = [int(np.argmax(np.abs(vals)))]
+        vals, vecs = vals[top], vecs[:, top]
+    else:
+        try:
+            vals, vecs = eigs(LinearOperator((n, n), matvec=matvec, dtype=float), k=1,
+                              which="LM", v0=np.ones(n) if start is None else start,
+                              tol=POWER_REL_TOL)
+        except ArpackError as exc:
+            raise PowerIterationError(f"Arnoldi did not converge: {exc}") from None
     root = complex(vals[0])
     if not root.real > 0.0 or abs(root.imag) > POWER_REL_TOL * abs(root):
         raise PowerIterationError(f"dominant Ritz value {root} is not a positive real root")
@@ -283,24 +247,17 @@ def essential_interval(op: DispersalOperator, weight: Weight, lam: float) -> tup
     return float(h.min()), float(h.max())
 
 
-def _gap_tol(mu: float) -> float:
-    return 1e-6 * (1.0 + abs(mu))
-
-
 def classify_principal_eigenvalue(report: SpectrumReport) -> str:
-    """'yes' when mu clears the envelope sup with a converged eigenpair,
-    'no' when mu sits on the envelope sup without one, else 'marginal'.
+    """'yes' when mu clears the envelope sup with a converged eigenpair, else 'marginal'.
 
-    "Without one" means the residual power iteration leaves when its budget
-    runs out on a near-degenerate top of the spectrum; this is why
-    ``principal_spectrum_point`` takes every root on the envelope sup from
-    the dense route, whatever the grid size.
+    A point on the envelope sup reads 'marginal' whatever its residual: on
+    one grid a dominant eigenvector always exists, and whether the continuum
+    problem has an eigenfunction there shows only under refinement (see
+    ``refinement_diagnostics``).
     """
-    gap_tol = _gap_tol(report.mu_n)
+    gap_tol = 1e-6 * (1.0 + abs(report.mu_n))
     if report.mu_n > report.h_hat_max + gap_tol and report.residual < TOL_EIG:
         return "yes"
-    if abs(report.mu_n - report.h_hat_max) < gap_tol and report.residual >= TOL_EIG:
-        return "no"
     return "marginal"
 
 
@@ -417,56 +374,65 @@ def _check_s1(weight: Weight, op: DispersalOperator, lam: float, m_hat: np.ndarr
 
 def principal_spectrum_point(op: DispersalOperator, weight: Weight, lam: float,
                              n_steps: int | None = None,
-                             cross_validate: bool = False,
-                             pmap: PeriodMap | None = None) -> SpectrumReport:
+                             cross_validate: bool = False) -> SpectrumReport:
     """Principal spectrum point via the period-map spectral radius.
 
-    A precomputed ``pmap`` (for this operator, weight and ``lam``) can be
-    passed to avoid rebuilding the monodromy matrix.  Without one, the route
-    follows the weight's structure and the grid size (see the module
-    docstring).  On the exact route ``iterations`` reads 0 and ``residual``
-    is the frozen generator's eigen-residual.  On the Arnoldi route
-    ``iterations`` counts vector periods: Arnoldi's, one for the residual and
-    one for the positivity probe.  On the dense route it counts power
-    iteration steps.
+    The route follows the weight's structure and the grid size (see the
+    module docstring).  On the exact route ``iterations`` reads 0 and
+    ``residual`` is the frozen generator's eigen-residual.  Otherwise
+    ``iterations`` counts the map's applications: Arnoldi's, one for the
+    residual, and on vector periods one for the positivity probe.  The
+    cross-check iterates the same map as the Perron solve, or vector periods
+    after the exact route.
     """
     summary = summarize(weight, op.grid)
     m_hat = summary.m_hat
     h = -op.b + lam * m_hat
-    h_max = float(h.max())
-    report = _frozen_point(op, m_hat, lam) if pmap is None and summary.separable else None
-    if report is None and pmap is None and op.n >= _KRYLOV_MIN_N:
-        apply = period_action(op, weight, lam, n_steps)
-        start = None if summary.separable else _frozen_perron(op, m_hat, lam)
+    report = _frozen_point(op, m_hat, lam) if summary.separable else None
+    apply = None
+    if report is None:
+        if op.n < _KRYLOV_MIN_N:
+            apply = period_map(op, weight, lam, n_steps=n_steps).matrix.__matmul__
+            start = None
+        else:
+            apply = period_action(op, weight, lam, n_steps)
+            start = None if summary.separable else _frozen_perron(op, m_hat, lam)
         ratio, phi, residual, iterations = _krylov_perron(apply, op.n, start)
-        mu = math.log(ratio) / weight.period
-        if abs(mu - h_max) >= _gap_tol(mu):
+        if op.n >= _KRYLOV_MIN_N:
             _probe_positivity(apply, op.n, np.argsort(h, kind="stable")[:_PROBE_COLUMNS])
-            report = _report(op, lam, h, mu, phi, residual, iterations + 1)
-    # on the envelope sup the verdict needs the dense route's residual
-    if report is None or abs(report.mu_n - h_max) < _gap_tol(report.mu_n):
-        if pmap is None:
-            pmap = period_map(op, weight, lam, n_steps=n_steps)
-        ratio, phi, residual, iterations = _power_iteration(pmap.matrix, op.quad_weights)
+            iterations += 1
         report = _report(op, lam, h, math.log(ratio) / weight.period, phi, residual,
                          iterations)
     if cross_validate:
-        mu_lyap = lyapunov_estimate(op, weight, lam, n_periods=50, n_steps=n_steps,
-                                    pmap=pmap)
+        if apply is None:
+            apply = period_action(op, weight, lam, n_steps)
+        mu_lyap = _mean_log_growth(apply, np.ones(op.n), 50, weight.period)
         report = replace(report, diagnostics={"lyapunov_mu": mu_lyap,
                                               "method_gap": abs(report.mu_n - mu_lyap)})
     return report
 
 
+def _mean_log_growth(apply, u: np.ndarray, n_periods: int, period: float) -> float:
+    """Log growth per unit time of ``u`` under ``apply``, averaged over the last
+    half of ``n_periods`` periods; the field is renormalized every period."""
+    increments = np.empty(n_periods)
+    for k in range(n_periods):
+        u = apply(u)
+        nrm = float(np.abs(u).max())
+        if nrm == 0.0:
+            raise PowerIterationError("field vanished during Lyapunov estimation")
+        increments[k] = math.log(nrm)
+        u = u / nrm
+    return float(increments[n_periods // 2:].mean() / period)
+
+
 def lyapunov_estimate(op: DispersalOperator, weight: Weight, lam: float,
-                      u0=None, n_periods: int = 50, n_steps: int | None = None,
-                      pmap: PeriodMap | None = None) -> float:
+                      u0=None, n_periods: int = 50, n_steps: int | None = None) -> float:
     """Average exponential growth rate of a propagated field.
 
-    Applies the period map repeatedly (same discretization as the spectral
-    route), renormalizing each period and averaging the log increments over
-    the last half of the run.  Without a ``pmap`` the field is propagated one
-    period at a time and no matrix is formed.
+    Propagates the field one period at a time (same discretization as the
+    spectral route, no matrix formed), renormalizing each period and
+    averaging the log increments over the last half of the run.
     """
     if n_periods < 10:
         raise ValueError("n_periods must be at least 10")
@@ -477,20 +443,8 @@ def lyapunov_estimate(op: DispersalOperator, weight: Weight, lam: float,
         if u.shape != (op.n,) or np.any(u < 0.0) or not np.any(u > 0.0):
             raise ValueError("u0 must be a nonnegative, nonzero field on the grid")
         u = u / float(np.abs(u).max())
-    if pmap is None:
-        apply = period_action(op, weight, lam, n_steps)
-    else:
-        apply = pmap.matrix.__matmul__
-    increments = np.empty(n_periods)
-    for k in range(n_periods):
-        u = apply(u)
-        nrm = float(np.abs(u).max())
-        if nrm == 0.0:
-            raise PowerIterationError("field vanished during Lyapunov estimation")
-        increments[k] = math.log(nrm)
-        u = u / nrm
-    tail = increments[n_periods // 2:]
-    return float(tail.mean() / weight.period)
+    return _mean_log_growth(period_action(op, weight, lam, n_steps), u, n_periods,
+                            weight.period)
 
 
 def _frozen_point(op: DispersalOperator, m_field: np.ndarray,

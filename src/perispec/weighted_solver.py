@@ -288,7 +288,7 @@ def upper_bound_lambda_p(op: DispersalOperator, weight: Weight, *,
 
 @dataclass(frozen=True)
 class PeSufficiency:
-    is_principal_eigenvalue: str  # "yes" | "no" | "unknown"
+    is_principal_eigenvalue: str  # "yes" | "unknown"
     basis: str | None             # "S1" | "S3" | "gap" when yes
     report: SpectrumReport
     s_conditions: SConditions     # at the root
@@ -314,6 +314,4 @@ def pe_sufficiency(op: DispersalOperator, weight: Weight,
         return PeSufficiency("yes", "S3", report, s)
     if report.is_principal_eigenvalue == "yes":
         return PeSufficiency("yes", "gap", report, s)
-    if report.is_principal_eigenvalue == "no":
-        return PeSufficiency("no", None, report, s)
     return PeSufficiency("unknown", None, report, s)

@@ -1,6 +1,7 @@
 """Command-line front end: config ingestion, outputs, determinism, exit codes."""
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -13,8 +14,10 @@ import perispec.validate
 import perispec.weighted_solver
 import perispec.weights
 from perispec.cli import main
+from perispec.evolution import period_map
 from perispec.geometry import Boundary, build_grid
-from perispec.weights import closed_form, sample_closed_form, save_sampled_csv
+from perispec.operator import Problem
+from perispec.weights import closed_form, sample_closed_form, save_sampled_csv, summarize
 
 BASE_PROBLEM = """
 [problem]
@@ -193,7 +196,7 @@ def count_period_maps(monkeypatch):
 
 @pytest.mark.parametrize("boundary", ["dirichlet", "neumann", "periodic"])
 def test_lambda_p_task_builds_one_map_per_lam(tmp_path, monkeypatch, boundary):
-    # a non-separable weight takes the dense route on 24 nodes; the eigenvalue
+    # a non-separable weight forms its map on 24 nodes; the eigenvalue
     # check at the root reuses the root search's spectrum point
     lams = count_period_maps(monkeypatch)
     cfg = write_ini(tmp_path, BASE_PROBLEM.replace("dirichlet", boundary).replace(
@@ -385,7 +388,7 @@ def test_krylov_size_outputs_do_not_depend_on_threads(tmp_path, monkeypatch):
 
 
 def test_dense_route_outputs_do_not_depend_on_threads(tmp_path, monkeypatch):
-    # a non-separable weight at n = 64 takes the dense route: every worker
+    # a non-separable weight at n = 64 forms its map: every worker
     # owns its shifted copy of K
     lams = count_period_maps(monkeypatch)
     cfg = write_ini(tmp_path, BASE_PROBLEM.replace("n_per_axis = 24", "n_per_axis = 64")
@@ -629,6 +632,24 @@ lambdas = 1
         outputs.add(tuple((out / name).read_bytes()
                           for name in ("spectrum.csv", "summary.json", "report.txt")))
     assert len(outputs) == 1
+
+
+def test_two_node_time_stepped_point_is_the_lapack_root(tmp_path):
+    # ARPACK needs three nodes: on two the map is formed from its two columns,
+    # and mu_n is the log of LAPACK's top eigenvalue of period_map
+    expr = "0.5 + 0.1*x*sin(2*pi*t/T)"
+    cfg = write_ini(tmp_path, BASE_PROBLEM.replace("n_per_axis = 24", "n_per_axis = 2")
+                    .replace("expr = sin(2*pi*t/T) + cos(2*pi*x) - 0.2", f"expr = {expr}")
+                    + "\n[spectrum]\nlambdas = 1\n")
+    out = tmp_path / "out"
+    assert run("spectrum", cfg, out) == 0
+    [result] = json.loads((out / "summary.json").read_text())["results"]
+    op, w = Problem(Boundary.DIRICHLET, (1.0,), "parabolic", 1.0, closed_form(expr, 1.0)).at(2)
+    assert not summarize(w, op.grid).separable
+    vals = np.linalg.eig(period_map(op, w, 1.0).matrix)[0]
+    top = vals[np.argmax(np.abs(vals))]
+    assert top.imag == 0.0 and result["mu_n"] == math.log(top.real)
+    assert result["residual"] < 1e-14
 
 
 def test_numerical_failure_exits_three(tmp_path, capsys):

@@ -15,11 +15,9 @@ from perispec.evolution import period_map
 from perispec.geometry import Boundary, build_grid, make_kernel, wrap_kernel
 from perispec.operator import assemble
 from perispec.spectrum import (
-    POWER_MAX_ITER,
     PowerIterationError,
     SpectrumReport,
     _krylov_perron,
-    _power_iteration,
     autonomous_spectrum_point,
     check_S_conditions,
     classify_principal_eigenvalue,
@@ -50,12 +48,37 @@ def forbid_period_map(monkeypatch):
     monkeypatch.setattr(perispec.spectrum, "period_map", refuse)
 
 
-def forbid_time_stepping(monkeypatch):
-    forbid_period_map(monkeypatch)
-
+def forbid_vector_periods(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a vector period was integrated")
     monkeypatch.setattr(perispec.spectrum, "period_action", refuse)
+
+
+def forbid_time_stepping(monkeypatch):
+    forbid_period_map(monkeypatch)
+    forbid_vector_periods(monkeypatch)
+
+
+def lapack_point(op, w, lam, n_steps=None):
+    """The report of LAPACK's eigenpair of largest modulus of ``period_map``:
+    an oracle, independent of ARPACK, for the Perron solve of the same map."""
+    mat = period_map(op, w, lam, n_steps=n_steps).matrix
+    vals, vecs = np.linalg.eig(mat)
+    top = int(np.argmax(np.abs(vals)))
+    rho, phi = float(vals[top].real), vecs[:, top].real
+    phi = phi / phi[np.argmax(np.abs(phi))]
+    h = -op.b + lam * time_average(w, op.grid)
+    return perispec.spectrum._report(op, lam, h, math.log(rho) / w.period, phi,
+                                     float(np.abs(mat @ phi - rho * phi).max()), 0)
+
+
+def assert_matches_the_oracle(rep, oracle, mu_tol, vec_tol):
+    assert rep.mu_n == pytest.approx(oracle.mu_n, abs=mu_tol)
+    assert rep.is_principal_eigenvalue == oracle.is_principal_eigenvalue
+    assert rep.eigenfunction.max() == 1.0 and rep.eigenfunction.min() >= 0.0
+    np.testing.assert_allclose(rep.eigenfunction, oracle.eigenfunction, atol=vec_tol)
+    assert rep.localization_width == pytest.approx(oracle.localization_width, rel=vec_tol)
+    assert rep.h_hat_max == oracle.h_hat_max
 
 
 def assert_is_the_frozen_point(rep, op, w, lam):
@@ -82,12 +105,13 @@ def analytic_parabolic_mass(x, r=1.0):
 
 @pytest.mark.parametrize("boundary", list(Boundary))
 def test_power_iteration_matches_dense_eigensolver(boundary):
+    # below 256 nodes a non-separable weight's map is formed, and Arnoldi on
+    # it finds LAPACK's eigenpair of that same map
     op = make_op(boundary, n=16)
-    w = closed_form(STANDARD_WEIGHT, 1.0)
-    pm = period_map(op, w, 1.0)
-    rep = principal_spectrum_point(op, w, 1.0, pmap=pm)
-    rho = float(np.abs(np.linalg.eigvals(pm.matrix)).max())
-    assert rep.mu_n == pytest.approx(math.log(rho) / 1.0, abs=1e-10)
+    w = closed_form(NONSEPARABLE_1D, 1.0)
+    rep = principal_spectrum_point(op, w, 1.0)
+    assert_matches_the_oracle(rep, lapack_point(op, w, 1.0), 1e-10, 1e-9)
+    assert rep.residual < 1e-12
 
 
 def test_autonomous_route_matches_dense_eigensolver():
@@ -159,14 +183,8 @@ def test_krylov_route_matches_dense_power_iteration(make, expr, separable, monke
         if separable:
             assert_is_the_frozen_point(krylov, op, w, lam)
             continue
-        dense = principal_spectrum_point(op, w, lam, pmap=period_map(op, w, lam))
-        assert krylov.mu_n == pytest.approx(dense.mu_n, abs=1e-9)
-        assert krylov.is_principal_eigenvalue == dense.is_principal_eigenvalue
+        assert_matches_the_oracle(krylov, lapack_point(op, w, lam), 1e-9, 1e-7)
         assert krylov.residual < 1e-10
-        assert krylov.eigenfunction.max() == 1.0 and krylov.eigenfunction.min() >= 0.0
-        np.testing.assert_allclose(krylov.eigenfunction, dense.eigenfunction, atol=1e-7)
-        assert krylov.localization_width == pytest.approx(dense.localization_width, rel=1e-7)
-        assert krylov.h_hat_max == dense.h_hat_max
 
 
 # a weight m1(x) + m2(t) takes the exact route at every grid size; the RK4
@@ -185,28 +203,26 @@ def test_separable_route_matches_dense_power_iteration(boundary, n, monkeypatch)
             rep = principal_spectrum_point(op, w, lam)
         assert_is_the_frozen_point(rep, op, w, lam)
         if n <= 64:
-            dense = principal_spectrum_point(op, w, lam,
-                                             pmap=period_map(op, w, lam, n_steps=512))
-            assert rep.mu_n == pytest.approx(dense.mu_n, abs=1e-9)
-            np.testing.assert_allclose(rep.eigenfunction, dense.eigenfunction, atol=1e-9)
-            assert rep.is_principal_eigenvalue == dense.is_principal_eigenvalue
+            assert_matches_the_oracle(rep, lapack_point(op, w, lam, n_steps=512), 1e-9, 1e-9)
 
 
 def test_failed_frozen_solve_below_the_crossover_takes_the_dense_route(monkeypatch):
-    import scipy.sparse.linalg
-
+    # the formed map, with Arnoldi from the constant field
     op = make_op(Boundary.DIRICHLET, n=64)
     w = closed_form(STANDARD_WEIGHT, 1.0)
-    dense = principal_spectrum_point(op, w, 1.0, pmap=period_map(op, w, 1.0))
+    oracle = lapack_point(op, w, 1.0)
+    starts = []
+    original = perispec.spectrum._krylov_perron
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("Arnoldi ran below the crossover")
+    def recording(apply, n, start=None):
+        starts.append(start)
+        return original(apply, n, start)
+    monkeypatch.setattr(perispec.spectrum, "_krylov_perron", recording)
     monkeypatch.setattr(perispec.spectrum, "_frozen_perron", lambda *args: None)
-    monkeypatch.setattr(scipy.sparse.linalg, "eigs", refuse)
+    forbid_vector_periods(monkeypatch)
     rep = principal_spectrum_point(op, w, 1.0)
-    assert rep.mu_n == dense.mu_n
-    assert rep.iterations == dense.iterations
-    np.testing.assert_array_equal(rep.eigenfunction, dense.eigenfunction)
+    assert starts == [None] and rep.iterations > 2
+    assert_matches_the_oracle(rep, oracle, 1e-10, 1e-9)
 
 
 def test_failed_frozen_solve_at_the_crossover_takes_arnoldi_from_the_constant_field(
@@ -234,22 +250,20 @@ def test_failed_frozen_solve_at_the_crossover_takes_arnoldi_from_the_constant_fi
 # every route builds its report whole: the verdict is read from its fields,
 # so a copy with another residual cannot keep a stale one
 ROUTE_CASES = [
-    pytest.param(32, NONSEPARABLE_1D, True, id="dense-pmap"),
+    pytest.param(32, NONSEPARABLE_1D, True, id="formed-32"),
     pytest.param(64, STANDARD_WEIGHT, False, id="exact-separable"),
     pytest.param(256, NONSEPARABLE_1D, False, id="arnoldi-256"),
 ]
 
 
-@pytest.mark.parametrize("n, expr, dense", ROUTE_CASES)
-def test_every_route_carries_its_own_verdict(n, expr, dense, monkeypatch):
+@pytest.mark.parametrize("n, expr, formed", ROUTE_CASES)
+def test_every_route_carries_its_own_verdict(n, expr, formed, monkeypatch):
     op = make_op(Boundary.DIRICHLET, n=n)
     w = closed_form(expr, 1.0)
-    pmap = period_map(op, w, 1.0) if dense else None
-    if not dense:
+    if not formed:
         forbid_period_map(monkeypatch)
-    rep = principal_spectrum_point(op, w, 1.0, pmap=pmap)
-    if not dense:
-        assert (rep.iterations == 0) == (expr == STANDARD_WEIGHT)
+    rep = principal_spectrum_point(op, w, 1.0)
+    assert (rep.iterations == 0) == (expr == STANDARD_WEIGHT)
     assert rep.is_principal_eigenvalue == classify_principal_eigenvalue(rep) == "yes"
     unconverged = dataclasses.replace(rep, residual=1.0)
     assert unconverged.is_principal_eigenvalue == "marginal"
@@ -454,7 +468,7 @@ def test_krylov_rejects_a_root_that_is_no_perron_root():
 
 def test_spectrum_point_builds_one_time_lattice_per_use(monkeypatch):
     # one weight summary gives sup|m| for the step count and m_hat for the
-    # envelope and the S tests, on the dense route (a non-separable weight at
+    # envelope and the S tests, on the formed map (a non-separable weight at
     # n = 64) and the matrix-free one (a separable weight)
     calls = []
     original = perispec.weights._time_lattice
@@ -494,12 +508,28 @@ def test_dirichlet_zero_point_negative():
 @pytest.mark.parametrize("boundary", list(Boundary))
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0])
 def test_lyapunov_route_agrees_with_period_map(boundary, lam):
+    # vector periods of the discrete map whose eigenvalues LAPACK computes
     op = make_op(boundary)
     w = closed_form(STANDARD_WEIGHT, 1.0)
-    pm = period_map(op, w, lam)
-    rep = principal_spectrum_point(op, w, lam, pmap=pm)
-    mu_lyap = lyapunov_estimate(op, w, lam, n_periods=400, pmap=pm)
-    assert abs(rep.mu_n - mu_lyap) < 1e-6
+    mu_lyap = lyapunov_estimate(op, w, lam, n_periods=400)
+    assert abs(lapack_point(op, w, lam).mu_n - mu_lyap) < 1e-6
+
+
+def test_cross_validation_iterates_the_formed_map(monkeypatch):
+    # below 256 nodes the cross-check applies the map that Arnoldi applied
+    op = make_op(Boundary.DIRICHLET, n=32)
+    w = closed_form(NONSEPARABLE_1D, 1.0)
+    forbid_vector_periods(monkeypatch)
+    rep = principal_spectrum_point(op, w, 1.0, cross_validate=True)
+    mat = period_map(op, w, 1.0).matrix
+    u = np.ones(op.n)
+    logs = []
+    for _ in range(50):
+        u = mat @ u
+        logs.append(math.log(float(np.abs(u).max())))
+        u = u / np.abs(u).max()
+    assert rep.diagnostics["lyapunov_mu"] == float(np.mean(logs[25:]))
+    assert rep.diagnostics["method_gap"] < 1e-3
 
 
 def test_cross_validation_diagnostics():
@@ -645,9 +675,9 @@ def _report_with(mu, h_max, residual):
 def test_classifier_branches():
     # clear gap with a converged eigenpair
     assert classify_principal_eigenvalue(_report_with(0.5, 0.0, 1e-12)) == "yes"
-    # sitting on the envelope sup without a converged eigenpair
-    assert classify_principal_eigenvalue(_report_with(0.0, 0.0, 1e-4)) == "no"
-    # near-ties go to marginal rather than a guess
+    # on the envelope sup, converged or not, and near-ties go to marginal
+    # rather than a guess
+    assert classify_principal_eigenvalue(_report_with(0.0, 0.0, 1e-4)) == "marginal"
     assert classify_principal_eigenvalue(_report_with(0.0, 0.0, 1e-12)) == "marginal"
     assert classify_principal_eigenvalue(_report_with(0.5, 0.0, 1e-4)) == "marginal"
 
@@ -678,42 +708,27 @@ def test_flat_kernel_cusp_weight_never_certifies_eigenvalue():
     assert diag["width_fine"] < 0.75 * diag["width_coarse"]
 
 
-def test_near_degenerate_top_reports_no():
-    # moving the cusp slightly off the midpoint between two nodes leaves the
-    # two best sites almost tied with no symmetry to separate them, so the
-    # iteration budget runs out with a lingering eigen-residual
-    grid = build_grid(Boundary.DIRICHLET, (1.0,), 64)
-    op = assemble(make_kernel("parabolic", 1e5), grid)
-    w = closed_form("-((x - 0.50005)**2)**0.25", 1.0)
-    rep = principal_spectrum_point(op, w, 1.0)
-    assert rep.is_principal_eigenvalue == "no"
-    assert rep.residual >= 1e-8
-    assert abs(rep.mu_n - rep.h_hat_max) < 1e-6 * (1 + abs(rep.mu_n))
-
-
-def test_near_degenerate_top_reports_no_on_a_krylov_size_grid(monkeypatch):
-    # at 256 nodes the cusp must sit closer to the midpoint for the budget to
-    # run out; the frozen generator settles the tie of this time-independent
-    # weight, but a root on the envelope sup is taken from the dense route, so
-    # the verdict and its evidence are the dense ones
-    grid = build_grid(Boundary.DIRICHLET, (1.0,), 256)
-    op = assemble(make_kernel("parabolic", 1e5), grid)
-    w = closed_form("-((x - 0.50002)**2)**0.25", 1.0)
-    frozen_mus = []
-    original = perispec.spectrum._frozen_point
-
-    def recording(*args, **kwargs):
-        result = original(*args, **kwargs)
-        frozen_mus.append(result.mu_n)
-        return result
-    monkeypatch.setattr(perispec.spectrum, "_frozen_point", recording)
-    rep = principal_spectrum_point(op, w, 1.0)
-    dense = principal_spectrum_point(op, w, 1.0, pmap=period_map(op, w, 1.0))
-    assert len(frozen_mus) == 1
-    assert rep.is_principal_eigenvalue == dense.is_principal_eigenvalue == "no"
-    assert rep.residual == dense.residual >= 1e-8
-    assert rep.mu_n == dense.mu_n
-    assert rep.iterations == dense.iterations == POWER_MAX_ITER
+@pytest.mark.parametrize("c", ["0.50005", "0.50002", "0.50001", "0.500005"])
+def test_cusp_on_the_envelope_sup_reads_marginal(c, monkeypatch):
+    # a cusp slightly off the midpoint between two nodes leaves the two best
+    # sites almost tied with no symmetry to separate them; a nearly flat
+    # kernel keeps the point on the envelope sup.  The exact route (the cusp
+    # alone) and the time-stepped one (plus a slow breathing term), on a
+    # formed map and on vector periods, all resolve the tie and give one
+    # verdict, with no dense map at 256 nodes
+    for n in (64, 128, 256):
+        op = assemble(make_kernel("parabolic", 1e5), build_grid(Boundary.DIRICHLET, (1.0,), n))
+        for expr in (f"-((x - {c})**2)**0.25",
+                     f"-((x - {c})**2)**0.25 + 0.01*x*sin(2*pi*t/T)"):
+            w = closed_form(expr, 1.0)
+            with monkeypatch.context() as mp:
+                if n == 256:
+                    forbid_period_map(mp)
+                rep = principal_spectrum_point(op, w, 1.0)
+            assert (rep.iterations == 0) == summarize(w, op.grid).separable == ("sin" not in expr)
+            assert rep.is_principal_eigenvalue == "marginal"
+            assert rep.residual < 1e-12
+            assert abs(rep.mu_n - rep.h_hat_max) < 1e-6 * (1 + abs(rep.mu_n))
 
 
 def test_refinement_keeps_width_for_true_eigenfunction():
@@ -841,10 +856,11 @@ def test_any_holds_property():
 
 # ----------------------------------------------------------- failure paths
 
-def test_power_iteration_rejects_degenerate_matrix():
-    w = np.full(4, 0.25)
+@pytest.mark.parametrize("n", [2, 4])
+def test_krylov_rejects_a_zero_map(n):
+    # LAPACK's zero root below 3 nodes; ARPACK stops on the zero image above
     with pytest.raises(PowerIterationError):
-        _power_iteration(np.zeros((4, 4)), w)
+        _krylov_perron(np.zeros_like, n)
 
 
 def test_report_bookkeeping():

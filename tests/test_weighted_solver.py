@@ -346,7 +346,7 @@ def count_s_condition_fits(monkeypatch):
 
 
 def test_pe_sufficiency_adds_only_the_s_conditions(monkeypatch):
-    # a non-separable weight takes the dense route; the check at the root
+    # a non-separable weight forms its map; the check at the root
     # reads the spectrum point the search computed there, at its step count,
     # and fits the S-conditions once, at the root
     op = make_op(Boundary.DIRICHLET)
@@ -392,7 +392,7 @@ def test_only_the_verdict_at_the_root_fits_the_s_conditions(monkeypatch):
 
 
 # the weights of the acceptance suite's twelve cases, a non-separable one
-# (dense route) and a cusp, whose envelope has no quadratic cap for the
+# (a formed map) and a cusp, whose envelope has no quadratic cap for the
 # contact-exponent fit
 WARNING_FREE_WEIGHTS = [
     STANDARD_WEIGHT, "-0.5 + 0.25*cos(2*pi*x)", "cos(2*pi*x) + 0.2", "sin(2*pi*t/T)",
