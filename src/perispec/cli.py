@@ -45,7 +45,20 @@ from .weights import S1Data, closed_form, load_sampled_csv
 
 TASKS = ("spectrum", "lambda_p", "upper_bound", "kpp_scan", "validate")
 
-_BOOLEAN = configparser.ConfigParser.BOOLEAN_STATES
+# every config section and the keys it may hold; any other section or key is
+# refused, so a misspelt or retired key cannot be silently ignored
+KEYS = {
+    "problem": ("boundary", "box", "n_per_axis", "kernel", "support_radius"),
+    "weight": ("period", "expr", "samples", "s1_maximizer", "s1_smoothness",
+               "s1_flat_order"),
+    "spectrum": ("lambdas", "n_steps"),
+    "lambda_p": ("n_steps", "tol_root", "lam_cap"),
+    "upper_bound": ("n_steps", "tol_root", "lam_cap"),
+    "kpp_scan": ("lambdas", "nonlinearity", "crowding", "saturation", "n_steps",
+                 "max_periods", "check_uniqueness", "solver_n_steps"),
+    "validate": ("seed", "checks"),
+}
+
 # integer keys that count steps or periods: zero or fewer is no run at all
 _COUNTS = ("n_steps", "solver_n_steps", "max_periods")
 
@@ -61,9 +74,20 @@ class ConfigError(Exception):
 def _load_config(path: str) -> configparser.ConfigParser:
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str  # keys and expressions keep their case
-    found = cp.read(path)
+    try:
+        found = cp.read(path)
+    except configparser.Error as exc:  # a key outside any section, a key set twice
+        raise ConfigError(str(exc)) from None
     if not found:
         raise ConfigError(f"cannot read config file {path!r}")
+    for name in cp.sections():
+        if name not in KEYS:
+            raise ConfigError(f"unknown section [{name}]; the sections are "
+                              + ", ".join(KEYS))
+        unknown = [key for key in cp.options(name) if key not in KEYS[name]]
+        if unknown:
+            raise ConfigError(f"unknown key {unknown[0]!r} in [{name}]; its keys are "
+                              + ", ".join(KEYS[name]))
     return cp
 
 
@@ -122,28 +146,13 @@ def _get_int(sec, key, default=None, required=False):
     return value
 
 
-def _get_bool(sec, key, default=False):
-    raw = _get(sec, key)
-    if raw is None:
-        return default
-    state = _BOOLEAN.get(raw.lower())
+def _get_bool(sec, key):
+    """A boolean key that is false when absent."""
+    raw = _get(sec, key, default="false")
+    state = configparser.ConfigParser.BOOLEAN_STATES.get(raw.lower())
     if state is None:
         raise ConfigError(f"{key} = {raw!r} is not a boolean")
     return state
-
-
-def _parse_lambdas(sec):
-    raw = _get(sec, "lambdas")
-    if raw is not None:
-        return _float_list("lambdas", raw)
-    lo = _get_float(sec, "lambda_min")
-    hi = _get_float(sec, "lambda_max")
-    count = _get_int(sec, "lambda_count")
-    if lo is None or hi is None or count is None:
-        raise ConfigError("need either 'lambdas' or lambda_min/lambda_max/lambda_count")
-    if count < 1 or hi < lo:
-        raise ConfigError("lambda range must have count >= 1 and lambda_max >= lambda_min")
-    return [float(v) for v in np.linspace(lo, hi, count)]
 
 
 def _root_options(sec):
@@ -338,29 +347,21 @@ def _write_curve(path, curve):
 
 def _task_spectrum(cp, op, weight, outdir, threads):
     sec = _section(cp, "spectrum")
-    lams = _parse_lambdas(sec)
+    lams = _float_list("lambdas", _get(sec, "lambdas", required=True))
     n_steps = _get_int(sec, "n_steps")
-    cross = _get_bool(sec, "cross_validate", default=False)
 
     def one(lam):
-        return (principal_spectrum_point(op, weight, lam, n_steps, cross_validate=cross),
+        return (principal_spectrum_point(op, weight, lam, n_steps),
                 check_S_conditions(weight, op, lam))
 
     points = _map_ordered(one, lams, threads, op.grid)
-    columns = ["lam", "mu_n", "residual", "iterations", "h_hat_min", "h_hat_max",
+    rows = [[rep.lam, rep.mu_n, rep.residual, rep.iterations, rep.h_hat_min,
+             rep.h_hat_max, rep.is_principal_eigenvalue, s.s1, s.s2, s.s3,
+             s.s3_exponent, rep.localization_width] for rep, s in points]
+    write_csv(outdir / "spectrum.csv",
+              ["lam", "mu_n", "residual", "iterations", "h_hat_min", "h_hat_max",
                "is_principal_eigenvalue", "s1", "s2", "s3", "s3_exponent",
-               "localization_width"]
-    if cross:
-        columns += ["lyapunov_mu", "method_gap"]
-    rows = []
-    for rep, s in points:
-        row = [rep.lam, rep.mu_n, rep.residual, rep.iterations, rep.h_hat_min,
-               rep.h_hat_max, rep.is_principal_eigenvalue, s.s1, s.s2, s.s3,
-               s.s3_exponent, rep.localization_width]
-        if cross:
-            row += [rep.diagnostics["lyapunov_mu"], rep.diagnostics["method_gap"]]
-        rows.append(row)
-    write_csv(outdir / "spectrum.csv", columns, rows)
+               "localization_width"], rows)
 
     summary = {
         "task": "spectrum",
@@ -369,9 +370,7 @@ def _task_spectrum(cp, op, weight, outdir, threads):
             {"lam": rep.lam, "mu_n": rep.mu_n, "residual": rep.residual,
              "is_principal_eigenvalue": rep.is_principal_eigenvalue,
              "h_hat_max": rep.h_hat_max,
-             "s_conditions": {"s1": s.s1, "s2": s.s2, "s3": s.s3},
-             **({"lyapunov_mu": rep.diagnostics["lyapunov_mu"],
-                 "method_gap": rep.diagnostics["method_gap"]} if cross else {})}
+             "s_conditions": {"s1": s.s1, "s2": s.s2, "s3": s.s3}}
             for rep, s in points],
     }
     write_json(outdir / "summary.json", _clean(summary))
@@ -388,9 +387,7 @@ def _task_spectrum(cp, op, weight, outdir, threads):
 def _task_lambda_p(cp, op, weight, outdir, threads):
     sec = _section(cp, "lambda_p", required=False)
     res = solve_lambda_p(op, weight, n_steps=_get_int(sec, "n_steps"), **_root_options(sec))
-    pe = None
-    if res.status == STATUS_UNIQUE and _get_bool(sec, "check_pe", default=True):
-        pe = pe_sufficiency(op, weight, res)
+    pe = pe_sufficiency(op, weight, res) if res.status == STATUS_UNIQUE else None
 
     _write_curve(outdir / "curve.csv", res.curve)
     summary = {"task": "lambda_p", "config": _config_echo(cp),
@@ -443,7 +440,7 @@ def _task_upper_bound(cp, op, weight, outdir, threads):
 
 def _task_kpp_scan(cp, op, weight, outdir, threads):
     sec = _section(cp, "kpp_scan")
-    lams = _parse_lambdas(sec)
+    lams = _float_list("lambdas", _get(sec, "lambdas", required=True))
     try:
         nonlin = Nonlinearity(
             kind=_get(sec, "nonlinearity", default="logistic"),
@@ -454,7 +451,7 @@ def _task_kpp_scan(cp, op, weight, outdir, threads):
         raise ConfigError(str(exc)) from None
     n_steps = _get_int(sec, "n_steps")
     max_periods = _get_int(sec, "max_periods", default=MAX_PERIODS)
-    check_uniqueness = _get_bool(sec, "check_uniqueness", default=False)
+    check_uniqueness = _get_bool(sec, "check_uniqueness")
 
     solver_result = solve_lambda_p(op, weight, n_steps=_get_int(sec, "solver_n_steps"))
 

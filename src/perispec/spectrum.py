@@ -21,10 +21,6 @@ generator's image) goes through ``op.matvec``, which in 2-D reads the
 factored kernel stencil instead of the dense ``K``, so the 2-D exact and
 Arnoldi routes never read ``K``.
 
-A Lyapunov-exponent estimate (averaged log growth of a propagated field)
-provides an independent route to the same number and is used as a
-cross-check.
-
 Whether ``mu`` is attained by an actual eigenfunction (rather than marking the
 edge of the essential part of the spectrum) is decided by comparing ``mu``
 against the sup of the local growth envelope ``h(x) = -b(x) + lam * m_hat(x)``
@@ -40,7 +36,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,7 +104,6 @@ class SpectrumReport:
     h_hat_max: float
     iterations: int
     localization_width: float         # eigenfunction mass fraction of the domain
-    diagnostics: dict
 
     @property
     def is_principal_eigenvalue(self) -> str:
@@ -237,8 +232,7 @@ def _report(op: DispersalOperator, lam: float, h: np.ndarray, mu: float, phi: np
     return SpectrumReport(mu_n=mu, lam=float(lam), eigenfunction=phi, residual=residual,
                           h_hat_min=float(h.min()), h_hat_max=float(h.max()),
                           iterations=iterations,
-                          localization_width=localization_width(phi, op.quad_weights),
-                          diagnostics={})
+                          localization_width=localization_width(phi, op.quad_weights))
 
 
 def essential_interval(op: DispersalOperator, weight: Weight, lam: float) -> tuple[float, float]:
@@ -373,57 +367,33 @@ def _check_s1(weight: Weight, op: DispersalOperator, lam: float, m_hat: np.ndarr
 
 
 def principal_spectrum_point(op: DispersalOperator, weight: Weight, lam: float,
-                             n_steps: int | None = None,
-                             cross_validate: bool = False) -> SpectrumReport:
+                             n_steps: int | None = None) -> SpectrumReport:
     """Principal spectrum point via the period-map spectral radius.
 
     The route follows the weight's structure and the grid size (see the
     module docstring).  On the exact route ``iterations`` reads 0 and
     ``residual`` is the frozen generator's eigen-residual.  Otherwise
     ``iterations`` counts the map's applications: Arnoldi's, one for the
-    residual, and on vector periods one for the positivity probe.  The
-    cross-check iterates the same map as the Perron solve, or vector periods
-    after the exact route.
+    residual, and on vector periods one for the positivity probe.
     """
     summary = summarize(weight, op.grid)
     m_hat = summary.m_hat
+    if summary.separable:
+        report = _frozen_point(op, m_hat, lam)
+        if report is not None:
+            return report
     h = -op.b + lam * m_hat
-    report = _frozen_point(op, m_hat, lam) if summary.separable else None
-    apply = None
-    if report is None:
-        if op.n < _KRYLOV_MIN_N:
-            apply = period_map(op, weight, lam, n_steps=n_steps).matrix.__matmul__
-            start = None
-        else:
-            apply = period_action(op, weight, lam, n_steps)
-            start = None if summary.separable else _frozen_perron(op, m_hat, lam)
-        ratio, phi, residual, iterations = _krylov_perron(apply, op.n, start)
-        if op.n >= _KRYLOV_MIN_N:
-            _probe_positivity(apply, op.n, np.argsort(h, kind="stable")[:_PROBE_COLUMNS])
-            iterations += 1
-        report = _report(op, lam, h, math.log(ratio) / weight.period, phi, residual,
-                         iterations)
-    if cross_validate:
-        if apply is None:
-            apply = period_action(op, weight, lam, n_steps)
-        mu_lyap = _mean_log_growth(apply, np.ones(op.n), 50, weight.period)
-        report = replace(report, diagnostics={"lyapunov_mu": mu_lyap,
-                                              "method_gap": abs(report.mu_n - mu_lyap)})
-    return report
-
-
-def _mean_log_growth(apply, u: np.ndarray, n_periods: int, period: float) -> float:
-    """Log growth per unit time of ``u`` under ``apply``, averaged over the last
-    half of ``n_periods`` periods; the field is renormalized every period."""
-    increments = np.empty(n_periods)
-    for k in range(n_periods):
-        u = apply(u)
-        nrm = float(np.abs(u).max())
-        if nrm == 0.0:
-            raise PowerIterationError("field vanished during Lyapunov estimation")
-        increments[k] = math.log(nrm)
-        u = u / nrm
-    return float(increments[n_periods // 2:].mean() / period)
+    if op.n < _KRYLOV_MIN_N:
+        apply = period_map(op, weight, lam, n_steps=n_steps).matrix.__matmul__
+        start = None
+    else:
+        apply = period_action(op, weight, lam, n_steps)
+        start = None if summary.separable else _frozen_perron(op, m_hat, lam)
+    ratio, phi, residual, iterations = _krylov_perron(apply, op.n, start)
+    if op.n >= _KRYLOV_MIN_N:
+        _probe_positivity(apply, op.n, np.argsort(h, kind="stable")[:_PROBE_COLUMNS])
+        iterations += 1
+    return _report(op, lam, h, math.log(ratio) / weight.period, phi, residual, iterations)
 
 
 def lyapunov_estimate(op: DispersalOperator, weight: Weight, lam: float,
@@ -432,7 +402,8 @@ def lyapunov_estimate(op: DispersalOperator, weight: Weight, lam: float,
 
     Propagates the field one period at a time (same discretization as the
     spectral route, no matrix formed), renormalizing each period and
-    averaging the log increments over the last half of the run.
+    averaging the log increments over the last half of the run: an
+    independent route to ``principal_spectrum_point``'s ``mu``.
     """
     if n_periods < 10:
         raise ValueError("n_periods must be at least 10")
@@ -443,8 +414,16 @@ def lyapunov_estimate(op: DispersalOperator, weight: Weight, lam: float,
         if u.shape != (op.n,) or np.any(u < 0.0) or not np.any(u > 0.0):
             raise ValueError("u0 must be a nonnegative, nonzero field on the grid")
         u = u / float(np.abs(u).max())
-    return _mean_log_growth(period_action(op, weight, lam, n_steps), u, n_periods,
-                            weight.period)
+    apply = period_action(op, weight, lam, n_steps)
+    increments = np.empty(n_periods)
+    for k in range(n_periods):
+        u = apply(u)
+        nrm = float(np.abs(u).max())
+        if nrm == 0.0:
+            raise PowerIterationError("field vanished during Lyapunov estimation")
+        increments[k] = math.log(nrm)
+        u = u / nrm
+    return float(increments[n_periods // 2:].mean() / weight.period)
 
 
 def _frozen_point(op: DispersalOperator, m_field: np.ndarray,

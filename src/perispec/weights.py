@@ -16,8 +16,8 @@ are computed, with ``sup|m|`` and the space-time integral from one time
 lattice and the weight's structure (separable ``m1(x) + m2(t)``,
 space-independent) from rows that no oscillation in time can alias; the
 other functionals are views of its ``WeightSummary``.  The
-summary is kept on the weight, once per grid and lattice size, so every
-spectrum point, root search and orbit of one weight reads the same one.
+summary is kept on the weight, once per grid, so every spectrum point, root
+search and orbit of one weight reads the same one.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ import numpy as np
 
 from .geometry import Boundary, Grid
 
-DEFAULT_N_TIME = 256
+# intervals per period of ``summarize``'s time lattice
+N_TIME = 256
 # where ``summarize``'s second lattice sits in each interval of the first
 _LATTICE_OFFSET = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -115,7 +116,7 @@ class Weight:
     expr: str | None = None
     samples: np.ndarray | None = None  # (n_time_lattice, n_nodes)
     s1_data: S1Data | None = None
-    # ``summarize``'s results by (id(grid), n_time); ``replace`` starts afresh
+    # ``summarize``'s results by id(grid); ``replace`` starts afresh
     _summaries: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __eq__(self, other):
@@ -128,10 +129,6 @@ class Weight:
         return (self.period == other.period and self.expr == other.expr
                 and self.s1_data == other.s1_data
                 and (self.samples is None or np.array_equal(self.samples, other.samples)))
-
-    @property
-    def is_closed_form(self) -> bool:
-        return self.expr is not None
 
     def evaluate(self, t: float, grid: Grid) -> np.ndarray:
         """Field values at all grid nodes at time ``t`` (wrapped into [0, T))."""
@@ -227,25 +224,20 @@ def from_samples(samples, period: float) -> Weight:
     return Weight(float(period), samples=_frozen(samples))
 
 
-def sample_closed_form(weight: Weight, grid: Grid, n_time: int) -> Weight:
-    """Discretize a closed-form weight onto a uniform time lattice."""
-    times = np.arange(n_time) * (weight.period / n_time)
+def sample_closed_form(weight: Weight, grid: Grid, n_samples: int) -> Weight:
+    """Discretize a closed-form weight onto a uniform lattice of ``n_samples`` times."""
+    times = np.arange(n_samples) * (weight.period / n_samples)
     return from_samples(weight.table(times, grid), weight.period)
 
 
-def _time_lattice(weight: Weight, grid: Grid, n_time: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sample times 0..T inclusive and the (n_time+1, n) value table."""
-    if n_time < 4:
-        raise ValueError("n_time must be at least 4 samples per period")
-    times = np.arange(n_time + 1) * (weight.period / n_time)
-    return times, weight.table(times, grid)
+def _time_lattice(weight: Weight, grid: Grid) -> np.ndarray:
+    """The ``(N_TIME + 1, n)`` values at the times ``0..T`` of the lattice, ends included."""
+    return weight.table(np.arange(N_TIME + 1) * (weight.period / N_TIME), grid)
 
 
 @dataclass(frozen=True)
 class WeightSummary:
     m_hat: np.ndarray         # per-node time average
-    m_tilde: np.ndarray       # per-sample spatial maximum
-    times: np.ndarray
     p_value: float
     time_space_integral: float  # integral of m over one period and the domain
     m_hat_max: float
@@ -258,20 +250,19 @@ class WeightSummary:
 _SUMMARY_LOCK = threading.Lock()
 
 
-def summarize(weight: Weight, grid: Grid, n_time: int = DEFAULT_N_TIME) -> WeightSummary:
-    """The lam-independent data of ``weight`` on ``grid``, built once per grid and ``n_time``:
+def summarize(weight: Weight, grid: Grid) -> WeightSummary:
+    """The lam-independent data of ``weight`` on ``grid``, built once per grid:
     kept on the weight with the grid, so the key's grid id cannot be reused while
     the entry lives, and built under a lock, so threads asking at once share it."""
-    key = (id(grid), n_time)
+    key = id(grid)
     with _SUMMARY_LOCK:
         if key in weight._summaries:
             return weight._summaries[key][1]
-        times, table = _time_lattice(weight, grid, n_time)
-        coeff = np.ones(n_time + 1)
+        table = _time_lattice(weight, grid)
+        coeff = np.ones(N_TIME + 1)
         coeff[0] = coeff[-1] = 0.5
-        m_hat = (coeff[:, None] * table).sum(axis=0) / n_time
-        m_tilde = table.max(axis=1)
-        p_value = float((coeff * m_tilde).sum() / n_time * weight.period)
+        m_hat = (coeff[:, None] * table).sum(axis=0) / N_TIME
+        p_value = float((coeff * table.max(axis=1)).sum() / N_TIME * weight.period)
         integral = float(weight.period * np.dot(grid.quad_weights, m_hat))
         sup = float(np.abs(table).max())
         # The structure flags are read on a sampled weight's own rows, which
@@ -283,7 +274,7 @@ def summarize(weight: Weight, grid: Grid, n_time: int = DEFAULT_N_TIME) -> Weigh
         if weight.samples is not None:
             rows = weight.samples
         else:
-            offset = (np.arange(n_time) + _LATTICE_OFFSET) * (weight.period / n_time)
+            offset = (np.arange(N_TIME) + _LATTICE_OFFSET) * (weight.period / N_TIME)
             rows = np.concatenate([table, weight.table(offset, grid)])
         tol = 1e-12 * (1.0 + sup)
         space_independent = float(np.ptp(rows, axis=1).max()) <= tol
@@ -291,8 +282,6 @@ def summarize(weight: Weight, grid: Grid, n_time: int = DEFAULT_N_TIME) -> Weigh
         separable = float(np.ptp(rows - m_hat, axis=1).max()) <= tol
         summary = WeightSummary(
             m_hat=_frozen(m_hat),
-            m_tilde=_frozen(m_tilde),
-            times=_frozen(times),
             p_value=p_value,
             time_space_integral=integral,
             m_hat_max=float(m_hat.max()),
@@ -305,31 +294,31 @@ def summarize(weight: Weight, grid: Grid, n_time: int = DEFAULT_N_TIME) -> Weigh
     return summary
 
 
-def time_average(weight: Weight, grid: Grid, n_time: int = DEFAULT_N_TIME) -> np.ndarray:
+def time_average(weight: Weight, grid: Grid) -> np.ndarray:
     """Per-node time mean over one period (composite trapezoid rule)."""
-    return summarize(weight, grid, n_time).m_hat
+    return summarize(weight, grid).m_hat
 
 
-def p_functional(weight: Weight, grid: Grid, n_time: int = DEFAULT_N_TIME) -> float:
+def p_functional(weight: Weight, grid: Grid) -> float:
     """Time integral of the spatial maximum: trapezoid of ``max_x m(t, x)``.
 
     For a time-independent weight this is exactly ``T * max m``.
     """
-    return summarize(weight, grid, n_time).p_value
+    return summarize(weight, grid).p_value
 
 
-def sup_abs(weight: Weight, grid: Grid, n_time: int = DEFAULT_N_TIME) -> float:
+def sup_abs(weight: Weight, grid: Grid) -> float:
     """Sup of |m| over the sample lattice; used for step-size heuristics."""
-    return summarize(weight, grid, n_time).sup_abs
+    return summarize(weight, grid).sup_abs
 
 
-def space_independent(weight: Weight, grid: Grid, n_time: int = DEFAULT_N_TIME) -> bool:
+def space_independent(weight: Weight, grid: Grid) -> bool:
     """True when every time slice is spatially constant up to rounding.
 
     Decided on ``summarize``'s rows: the largest spatial range across slices
     must stay below 1e-12 relative to the field scale.
     """
-    return summarize(weight, grid, n_time).space_independent
+    return summarize(weight, grid).space_independent
 
 
 @dataclass(frozen=True)
@@ -382,8 +371,8 @@ class ConditionReport:
         return self.p_marginal or self.integral_marginal
 
 
-def check_conditions(weight: Weight, grid: Grid, n_time: int = DEFAULT_N_TIME) -> ConditionReport:
-    summary = summarize(weight, grid, n_time)
+def check_conditions(weight: Weight, grid: Grid) -> ConditionReport:
+    summary = summarize(weight, grid)
     return ConditionReport.from_values(summary.p_value, summary.time_space_integral)
 
 

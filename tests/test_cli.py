@@ -276,6 +276,28 @@ def test_kpp_scan_task(tmp_path):
     assert len(scan_lines) == 6
 
 
+def test_kpp_scan_checks_uniqueness_on_request(tmp_path):
+    # the second start runs on persistent orbits only, and changes no verdict
+    scan = "\n[kpp_scan]\nlambdas = 0.5, 0.9, 1.4, 1.8\n"
+    outs = {}
+    for name, extra in (("plain", ""), ("checked", "check_uniqueness = true\n")):
+        cfg = write_ini(tmp_path, BASE_PROBLEM + scan + extra, name=f"{name}.ini")
+        outs[name] = tmp_path / name
+        assert run("kpp_scan", cfg, outs[name]) == 0
+    verdicts = {name: json.loads((out / "summary.json").read_text())["verdicts"]
+                for name, out in outs.items()}
+    assert verdicts["checked"] == verdicts["plain"]
+    rows = [line.split(",") for line in
+            (outs["checked"] / "scan.csv").read_text().strip().splitlines()[2:]]
+    assert [row[1] for row in rows] == ["extinction", "extinction",
+                                        "persistence", "persistence"]
+    for row in rows:
+        gap = float(row[-1])
+        assert math.isfinite(gap) == (row[1] == "persistence")
+        if row[1] == "persistence":
+            assert 0.0 <= gap < 1e-6
+
+
 def test_periodic_boundary_task(tmp_path):
     cfg = write_ini(tmp_path, BASE_PROBLEM.replace("dirichlet", "periodic")
                     + "\n[spectrum]\nlambdas = 0\n")
@@ -376,7 +398,7 @@ def test_krylov_size_outputs_do_not_depend_on_threads(tmp_path, monkeypatch):
     ]):
         problem = base.replace("expr = sin(2*pi*t/T) + cos(2*pi*x) - 0.2", f"expr = {expr}")
         cfg = write_ini(tmp_path, problem
-                        + "\n[spectrum]\nlambdas = 0.5, 2\ncross_validate = true\n",
+                        + "\n[spectrum]\nlambdas = 0.5, 2\n",
                         name=f"config{k}.ini")
         outs = [tmp_path / f"out{k}_{i}" for i in range(3)]
         for out, threads in zip(outs, ("1", "2", "4")):
@@ -514,8 +536,6 @@ def test_infinite_s1_smoothness_is_legal(tmp_path):
 @pytest.mark.parametrize("task, section, key", [
     ("spectrum", "[spectrum]\nlambdas = 0.5, nan", "lambdas"),
     ("spectrum", "[spectrum]\nlambdas = 0.5, inf", "lambdas"),
-    ("spectrum", "[spectrum]\nlambda_min = 0\nlambda_max = inf\nlambda_count = 3",
-     "lambda_max"),
     ("lambda_p", "[lambda_p]\nlam_cap = nan", "lam_cap"),
     ("lambda_p", "[lambda_p]\nlam_cap = 0", "lam_cap"),
     ("lambda_p", "[lambda_p]\ntol_root = -1", "tol_root"),
@@ -529,12 +549,44 @@ def test_infinite_s1_smoothness_is_legal(tmp_path):
     ("kpp_scan", "[kpp_scan]\nlambdas = 1\nn_steps = 0", "n_steps"),
     ("kpp_scan", "[kpp_scan]\nlambdas = 1\nsolver_n_steps = -4", "solver_n_steps"),
     ("kpp_scan", "[kpp_scan]\nlambdas = 1\nmax_periods = 0", "max_periods"),
+    ("kpp_scan", "[kpp_scan]\nlambdas = 1\ncheck_uniqueness = maybe", "check_uniqueness"),
 ])
 def test_bad_numeric_key_exits_two(tmp_path, capsys, task, section, key):
     cfg = write_ini(tmp_path, BASE_PROBLEM + "\n" + section + "\n")
     assert run(task, cfg, tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert "config error" in err and key in err
+
+
+@pytest.mark.parametrize("task, section, name", [
+    ("spectrum", "[spectrum]\nlambdas = 1\nn_step = 7", "n_step"),
+    ("lambda_p", "[lambda-p]\ntol_root = 1e-9", "lambda-p"),
+    ("spectrum", "[spectrum]\nlambdas = 1\ncross_validate = true", "cross_validate"),
+    ("lambda_p", "[lambda_p]\ncheck_pe = false", "check_pe"),
+    ("spectrum", "[spectrum]\nlambda_min = 0\nlambda_max = inf\nlambda_count = 3",
+     "lambda_min"),
+    ("kpp_scan", "[kpp_scan]\nlambda_min = 0.5\nlambda_max = 2\nlambda_count = 4",
+     "lambda_min"),
+    ("validate", "[validate]\nseed = 1\nverbose = true", "verbose"),
+])
+def test_unknown_section_or_key_exits_two(tmp_path, capsys, task, section, name):
+    # a key no task reads is refused, not silently left at its default
+    cfg = write_ini(tmp_path, BASE_PROBLEM + "\n" + section + "\n")
+    assert run(task, cfg, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and name in err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("text, name", [
+    ("n_steps = 7\n" + BASE_PROBLEM, "n_steps"),  # before any section header
+    (BASE_PROBLEM + "period = 2.0\n", "period"),  # set twice in [weight]
+])
+def test_malformed_config_exits_two(tmp_path, capsys, text, name):
+    cfg = write_ini(tmp_path, text + "\n[spectrum]\nlambdas = 1\n")
+    assert run("spectrum", cfg, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and name in err
 
 
 def test_missing_config_file_exits_two(tmp_path, capsys):

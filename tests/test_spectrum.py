@@ -317,12 +317,12 @@ def test_two_dimensional_arnoldi_route_never_reads_the_matrix(monkeypatch):
     assert len(probes) == 4
 
 
-def test_cross_validation_on_krylov_route_builds_no_matrix(monkeypatch):
+def test_lyapunov_estimate_at_krylov_size_builds_no_matrix(monkeypatch):
     op = make_op(Boundary.DIRICHLET, n=256)
     w = closed_form(STANDARD_WEIGHT, 1.0)
     forbid_period_map(monkeypatch)
-    rep = principal_spectrum_point(op, w, 1.0, cross_validate=True)
-    assert rep.diagnostics["method_gap"] < 1e-3
+    rep = principal_spectrum_point(op, w, 1.0)
+    assert abs(rep.mu_n - lyapunov_estimate(op, w, 1.0)) < 1e-3
 
 
 def test_krylov_route_warns_on_a_too_coarse_step_count(monkeypatch):
@@ -515,12 +515,12 @@ def test_lyapunov_route_agrees_with_period_map(boundary, lam):
     assert abs(lapack_point(op, w, lam).mu_n - mu_lyap) < 1e-6
 
 
-def test_cross_validation_iterates_the_formed_map(monkeypatch):
-    # below 256 nodes the cross-check applies the map that Arnoldi applied
+def test_lyapunov_estimate_iterates_the_formed_map():
+    # below 256 nodes Arnoldi applies the formed map; the estimate's vector
+    # periods are the same map, applied without forming it
     op = make_op(Boundary.DIRICHLET, n=32)
     w = closed_form(NONSEPARABLE_1D, 1.0)
-    forbid_vector_periods(monkeypatch)
-    rep = principal_spectrum_point(op, w, 1.0, cross_validate=True)
+    rep = principal_spectrum_point(op, w, 1.0)
     mat = period_map(op, w, 1.0).matrix
     u = np.ones(op.n)
     logs = []
@@ -528,16 +528,9 @@ def test_cross_validation_iterates_the_formed_map(monkeypatch):
         u = mat @ u
         logs.append(math.log(float(np.abs(u).max())))
         u = u / np.abs(u).max()
-    assert rep.diagnostics["lyapunov_mu"] == float(np.mean(logs[25:]))
-    assert rep.diagnostics["method_gap"] < 1e-3
-
-
-def test_cross_validation_diagnostics():
-    op = make_op(Boundary.DIRICHLET, n=16)
-    w = closed_form(STANDARD_WEIGHT, 1.0)
-    rep = principal_spectrum_point(op, w, 1.0, cross_validate=True)
-    assert "lyapunov_mu" in rep.diagnostics and "method_gap" in rep.diagnostics
-    assert rep.diagnostics["method_gap"] < 1e-3
+    mu_lyap = lyapunov_estimate(op, w, 1.0)
+    assert mu_lyap == pytest.approx(float(np.mean(logs[25:])), abs=1e-12)
+    assert abs(rep.mu_n - mu_lyap) < 1e-3
 
 
 def test_lyapunov_validates_inputs():
@@ -668,7 +661,7 @@ def _report_with(mu, h_max, residual):
     return SpectrumReport(
         mu_n=mu, lam=1.0, eigenfunction=None,
         residual=residual, h_hat_min=h_max - 1.0, h_hat_max=h_max, iterations=10,
-        localization_width=0.5, diagnostics={},
+        localization_width=0.5,
     )
 
 
@@ -871,4 +864,3 @@ def test_report_bookkeeping():
     assert rep.iterations == 0  # a separable weight: the exact route
     assert float(rep.eigenfunction.max()) == pytest.approx(1.0)
     assert np.all(rep.eigenfunction >= 0.0)
-    assert rep.diagnostics == {}

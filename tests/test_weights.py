@@ -383,14 +383,18 @@ def test_p_functional_grid_convergence():
     assert errs[2] < 5e-4
 
 
-def test_p_functional_time_quadrature_converges(grid):
+def test_p_functional_time_quadrature_converges(grid, monkeypatch):
     # spatial max of sin(2 pi t) * (x - 1/2) is |sin| * (1/2 - h/2): kinked in t
-    w = closed_form("sin(2*pi*t/T) * (x - 0.5)", 1.0)
     half = 0.5 - 0.5 * grid.spacing[0]
     exact = half * 2.0 / math.pi
-    assert p_functional(w, grid, n_time=4096) == pytest.approx(exact, rel=1e-6)
-    e_coarse = abs(p_functional(w, grid, n_time=64) - exact)
-    e_fine = abs(p_functional(w, grid, n_time=256) - exact)
+
+    def p_on_lattice(n_time):
+        # a fresh weight per lattice: the summary is kept per weight and grid
+        monkeypatch.setattr(perispec.weights, "N_TIME", n_time)
+        return p_functional(closed_form("sin(2*pi*t/T) * (x - 0.5)", 1.0), grid)
+    assert p_on_lattice(4096) == pytest.approx(exact, rel=1e-6)
+    e_coarse = abs(p_on_lattice(64) - exact)
+    e_fine = abs(p_on_lattice(256) - exact)
     assert e_fine < e_coarse / 4.0  # second-order quadrature
 
 
@@ -426,16 +430,14 @@ def test_p_dominates_average_max(a, b, c):
 
 def test_summarize_fields(grid):
     w = closed_form("sin(2*pi*t/T) + 0.5*cos(2*pi*x)", 2.0)
-    s = summarize(w, grid, n_time=128)
-    assert s.times.shape == (129,)
-    assert s.m_tilde.shape == (129,)
-    np.testing.assert_allclose(s.m_hat, time_average(w, grid, 128), atol=1e-14)
-    assert s.p_value == pytest.approx(p_functional(w, grid, 128), rel=1e-14)
+    s = summarize(w, grid)
+    np.testing.assert_allclose(s.m_hat, time_average(w, grid), atol=1e-14)
+    assert s.p_value == pytest.approx(p_functional(w, grid), rel=1e-14)
     assert s.m_hat_max == pytest.approx(s.m_hat.max())
     assert s.m_hat_min == pytest.approx(s.m_hat.min())
     # integral of m over one period and the domain: the oscillation drops out
     assert s.time_space_integral == pytest.approx(0.0, abs=1e-12)
-    assert s.sup_abs == pytest.approx(sup_abs(w, grid, 128))
+    assert s.sup_abs == pytest.approx(sup_abs(w, grid))
     assert s.sup_abs <= 1.5 + 1e-12
 
 
@@ -444,12 +446,6 @@ def test_time_space_integral_matches_quadrature(grid):
     s = summarize(w, grid)
     expected = 3.0 * float(np.dot(grid.quad_weights, grid.nodes[:, 0] - 0.25))
     assert s.time_space_integral == pytest.approx(expected, rel=1e-12)
-
-
-def test_n_time_minimum_enforced(grid):
-    w = closed_form("t", 1.0)
-    with pytest.raises(ValueError):
-        time_average(w, grid, n_time=3)
 
 
 def test_space_independent_detection(grid):
@@ -511,7 +507,7 @@ def test_summary_is_kept_per_weight_grid_and_lattice(grid, sampled):
     other_grid = build_grid(Boundary.DIRICHLET, (1.0,), 16)
     derived = [w.shifted(0.5), w.scaled(2.0), w + w, 3.0 * w]
     fresh = [summarize(v, grid) for v in derived]
-    fresh += [summarize(w, other_grid), summarize(w, grid, n_time=128)]
+    fresh.append(summarize(w, other_grid))
     assert all(f is not s for f in fresh)
     assert len({id(f) for f in fresh}) == len(fresh)
     np.testing.assert_allclose(summarize(w.shifted(0.5), grid).m_hat, s.m_hat + 0.5,
