@@ -230,13 +230,14 @@ def _clean(obj):
 # From this many cells per axis on, a 2-D sweep spreads its entries over
 # worker threads; below it they run one after another.  A 2-D vector period
 # is hundreds of numpy calls of 1-10 us each, and two threads that pass the
-# interpreter lock on every call use twice the CPU and finish later.  Wall
+# interpreter lock on every call use more CPU and finish no sooner.  Wall
 # time of a whole `perispec spectrum` process (non-separable Neumann weight,
-# radius 0.5, 4 couplings, one BLAS thread, 2 cores, 4 runs each),
-# --threads 1 against 2: 16x16 0.95-1.01 s vs 0.90-1.28 s, 24x24 1.11-1.52 s
-# vs 1.98-2.06 s, 32x32 2.32-2.52 s vs 2.52-2.69 s (3.6-3.8 s CPU), 40x40
-# 5.13-5.37 s vs 3.74-3.85 s, 48x48 10.7-11.1 s vs 6.8-7.5 s (2 runs).  A
-# 24x24 `kpp_scan` of 4 couplings took 5.3-5.9 s vs 6.4-7.0 s.
+# radius 0.5, 4 couplings, one BLAS thread, 2 cores, 4 runs each, Strang
+# steps), --threads 1 against 2: 16x16 0.70-0.92 s vs 0.70-0.87 s, 24x24
+# 0.87-1.51 s vs 0.97-1.54 s, 32x32 1.59-2.00 s vs 1.74-2.07 s (2.0-2.8 s
+# CPU), 40x40 2.75-4.04 s vs 2.15-2.86 s, 48x48 6.71-7.31 s vs 4.27-4.98 s
+# (2 runs).  A 24x24 `kpp_scan` of 4 couplings took 3.27-4.38 s vs
+# 4.38-5.42 s.
 _THREADED_2D_MIN_N = 40
 
 

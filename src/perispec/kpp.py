@@ -11,20 +11,25 @@ package computes.  Persistence of the nonlinear dynamics therefore switches at
 the positive root of ``mu(lam)``: below it every population dies out, above it
 a unique positive time-periodic state attracts positive initial data.
 
-The nonlinear flow has no stepper of its own: it hands the crowding term to
-the RK4 stepper of ``evolution``, so both flows step with the same stage
-tables (``m`` at ``t_k + h/2`` and at ``t_k + h``).  ``_kpp_flow`` sets the
-flow up once per ``lam`` (``sup|m|`` from the weight's summary, the bound
-check, the carrying scale); ``simulate_kpp`` and every orbit period run
-through it, and it builds the stage tables once per step count, so every
-Poincare period and every linear contraction test of an orbit share them.
+The nonlinear flow has no stepper of its own: it hands its reaction half
+steps to the Strang stepper of ``evolution``, whose dispersal step is the
+linear flow's.  With ``lam m`` replaced by its trapezoid-rule mean over each
+half step, the reaction ``u' = (lam m - crowding(u)) u`` is solved per node
+(``Nonlinearity.reaction``): in closed form for the logistic penalty, by a
+positive second-order step for the saturating one, so the state never turns
+negative and no undershoot is scrubbed.  ``_kpp_flow`` sets the flow up
+once per ``lam`` (``sup|m|`` from the weight's summary, the bound check, the
+carrying scale); ``simulate_kpp`` and every orbit period run through it, and
+it builds the reaction tables once per step count, so every Poincare period
+and every linear contraction test of an orbit share them.
 
 The periodic state is found by iterating the period map ``P`` of the
 nonlinear flow from a small positive constant.  Each period is one
 ``_integrate`` call over ``[0, T]`` with the orbit's fixed step count, as
-``simulate_kpp`` would run it.  The orbit first looks for a certificate of
-persistence: when the principal spectrum point ``mu(lam)`` of the linearized
-period map is positive, its Perron vector ``phi`` gives a sub-solution
+``simulate_kpp`` would run it; the count is rounded up to even, as the finer
+level of a spectrum point is.  The orbit first looks for a certificate of
+persistence: when the linearized period map at the orbit's own step count
+has a Perron root above 1, its Perron vector ``phi`` gives a sub-solution
 ``eps * phi`` once ``P(eps * phi) - eps * phi`` clears the order tolerance on
 every node for some ``eps`` of a short ladder.  The flow preserves order, so
 the iterates from any start above ``eps * phi`` stay above it and a positive
@@ -43,9 +48,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import ORDER_TOL, Trajectory, _integrate, _stage_tables, default_n_steps
+from .evolution import (ORDER_TOL, Trajectory, _half_steps, _integrate, _linear_reaction,
+                        default_n_steps)
 from .operator import DispersalOperator
-from .spectrum import PowerIterationError, principal_spectrum_point
+from .spectrum import PowerIterationError, _stepped_perron
 from .weighted_solver import STATUS_UNIQUE, LambdaPResult, solve_lambda_p
 from .weights import Weight, sup_abs
 
@@ -91,6 +97,44 @@ class Nonlinearity:
             return self.crowding * u
         return self.crowding * u / (1.0 + self.saturation * u)
 
+    def reaction(self, z: np.ndarray, tau: float):
+        """``react(u, j, merge)`` for the Strang stepper: in place, the half
+        step j of ``u' = (lam m - crowding(u)) u`` per node, with ``lam m``
+        replaced by its mean ``z[j] / tau`` over the half step; with ``merge``
+        the half steps j and j + 1.
+
+        Logistic: the closed form ``u -> alpha u / (1 + c r u)``, with
+        ``alpha = exp(z)`` and ``r = tau (exp(z) - 1) / z``.  It is a Moebius
+        map, so two merged half steps are one again: ``alpha_j alpha_{j+1}``
+        and ``c r_j + alpha_j c r_{j+1}``.  Saturating: the same closed form
+        with the coefficient ``c / (1 + d u)`` frozen at the midpoint state,
+        which the closed form over half the half step predicts; a second-order
+        step that, like the exact flow, keeps ``u`` positive.
+        """
+        def rates(z, tau):
+            with np.errstate(over="ignore", invalid="ignore"):
+                nonzero = np.where(z == 0.0, 1.0, z)
+                return np.exp(z), tau * np.where(z == 0.0, 1.0, np.expm1(z) / nonzero)
+
+        alpha, rate = rates(z, tau)
+        if self.kind == "saturating" and self.saturation > 0.0:
+            alpha_mid, rate_mid = rates(0.5 * z, 0.5 * tau)
+
+            def react(u, j, merge):
+                for i in (j, j + 1)[:1 + merge]:
+                    mid = u * alpha_mid[i] / (1.0 + rate_mid[i] * self.penalty(u))
+                    coef = rate[i] * self.crowding / (1.0 + self.saturation * mid)
+                    u *= alpha[i] / (1.0 + coef * u)
+            return react
+        beta = self.crowding * rate
+        with np.errstate(over="ignore", invalid="ignore"):
+            merged = (alpha[:-1] * alpha[1:], beta[:-1] + alpha[:-1] * beta[1:])
+
+        def react(u, j, merge):
+            a, b = (merged[0][j], merged[1][j]) if merge else (alpha[j], beta[j])
+            u *= a / (1.0 + b * u)
+        return react
+
     def check_bounded(self, growth_sup: float) -> None:
         """Require the penalty to dominate the growth rate at large density."""
         if self.kind == "saturating" and self.saturation > 0.0:
@@ -119,13 +163,14 @@ class Nonlinearity:
 
 def _kpp_flow(op: DispersalOperator, weight: Weight, nonlin: Nonlinearity, lam: float):
     """``(carrying, steps(duration, scale), run(u, t0, t1, n_steps, record_every=None,
-    linear=False))``; each ``run`` guards ``[0, 10 * scale]``,
+    linear=False))``; each ``run`` guards the ceiling ``10 * scale``,
     ``scale = max(carrying, max u, 1e-30)``.  With ``linear`` it runs the
-    linearization at zero instead, under the growth-envelope guard.  The stage
-    tables are built once per ``(t0, t1, n_steps)`` and shared by both flows."""
+    linearization at zero instead, under the finite-value check alone.  Each
+    flow's reaction, and the dispersal step, are fetched once per
+    ``(t0, t1, n_steps)``."""
     growth_sup = abs(lam) * sup_abs(weight, op.grid)
     carrying = nonlin.carrying_scale(growth_sup)  # raises if crowding cannot bound growth
-    tables = {}
+    reactions = {}
 
     def steps(duration, scale):
         return default_n_steps(duration, 1.0, growth_sup + nonlin.penalty(scale))
@@ -134,12 +179,15 @@ def _kpp_flow(op: DispersalOperator, weight: Weight, nonlin: Nonlinearity, lam: 
         scale = max(carrying, float(u.max()), 1e-30)
         if n_steps is None:
             n_steps = steps(t1 - t0, scale)
-        key = (t0, t1, n_steps)
-        if key not in tables:
-            tables[key] = _stage_tables(op, weight, lam, t0, t1, n_steps)
-        return _integrate(op, weight, lam, u, t0, t1, n_steps, record_every,
-                          crowding=None if linear else nonlin.penalty, scale=scale,
-                          tables=tables[key])
+        key = (t0, t1, n_steps, linear)
+        if key not in reactions:
+            z = _half_steps(op, weight, lam, t0, t1, n_steps)
+            reactions[key] = (_linear_reaction(z) if linear else
+                              nonlin.reaction(z, 0.5 * (t1 - t0) / n_steps),
+                              op.dispersal((t1 - t0) / n_steps))
+        react, disperse = reactions[key]
+        return _integrate(op, weight, lam, u, t0, t1, n_steps, record_every, react=react,
+                          ceiling=None if linear else 10.0 * scale, disperse=disperse)
     return carrying, steps, run
 
 
@@ -148,9 +196,9 @@ def simulate_kpp(op: DispersalOperator, weight: Weight, nonlin: Nonlinearity,
                  n_steps: int | None = None, record_every: int = 1) -> Trajectory:
     """Integrate the nonlinear dynamics from ``u0`` over ``[t0, t1]``.
 
-    The stepping is the linear flow's RK4 stepper with the crowding penalty
-    added; it raises ``UnstableStepError`` once the state leaves the invariant
-    region ``[0, 10 * scale]``.
+    The stepping is the linear flow's Strang stepper with the reaction's half
+    steps of ``Nonlinearity.reaction``; the state stays nonnegative, and
+    ``UnstableStepError`` is raised once its sup exceeds ``10 * scale``.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (op.n,):
@@ -230,23 +278,24 @@ def _persistence_certificate(op, weight, lam, run, n_steps, carrying):
     or ``(None, None, periods)``.
 
     ``phi`` is the Perron vector of the linearized period map at the orbit's
-    step count, tried only when its ``mu`` is positive.  The first ``eps`` of
+    step count, tried only when its Perron root exceeds 1.  The first ``eps`` of
     ``CERT_EPS`` (times the carrying scale) with ``P(eps * phi) - eps * phi``
     above ``ORDER_TOL`` times the scale on every node is the certificate;
     ``periods`` counts the KPP periods the ladder ran.
     """
     try:
-        rep = principal_spectrum_point(op, weight, lam, n_steps)
+        ratio, phi, _, _ = _stepped_perron(op, weight, lam, n_steps)
     except PowerIterationError:
         return None, None, 0
-    if not rep.mu_n > 0.0:
+    if not ratio > 1.0:
         return None, None, 0
+    mu = math.log(ratio) / weight.period
     for k, frac in enumerate(CERT_EPS, start=1):
-        sub = frac * carrying * rep.eigenfunction
+        sub = frac * carrying * phi
         gain = float((run(sub, 0.0, weight.period, n_steps) - sub).min())
         if gain > ORDER_TOL * carrying:
             return (f"P(eps*phi) exceeds eps*phi by at least {gain:.3e} on every node at "
-                    f"eps = {frac:.0e} of the carrying scale (mu = {rep.mu_n:.6g} > 0), "
+                    f"eps = {frac:.0e} of the carrying scale (mu = {mu:.6g} > 0), "
                     "so the iterates stay above eps*phi"), sub, k
     return None, None, len(CERT_EPS)
 
@@ -320,6 +369,7 @@ def find_periodic_solution(op: DispersalOperator, weight: Weight,
     period = weight.period
     if n_steps is None:
         n_steps = steps(period, scale)
+    n_steps += n_steps % 2
 
     certificate, sub, cert_periods = _persistence_certificate(
         op, weight, lam, run, n_steps, scale)

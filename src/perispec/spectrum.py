@@ -6,20 +6,24 @@ each time is the time-averaged one, ``K - b + lam * m_hat``, plus a multiple
 of the identity, so the period map is that generator's flow times a scalar
 and ``mu`` is exactly the generator's spectral bound: the exact route takes
 it from the generator's Perron vector (Lanczos on vectors), with no time
-stepping.  Any other weight, and a separable one whose Lanczos solve fails,
-takes one Arnoldi solve (ARPACK via ``scipy.sparse.linalg.eigs``) for the
-Perron root of the time-stepped map; only the map's form follows the grid
-size ``n``.  Below ``_KRYLOV_MIN_N`` = 256 nodes Arnoldi applies the formed
-``n x n`` map, started from the constant field; from 256 nodes on it applies
-vector periods, started from the generator's Perron vector, as a dense map
-costs ``n^3`` per time step and a vector period ``n^2`` (the crossover is
-measured on non-separable weights).  ``period_map`` checks every entry of a
-formed map for negative values; after vector periods, the map's columns at
-the lowest-envelope nodes are checked instead.  Every product of ``K`` with a
-vector here (Lanczos, the vector periods, the probe's block, the frozen
-generator's image) goes through ``op.matvec``, which in 2-D reads the
-factored kernel stencil instead of the dense ``K``, so the 2-D exact and
-Arnoldi routes never read ``K``.
+stepping.
+
+Any other weight, and a separable one whose Lanczos solve fails, is time
+stepped at two levels: ``n`` steps (``default_n_steps`` or the caller's
+count, rounded up to even) and ``n/2``.  The Strang stepper of ``evolution``
+is symmetric, so its error expands in even powers of the step, and the point
+reports the Richardson value ``mu = (4 mu_n - mu_{n/2}) / 3``; the
+eigenfunction, the residual and so the verdict come from the ``n``-step map.
+Each level is one Arnoldi solve (ARPACK via ``scipy.sparse.linalg.eigs``) for
+the Perron root of its map; only the map's form follows the grid size ``n``.
+Below ``_KRYLOV_MIN_N`` = 192 nodes Arnoldi applies the formed ``n x n`` map
+(one ``period_map`` call per level), started from the constant field; from
+192 nodes on it applies vector periods, started from the generator's Perron
+vector.  Both maps are nonnegative by construction, so no entry is checked.
+Every product of ``K`` with a vector here (Lanczos, the vector periods, the
+frozen generator's image) goes through ``op.matvec`` or ``op.dispersal``,
+which in 2-D read the factored kernel stencil instead of the dense ``K`` from
+256 nodes on, so the 2-D exact and Arnoldi routes never read ``K`` there.
 
 Whether ``mu`` is attained by an actual eigenfunction (rather than marking the
 edge of the essential part of the spectrum) is decided by comparing ``mu``
@@ -35,35 +39,30 @@ continuum question from one grid.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import CLAMP_TOL, period_action, period_map
+from .evolution import default_n_steps, period_action, period_map
 from .geometry import Boundary
 from .operator import DispersalOperator
 from .weights import Weight, summarize, time_average
 
 POWER_REL_TOL = 1e-12
 TOL_EIG = 1e-8
+CLAMP_TOL = 1e-12  # rounding-level negatives of a Perron vector, clamped to zero
 # From this many nodes on, a weight off the exact route applies vector
 # periods instead of the formed map.  Summed over lam = 0.25, 0.5, 1, 2, 4 on
-# non-separable weights (parabolic kernel, 64 steps, one BLAS thread), the
-# formed map with its Perron solve against vector periods: 1-D Dirichlet
-# (radius 1) n = 224 0.81 s vs 0.89 s, n = 256 1.10 s vs 1.00 s; 1-D Neumann
-# (radius 0.5) n = 224 0.63 s vs 0.66 s, n = 256 0.97 s vs 0.96 s; 2-D Neumann
-# (radius 0.5, vectors through the factored stencil, median of 5) n = 144
-# 0.24 s vs 0.50 s, n = 196 0.43 s vs 0.43 s, n = 256 1.03 s vs 0.43 s.  The
-# formed map dominates its side: at n = 64 to 255 the map took 6-700 ms and
-# Arnoldi on it 0.7-1.8 ms.
-_KRYLOV_MIN_N = 256
-# A too-coarse step count turns the flow negative first where the envelope
-# is lowest.  In 51 such 1-D cases at n = 256 (Lorentzian wells, 8 to 48
-# steps) whose Perron vector stayed nonnegative, the map's columns at the 8
-# lowest-envelope nodes held a negative entry in all 51, at the lowest node
-# alone in 40.
-_PROBE_COLUMNS = 8
+# non-separable weights (parabolic kernel, 64 steps, so levels of 32 and 64,
+# one BLAS thread, median of 3), the formed maps with their Perron solves
+# against vector periods: 1-D Dirichlet (radius 1) n = 160 0.107 s vs
+# 0.146 s, n = 192 0.194 s vs 0.169 s, n = 224 0.264 s vs 0.188 s, n = 256
+# 0.368 s vs 0.275 s; 1-D Neumann (radius 0.5) n = 192 0.161 s vs 0.149 s,
+# n = 224 0.241 s vs 0.191 s; 2-D Neumann (radius 0.5) n = 144 0.067 s vs
+# 0.066 s, n = 196 0.153 s vs 0.101 s.  With RK4 the two broke even near 256
+# nodes; a split step costs one product with the map's factor where RK4 took
+# four, which helps the vector periods more.
+_KRYLOV_MIN_N = 192
 
 
 class PowerIterationError(RuntimeError):
@@ -161,8 +160,7 @@ def _krylov_perron(apply, n: int, start: np.ndarray | None = None):
     eigenvector, scaled to sup 1; rounding-level negatives are clamped, larger
     ones are an error, as is a root that is not real and positive and an
     ARPACK failure (a zero map stops it at once).  One more application gives
-    the eigen-residual; every application is counted.  A nonnegative vector
-    does not show that the map is nonnegative: see ``_probe_positivity``.
+    the eigen-residual; every application is counted.
     """
     # imported here: loading scipy.sparse.linalg would slow ``import perispec``
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
@@ -198,22 +196,6 @@ def _krylov_perron(apply, n: int, start: np.ndarray | None = None):
     v[v < 0.0] = 0.0
     residual = float(np.abs(matvec(v) - ratio * v).max())
     return ratio, v, residual, count
-
-
-def _probe_positivity(apply, n: int, nodes: np.ndarray) -> None:
-    """Warn when the map's columns at ``nodes`` have a substantive negative entry.
-
-    The matrix-free counterpart of the check in ``period_map``: one period of
-    the unit fields at ``nodes``, integrated as one block whose columns go
-    through ``op.matvec`` as vectors do.
-    """
-    units = np.zeros((n, len(nodes)))
-    units[nodes, np.arange(len(nodes))] = 1.0
-    worst = float(apply(units).min())
-    if worst < -CLAMP_TOL:
-        warnings.warn(f"period map has a negative entry {worst:.3e} in its columns at the "
-                      "lowest-envelope nodes; the step count is too coarse for the "
-                      "positivity of the flow", stacklevel=3)
 
 
 def localization_width(phi: np.ndarray, w: np.ndarray) -> float:
@@ -366,15 +348,28 @@ def _check_s1(weight: Weight, op: DispersalOperator, lam: float, m_hat: np.ndarr
     return "yes"
 
 
+def _stepped_perron(op: DispersalOperator, weight: Weight, lam: float, n_steps: int,
+                    start: np.ndarray | None = None):
+    """``_krylov_perron`` of the period map at ``n_steps``: the formed map
+    below ``_KRYLOV_MIN_N`` nodes (from the constant field), vector periods
+    from ``start`` otherwise."""
+    if op.n < _KRYLOV_MIN_N:
+        return _krylov_perron(period_map(op, weight, lam, n_steps=n_steps).matrix.__matmul__,
+                              op.n)
+    return _krylov_perron(period_action(op, weight, lam, n_steps), op.n, start)
+
+
 def principal_spectrum_point(op: DispersalOperator, weight: Weight, lam: float,
                              n_steps: int | None = None) -> SpectrumReport:
     """Principal spectrum point via the period-map spectral radius.
 
     The route follows the weight's structure and the grid size (see the
     module docstring).  On the exact route ``iterations`` reads 0 and
-    ``residual`` is the frozen generator's eigen-residual.  Otherwise
-    ``iterations`` counts the map's applications: Arnoldi's, one for the
-    residual, and on vector periods one for the positivity probe.
+    ``residual`` is the frozen generator's eigen-residual.  Otherwise ``mu``
+    is the two-level value of the maps at ``n_steps`` (rounded up to even)
+    and half as many steps, ``iterations`` counts both levels' map
+    applications (Arnoldi's and one for each residual), and the
+    eigenfunction and residual are the finer map's.
     """
     summary = summarize(weight, op.grid)
     m_hat = summary.m_hat
@@ -382,18 +377,17 @@ def principal_spectrum_point(op: DispersalOperator, weight: Weight, lam: float,
         report = _frozen_point(op, m_hat, lam)
         if report is not None:
             return report
-    h = -op.b + lam * m_hat
-    if op.n < _KRYLOV_MIN_N:
-        apply = period_map(op, weight, lam, n_steps=n_steps).matrix.__matmul__
-        start = None
-    else:
-        apply = period_action(op, weight, lam, n_steps)
-        start = None if summary.separable else _frozen_perron(op, m_hat, lam)
-    ratio, phi, residual, iterations = _krylov_perron(apply, op.n, start)
-    if op.n >= _KRYLOV_MIN_N:
-        _probe_positivity(apply, op.n, np.argsort(h, kind="stable")[:_PROBE_COLUMNS])
-        iterations += 1
-    return _report(op, lam, h, math.log(ratio) / weight.period, phi, residual, iterations)
+    if n_steps is None:
+        n_steps = default_n_steps(weight.period, lam, summary.sup_abs)
+    n_steps += n_steps % 2
+    start = None
+    if op.n >= _KRYLOV_MIN_N and not summary.separable:
+        start = _frozen_perron(op, m_hat, lam)
+    coarse, _, _, coarse_iterations = _stepped_perron(op, weight, lam, n_steps // 2, start)
+    ratio, phi, residual, iterations = _stepped_perron(op, weight, lam, n_steps, start)
+    mu = (4.0 * math.log(ratio) - math.log(coarse)) / (3.0 * weight.period)
+    return _report(op, lam, -op.b + lam * m_hat, mu, phi, residual,
+                   coarse_iterations + iterations)
 
 
 def lyapunov_estimate(op: DispersalOperator, weight: Weight, lam: float,

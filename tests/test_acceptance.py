@@ -174,9 +174,17 @@ def test_05_time_average_bounds_threshold(ops32):
              f"{held}/10 seeded weights, {elapsed:.1f}s")
 
 
+def _lapack_top(matrix):
+    vals, vecs = np.linalg.eig(matrix)
+    top = int(np.argmax(np.abs(vals)))
+    return abs(vals[top]), vecs[:, top].real / vecs[np.argmax(np.abs(vecs[:, top])), top].real
+
+
 def test_06_dense_and_exponential_cross_checks():
-    # a non-separable weight on 14 nodes: Arnoldi on the formed map against
-    # LAPACK's eigenpair of the same map
+    # a non-separable weight on 14 nodes: Arnoldi on the formed maps against
+    # LAPACK's eigenpairs of the same maps (the two-level mu of 128 and 256
+    # steps, the 256-step eigenvector); a frozen weight's two-level map of 256
+    # and 512 steps against the matrix exponential
     weight = closed_form("cos(2*pi*x)*(1 + sin(2*pi*t/T)) - 0.2 + sin(2*pi*t/T)", 1.0)
     frozen = closed_form("cos(2*pi*x)", 1.0)
     worst_mu = 0.0
@@ -185,15 +193,15 @@ def test_06_dense_and_exponential_cross_checks():
     for boundary in BOUNDARIES:
         op = _operator(boundary, 14)
         rep = principal_spectrum_point(op, weight, 1.3, n_steps=256)
-        vals, vecs = np.linalg.eig(period_map(op, weight, 1.3, n_steps=256).matrix)
-        top = int(np.argmax(np.abs(vals)))
-        phi = vecs[:, top].real / vecs[np.argmax(np.abs(vecs[:, top])), top].real
-        worst_mu = max(worst_mu, abs(rep.mu_n - math.log(abs(vals[top]))))
+        rho_c, _ = _lapack_top(period_map(op, weight, 1.3, n_steps=128).matrix)
+        rho, phi = _lapack_top(period_map(op, weight, 1.3, n_steps=256).matrix)
+        worst_mu = max(worst_mu, abs(rep.mu_n - (4.0 * math.log(rho) - math.log(rho_c)) / 3.0))
         worst_vec = max(worst_vec, float(np.abs(rep.eigenfunction - phi).max()))
         m = np.cos(2 * np.pi * op.grid.nodes[:, 0])
         generator = op.K - np.diag(op.b) + 1.3 * np.diag(m)
-        pmap_frozen = period_map(op, frozen, 1.3, n_steps=512)
-        worst_col = max(worst_col, float(np.abs(pmap_frozen.matrix - expm(generator)).max()))
+        pmap_frozen = (4.0 * period_map(op, frozen, 1.3, n_steps=512).matrix
+                       - period_map(op, frozen, 1.3, n_steps=256).matrix) / 3.0
+        worst_col = max(worst_col, float(np.abs(pmap_frozen - expm(generator)).max()))
     ok = worst_mu < 1e-10 and worst_vec < 1e-9 and worst_col < 1e-8
     _verdict(6, ok,
              f"small grids: Arnoldi vs dense eigensolver |d mu|={worst_mu:.3e}, "

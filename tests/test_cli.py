@@ -196,8 +196,9 @@ def count_period_maps(monkeypatch):
 
 @pytest.mark.parametrize("boundary", ["dirichlet", "neumann", "periodic"])
 def test_lambda_p_task_builds_one_map_per_lam(tmp_path, monkeypatch, boundary):
-    # a non-separable weight forms its map on 24 nodes; the eigenvalue
-    # check at the root reuses the root search's spectrum point
+    # a non-separable weight forms its map on 24 nodes, once per lam at each
+    # of the spectrum point's two step counts; the eigenvalue check at the
+    # root reuses the root search's spectrum point
     lams = count_period_maps(monkeypatch)
     cfg = write_ini(tmp_path, BASE_PROBLEM.replace("dirichlet", boundary).replace(
         "expr = sin(2*pi*t/T) + cos(2*pi*x) - 0.2", f"expr = {NONSEPARABLE_EXPR}"))
@@ -205,7 +206,8 @@ def test_lambda_p_task_builds_one_map_per_lam(tmp_path, monkeypatch, boundary):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["result"]["status"] == "unique_root"
     assert "principal_eigenvalue" in summary
-    assert len(lams) == len(set(lams)) == summary["result"]["curve_points"]
+    assert len(lams) == 2 * len(set(lams)) == 2 * summary["result"]["curve_points"]
+    assert all(lams.count(lam) == 2 for lam in lams)
     assert summary["result"]["lambda_p"] in lams
 
 
@@ -410,8 +412,8 @@ def test_krylov_size_outputs_do_not_depend_on_threads(tmp_path, monkeypatch):
 
 
 def test_dense_route_outputs_do_not_depend_on_threads(tmp_path, monkeypatch):
-    # a non-separable weight at n = 64 forms its map: every worker
-    # owns its shifted copy of K
+    # a non-separable weight at n = 64 forms its two maps per lam: the
+    # workers share the read-only dispersal factors and own their buffers
     lams = count_period_maps(monkeypatch)
     cfg = write_ini(tmp_path, BASE_PROBLEM.replace("n_per_axis = 24", "n_per_axis = 64")
                     .replace("expr = sin(2*pi*t/T) + cos(2*pi*x) - 0.2",
@@ -420,7 +422,7 @@ def test_dense_route_outputs_do_not_depend_on_threads(tmp_path, monkeypatch):
     outs = [tmp_path / f"out{i}" for i in range(2)]
     assert run("spectrum", cfg, outs[0], "--threads", "1") == 0
     assert run("spectrum", cfg, outs[1], "--threads", "2") == 0
-    assert len(lams) == 10
+    assert len(lams) == 20
     for name in ("spectrum.csv", "summary.json", "report.txt"):
         assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
 
@@ -687,8 +689,9 @@ lambdas = 1
 
 
 def test_two_node_time_stepped_point_is_the_lapack_root(tmp_path):
-    # ARPACK needs three nodes: on two the map is formed from its two columns,
-    # and mu_n is the log of LAPACK's top eigenvalue of period_map
+    # ARPACK needs three nodes: on two each map is formed from its two
+    # columns, and mu_n is the two-level value of the logs of LAPACK's top
+    # eigenvalues of period_map at 32 and 64 steps
     expr = "0.5 + 0.1*x*sin(2*pi*t/T)"
     cfg = write_ini(tmp_path, BASE_PROBLEM.replace("n_per_axis = 24", "n_per_axis = 2")
                     .replace("expr = sin(2*pi*t/T) + cos(2*pi*x) - 0.2", f"expr = {expr}")
@@ -698,16 +701,19 @@ def test_two_node_time_stepped_point_is_the_lapack_root(tmp_path):
     [result] = json.loads((out / "summary.json").read_text())["results"]
     op, w = Problem(Boundary.DIRICHLET, (1.0,), "parabolic", 1.0, closed_form(expr, 1.0)).at(2)
     assert not summarize(w, op.grid).separable
-    vals = np.linalg.eig(period_map(op, w, 1.0).matrix)[0]
-    top = vals[np.argmax(np.abs(vals))]
-    assert top.imag == 0.0 and result["mu_n"] == math.log(top.real)
+    tops = []
+    for n_steps in (32, 64):
+        vals = np.linalg.eig(period_map(op, w, 1.0, n_steps).matrix)[0]
+        tops.append(vals[np.argmax(np.abs(vals))])
+        assert tops[-1].imag == 0.0
+    assert result["mu_n"] == (4.0 * math.log(tops[1].real) - math.log(tops[0].real)) / 3.0
     assert result["residual"] < 1e-14
 
 
 def test_numerical_failure_exits_three(tmp_path, capsys):
-    # two cells with a kernel far narrower than the spacing: quadrature
-    # overshoots the row mass and the linear flow escapes its growth envelope;
-    # the weight is not separable, so the flow is stepped in time
+    # 64 steps at lam = 1e6: the diagonal factor exp(h/2 * lam * m) of a
+    # half step is beyond the floating-point range, so the state would not
+    # stay finite; the weight is not separable, so the flow is stepped in time
     cfg = write_ini(tmp_path, """
 [problem]
 boundary = dirichlet
@@ -721,7 +727,9 @@ period = 1.0
 expr = 0.5 + 0.1*x*sin(2*pi*t/T)
 
 [spectrum]
-lambdas = 1
+lambdas = 1e6
+n_steps = 64
 """)
     assert run("spectrum", cfg, tmp_path / "out") == 3
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "overflows" in err

@@ -133,24 +133,21 @@ def test_mass_conserved_at_tiny_amplitude_neumann():
     assert abs(mass1 - mass0) / mass0 < 1e-9
 
 
-def test_unstable_coarse_steps_raise():
-    op = make_op(Boundary.DIRICHLET, n=16)
-    with pytest.raises(UnstableStepError):
-        simulate_kpp(op, closed_form(STANDARD_WEIGHT, 1.0), Nonlinearity(),
-                     40.0, np.full(op.n, 0.5), 0.0, 1.0, n_steps=2)
-
-
-def test_negative_state_leaves_the_invariant_region():
-    # at n_steps = 5 the state undershoots zero while its sup stays far below
-    # the 10 * scale ceiling, so only the negativity clause of the guard fires
+def test_coarse_steps_stay_in_the_invariant_region():
+    # at lam = 40 RK4 left [0, 10 * scale] at 2 steps and undershot zero at 5;
+    # each split step is a nonnegative product and a positive reaction, so
+    # the state stays nonnegative and below the ceiling at any step count
     op = make_op(Boundary.DIRICHLET, n=16)
     w = closed_form(STANDARD_WEIGHT, 1.0)
-    nl = Nonlinearity()
-    ceiling = 10.0 * nl.carrying_scale(40.0 * sup_abs(w, op.grid))
-    with pytest.raises(UnstableStepError, match="invariant region") as exc:
-        simulate_kpp(op, w, nl, 40.0, np.full(op.n, 0.5), 0.0, 1.0, n_steps=5)
-    sup = float(re.search(r"\(sup ([^,]+),", str(exc.value)).group(1))
-    assert sup < 0.1 * ceiling
+    u0 = np.full(op.n, 0.5)
+    for nl in (Nonlinearity(), Nonlinearity("saturating", crowding=200.0, saturation=2.0)):
+        ceiling = 10.0 * nl.carrying_scale(40.0 * sup_abs(w, op.grid))
+        for n_steps in (1, 2, 5, 64):
+            traj = simulate_kpp(op, w, nl, 40.0, u0, 0.0, 1.0, n_steps=n_steps)
+            assert traj.states.min() >= 0.0 and traj.states.max() <= ceiling
+    # only a reaction beyond the floating-point range leaves it
+    with pytest.raises(UnstableStepError, match="invariant region"):
+        simulate_kpp(op, w, Nonlinearity(), 1e5, u0, 0.0, 1.0, n_steps=64)
 
 
 def test_order_preservation():
@@ -203,7 +200,9 @@ def test_periodic_state_matches_algebraic_fixed_point():
             break
     assert np.abs(F).max() < 1e-13
     assert u.min() > 1.0
-    orbit = find_periodic_solution(op, closed_form("1", 1.0), Nonlinearity(), 2.0)
+    # the splitting is second order: 9.3e-6 away at the default 64 steps,
+    # 5.8e-7 at 256
+    orbit = find_periodic_solution(op, closed_form("1", 1.0), Nonlinearity(), 2.0, n_steps=256)
     assert orbit.verdict == "persistence"
     assert np.abs(orbit.fixed_point - u).max() < 1e-6
 
@@ -257,6 +256,7 @@ def _plain_iteration(op, w, nl, lam, n_periods):
     growth = lam * sup_abs(w, op.grid)
     scale = nl.carrying_scale(growth)
     n_steps = default_n_steps(w.period, 1.0, growth + nl.penalty(scale))
+    n_steps += n_steps % 2  # the orbit rounds its step count up to even
     iterates = [np.full(op.n, 0.1 * scale)]
     for _ in range(n_periods):
         iterates.append(simulate_kpp(op, w, nl, lam, iterates[-1], 0.0, w.period,
@@ -380,28 +380,28 @@ def test_persistence_is_decided_near_the_threshold(quickstart_threshold, factor)
 @pytest.mark.parametrize("factor", [1.005, 1.25])
 def test_certificate_phi_is_the_period_maps_perron_vector(quickstart_threshold, monkeypatch,
                                                           factor):
-    # the weight is separable, so its spectrum point comes from the frozen
-    # generator with no time stepping; every RK4 stage is a polynomial in that
-    # generator, so its Perron vector is the period map's at any step count
+    # the Perron vector of the linearized period map at the orbit's own step
+    # count, also for a separable weight: the split map's Perron vector is the
+    # frozen generator's only up to the splitting error
     op, w, res = quickstart_threshold
     nl = Nonlinearity()
     lam = factor * res.lambda_p
     n_steps = _plain_iteration(op, w, nl, lam, 0)[1]
     calls = []
-    original = perispec.kpp.principal_spectrum_point
+    original = perispec.kpp._stepped_perron
 
     def recording(*args, **kwargs):
         calls.append((args, original(*args, **kwargs)))
         return calls[-1][1]
-    monkeypatch.setattr(perispec.kpp, "principal_spectrum_point", recording)
+    monkeypatch.setattr(perispec.kpp, "_stepped_perron", recording)
     orbit = find_periodic_solution(op, w, nl, lam, check_uniqueness=False)
     assert orbit.certificate is not None
-    [(args, rep)] = calls
-    assert args[3] == n_steps and rep.iterations == 0
-    phi = rep.eigenfunction
+    [(args, (ratio, phi, _, iterations))] = calls
+    assert args[3] == n_steps and iterations > 2 and ratio > 1.0
     image = period_action(op, w, lam, n_steps)(phi)
     rho = float(np.dot(op.quad_weights * phi, image) / np.dot(op.quad_weights * phi, phi))
     assert np.abs(image - rho * phi).max() <= POWER_REL_TOL * rho
+    assert rho == pytest.approx(ratio, rel=1e-13)
 
 
 def test_accelerated_fixed_point_equals_the_plain_one(quickstart_threshold, monkeypatch):
@@ -444,7 +444,7 @@ def test_failed_spectrum_point_leaves_the_plain_iteration(quickstart_threshold, 
 
     def failing(*args, **kwargs):
         raise PowerIterationError("Arnoldi did not converge")
-    monkeypatch.setattr(perispec.kpp, "principal_spectrum_point", failing)
+    monkeypatch.setattr(perispec.kpp, "_stepped_perron", failing)
     orbit = find_periodic_solution(op, w, Nonlinearity(), 2.0 * res.lambda_p,
                                    check_uniqueness=False)
     assert orbit.verdict == "persistence"
@@ -585,11 +585,14 @@ def test_summarize_scan_without_unique_root():
 
 
 def test_simulate_equals_stagewise_reference():
-    # one weight evaluation per stage time, in the order the stages need them:
-    # m(t0) starts the first step, then step k takes m(t_k + h/2) for its
-    # middle stages and m(t_k + h), t_k = t0 + k h, for its end stage, and
-    # that end value also starts step k + 1; the step sums into u + h/6 k1,
-    # then adds h/3 k2, h/3 k3 and h/6 k4 (the linear flow's stage scheme)
+    # one weight evaluation per half-step boundary t0 + j h/2, and lam m
+    # replaced by its trapezoid mean over each half step; each step is a
+    # reaction half step, the product with the operator's dispersal factor,
+    # and the next half step; the saturating half step of
+    # length h/2 is the logistic closed form with the crowding coefficient
+    # c / (1 + d u) at the state its first half predicts, and every step's
+    # end state is recorded; the stepper orders its operations otherwise, so
+    # the two agree to rounding
     op = make_op(Boundary.DIRICHLET, n=16)
     w = closed_form(STANDARD_WEIGHT, 1.0)
     nl = Nonlinearity("saturating", crowding=2.0, saturation=0.2)
@@ -598,27 +601,48 @@ def test_simulate_equals_stagewise_reference():
     traj = simulate_kpp(op, w, nl, lam, u, t0, t1, n_steps=n_steps, record_every=1)
 
     h = (t1 - t0) / n_steps
-    scale = max(nl.carrying_scale(lam * sup_abs(w, op.grid)), float(u.max()))
+    E = op.dispersal_factor(h)
 
-    def rhs(m, u):
-        return op.K @ u + (lam * m - op.b - nl.penalty(u)) * u
+    def logistic(u, z, tau, c):  # the exact flow of u' = (z/tau - c u) u over tau
+        return u * np.exp(z) / (1.0 + c * u * tau * np.expm1(z) / z)
 
+    def half(z, u):
+        mid = logistic(u, 0.5 * z, 0.25 * h, nl.crowding / (1.0 + nl.saturation * u))
+        return logistic(u, z, 0.5 * h, nl.crowding / (1.0 + nl.saturation * mid))
+
+    m = [w.evaluate(t0 + j * (0.5 * h), op.grid) for j in range(2 * n_steps + 1)]
+    z = [(0.25 * h * lam) * (m[j] + m[j + 1]) for j in range(2 * n_steps)]
     states = [u]
-    m_curr = w.evaluate(t0, op.grid)
     for step in range(n_steps):
-        t = t0 + step * h
-        m_half = w.evaluate(t + 0.5 * h, op.grid)
-        m_next = w.evaluate(t + h, op.grid)
-        k1 = rhs(m_curr, u)
-        k2 = rhs(m_half, u + 0.5 * h * k1)
-        k3 = rhs(m_half, u + 0.5 * h * k2)
-        k4 = rhs(m_next, u + h * k3)
-        u = u + (h / 6.0) * k1
-        u = u + (h / 3.0) * k2
-        u = u + (h / 3.0) * k3
-        u = u + (h / 6.0) * k4
-        u[(u < 0.0) & (u > -1e-12 * scale)] = 0.0
-        m_curr = m_next
+        u = half(z[2 * step + 1], E @ half(z[2 * step], u))
         states.append(u)
     assert np.array_equal(traj.times, t0 + np.arange(n_steps + 1) * h)
-    assert np.array_equal(traj.states, np.stack(states))
+    np.testing.assert_allclose(traj.states, np.stack(states), rtol=1e-13, atol=0)
+
+
+def test_logistic_half_steps_are_the_closed_form():
+    # the logistic reaction u' = (a - c u) u solved exactly over each half
+    # step, a the trapezoid mean of lam m there; two merged half steps are one
+    # Moebius map, so the unrecorded run matches the recorded one, which
+    # applies them apart, to rounding
+    op = make_op(Boundary.NEUMANN, n=12)
+    w = closed_form(STANDARD_WEIGHT, 1.0)
+    nl = Nonlinearity("logistic", crowding=1.5)
+    lam, n_steps = 3.0, 40
+    u0 = np.linspace(0.05, 2.0, op.n)
+    h = 1.0 / n_steps
+    E = op.dispersal_factor(h)
+
+    def half(z, u):  # the exact flow of u' = (a - c u) u over h/2, a = z / (h/2)
+        return u * np.exp(z) / (1.0 + nl.crowding * u * 0.5 * h * np.expm1(z) / z)
+
+    m = [w.evaluate(j * (0.5 * h), op.grid) for j in range(2 * n_steps + 1)]
+    z = [(0.25 * h * lam) * (m[j] + m[j + 1]) for j in range(2 * n_steps)]
+    u = u0
+    for step in range(n_steps):
+        u = half(z[2 * step + 1], E @ half(z[2 * step], u))
+    recorded = simulate_kpp(op, w, nl, lam, u0, 0.0, 1.0, n_steps=n_steps, record_every=1)
+    merged = simulate_kpp(op, w, nl, lam, u0, 0.0, 1.0, n_steps=n_steps,
+                          record_every=n_steps).final
+    np.testing.assert_allclose(recorded.final, u, rtol=1e-13)
+    np.testing.assert_allclose(merged, u, rtol=1e-13)

@@ -1,7 +1,10 @@
 """Nystrom assembly of the dispersal operator and its structural identities."""
 
 import dataclasses
+import sys
 import tracemalloc
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -404,3 +407,53 @@ def test_matrices_read_only():
         op.K[0, 0] = 5.0
     with pytest.raises(ValueError):
         op.b[0] = 5.0
+
+
+def test_no_dispersal_factor_outlives_its_operator():
+    # the factors live on the operator, not in a module cache keyed by its
+    # id: once the operator goes, so do they, with no collector pass
+    from perispec.spectrum import principal_spectrum_point
+
+    op = Problem(Boundary.DIRICHLET, (1.0,), "parabolic", 1.0,
+                 closed_form("cos(2*pi*x)*(1 + sin(2*pi*t/T)) - 0.2", 1.0)).at(32)[0]
+    w = closed_form("cos(2*pi*x)*(1 + sin(2*pi*t/T)) - 0.2", 1.0)
+    principal_spectrum_point(op, w, 1.0)
+    refs = [weakref.ref(op.dispersal_factor(h)) for h in (1.0 / 32, 1.0 / 64)]
+    gone = weakref.ref(op)
+    del op
+    assert gone() is None
+    assert all(ref() is None for ref in refs)
+
+
+def test_dispersal_factors_kept_are_the_most_recent_step_sizes():
+    op = Problem(Boundary.NEUMANN, (1.0,), "parabolic", 0.5, closed_form("0", 1.0)).at(16)[0]
+    sizes = [1.0 / k for k in (8, 16, 24, 32, 40)]
+    factors = [op.dispersal_factor(h) for h in sizes]
+    assert list(op._factors) == sizes[-2:]
+    assert op.dispersal_factor(sizes[-1]) is factors[-1]
+    # a copy of the operator starts with no factors of its own
+    assert dataclasses.replace(op, left=None)._factors == {}
+
+
+def test_concurrent_factor_requests_share_one_cache():
+    # more threads than cores ask for six step sizes at once, with a short
+    # switch interval: each answer equals the serially built factor, and the
+    # cache keeps its bound of two
+    def make():
+        return Problem(Boundary.DIRICHLET, (1.0,), "parabolic", 1.0,
+                       closed_form("0", 1.0)).at(24)[0]
+    sizes = [1.0 / k for k in (8, 16, 24, 32, 40, 48)]
+    serial = make()
+    reference = {h: np.array(serial.dispersal_factor(h)) for h in sizes}
+    op = make()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            got = list(pool.map(lambda h: (h, op.dispersal_factor(h)), sizes * 20, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(got) == 120
+    assert all(np.array_equal(E, reference[h]) for h, E in got)
+    assert len(op._factors) <= 2
+

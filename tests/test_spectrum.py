@@ -2,18 +2,19 @@
 
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
+import perispec.operator
 import perispec.spectrum
 import perispec.weights
-from perispec.evolution import period_map
+from perispec.evolution import default_n_steps, period_map
 from perispec.geometry import Boundary, build_grid, make_kernel, wrap_kernel
-from perispec.operator import assemble
+from perispec.operator import Problem, assemble
 from perispec.spectrum import (
     PowerIterationError,
     SpectrumReport,
@@ -27,7 +28,7 @@ from perispec.spectrum import (
     principal_spectrum_point,
     refinement_diagnostics,
 )
-from perispec.weights import S1Data, closed_form, summarize, time_average
+from perispec.weights import S1Data, closed_form, summarize, sup_abs, time_average
 
 
 def make_op(boundary, n=32, r=1.0):
@@ -59,17 +60,33 @@ def forbid_time_stepping(monkeypatch):
     forbid_vector_periods(monkeypatch)
 
 
-def lapack_point(op, w, lam, n_steps=None):
-    """The report of LAPACK's eigenpair of largest modulus of ``period_map``:
-    an oracle, independent of ARPACK, for the Perron solve of the same map."""
+def lapack_root(op, w, lam, n_steps=None):
+    """LAPACK's eigenpair of largest modulus of ``period_map`` at ``n_steps``:
+    ``(rho, phi, residual)``, with ``phi`` scaled to sup 1."""
     mat = period_map(op, w, lam, n_steps=n_steps).matrix
     vals, vecs = np.linalg.eig(mat)
     top = int(np.argmax(np.abs(vals)))
     rho, phi = float(vals[top].real), vecs[:, top].real
     phi = phi / phi[np.argmax(np.abs(phi))]
+    return rho, phi, float(np.abs(mat @ phi - rho * phi).max())
+
+
+def lapack_point(op, w, lam, n_steps=None, two_level_vector=False):
+    """The report of LAPACK's eigenpairs of the spectrum point's two period
+    maps: an oracle, independent of ARPACK, for the Perron solves of the same
+    maps.  ``mu`` is the two-level value, the eigenfunction and residual the
+    finer map's; with ``two_level_vector`` the eigenfunction is the two-level
+    value too, to compare with an exact one."""
+    if n_steps is None:
+        n_steps = default_n_steps(w.period, lam, sup_abs(w, op.grid))
+    n_steps += n_steps % 2
+    rho_c, phi_c, _ = lapack_root(op, w, lam, n_steps // 2)
+    rho, phi, residual = lapack_root(op, w, lam, n_steps)
+    if two_level_vector:
+        phi = (4.0 * phi - phi_c) / 3.0
     h = -op.b + lam * time_average(w, op.grid)
-    return perispec.spectrum._report(op, lam, h, math.log(rho) / w.period, phi,
-                                     float(np.abs(mat @ phi - rho * phi).max()), 0)
+    mu = (4.0 * math.log(rho) - math.log(rho_c)) / (3.0 * w.period)
+    return perispec.spectrum._report(op, lam, h, mu, phi, residual, 0)
 
 
 def assert_matches_the_oracle(rep, oracle, mu_tol, vec_tol):
@@ -92,6 +109,10 @@ def assert_is_the_frozen_point(rep, op, w, lam):
 
 STANDARD_WEIGHT = "sin(2*pi*t/T) + cos(2*pi*x) - 0.2"
 NONSEPARABLE_1D = "cos(2*pi*x)*(1 + sin(2*pi*t/T)) - 0.2 + sin(2*pi*t/T)"
+# m1(x) + m2(t): the period map is the time-averaged generator's flow times a
+# scalar, so the spectrum point is that generator's, with no time stepping
+SEPARABLE_2D = "cos(2*pi*x)*cos(pi*y) - 0.2 + sin(2*pi*t/T)"
+NONSEPARABLE_2D = "cos(2*pi*x)*cos(pi*y)*(1 + sin(2*pi*t/T)) - 0.2 + sin(2*pi*t/T)"
 
 
 def analytic_parabolic_mass(x, r=1.0):
@@ -141,19 +162,86 @@ def test_periodic_route_agrees_with_autonomous_for_frozen_weight():
 
 
 def test_autonomous_map_against_expm_radius():
+    # the two-level value of the 128- and 256-step maps
     op = make_op(Boundary.PERIODIC, n=12)
     w = closed_form("cos(2*pi*x)", 1.0)
-    pm = period_map(op, w, 0.7, n_steps=256)
+    pm = (4.0 * period_map(op, w, 0.7, n_steps=256).matrix
+          - period_map(op, w, 0.7, n_steps=128).matrix) / 3.0
     gen = op.K - np.diag(op.b) + 0.7 * np.diag(w.evaluate(0.0, op.grid))
-    np.testing.assert_allclose(pm.matrix, scipy.linalg.expm(gen), atol=1e-8)
+    np.testing.assert_allclose(pm, scipy.linalg.expm(gen), atol=1e-8)
+
+
+# ------------------------------------------------------ independent reference
+
+def monodromy_mu(op, w, lam):
+    """``ln rho(Phi(T)) / T`` from the monodromy matrix that scipy's DOP853
+    integrates at rtol = atol = 1e-12: no code shared with the stepper."""
+    A = op.K - np.diag(op.b)
+
+    def rhs(t, y):
+        U = y.reshape(op.n, op.n)
+        return (A @ U + (lam * w.evaluate(t, op.grid))[:, None] * U).ravel()
+    sol = solve_ivp(rhs, (0.0, w.period), np.eye(op.n).ravel(), method="DOP853",
+                    rtol=1e-12, atol=1e-12)
+    M = sol.y[:, -1].reshape(op.n, op.n)
+    return math.log(float(np.abs(np.linalg.eigvals(M)).max())) / w.period
+
+
+TRAVELLING_WAVE = "cos(2*pi*(x - t/T)) - 0.2 + 0.5*sin(2*pi*t/T)"
+DIRICHLET_NONSEPARABLE = "cos(2*pi*x)*(1 + sin(2*pi*t/T)) - 0.2 + 0.5*sin(2*pi*t/T)"
+
+# the two-level mu at the default step count against the monodromy matrix;
+# each tolerance sits above the measured error and at or below the error of
+# the RK4 stepper this package used before (DOP853 moves by at most 2.5e-11
+# between rtol 1e-12 and 1e-13 on these cases)
+REFERENCE_CASES = [
+    # near the n = 64 root 13.7738; measured 3.0e-9, RK4 at 196 steps 7.5e-7
+    pytest.param(Boundary.PERIODIC, (1.0,), 0.5, TRAVELLING_WAVE, 64, 13.77, 1e-8,
+                 id="travelling-wave-64"),
+    # near the n = 64 root 1.10825; measured 9.5e-11, RK4 at 64 steps 2.6e-9
+    pytest.param(Boundary.DIRICHLET, (1.0,), 1.0, DIRICHLET_NONSEPARABLE, 64, 1.108, 2e-10,
+                 id="dirichlet-64"),
+    # formed exact E below 256 nodes; measured 3.8e-12 and 6.6e-11, RK4 1.2e-10 and 2.8e-7
+    pytest.param(Boundary.NEUMANN, (1.0, 1.0), 0.5, NONSEPARABLE_2D, 8, 0.25, 2e-11,
+                 id="neumann-8x8-0.25"),
+    pytest.param(Boundary.NEUMANN, (1.0, 1.0), 0.5, NONSEPARABLE_2D, 8, 2.0, 2e-10,
+                 id="neumann-8x8-2"),
+    # the Taylor-2 step from 256 nodes; measured 2.1e-9 and 5.1e-9, RK4 1.3e-10
+    # and 3.8e-7: at the small coupling RK4 was closer
+    pytest.param(Boundary.NEUMANN, (1.0, 1.0), 0.5, NONSEPARABLE_2D, 16, 0.25, 3e-9,
+                 id="neumann-16x16-0.25"),
+    pytest.param(Boundary.NEUMANN, (1.0, 1.0), 0.5, NONSEPARABLE_2D, 16, 2.0, 1e-8,
+                 id="neumann-16x16-2"),
+]
+
+
+@pytest.mark.parametrize("boundary, box, radius, expr, n, lam, tol", REFERENCE_CASES)
+def test_two_level_point_against_the_monodromy_matrix(boundary, box, radius, expr, n, lam,
+                                                      tol):
+    op, w = Problem(boundary, box, "parabolic", radius, closed_form(expr, 1.0)).at(n)
+    rep = principal_spectrum_point(op, w, lam)
+    assert rep.iterations > 0
+    assert abs(rep.mu_n - monodromy_mu(op, w, lam)) <= tol
+
+
+def test_two_spectrum_points_at_one_step_count_build_each_factor_once(monkeypatch):
+    # the dispersal factor depends on the step size alone: two couplings at
+    # the default 64 steps share the factors of both levels
+    sizes = []
+    original = perispec.operator._exp_nonnegative
+
+    def counting(B, h):
+        sizes.append(h)
+        return original(B, h)
+    monkeypatch.setattr(perispec.operator, "_exp_nonnegative", counting)
+    op = make_op(Boundary.DIRICHLET, n=64)
+    w = closed_form(NONSEPARABLE_1D, 1.0)
+    for lam in (0.5, 1.5):
+        principal_spectrum_point(op, w, lam)
+    assert sizes == [1.0 / 32, 1.0 / 64]
 
 
 # ----------------------------------------- matrix-free exact and Arnoldi routes
-
-# m1(x) + m2(t): the period map is the time-averaged generator's flow times a
-# scalar, so the spectrum point is that generator's, with no time stepping
-SEPARABLE_2D = "cos(2*pi*x)*cos(pi*y) - 0.2 + sin(2*pi*t/T)"
-NONSEPARABLE_2D = "cos(2*pi*x)*cos(pi*y)*(1 + sin(2*pi*t/T)) - 0.2 + sin(2*pi*t/T)"
 
 # at 256 nodes: the exact route for a separable weight, Arnoldi for the other
 KRYLOV_CASES = [
@@ -187,8 +275,8 @@ def test_krylov_route_matches_dense_power_iteration(make, expr, separable, monke
         assert krylov.residual < 1e-10
 
 
-# a weight m1(x) + m2(t) takes the exact route at every grid size; the RK4
-# map tends to it as the step count grows
+# a weight m1(x) + m2(t) takes the exact route at every grid size; the split
+# maps' two-level values tend to it as the step count grows
 SEPARABLE_CASES = [pytest.param(boundary, n, id=f"{boundary.value}-{n}")
                    for boundary in Boundary for n in (32, 64, 128)]
 
@@ -203,7 +291,8 @@ def test_separable_route_matches_dense_power_iteration(boundary, n, monkeypatch)
             rep = principal_spectrum_point(op, w, lam)
         assert_is_the_frozen_point(rep, op, w, lam)
         if n <= 64:
-            assert_matches_the_oracle(rep, lapack_point(op, w, lam, n_steps=512), 1e-9, 1e-9)
+            oracle = lapack_point(op, w, lam, n_steps=512, two_level_vector=True)
+            assert_matches_the_oracle(rep, oracle, 1e-9, 1e-9)
 
 
 def test_failed_frozen_solve_below_the_crossover_takes_the_dense_route(monkeypatch):
@@ -221,7 +310,7 @@ def test_failed_frozen_solve_below_the_crossover_takes_the_dense_route(monkeypat
     monkeypatch.setattr(perispec.spectrum, "_frozen_perron", lambda *args: None)
     forbid_vector_periods(monkeypatch)
     rep = principal_spectrum_point(op, w, 1.0)
-    assert starts == [None] and rep.iterations > 2
+    assert starts == [None, None] and rep.iterations > 4
     assert_matches_the_oracle(rep, oracle, 1e-10, 1e-9)
 
 
@@ -239,9 +328,11 @@ def test_failed_frozen_solve_at_the_crossover_takes_arnoldi_from_the_constant_fi
     monkeypatch.setattr(perispec.spectrum, "_krylov_perron", recording)
     monkeypatch.setattr(perispec.spectrum, "_frozen_perron", lambda *args: None)
     forbid_period_map(monkeypatch)
-    rep = principal_spectrum_point(op, w, 1.0)
-    assert starts == [None] and rep.iterations > 2
-    # the RK4 map's Perron root, a time-stepping error away from the exact one
+    # 512 steps: the finer map's Perron vector is a second-order splitting
+    # error from the exact one (4.4e-6 at the default 64 steps)
+    rep = principal_spectrum_point(op, w, 1.0, n_steps=512)
+    assert starts == [None, None] and rep.iterations > 4
+    # the split maps' two-level value, a time-stepping error away from the exact one
     assert rep.mu_n == pytest.approx(exact.mu_n, abs=1e-8)
     assert rep.residual < 1e-10
     np.testing.assert_allclose(rep.eigenfunction, exact.eigenfunction, atol=1e-7)
@@ -294,17 +385,10 @@ def test_krylov_route_counts_vector_periods(monkeypatch):
 
 
 def test_two_dimensional_arnoldi_route_never_reads_the_matrix(monkeypatch):
-    # Lanczos, the vector periods and the positivity probe all apply K through
-    # the factored stencil, so an operator without K gives the same report
+    # Lanczos and the vector periods' Taylor-2 steps apply K through the
+    # factored stencil, so an operator without K gives the same report
     op = make_op_2d(16)
     w = closed_form(NONSEPARABLE_2D, 1.0)
-    probes = []
-    original = perispec.spectrum._probe_positivity
-
-    def recording(*args):
-        probes.append(1)
-        return original(*args)
-    monkeypatch.setattr(perispec.spectrum, "_probe_positivity", recording)
     forbid_period_map(monkeypatch)
     bare = dataclasses.replace(op, K=None)
     for lam in (0.5, 2.0):
@@ -314,7 +398,6 @@ def test_two_dimensional_arnoldi_route_never_reads_the_matrix(monkeypatch):
             mine, theirs = getattr(rep, field.name), getattr(again, field.name)
             assert np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else (
                 mine == theirs), field.name
-    assert len(probes) == 4
 
 
 def test_lyapunov_estimate_at_krylov_size_builds_no_matrix(monkeypatch):
@@ -323,24 +406,6 @@ def test_lyapunov_estimate_at_krylov_size_builds_no_matrix(monkeypatch):
     forbid_period_map(monkeypatch)
     rep = principal_spectrum_point(op, w, 1.0)
     assert abs(rep.mu_n - lyapunov_estimate(op, w, 1.0)) < 1e-3
-
-
-def test_krylov_route_warns_on_a_too_coarse_step_count(monkeypatch):
-    # 16 steps leave negative entries in the map's columns near the deep well
-    # at x = 0 while the Perron vector stays nonnegative, so only the probe
-    # of the lowest-envelope columns can see them without the matrix; the
-    # well breathes in time, so the weight takes the Arnoldi route
-    op = make_op(Boundary.NEUMANN, n=256, r=0.1)
-    w = closed_form("1 - 40*(1 - x)**8*(1 + 0.1*sin(2*pi*t/T))", 1.0)
-    with pytest.warns(UserWarning, match="negative entry"):
-        period_map(op, w, 1.0, n_steps=16)
-    forbid_period_map(monkeypatch)
-    with pytest.warns(UserWarning, match="negative entry .* too coarse"):
-        rep = principal_spectrum_point(op, w, 1.0, n_steps=16)
-    assert rep.residual < 1e-10
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        principal_spectrum_point(op, w, 1.0)
 
 
 def test_krylov_nonconvergence_is_a_power_iteration_error(monkeypatch):
@@ -404,7 +469,7 @@ def test_failed_start_vector_solve_gives_the_same_point(error, monkeypatch):
     forbid_period_map(monkeypatch)
     assert perispec.spectrum._frozen_perron(op, time_average(w, op.grid), 1.0) is None
     rep = principal_spectrum_point(op, w, 1.0)
-    assert starts[0] is not None and starts[1] is None
+    assert all(start is not None for start in starts[:2]) and starts[2:] == [None, None]
     assert rep.mu_n == pytest.approx(started.mu_n, abs=1e-12)
     assert rep.residual < 1e-10
     np.testing.assert_allclose(rep.eigenfunction, started.eigenfunction, atol=1e-9)
@@ -512,7 +577,7 @@ def test_lyapunov_route_agrees_with_period_map(boundary, lam):
     op = make_op(boundary)
     w = closed_form(STANDARD_WEIGHT, 1.0)
     mu_lyap = lyapunov_estimate(op, w, lam, n_periods=400)
-    assert abs(lapack_point(op, w, lam).mu_n - mu_lyap) < 1e-6
+    assert abs(math.log(lapack_root(op, w, lam)[0]) / w.period - mu_lyap) < 1e-6
 
 
 def test_lyapunov_estimate_iterates_the_formed_map():

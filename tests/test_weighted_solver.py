@@ -198,13 +198,14 @@ def test_refinement_takes_few_points_inside_bracket(boundary):
 
 def test_import_does_not_load_scipy_optimize():
     # the root refinement imports brentq and the Krylov route imports eigs
-    # lazily, to keep start-up fast
+    # lazily, to keep start-up fast; the dispersal factor needs no scipy.linalg
     src = str(Path(perispec.__file__).resolve().parents[1])
     code = ("import sys, perispec; "
-            "print('scipy.optimize' in sys.modules, 'scipy.sparse.linalg' in sys.modules)")
+            "print('scipy.optimize' in sys.modules, 'scipy.sparse.linalg' in sys.modules, "
+            "'scipy.linalg' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "False False False"
 
 
 @pytest.fixture
