@@ -31,21 +31,24 @@ tolerance ``sigma_max * N * eps``, and lays the factors out in two tables:
   convolution over ``k`` and ``r``.
 
 The two GEMMs cost ``2 R N^3`` multiply-adds, against ``N^4`` for the GEMV,
-and read tables of ``R N^2`` entries that stay in cache.  Each vector of a
-stack goes through the same two GEMMs as it would alone, so a stack's image
-equals its rows' images bit for bit.  One application, with one BLAS thread
-on 2-D Neumann grids with the parabolic kernel of radius 0.5 (best of 7
-rounds, the range over 3 or 4 processes; "unfactored" is the same pair of
-GEMMs through ``s`` itself, ``R = N``, summed by a 0/1 table):
+and read tables of ``R N^2`` entries that stay in cache.  A lone vector
+takes them as two plain 2-D GEMMs: a batch axis of one cost 6% more at
+24x24 (16.4 against 15.4 us).  A stack takes them batched, each row through
+the same GEMMs as it would alone, so a stack's image equals its rows' images
+bit for bit.  One application, with one BLAS thread on 2-D Neumann grids with the
+parabolic kernel of radius 0.5 (best of 7 rounds, the range over 3
+processes; "unfactored" is the same pair of GEMMs through ``s`` itself,
+``R = N``, summed by a 0/1 table).  The 2-core VM these come from changes
+speed by 20-30% from one minute to the next, which the ranges include:
 
     ====  ==  ==========  ==========  =========
     N     R   factored    unfactored  GEMV
     ====  ==  ==========  ==========  =========
-    16    5   6-10 us     9-13 us     10-12 us
-    24    8   10-16 us    26-37 us    82-100 us
-    32    10  25-35 us    98-128 us   328-370 us
-    48    15  129-174 us  449-619 us  1.7-1.9 ms
-    64    19  386-512 us  1.4-1.8 ms
+    16    5   6-9 us      9-13 us     10-13 us
+    24    8   11-17 us    28-40 us    96-104 us
+    32    10  35-36 us    129-134 us  349-361 us
+    48    15  178-181 us  600-615 us  1.8 ms
+    64    19  385-543 us  1.4-1.9 ms
     ====  ==  ==========  ==========  =========
 
 The factored product differs from the GEMV by rounding, by the SVD's own
@@ -63,14 +66,15 @@ is built from powers of the nonnegative ``B = K - diag(b) + sigma I`` times
   the Taylor series of ``h B``, scaled by a power of two until its norm is at
   most 1/2 and squared back; every term and every square is nonnegative.
 * 2-D from 256 nodes: the Taylor-2 step
-  ``exp(-h sigma) (I + h B + h^2 B^2 / 2)`` through two ``matvec`` calls, so
-  ``K`` is never read.  Its shift ``sigma = max(0, max b - 1/h)`` is the
-  smallest that keeps every entry nonnegative, zero for any step with
-  ``h max b <= 1``: then ``P = I + h A + h^2 A^2 / 2`` with ``A = K - diag b``,
-  which keeps constants exactly where ``A`` annihilates them.  The shift
+  ``exp(-h sigma) (I + h B + h^2 B^2 / 2)`` through two products by the
+  stencil factors, so ``K`` is never read.  Its shift
+  ``sigma = max(0, max b - 1/h)`` is the smallest that keeps every entry
+  nonnegative, zero for any step with ``h max b <= 1``: then
+  ``P = I + h A + h^2 A^2 / 2`` with ``A = K - diag b``, which keeps
+  constants exactly where ``A`` annihilates them.  The shift
   ``max b`` instead would put its own ``h^3 (max b)^3 / 6`` defect on every
   mode.  A dense ``E`` does not pay here: at 24x24 one GEMV with it took
-  118 us against 48 us for the Taylor-2 step, and building it 75 ms.
+  75-98 us against 24-37 us for the Taylor-2 step, and building it 58-70 ms.
 
 A formed ``E`` is built once per step size and kept with the operator (the
 ``_FACTOR_CACHE`` most recent step sizes), so it is freed with the operator.
@@ -140,9 +144,10 @@ class DispersalOperator:
 
         A GEMV per vector in 1-D.  In 2-D two GEMMs through the rank-``R``
         factors of the stencil, ``2 R N^3`` multiply-adds per vector, that
-        never read ``K``: 10-16 us at 24x24 (``R`` = 8) against 82-100 us for
+        never read ``K``: 11-17 us at 24x24 (``R`` = 8) against 96-104 us for
         the GEMV, with the table for other sizes in the module docstring.  A
-        row of a stack gets the bits it would get alone.  ``out`` must be
+        vector takes them as plain 2-D GEMMs, a stack batched, and a row of a
+        stack gets the bits it would get alone.  ``out`` must be
         C-contiguous.
         """
         if self.left is None and np.ndim(v) == 1:
@@ -154,6 +159,11 @@ class DispersalOperator:
             np.matmul(self.K, np.asarray(v)[..., None], out=out[..., None])
             return out
         N = self.grid.n_per_axis
+        if np.ndim(v) == 1:
+            # two plain 2-D GEMMs: a batch axis of one costs more
+            W = np.reshape(v, (N, N)) @ self.right
+            np.matmul(self.left, W.reshape(-1, N), out=out.reshape(N, N))
+            return out
         W = np.matmul(np.reshape(v, (-1, N, N)), self.right)
         np.matmul(self.left, W.reshape(len(W), -1, N), out=out.reshape(-1, N, N))
         return out
@@ -184,12 +194,16 @@ class DispersalOperator:
 
     def dispersal(self, h: float):
         """``disperse(u, out)``: ``P u`` into ``out`` for one step of length
-        ``h``, with ``u`` a vector or an ``n x m`` block of columns.
+        ``h``, with ``u`` a vector or an ``n x m`` block of columns, and
+        ``out`` C-contiguous.
 
         A GEMV or a GEMM with the formed ``E``; from 256 nodes in 2-D, the
-        Taylor-2 step in Horner form, ``exp(-h sigma) (u + h (B u + h/2 B B u))``,
-        with each product by ``B`` one ``matvec`` (a block's columns go through
-        it as a stack of rows).
+        Taylor-2 step in Horner form, ``exp(-h sigma) (u + h (B u + h/2 B B u))``
+        (the factor ``exp(-h sigma)`` skipped when it is 1).  A vector is
+        stepped as its ``N x N`` field: each product by ``K`` is ``matvec``'s
+        two plain GEMMs, inline, and the last one and the Horner steps write
+        into ``out``.  A block's columns go through ``matvec`` as a stack of
+        rows.
         """
         E = self.dispersal_factor(h)
         if E is not None:
@@ -199,19 +213,37 @@ class DispersalOperator:
         sigma = max(0.0, float(self.b.max()) - 1.0 / h)
         shift = sigma - self.b
         scale = math.exp(-h * sigma)
+        half_h = 0.5 * h
+        N, left, right = self.grid.n_per_axis, self.left, self.right
+        field_shift = shift.reshape(N, N)
 
         def disperse(u, out):
-            v = np.ascontiguousarray(u.T) if u.ndim == 2 else u
-            bv = self.matvec(v)
-            bv += shift * v
-            w = self.matvec(bv)
-            w += shift * bv
-            w *= 0.5 * h
+            # every temporary is the call's own: one closure may serve
+            # several threads at once
+            inline = u.ndim == 1 and left is not None
+            if inline:
+                # matvec's two GEMMs on the N x N field, inline: its checks
+                # cost a tenth of a step at 24x24
+                s, v, w = field_shift, u.reshape(N, N), out.reshape(N, N)
+                bv = left @ (v @ right).reshape(-1, N)
+                bv += s * v
+                np.matmul(left, (bv @ right).reshape(-1, N), out=w)
+            else:
+                # a block's columns go through matvec as a stack of rows
+                s, v = shift, np.ascontiguousarray(u.T)
+                w = np.empty_like(v)
+                bv = self.matvec(v)
+                bv += s * v
+                self.matvec(bv, out=w)
+            w += s * bv
+            w *= half_h
             w += bv
             w *= h
             w += v
-            w *= scale
-            out[...] = w.T if u.ndim == 2 else w
+            if scale != 1.0:
+                w *= scale
+            if not inline:
+                out[...] = w.T
             return out
         return disperse
 

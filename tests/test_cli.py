@@ -198,7 +198,8 @@ def count_period_maps(monkeypatch):
 def test_lambda_p_task_builds_one_map_per_lam(tmp_path, monkeypatch, boundary):
     # a non-separable weight forms its map on 24 nodes, once per lam at each
     # of the spectrum point's two step counts; the eigenvalue check at the
-    # root reuses the root search's spectrum point
+    # root reuses the root search's spectrum point, and the Dirichlet
+    # search's mu(0) takes the exact route
     lams = count_period_maps(monkeypatch)
     cfg = write_ini(tmp_path, BASE_PROBLEM.replace("dirichlet", boundary).replace(
         "expr = sin(2*pi*t/T) + cos(2*pi*x) - 0.2", f"expr = {NONSEPARABLE_EXPR}"))
@@ -206,7 +207,12 @@ def test_lambda_p_task_builds_one_map_per_lam(tmp_path, monkeypatch, boundary):
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["result"]["status"] == "unique_root"
     assert "principal_eigenvalue" in summary
-    assert len(lams) == 2 * len(set(lams)) == 2 * summary["result"]["curve_points"]
+    curve = [float(line.split(",")[0]) for line in
+             (tmp_path / "out" / "curve.csv").read_text().splitlines()[2:]]
+    stepped = [lam for lam in curve if lam != 0.0]
+    assert (0.0 in curve) == (boundary == "dirichlet")
+    assert len(lams) == 2 * len(set(lams)) == 2 * len(stepped)
+    assert sorted(set(lams)) == sorted(stepped)
     assert all(lams.count(lam) == 2 for lam in lams)
     assert summary["result"]["lambda_p"] in lams
 
@@ -412,8 +418,9 @@ def test_krylov_size_outputs_do_not_depend_on_threads(tmp_path, monkeypatch):
 
 
 def test_dense_route_outputs_do_not_depend_on_threads(tmp_path, monkeypatch):
-    # a non-separable weight at n = 64 forms its two maps per lam: the
-    # workers share the read-only dispersal factors and own their buffers
+    # a non-separable weight at n = 64 forms its two maps per lam but 0, whose
+    # point is exact: the workers share the read-only dispersal factors and
+    # own their buffers
     lams = count_period_maps(monkeypatch)
     cfg = write_ini(tmp_path, BASE_PROBLEM.replace("n_per_axis = 24", "n_per_axis = 64")
                     .replace("expr = sin(2*pi*t/T) + cos(2*pi*x) - 0.2",
@@ -422,7 +429,7 @@ def test_dense_route_outputs_do_not_depend_on_threads(tmp_path, monkeypatch):
     outs = [tmp_path / f"out{i}" for i in range(2)]
     assert run("spectrum", cfg, outs[0], "--threads", "1") == 0
     assert run("spectrum", cfg, outs[1], "--threads", "2") == 0
-    assert len(lams) == 20
+    assert len(lams) == 16 and 0.0 not in lams
     for name in ("spectrum.csv", "summary.json", "report.txt"):
         assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
 

@@ -60,6 +60,19 @@ def forbid_time_stepping(monkeypatch):
     forbid_vector_periods(monkeypatch)
 
 
+def record_krylov(monkeypatch):
+    """The ``(start, Perron vector)`` of every ``_krylov_perron`` solve from here on."""
+    solves = []
+    original = perispec.spectrum._krylov_perron
+
+    def recording(apply, n, start=None):
+        result = original(apply, n, start)
+        solves.append((start, result[1]))
+        return result
+    monkeypatch.setattr(perispec.spectrum, "_krylov_perron", recording)
+    return solves
+
+
 def lapack_root(op, w, lam, n_steps=None):
     """LAPACK's eigenpair of largest modulus of ``period_map`` at ``n_steps``:
     ``(rho, phi, residual)``, with ``phi`` scaled to sup 1."""
@@ -105,6 +118,13 @@ def assert_is_the_frozen_point(rep, op, w, lam):
     np.testing.assert_array_equal(rep.eigenfunction, auto.eigenfunction)
     assert rep.residual == auto.residual < 1e-12
     assert rep.iterations == 0
+
+
+def assert_same_report(rep, other):
+    for field in dataclasses.fields(SpectrumReport):
+        mine, theirs = getattr(rep, field.name), getattr(other, field.name)
+        assert np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else (
+            mine == theirs), field.name
 
 
 STANDARD_WEIGHT = "sin(2*pi*t/T) + cos(2*pi*x) - 0.2"
@@ -300,17 +320,11 @@ def test_failed_frozen_solve_below_the_crossover_takes_the_dense_route(monkeypat
     op = make_op(Boundary.DIRICHLET, n=64)
     w = closed_form(STANDARD_WEIGHT, 1.0)
     oracle = lapack_point(op, w, 1.0)
-    starts = []
-    original = perispec.spectrum._krylov_perron
-
-    def recording(apply, n, start=None):
-        starts.append(start)
-        return original(apply, n, start)
-    monkeypatch.setattr(perispec.spectrum, "_krylov_perron", recording)
+    solves = record_krylov(monkeypatch)
     monkeypatch.setattr(perispec.spectrum, "_frozen_perron", lambda *args: None)
     forbid_vector_periods(monkeypatch)
     rep = principal_spectrum_point(op, w, 1.0)
-    assert starts == [None, None] and rep.iterations > 4
+    assert [start for start, _ in solves] == [None, None] and rep.iterations > 4
     assert_matches_the_oracle(rep, oracle, 1e-10, 1e-9)
 
 
@@ -319,19 +333,15 @@ def test_failed_frozen_solve_at_the_crossover_takes_arnoldi_from_the_constant_fi
     op = make_op(Boundary.DIRICHLET, n=256)
     w = closed_form(STANDARD_WEIGHT, 1.0)
     exact = principal_spectrum_point(op, w, 1.0)
-    starts = []
-    original = perispec.spectrum._krylov_perron
-
-    def recording(apply, n, start=None):
-        starts.append(start)
-        return original(apply, n, start)
-    monkeypatch.setattr(perispec.spectrum, "_krylov_perron", recording)
+    solves = record_krylov(monkeypatch)
     monkeypatch.setattr(perispec.spectrum, "_frozen_perron", lambda *args: None)
     forbid_period_map(monkeypatch)
     # 512 steps: the finer map's Perron vector is a second-order splitting
     # error from the exact one (4.4e-6 at the default 64 steps)
     rep = principal_spectrum_point(op, w, 1.0, n_steps=512)
-    assert starts == [None, None] and rep.iterations > 4
+    # the coarser level from the constant field, the finer from its vector
+    (coarse_start, coarse_phi), (fine_start, _) = solves
+    assert coarse_start is None and fine_start is coarse_phi and rep.iterations > 4
     # the split maps' two-level value, a time-stepping error away from the exact one
     assert rep.mu_n == pytest.approx(exact.mu_n, abs=1e-8)
     assert rep.residual < 1e-10
@@ -392,12 +402,8 @@ def test_two_dimensional_arnoldi_route_never_reads_the_matrix(monkeypatch):
     forbid_period_map(monkeypatch)
     bare = dataclasses.replace(op, K=None)
     for lam in (0.5, 2.0):
-        rep = principal_spectrum_point(op, w, lam)
-        again = principal_spectrum_point(bare, w, lam)
-        for field in dataclasses.fields(SpectrumReport):
-            mine, theirs = getattr(rep, field.name), getattr(again, field.name)
-            assert np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else (
-                mine == theirs), field.name
+        assert_same_report(principal_spectrum_point(op, w, lam),
+                           principal_spectrum_point(bare, w, lam))
 
 
 def test_lyapunov_estimate_at_krylov_size_builds_no_matrix(monkeypatch):
@@ -449,18 +455,13 @@ def test_krylov_from_a_start_finds_the_perron_vector():
     ArpackError(-9),
 ], ids=["no-convergence", "arpack-error"])
 def test_failed_start_vector_solve_gives_the_same_point(error, monkeypatch):
-    # without the frozen start, Arnoldi runs from the constant field
+    # without the frozen start, the coarser level's Arnoldi runs from the
+    # constant field; the finer level starts from the coarser one's vector
     import scipy.sparse.linalg
 
     op = make_op(Boundary.DIRICHLET, n=256)
     w = closed_form(NONSEPARABLE_1D, 1.0)
-    starts = []
-    original = perispec.spectrum._krylov_perron
-
-    def recording(apply, n, start=None):
-        starts.append(start)
-        return original(apply, n, start)
-    monkeypatch.setattr(perispec.spectrum, "_krylov_perron", recording)
+    solves = record_krylov(monkeypatch)
     started = principal_spectrum_point(op, w, 1.0)
 
     def fails(*args, **kwargs):
@@ -469,10 +470,72 @@ def test_failed_start_vector_solve_gives_the_same_point(error, monkeypatch):
     forbid_period_map(monkeypatch)
     assert perispec.spectrum._frozen_perron(op, time_average(w, op.grid), 1.0) is None
     rep = principal_spectrum_point(op, w, 1.0)
-    assert all(start is not None for start in starts[:2]) and starts[2:] == [None, None]
+    starts = [start for start, _ in solves]
+    assert starts[0] is not None and starts[1] is solves[0][1]
+    assert starts[2] is None and starts[3] is solves[2][1]
     assert rep.mu_n == pytest.approx(started.mu_n, abs=1e-12)
     assert rep.residual < 1e-10
     np.testing.assert_allclose(rep.eigenfunction, started.eigenfunction, atol=1e-9)
+
+
+def cold_finer_level(monkeypatch):
+    """Start each finer level's Arnoldi where its coarser level started, not
+    from the coarser level's Perron vector."""
+    starts = []
+    original = perispec.spectrum._krylov_perron
+
+    def cold(apply, n, start=None):
+        if len(starts) % 2:
+            start = starts[-1]
+        starts.append(start)
+        return original(apply, n, start)
+    monkeypatch.setattr(perispec.spectrum, "_krylov_perron", cold)
+
+
+# vector periods: 2-D from 256 nodes, 1-D from 192
+WARM_START_CASES = [
+    pytest.param(lambda: make_op_2d(24), NONSEPARABLE_2D, (0.25, 0.5, 1.0, 2.0),
+                 id="neumann-24x24"),
+    pytest.param(lambda: make_op(Boundary.DIRICHLET, n=256), NONSEPARABLE_1D, (0.5, 2.0),
+                 id="dirichlet-256"),
+]
+
+
+@pytest.mark.parametrize("make, expr, lams", WARM_START_CASES)
+def test_finer_level_starts_from_the_coarser_levels_perron_vector(make, expr, lams,
+                                                                 monkeypatch):
+    # the coarser level starts from the frozen generator's Perron vector and
+    # the finer one from the coarser one's: the same point as a cold start
+    # of the finer level, in no more map applications
+    op = make()
+    w = closed_form(expr, 1.0)
+    forbid_period_map(monkeypatch)
+    for lam in lams:
+        with monkeypatch.context() as mp:
+            solves = record_krylov(mp)
+            warm = principal_spectrum_point(op, w, lam)
+        (frozen, coarse_phi), (fine_start, _) = solves
+        assert frozen is not None and fine_start is coarse_phi
+        with monkeypatch.context() as mp:
+            cold_finer_level(mp)
+            cold = principal_spectrum_point(op, w, lam)
+        assert warm.mu_n == pytest.approx(cold.mu_n, abs=1e-12)
+        assert warm.residual < 1e-10 and cold.residual < 1e-10
+        assert warm.is_principal_eigenvalue == cold.is_principal_eigenvalue
+        assert warm.iterations <= cold.iterations
+
+
+@pytest.mark.parametrize("make, expr", [
+    pytest.param(lambda: make_op(Boundary.DIRICHLET, n=64), NONSEPARABLE_1D, id="dirichlet-64"),
+    pytest.param(lambda: make_op_2d(8), NONSEPARABLE_2D, id="neumann-8x8"),
+])
+def test_formed_route_starts_both_levels_from_the_constant_field(make, expr, monkeypatch):
+    op = make()
+    w = closed_form(expr, 1.0)
+    forbid_vector_periods(monkeypatch)
+    solves = record_krylov(monkeypatch)
+    principal_spectrum_point(op, w, 1.0)
+    assert [start for start, _ in solves] == [None, None]
 
 
 def test_start_vector_at_zero_coupling_on_neumann_is_constant():
@@ -559,6 +622,26 @@ def test_mass_conserving_zero_point(boundary):
     assert abs(rep.mu_n) < 1e-10
     assert rep.residual < 1e-10
     np.testing.assert_allclose(rep.eigenfunction, 1.0, atol=1e-9)
+
+
+ZERO_COUPLING_CASES = [
+    pytest.param(lambda: make_op(Boundary.DIRICHLET, n=64), NONSEPARABLE_1D, id="formed-64"),
+    pytest.param(lambda: make_op(Boundary.NEUMANN, n=256), NONSEPARABLE_1D, id="arnoldi-256"),
+    pytest.param(lambda: make_op_2d(16), NONSEPARABLE_2D, id="neumann-16x16"),
+]
+
+
+@pytest.mark.parametrize("make, expr", ZERO_COUPLING_CASES)
+def test_zero_coupling_takes_the_exact_route(make, expr, monkeypatch):
+    # lam * m = 0 makes every weight separable: no flow is stepped, and the
+    # report is the frozen generator's, bit for bit
+    op = make()
+    w = closed_form(expr, 1.0)
+    assert not summarize(w, op.grid).separable
+    forbid_time_stepping(monkeypatch)
+    rep = principal_spectrum_point(op, w, 0.0)
+    assert_same_report(rep, autonomous_spectrum_point(op, time_average(w, op.grid), 0.0))
+    assert rep.iterations == 0 and rep.residual < 1e-12
 
 
 def test_dirichlet_zero_point_negative():
