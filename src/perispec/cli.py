@@ -358,17 +358,18 @@ def _task_spectrum(cp, op, weight, outdir, threads):
     points = _map_ordered(one, lams, threads, op.grid)
     rows = [[rep.lam, rep.mu_n, rep.residual, rep.iterations, rep.h_hat_min,
              rep.h_hat_max, rep.is_principal_eigenvalue, s.s1, s.s2, s.s3,
-             s.s3_exponent, rep.localization_width] for rep, s in points]
+             s.s3_exponent, rep.localization_width, rep.time_error] for rep, s in points]
     write_csv(outdir / "spectrum.csv",
               ["lam", "mu_n", "residual", "iterations", "h_hat_min", "h_hat_max",
                "is_principal_eigenvalue", "s1", "s2", "s3", "s3_exponent",
-               "localization_width"], rows)
+               "localization_width", "time_error"], rows)
 
     summary = {
         "task": "spectrum",
         "config": _config_echo(cp),
         "results": [
-            {"lam": rep.lam, "mu_n": rep.mu_n, "residual": rep.residual,
+            {"lam": rep.lam, "mu_n": rep.mu_n, "time_error": rep.time_error,
+             "residual": rep.residual,
              "is_principal_eigenvalue": rep.is_principal_eigenvalue,
              "h_hat_max": rep.h_hat_max,
              "s_conditions": {"s1": s.s1, "s2": s.s2, "s3": s.s3}}

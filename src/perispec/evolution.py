@@ -4,30 +4,35 @@ One step of length ``h`` from ``t_k`` is a half step of the reaction, one step
 of the dispersal flow ``u' = K u - b u``, and the reaction's half step again
 (Strang, SIAM J. Numer. Anal. 5, 1968; Hochbruck & Ostermann, Acta Numerica
 19, 2010).  For the linear flow a reaction half step is the diagonal factor
-``exp(z)``, with ``z = h/4 * lam * (m(s) + m(s + h/2))`` the trapezoid rule
-for ``lam`` times the integral of ``m`` over the half step ``[s, s + h/2]``.
+``exp(z)``, with ``z`` ``lam`` times the integral of ``m`` over the half step
+``[s, s + h/2]``.
 The dispersal step is ``P = op.dispersal(h)``: the exact ``exp(h (K - b))``
 in 1-D, a shifted Taylor-2 step in 2-D (see ``operator``).  Both factors are
 nonnegative, so the period map, a product of them, is nonnegative by
 construction: nothing is clamped.  The KPP flow of ``kpp`` hands in its own
 reaction half steps.
 
-The trapezoid rule reads ``m`` on the lattice of half steps, which is exact
-for a sampled weight (linear in time between its samples) whenever the
-samples lie on that lattice.  Freezing ``m`` at the step's midpoint instead
-put the coarser level's midpoints on the 2-D sweep weight's sample times, and
-its two-level ``mu`` was 6e-8 to 1.2e-7 off where the trapezoid rule is
-within 5e-10; on closed forms it was 10 to 30 times further off too
-(travelling wave 7.4e-8 against 3.0e-9).
+A closed form's integral is the trapezoid rule
+``h/4 * lam * (m(s) + m(s + h/2))``, on the lattice of half steps.  A sampled
+weight is linear in time between its samples, and its integral is exact
+(``Weight.antiderivative``): the trapezoid rule is exact for it only when the
+samples lie on the half-step lattice, which 16 steps over 64 samples miss,
+and then the levels' errors follow no smooth expansion (on the 2-D sweep
+weight at ``lam`` = 0.25 the two-level error read -1.9e-8, +1.0e-7 and
+-2.0e-9 at 16, 32 and 64 steps).  Freezing ``m`` at the step's midpoint
+instead was 10 to 30 times further off on closed forms (travelling wave
+7.4e-8 against 3.0e-9).
 
 The second half step of step k and the first of step k + 1 meet between two
 dispersal steps and act as one merged factor, except where a state is
 recorded in between.  So a step costs one product with ``P`` (one GEMM for a
-period map's ``n x n`` state) and one diagonal scaling.  The weight values come from one ``Weight.table`` call per
+period map's ``n x n`` state) and one diagonal scaling.  The weight values
+come from one ``Weight.table`` (or ``Weight.antiderivative``) call per
 integration, or once per ``period_action``.
 
 The scheme is symmetric, so its error expands in even powers of ``h``:
-``spectrum`` combines the maps of ``n/2`` and ``n`` steps.  A state is a
+``spectrum`` combines the maps of ``n/4``, ``n/2`` and ``n`` steps into a
+two-level value and its time bar, and picks ``n`` by that bar.  A state is a
 vector or an ``n x m`` block of columns, stepped together.  Every call owns
 its buffers, and ``P`` is read-only, so concurrent calls stay deterministic.
 The flow's one failure is leaving the floating-point range: a diagonal factor
@@ -56,9 +61,13 @@ class UnstableStepError(RuntimeError):
 def default_n_steps(period: float, lam: float, m_sup: float) -> int:
     """Step count ``max(64, ceil(8 T (1 + |lam| sup|m|)))``.
 
-    The splitting is stable and nonnegative at any step, as its diagonal
-    factor is exact, so the ``lam`` term now serves accuracy, not stability:
-    it keeps a step's exponent ``h |lam| sup|m|`` below 1/8.
+    The count of a KPP orbit, of ``propagate``, ``period_map`` and
+    ``period_action`` called without one, and, rounded up to a power of two,
+    the cap of a spectrum point's step ladder, which otherwise sets its
+    count from a measured time bar (``spectrum``).  The splitting is stable
+    and nonnegative at any step, as its diagonal factor is exact, so the
+    ``lam`` term serves accuracy, not stability: it keeps a step's exponent
+    ``h |lam| sup|m|`` below 1/8.
     """
     return max(MIN_STEPS_PER_PERIOD, math.ceil(8.0 * period * (1.0 + abs(lam) * m_sup)))
 
@@ -90,13 +99,19 @@ class PeriodMap:
 
 def _half_steps(op: DispersalOperator, weight: Weight, lam: float, t0: float, t1: float,
                 n_steps: int) -> np.ndarray:
-    """``z[j] = h/4 * lam * (m(s_j) + m(s_j + h/2))``, ``s_j = t0 + j h/2``: the
-    exponents of the ``2 n_steps`` reaction half steps over ``[t0, t1]``, step
-    k made of half steps 2k and 2k + 1.  One ``Weight.table`` call."""
+    """``z[j] = lam * int m`` over the half step ``[s_j, s_j + h/2]``,
+    ``s_j = t0 + j h/2``: the exponents of the ``2 n_steps`` reaction half
+    steps over ``[t0, t1]``, step k made of half steps 2k and 2k + 1.  A
+    sampled weight's interpolant is integrated exactly
+    (``Weight.antiderivative``), a closed form by the trapezoid rule,
+    ``h/4 * lam * (m(s_j) + m(s_j + h/2))``.  One table call."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be at least 1, got {n_steps}")
     h = (t1 - t0) / n_steps
-    m = weight.table(t0 + np.arange(2 * n_steps + 1) * (0.5 * h), op.grid)
+    times = t0 + np.arange(2 * n_steps + 1) * (0.5 * h)
+    if weight.samples is not None:
+        return lam * np.diff(weight.antiderivative(times, op.grid), axis=0)
+    m = weight.table(times, op.grid)
     return (0.25 * h * lam) * (m[:-1] + m[1:])
 
 

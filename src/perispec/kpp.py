@@ -13,11 +13,11 @@ a unique positive time-periodic state attracts positive initial data.
 
 The nonlinear flow has no stepper of its own: it hands its reaction half
 steps to the Strang stepper of ``evolution``, whose dispersal step is the
-linear flow's.  With ``lam m`` replaced by its trapezoid-rule mean over each
-half step, the reaction ``u' = (lam m - crowding(u)) u`` is solved per node
-(``Nonlinearity.reaction``): in closed form for the logistic penalty, by a
-positive second-order step for the saturating one, so the state never turns
-negative and no undershoot is scrubbed.  ``_kpp_flow`` sets the flow up
+linear flow's.  With ``lam m`` replaced by its mean over each half step
+(``evolution._half_steps``), the reaction ``u' = (lam m - crowding(u)) u``
+is solved per node (``Nonlinearity.reaction``): in closed form for the
+logistic penalty, by a positive second-order step for the saturating one,
+so the state never turns negative and no undershoot is scrubbed.  ``_kpp_flow`` sets the flow up
 once per ``lam`` (``sup|m|`` from the weight's summary, the bound check, the
 carrying scale); ``simulate_kpp`` and every orbit period run through it, and
 it builds the reaction tables once per step count, so every Poincare period
@@ -26,12 +26,12 @@ and every linear contraction test of an orbit share them.
 The periodic state is found by iterating the period map ``P`` of the
 nonlinear flow from a small positive constant.  Each period is one
 ``_integrate`` call over ``[0, T]`` with the orbit's fixed step count, as
-``simulate_kpp`` would run it; the count is rounded up to even, as the finer
-level of a spectrum point is.  The orbit first looks for a certificate of
-persistence: when the linearized period map at the orbit's own step count
-has a Perron root above 1, its Perron vector ``phi`` gives a sub-solution
-``eps * phi`` once ``P(eps * phi) - eps * phi`` clears the order tolerance on
-every node for some ``eps`` of a short ladder.  The flow preserves order, so
+``simulate_kpp`` would run it; the count is rounded up to even.  The orbit
+first looks for a certificate of persistence: when the linearized period
+map at the orbit's own step count has a Perron root above 1, its Perron
+vector ``phi`` gives a sub-solution ``eps * phi`` once
+``P(eps * phi) - eps * phi`` clears the order tolerance on every node for
+some ``eps`` of a short ladder.  The flow preserves order, so
 the iterates from any start above ``eps * phi`` stay above it and a positive
 periodic state exists.  Under that certificate the iteration is accelerated
 by type-II Anderson mixing on ``G(u) = P(u) - u`` (Walker & Ni, SIAM J.

@@ -77,7 +77,8 @@ is built from powers of the nonnegative ``B = K - diag(b) + sigma I`` times
   75-98 us against 24-37 us for the Taylor-2 step, and building it 58-70 ms.
 
 A formed ``E`` is built once per step size and kept with the operator (the
-``_FACTOR_CACHE`` most recent step sizes), so it is freed with the operator.
+``_FACTOR_CACHE`` = 3 most recent step sizes, the three levels of a spectrum
+point), so it is freed with the operator.
 An operator has one ``P``: a vector and a period map's block take the same.
 
 The subtraction field ``b`` encodes the boundary regime:
@@ -109,8 +110,9 @@ from .weights import Weight, summarize
 # 2-D grids form the dispersal factor as a matrix below this many nodes
 _FORMED_MIN_N = 256
 # formed dispersal factors kept per operator, the most recent step sizes: the
-# two levels of one spectrum point (each is n^2 floats, 128 MB at n = 4096)
-_FACTOR_CACHE = 2
+# three levels of one spectrum point, so couplings that pick the same step
+# count share them (each is n^2 floats, 128 MB at n = 4096)
+_FACTOR_CACHE = 3
 
 
 @dataclass(frozen=True)
@@ -168,14 +170,20 @@ class DispersalOperator:
         np.matmul(self.left, W.reshape(len(W), -1, N), out=out.reshape(-1, N, N))
         return out
 
+    @property
+    def exact_dispersal(self) -> bool:
+        """Whether ``dispersal`` steps by the formed exact ``E``; False on a
+        2-D grid of ``_FORMED_MIN_N`` nodes or more, which takes Taylor-2 steps."""
+        return self.grid.dim == 1 or self.n < _FORMED_MIN_N
+
     def dispersal_factor(self, h: float) -> np.ndarray | None:
         """The formed dispersal factor ``E`` of a step of length ``h`` (module
-        docstring), or None on a 2-D grid of ``_FORMED_MIN_N`` nodes or more.
+        docstring), or None where ``exact_dispersal`` is False.
 
         Built on first use for each step size and kept, read-only, with the
         operator.
         """
-        if self.grid.dim == 2 and self.n >= _FORMED_MIN_N:
+        if not self.exact_dispersal:
             return None
         key = float(h)
         with self._lock:

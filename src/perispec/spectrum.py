@@ -6,26 +6,42 @@ at ``lam = 0``, the generator at each time is the time-averaged one,
 ``K - b + lam * m_hat``, plus a multiple of the identity, so the period map
 is that generator's flow times a scalar and ``mu`` is exactly the
 generator's spectral bound: the exact route takes it from the generator's
-Perron vector (Lanczos on vectors), with no time stepping.
+Perron vector (Lanczos on vectors), with no time stepping, and reports
+``time_error`` 0.
 
-Any other point, and one whose Lanczos solve fails, is time stepped at two
-levels: ``n`` steps (``default_n_steps`` or the caller's count, rounded up to
-even) and ``n/2``.  The Strang stepper of ``evolution`` is symmetric, so its
-error expands in even powers of the step, and the point reports the
-Richardson value ``mu = (4 mu_n - mu_{n/2}) / 3``; the eigenfunction, the
-residual and so the verdict come from the ``n``-step map.  Each level is one
-Arnoldi solve (ARPACK via ``scipy.sparse.linalg.eigs``) for the Perron root
-of its map; only the map's form follows the grid size ``n``.  Below
-``_KRYLOV_MIN_N`` = 192 nodes Arnoldi applies the formed ``n x n`` map (one
-``period_map`` call per level), and both levels start from the constant
-field.  From 192 nodes on it applies vector periods: the coarser level
-starts from the time-averaged generator's Perron vector (from the constant
-field when its Lanczos solve has failed), and the finer level from the
-coarser level's Perron vector, which is only a splitting error away from
-its own.  On a sampled 2-D Neumann weight at 24x24, whose
-top two eigenvalues are close, that took the finer level from 32-42 map
-applications to 22-32 at ``lam`` = 0.25 to 2.  Both maps are nonnegative by
-construction, so no entry is checked.
+Any other point, and one whose Lanczos solve fails, is time stepped at three
+levels, ``n/4``, ``n/2`` and ``n`` steps.  The Strang stepper of
+``evolution`` is symmetric, so its error expands in even powers of the step,
+and the two-level value ``two(n) = (4 mu_n - mu_{n/2}) / 3`` cancels the
+``h^2`` term.  The point reports ``mu = two(n)`` with the time bar
+``time_error = 2 |two(n/2) - two(n)| / (2^p - 1)``: the error of ``two(n)``
+when the two-level error falls by ``2^p`` per halving, with a safety factor
+of 2.  Where the dispersal factor is the exact ``E`` the observed order is
+``p = 4`` (travelling wave at ``lam`` 13.77, n = 128: 4.8e-5, 4.0e-6, 2.6e-7
+at 16, 32, 64 steps); on the 2-D Taylor-2 route the step is not symmetric,
+its odd term shows, and ``p = 3`` (24x24 sweep weight at ``lam`` 0.25:
+1.36e-7, 1.67e-8, 1.96e-9).  A caller's ``n_steps`` is rounded up to a
+multiple of 4 and used as ``n``.  Without one, ``n`` is the least power of two
+from ``LADDER_MIN_STEPS`` = 32 whose bar is at most ``TIME_TOL``, each rung
+adding one finer level to the ones before; the ladder stops at
+``default_n_steps`` rounded up to a power of two.  The choice reads only the
+problem and ``lam``, never an earlier coupling, so a point is the same bits
+whatever ran before it and in whatever thread.
+
+Each level is one Arnoldi solve (ARPACK via ``scipy.sparse.linalg.eigs``) for
+the Perron root of its map; only the map's form follows the grid size ``n``.
+Below ``_KRYLOV_MIN_N`` = 192 nodes Arnoldi applies the formed ``n x n`` map
+(one ``period_map`` call per level), and every level starts from the
+constant field.  From 192 nodes on it applies vector periods: the coarsest
+level starts from the time-averaged generator's Perron vector (from the
+constant field when its Lanczos solve has failed), and each finer level from
+the level below's Perron vector, which is only a splitting error away from
+its own.  On a sampled 2-D Neumann weight at 24x24, whose top two eigenvalues
+are close, that took the finer of two levels from 32-42 map applications to
+22-32 at ``lam`` = 0.25 to 2.  The eigenfunction, the residual and so the
+verdict come from the finest level's map, and only that level spends an
+application on its residual.  Every map is nonnegative by construction, so
+no entry is checked.
 Every product of ``K`` with a vector here (Lanczos, the vector periods, the
 frozen generator's image) goes through ``op.matvec`` or ``op.dispersal``,
 which in 2-D read the factored kernel stencil instead of the dense ``K`` from
@@ -54,8 +70,30 @@ from .geometry import Boundary
 from .operator import DispersalOperator
 from .weights import Weight, summarize, time_average
 
+# a dominant Ritz value is real when its imaginary part is below this, relative
 POWER_REL_TOL = 1e-12
-TOL_EIG = 1e-8
+# ARPACK's convergence tolerance.  Against the 1e-12 it replaced, on the
+# bench's non-separable 24x24 weight (lam 0.25 to 2, seed 1) the finest
+# level's residual stayed at or below 5.9e-11 and mu moved by at most 4e-15,
+# while the four points took 266 map applications, not 376 (1e-9: 276).  On
+# 1-D Dirichlet at n = 256 (lam 2) the residual reached 3.9e-9, below
+# TOL_EIG, and mu moved 2.2e-11.  No verdict changed.
+ARNOLDI_TOL = 1e-8
+TOL_EIG = 1e-8  # the verdict's eigen-residual bound: relative to r = exp(mu T) on a map
+# the time bar a ladder point must meet.  Two-level errors against 2048
+# steps at 16, 32 and 64 steps: 4.8e-5, 4.0e-6, 2.6e-7 on the travelling wave
+# at lam 13.77 (n = 128); 2.4e-8, 1.5e-9, 9.5e-11 on the Dirichlet
+# non-separable weight at lam 1.108; 1.4e-7, 1.7e-8, 2.0e-9 on the sampled
+# 24x24 sweep weight at lam 0.25.  The smallest grid difference among them
+# (N = 64 -> 128 on the Dirichlet weight) is 4.4e-5, 44 times this.
+TIME_TOL = 1e-6
+# the ladder's first rung, so its coarsest level takes 8 steps.  A 4-step
+# level is not yet asymptotic: on the Dirichlet weight above, shifted in time
+# by k/64 of the period, the 16-step error read 2.37e-8 at every k, but its
+# bar from levels of 4, 8 and 16 steps ranged over 3.8e-9 to 1.1e-7 (6.2
+# times too small at k = 6).  From levels of 8, 16 and 32 it read 2.95e-9 at
+# every k, against an error of 1.51e-9.
+LADDER_MIN_STEPS = 32
 CLAMP_TOL = 1e-12  # rounding-level negatives of a Perron vector, clamped to zero
 # From this many nodes on, a weight off the exact route applies vector
 # periods instead of the formed map.  Summed over lam = 0.25, 0.5, 1, 2, 4 on
@@ -104,11 +142,13 @@ class SpectrumReport:
     mu_n: float
     lam: float
     eigenfunction: np.ndarray | None  # sup-normalized, nonnegative
-    residual: float
+    residual: float                   # |M phi - r phi| / r, or the generator's (exact route)
     h_hat_min: float
     h_hat_max: float
     iterations: int
     localization_width: float         # eigenfunction mass fraction of the domain
+    time_error: float = 0.0           # bar on mu's time-stepping error; 0 on the exact route
+    n_steps: int = 0                  # the finest level's steps; 0 on the exact route
 
     @property
     def is_principal_eigenvalue(self) -> str:
@@ -157,16 +197,16 @@ def _frozen_perron(op: DispersalOperator, m_hat: np.ndarray, lam: float) -> np.n
 
 
 def _krylov_perron(apply, n: int, start: np.ndarray | None = None):
-    """Perron (ratio, vector, residual, applications) of a map given only as ``apply``.
+    """Perron (ratio, vector, applications) of a map given only as ``apply``.
 
-    Arnoldi (ARPACK through ``scipy.sparse.linalg.eigs``) runs from ``start``,
-    or from the constant field without one.  ``eigs`` needs ``n >= 3``: a
-    smaller map is formed from its ``n`` columns, and LAPACK's ``eig`` gives
-    its eigenpair of largest modulus.  The vector is the real part of the
-    eigenvector, scaled to sup 1; rounding-level negatives are clamped, larger
-    ones are an error, as is a root that is not real and positive and an
-    ARPACK failure (a zero map stops it at once).  One more application gives
-    the eigen-residual; every application is counted.
+    Arnoldi (ARPACK through ``scipy.sparse.linalg.eigs``, to ``ARNOLDI_TOL``)
+    runs from ``start``, or from the constant field without one.  ``eigs``
+    needs ``n >= 3``: a smaller map is formed from its ``n`` columns, and
+    LAPACK's ``eig`` gives its eigenpair of largest modulus.  The vector is
+    the real part of the eigenvector, scaled to sup 1; rounding-level
+    negatives are clamped, larger ones are an error, as is a root that is not
+    real and positive and an ARPACK failure (a zero map stops it at once).
+    Every application is counted; the residual is the caller's (``_residual``).
     """
     # imported here: loading scipy.sparse.linalg would slow ``import perispec``
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
@@ -186,7 +226,7 @@ def _krylov_perron(apply, n: int, start: np.ndarray | None = None):
         try:
             vals, vecs = eigs(LinearOperator((n, n), matvec=matvec, dtype=float), k=1,
                               which="LM", v0=np.ones(n) if start is None else start,
-                              tol=POWER_REL_TOL)
+                              tol=ARNOLDI_TOL)
         except ArpackError as exc:
             raise PowerIterationError(f"Arnoldi did not converge: {exc}") from None
     root = complex(vals[0])
@@ -200,8 +240,14 @@ def _krylov_perron(apply, n: int, start: np.ndarray | None = None):
         raise PowerIterationError(
             f"dominant Ritz vector has a negative entry {worst:.3e}; it is not a Perron vector")
     v[v < 0.0] = 0.0
-    residual = float(np.abs(matvec(v) - ratio * v).max())
-    return ratio, v, residual, count
+    return ratio, v, count
+
+
+def _residual(apply, ratio: float, v: np.ndarray) -> float:
+    """``|M v - r v|_inf / r`` of a map's Perron pair, at one more application:
+    the same number for the map ``c M``, so ``mu T`` far from 0 neither
+    hides a defect nor fails on rounding."""
+    return float(np.abs(apply(v) - ratio * v).max()) / ratio
 
 
 def localization_width(phi: np.ndarray, w: np.ndarray) -> float:
@@ -215,12 +261,14 @@ def localization_width(phi: np.ndarray, w: np.ndarray) -> float:
 
 
 def _report(op: DispersalOperator, lam: float, h: np.ndarray, mu: float, phi: np.ndarray,
-            residual: float, iterations: int) -> SpectrumReport:
+            residual: float, iterations: int, time_error: float = 0.0,
+            n_steps: int = 0) -> SpectrumReport:
     """The one constructor of ``SpectrumReport``; ``h`` is the envelope ``-b + lam * m_hat``."""
     return SpectrumReport(mu_n=mu, lam=float(lam), eigenfunction=phi, residual=residual,
                           h_hat_min=float(h.min()), h_hat_max=float(h.max()),
                           iterations=iterations,
-                          localization_width=localization_width(phi, op.quad_weights))
+                          localization_width=localization_width(phi, op.quad_weights),
+                          time_error=time_error, n_steps=n_steps)
 
 
 def essential_interval(op: DispersalOperator, weight: Weight, lam: float) -> tuple[float, float]:
@@ -231,6 +279,9 @@ def essential_interval(op: DispersalOperator, weight: Weight, lam: float) -> tup
 
 def classify_principal_eigenvalue(report: SpectrumReport) -> str:
     """'yes' when mu clears the envelope sup with a converged eigenpair, else 'marginal'.
+
+    Converged means ``residual < TOL_EIG``: relative to the map's ratio on a
+    time-stepped point, in units of ``mu`` on the exact route.
 
     A point on the envelope sup reads 'marginal' whatever its residual: on
     one grid a dominant eigenvector always exists, and whether the continuum
@@ -356,13 +407,17 @@ def _check_s1(weight: Weight, op: DispersalOperator, lam: float, m_hat: np.ndarr
 
 def _stepped_perron(op: DispersalOperator, weight: Weight, lam: float, n_steps: int,
                     start: np.ndarray | None = None):
-    """``_krylov_perron`` of the period map at ``n_steps``: the formed map
-    below ``_KRYLOV_MIN_N`` nodes (from the constant field, whatever
-    ``start``), vector periods from ``start`` otherwise."""
+    """(ratio, vector, map, applications): ``_krylov_perron`` of the period
+    map at ``n_steps`` and the map it applied, the formed map below
+    ``_KRYLOV_MIN_N`` nodes (from the constant field, whatever ``start``),
+    vector periods from ``start`` otherwise."""
     if op.n < _KRYLOV_MIN_N:
-        return _krylov_perron(period_map(op, weight, lam, n_steps=n_steps).matrix.__matmul__,
-                              op.n)
-    return _krylov_perron(period_action(op, weight, lam, n_steps), op.n, start)
+        apply = period_map(op, weight, lam, n_steps=n_steps).matrix.__matmul__
+        start = None
+    else:
+        apply = period_action(op, weight, lam, n_steps)
+    ratio, phi, count = _krylov_perron(apply, op.n, start)
+    return ratio, phi, apply, count
 
 
 def principal_spectrum_point(op: DispersalOperator, weight: Weight, lam: float,
@@ -370,12 +425,13 @@ def principal_spectrum_point(op: DispersalOperator, weight: Weight, lam: float,
     """Principal spectrum point via the period-map spectral radius.
 
     The route follows the weight's structure, ``lam`` and the grid size (see
-    the module docstring).  On the exact route ``iterations`` reads 0 and
-    ``residual`` is the frozen generator's eigen-residual.  Otherwise ``mu``
-    is the two-level value of the maps at ``n_steps`` (rounded up to even)
-    and half as many steps, ``iterations`` counts both levels' map
-    applications (Arnoldi's and one for each residual), and the
-    eigenfunction and residual are the finer map's.
+    the module docstring).  On the exact route ``iterations``, ``n_steps``
+    and ``time_error`` read 0 and ``residual`` is the frozen generator's
+    eigen-residual.  Otherwise ``mu`` is the two-level value at ``n_steps``
+    (rounded up to a multiple of 4; the ladder's choice when None) with its
+    time bar, ``iterations`` counts every level's map applications (Arnoldi's
+    and the finest level's residual), and the eigenfunction and the relative
+    residual ``|M phi - r phi| / r`` are the finest map's.
     """
     summary = summarize(weight, op.grid)
     m_hat = summary.m_hat
@@ -385,17 +441,32 @@ def principal_spectrum_point(op: DispersalOperator, weight: Weight, lam: float,
         if report is not None:
             return report
     if n_steps is None:
-        n_steps = default_n_steps(weight.period, lam, summary.sup_abs)
-    n_steps += n_steps % 2
+        n_steps = LADDER_MIN_STEPS
+        cap = 1 << (default_n_steps(weight.period, lam, summary.sup_abs) - 1).bit_length()
+    else:
+        n_steps += -n_steps % 4
+        cap = n_steps
+    order = 4 if op.exact_dispersal else 3
     start = None
     if op.n >= _KRYLOV_MIN_N and not exact:
         start = _frozen_perron(op, m_hat, lam)
-    coarse, coarse_phi, _, coarse_iterations = _stepped_perron(op, weight, lam,
-                                                               n_steps // 2, start)
-    ratio, phi, residual, iterations = _stepped_perron(op, weight, lam, n_steps, coarse_phi)
-    mu = (4.0 * math.log(ratio) - math.log(coarse)) / (3.0 * weight.period)
-    return _report(op, lam, -op.b + lam * m_hat, mu, phi, residual,
-                   coarse_iterations + iterations)
+    steps = n_steps // 4
+    logs, two = [], []
+    iterations = 0
+    while True:
+        ratio, phi, apply, count = _stepped_perron(op, weight, lam, steps, start)
+        iterations += count
+        start = phi
+        logs.append(math.log(ratio))
+        if len(logs) > 1:
+            two.append((4.0 * logs[-1] - logs[-2]) / (3.0 * weight.period))
+        if len(two) > 1:
+            bar = 2.0 * abs(two[-2] - two[-1]) / (2 ** order - 1)
+            if bar <= TIME_TOL or 2 * steps > cap:
+                break
+        steps *= 2
+    return _report(op, lam, -op.b + lam * m_hat, two[-1], phi, _residual(apply, ratio, phi),
+                   iterations + 1, bar, steps)
 
 
 def lyapunov_estimate(op: DispersalOperator, weight: Weight, lam: float,

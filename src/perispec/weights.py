@@ -166,6 +166,30 @@ class Weight:
         frac = (s - floor)[:, None]
         return (1.0 - frac) * samples[i0] + frac * samples[(i0 + 1) % n_time]
 
+    def antiderivative(self, times, grid: Grid) -> np.ndarray:
+        """``int_0^t m`` of a sampled weight's interpolant at many times: a
+        ``(len(times), n)`` array, exact for the interpolant ``table`` reads,
+        which is linear between lattice rows.  Whole periods add the period's
+        integral, so the times need not lie in [0, T)."""
+        samples = self.samples
+        if samples is None:
+            raise ValueError("antiderivative needs a sampled weight")
+        if samples.shape[1] != grid.n:
+            raise ValueError(f"sampled weight has {samples.shape[1]} nodes, grid has {grid.n}")
+        n_time = samples.shape[0]
+        dt = self.period / n_time
+        ahead = np.roll(samples, -1, axis=0)
+        # the integral from 0 to each lattice time, the period's last
+        cumulative = np.concatenate([np.zeros((1, grid.n)),
+                                     np.cumsum((0.5 * dt) * (samples + ahead), axis=0)])
+        periods, tau = np.divmod(np.asarray(times, dtype=float), self.period)
+        s = tau / dt
+        i0 = np.minimum(np.floor(s).astype(int), n_time - 1)
+        frac = (s - i0)[:, None]
+        slope = ahead[i0] - samples[i0]
+        return (periods[:, None] * cumulative[-1] + cumulative[i0]
+                + dt * frac * (samples[i0] + 0.5 * frac * slope))
+
     def shifted(self, c: float) -> "Weight":
         """The weight ``m + c``; analytic maximizer data survives a shift."""
         if self.expr is not None:

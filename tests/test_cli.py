@@ -17,6 +17,7 @@ from perispec.cli import main
 from perispec.evolution import period_map
 from perispec.geometry import Boundary, build_grid
 from perispec.operator import Problem
+from perispec.spectrum import principal_spectrum_point
 from perispec.weights import closed_form, sample_closed_form, save_sampled_csv, summarize
 
 BASE_PROBLEM = """
@@ -73,6 +74,26 @@ def test_spectrum_csv_floats_have_full_precision(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     # the CSV cell must round-trip to the exact float in the JSON summary
     assert float(row[1]) == summary["results"][0]["mu_n"]
+
+
+def test_spectrum_outputs_carry_each_points_time_error(tmp_path):
+    # 0 on the exact route (lam = 0), the time bar of the ladder's step count
+    # on the time-stepped points
+    cfg = write_ini(tmp_path, BASE_PROBLEM.replace(
+        "expr = sin(2*pi*t/T) + cos(2*pi*x) - 0.2", f"expr = {NONSEPARABLE_EXPR}")
+        + "\n[spectrum]\nlambdas = 0, 1\n")
+    out = tmp_path / "out"
+    assert run("spectrum", cfg, out) == 0
+    lines = (out / "spectrum.csv").read_text().strip().splitlines()
+    columns = lines[1].split(",")
+    bars = [float(line.split(",")[columns.index("time_error")]) for line in lines[2:]]
+    summary = json.loads((out / "summary.json").read_text())
+    assert [r["time_error"] for r in summary["results"]] == bars
+    op, w = Problem(Boundary.DIRICHLET, (1.0,), "parabolic", 1.0,
+                    closed_form(NONSEPARABLE_EXPR, 1.0)).at(24)
+    assert bars[0] == 0.0
+    assert bars[1] == principal_spectrum_point(op, w, 1.0).time_error
+    assert 0.0 < bars[1] <= perispec.spectrum.TIME_TOL
 
 
 def test_lambda_p_task(tmp_path):
@@ -182,13 +203,16 @@ def test_tasks_go_through_the_public_entry_points(tmp_path, monkeypatch, problem
 NONSEPARABLE_EXPR = "cos(2*pi*x)*(1 + sin(2*pi*t/T)) - 0.2 + sin(2*pi*t/T)"
 
 
-def count_period_maps(monkeypatch):
-    """The ``lam`` of every dense period map built from here on."""
+def count_period_maps(monkeypatch, steps=None):
+    """The ``lam`` of every dense period map built from here on; with
+    ``steps``, its step count goes there."""
     lams = []
     original = perispec.spectrum.period_map
 
     def counting(op, weight, lam, n_steps=None):
         lams.append(lam)
+        if steps is not None:
+            steps.append(n_steps)
         return original(op, weight, lam, n_steps=n_steps)
     monkeypatch.setattr(perispec.spectrum, "period_map", counting)
     return lams
@@ -197,10 +221,11 @@ def count_period_maps(monkeypatch):
 @pytest.mark.parametrize("boundary", ["dirichlet", "neumann", "periodic"])
 def test_lambda_p_task_builds_one_map_per_lam(tmp_path, monkeypatch, boundary):
     # a non-separable weight forms its map on 24 nodes, once per lam at each
-    # of the spectrum point's two step counts; the eigenvalue check at the
-    # root reuses the root search's spectrum point, and the Dirichlet
-    # search's mu(0) takes the exact route
-    lams = count_period_maps(monkeypatch)
+    # of the spectrum point's step counts, the ladder's doubling levels from
+    # 8 steps on; the eigenvalue check at the root reuses the root search's
+    # spectrum point, and the Dirichlet search's mu(0) takes the exact route
+    steps = []
+    lams = count_period_maps(monkeypatch, steps)
     cfg = write_ini(tmp_path, BASE_PROBLEM.replace("dirichlet", boundary).replace(
         "expr = sin(2*pi*t/T) + cos(2*pi*x) - 0.2", f"expr = {NONSEPARABLE_EXPR}"))
     assert run("lambda_p", cfg, tmp_path / "out") == 0
@@ -211,9 +236,10 @@ def test_lambda_p_task_builds_one_map_per_lam(tmp_path, monkeypatch, boundary):
              (tmp_path / "out" / "curve.csv").read_text().splitlines()[2:]]
     stepped = [lam for lam in curve if lam != 0.0]
     assert (0.0 in curve) == (boundary == "dirichlet")
-    assert len(lams) == 2 * len(set(lams)) == 2 * len(stepped)
     assert sorted(set(lams)) == sorted(stepped)
-    assert all(lams.count(lam) == 2 for lam in lams)
+    for lam in stepped:
+        counts = [n for at, n in zip(lams, steps) if at == lam]
+        assert len(counts) >= 3 and counts == [8 << k for k in range(len(counts))]
     assert summary["result"]["lambda_p"] in lams
 
 
@@ -418,9 +444,9 @@ def test_krylov_size_outputs_do_not_depend_on_threads(tmp_path, monkeypatch):
 
 
 def test_dense_route_outputs_do_not_depend_on_threads(tmp_path, monkeypatch):
-    # a non-separable weight at n = 64 forms its two maps per lam but 0, whose
-    # point is exact: the workers share the read-only dispersal factors and
-    # own their buffers
+    # a non-separable weight at n = 64 forms at least three maps per lam but
+    # 0, whose point is exact: the workers share the read-only dispersal
+    # factors and own their buffers
     lams = count_period_maps(monkeypatch)
     cfg = write_ini(tmp_path, BASE_PROBLEM.replace("n_per_axis = 24", "n_per_axis = 64")
                     .replace("expr = sin(2*pi*t/T) + cos(2*pi*x) - 0.2",
@@ -429,7 +455,8 @@ def test_dense_route_outputs_do_not_depend_on_threads(tmp_path, monkeypatch):
     outs = [tmp_path / f"out{i}" for i in range(2)]
     assert run("spectrum", cfg, outs[0], "--threads", "1") == 0
     assert run("spectrum", cfg, outs[1], "--threads", "2") == 0
-    assert len(lams) == 16 and 0.0 not in lams
+    assert set(lams) == {0.5, 1.0, 2.0, 4.0}
+    assert all(lams.count(lam) >= 2 * 3 for lam in (0.5, 1.0, 2.0, 4.0))  # two runs
     for name in ("spectrum.csv", "summary.json", "report.txt"):
         assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
 
@@ -698,7 +725,7 @@ lambdas = 1
 def test_two_node_time_stepped_point_is_the_lapack_root(tmp_path):
     # ARPACK needs three nodes: on two each map is formed from its two
     # columns, and mu_n is the two-level value of the logs of LAPACK's top
-    # eigenvalues of period_map at 32 and 64 steps
+    # eigenvalues of period_map at the point's step count and half of it
     expr = "0.5 + 0.1*x*sin(2*pi*t/T)"
     cfg = write_ini(tmp_path, BASE_PROBLEM.replace("n_per_axis = 24", "n_per_axis = 2")
                     .replace("expr = sin(2*pi*t/T) + cos(2*pi*x) - 0.2", f"expr = {expr}")
@@ -708,8 +735,10 @@ def test_two_node_time_stepped_point_is_the_lapack_root(tmp_path):
     [result] = json.loads((out / "summary.json").read_text())["results"]
     op, w = Problem(Boundary.DIRICHLET, (1.0,), "parabolic", 1.0, closed_form(expr, 1.0)).at(2)
     assert not summarize(w, op.grid).separable
+    n = principal_spectrum_point(op, w, 1.0).n_steps
+    assert n >= perispec.spectrum.LADDER_MIN_STEPS
     tops = []
-    for n_steps in (32, 64):
+    for n_steps in (n // 2, n):
         vals = np.linalg.eig(period_map(op, w, 1.0, n_steps).matrix)[0]
         tops.append(vals[np.argmax(np.abs(vals))])
         assert tops[-1].imag == 0.0

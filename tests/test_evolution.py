@@ -21,7 +21,7 @@ from perispec.evolution import (
 )
 from perispec.geometry import Boundary, build_grid, make_kernel, wrap_kernel
 from perispec.operator import Problem, assemble
-from perispec.weights import Weight, closed_form
+from perispec.weights import Weight, closed_form, from_samples
 
 
 def make_op(boundary=Boundary.DIRICHLET, n=16, r=1.0):
@@ -422,6 +422,31 @@ def stage_scheme_strang(op, w, lam, u, t0, t1, n_steps, taylor=False):
         u = horner_taylor_step(op, h, u) if taylor else E @ u
         u = u * rows(f[2 * k + 1] * f[2 * k + 2] if k + 1 < n_steps else f[2 * k + 1])
     return u
+
+
+@pytest.mark.parametrize("t0, t1, n_steps", [(0.0, 1.3, 16), (0.35, 2.9, 11), (-0.4, 0.5, 3)])
+def test_sampled_half_steps_integrate_the_interpolant_exactly(t0, t1, n_steps):
+    # 7 sample times, and half steps that miss them: each exponent is lam
+    # times the integral of the interpolant over its half step, here by a
+    # fine trapezoid rule on a lattice that holds every sample time, where
+    # the interpolant is linear between nodes
+    op = make_op(Boundary.NEUMANN, n=5)
+    samples = np.random.default_rng(5).normal(size=(7, op.n))
+    w = from_samples(samples, 1.3)
+    lam = 0.7
+    z = evolution._half_steps(op, w, lam, t0, t1, n_steps)
+    h = (t1 - t0) / n_steps
+    dt = w.period / len(samples)
+    for j, got in enumerate(z):
+        a, b = t0 + j * (0.5 * h), t0 + (j + 1) * (0.5 * h)
+        knots = np.arange(math.ceil(a / dt), math.floor(b / dt) + 1) * dt
+        ts = np.unique(np.concatenate([np.linspace(a, b, 9), knots]))
+        m = w.table(ts, op.grid)
+        fine = lam * ((m[1:] + m[:-1]) * (0.5 * np.diff(ts))[:, None]).sum(axis=0)
+        np.testing.assert_allclose(got, fine, rtol=0.0, atol=1e-13)
+    # the trapezoid rule at the half-step ends misses the kinks between them
+    m = w.table(t0 + np.arange(2 * n_steps + 1) * (0.5 * h), op.grid)
+    assert np.abs(z - (0.25 * h * lam) * (m[:-1] + m[1:])).max() > 1e-3
 
 
 def test_period_map_equals_stagewise_reference():

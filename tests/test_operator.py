@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from perispec.geometry import Boundary, Grid, build_grid, make_kernel, wrap_kernel
-from perispec.operator import Problem, apply_generator, assemble
+from perispec.operator import _FACTOR_CACHE, Problem, apply_generator, assemble
 from perispec.weights import WeightExprError, closed_form, sample_closed_form
 
 
@@ -429,7 +429,7 @@ def test_dispersal_factors_kept_are_the_most_recent_step_sizes():
     op = Problem(Boundary.NEUMANN, (1.0,), "parabolic", 0.5, closed_form("0", 1.0)).at(16)[0]
     sizes = [1.0 / k for k in (8, 16, 24, 32, 40)]
     factors = [op.dispersal_factor(h) for h in sizes]
-    assert list(op._factors) == sizes[-2:]
+    assert list(op._factors) == sizes[-_FACTOR_CACHE:]
     assert op.dispersal_factor(sizes[-1]) is factors[-1]
     # a copy of the operator starts with no factors of its own
     assert dataclasses.replace(op, left=None)._factors == {}
@@ -438,7 +438,7 @@ def test_dispersal_factors_kept_are_the_most_recent_step_sizes():
 def test_concurrent_factor_requests_share_one_cache():
     # more threads than cores ask for six step sizes at once, with a short
     # switch interval: each answer equals the serially built factor, and the
-    # cache keeps its bound of two
+    # cache keeps its bound of three
     def make():
         return Problem(Boundary.DIRICHLET, (1.0,), "parabolic", 1.0,
                        closed_form("0", 1.0)).at(24)[0]
@@ -455,5 +455,5 @@ def test_concurrent_factor_requests_share_one_cache():
         sys.setswitchinterval(interval)
     assert len(got) == 120
     assert all(np.array_equal(E, reference[h]) for h, E in got)
-    assert len(op._factors) <= 2
+    assert len(op._factors) <= _FACTOR_CACHE
 
