@@ -28,7 +28,8 @@ dispersal steps and act as one merged factor, except where a state is
 recorded in between.  So a step costs one product with ``P`` (one GEMM for a
 period map's ``n x n`` state) and one diagonal scaling.  The weight values
 come from one ``Weight.table`` (or ``Weight.antiderivative``) call per
-integration, or once per ``period_action``.
+weight, grid, interval and step count, kept with the weight and scaled by
+``lam`` on each integration.
 
 The scheme is symmetric, so its error expands in even powers of ``h``:
 ``spectrum`` combines the maps of ``n/4``, ``n/2`` and ``n`` steps into a
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operator import DispersalOperator
-from .weights import Weight, sup_abs
+from .weights import Weight, kept_table, sup_abs
 
 MIN_STEPS_PER_PERIOD = 64
 ORDER_TOL = 1e-10  # order violations of the discrete flow, relative to the state's scale
@@ -104,15 +105,24 @@ def _half_steps(op: DispersalOperator, weight: Weight, lam: float, t0: float, t1
     steps over ``[t0, t1]``, step k made of half steps 2k and 2k + 1.  A
     sampled weight's interpolant is integrated exactly
     (``Weight.antiderivative``), a closed form by the trapezoid rule,
-    ``h/4 * lam * (m(s_j) + m(s_j + h/2))``.  One table call."""
+    ``h/4 * lam * (m(s_j) + m(s_j + h/2))``.  The differences of the
+    antiderivative, or the sums ``m(s_j) + m(s_j + h/2)``, do not depend on
+    ``lam``: one table call per weight, grid, ``[t0, t1]`` and ``n_steps``
+    builds them, kept by ``weights.kept_table``, and each call multiplies."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be at least 1, got {n_steps}")
     h = (t1 - t0) / n_steps
-    times = t0 + np.arange(2 * n_steps + 1) * (0.5 * h)
+
+    def sums():
+        times = t0 + np.arange(2 * n_steps + 1) * (0.5 * h)
+        if weight.samples is not None:
+            return np.diff(weight.antiderivative(times, op.grid), axis=0)
+        m = weight.table(times, op.grid)
+        return m[:-1] + m[1:]
+    table = kept_table(weight, op.grid, ("half_steps", t0, t1, n_steps), sums)
     if weight.samples is not None:
-        return lam * np.diff(weight.antiderivative(times, op.grid), axis=0)
-    m = weight.table(times, op.grid)
-    return (0.25 * h * lam) * (m[:-1] + m[1:])
+        return lam * table
+    return (0.25 * h * lam) * table
 
 
 def _linear_reaction(z: np.ndarray):

@@ -76,9 +76,14 @@ is built from powers of the nonnegative ``B = K - diag(b) + sigma I`` times
   mode.  A dense ``E`` does not pay here: at 24x24 one GEMV with it took
   75-98 us against 24-37 us for the Taylor-2 step, and building it 58-70 ms.
 
-A formed ``E`` is built once per step size and kept with the operator (the
-``_FACTOR_CACHE`` = 3 most recent step sizes, the three levels of a spectrum
-point), so it is freed with the operator.
+A formed ``E`` is built once per step size and kept with the operator, so it
+is freed with the operator.  The operator keeps as many as fit in
+``_FACTOR_BYTES`` = 32 MiB, and never fewer than ``_RUNG_FACTORS`` = 3, the
+three levels of a spectrum point; past that the oldest goes.  At
+n = 128 (128 KiB a factor) that is every step size a task touches: the
+travelling wave's ``lambda_p`` touches 5, from 8 to 128 steps, and builds 5
+factors, where a bound of three factors built 37 (about 1 ms each).  At
+n = 2048 (32 MiB a factor) it is the three.
 An operator has one ``P``: a vector and a period map's block take the same.
 
 The subtraction field ``b`` encodes the boundary regime:
@@ -109,10 +114,11 @@ from .weights import Weight, summarize
 
 # 2-D grids form the dispersal factor as a matrix below this many nodes
 _FORMED_MIN_N = 256
-# formed dispersal factors kept per operator, the most recent step sizes: the
-# three levels of one spectrum point, so couplings that pick the same step
-# count share them (each is n^2 floats, 128 MB at n = 4096)
-_FACTOR_CACHE = 3
+# formed dispersal factors kept per operator: as many as fit in this many
+# bytes, so every coupling of a task shares them at small n, and never fewer
+# than one rung's three levels (each is n^2 floats, 128 MiB at n = 4096)
+_FACTOR_BYTES = 32 << 20
+_RUNG_FACTORS = 3
 
 
 @dataclass(frozen=True)
@@ -181,7 +187,7 @@ class DispersalOperator:
         docstring), or None where ``exact_dispersal`` is False.
 
         Built on first use for each step size and kept, read-only, with the
-        operator.
+        operator, the oldest going first past the byte bound.
         """
         if not self.exact_dispersal:
             return None
@@ -196,7 +202,8 @@ class DispersalOperator:
         E.setflags(write=False)
         with self._lock:
             E = self._factors.setdefault(key, E)
-            while len(self._factors) > _FACTOR_CACHE:
+            keep = max(_RUNG_FACTORS, _FACTOR_BYTES // E.nbytes)
+            while len(self._factors) > keep:
                 del self._factors[next(iter(self._factors))]
         return E
 

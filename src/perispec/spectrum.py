@@ -6,11 +6,12 @@ at ``lam = 0``, the generator at each time is the time-averaged one,
 ``K - b + lam * m_hat``, plus a multiple of the identity, so the period map
 is that generator's flow times a scalar and ``mu`` is exactly the
 generator's spectral bound: the exact route takes it from the generator's
-Perron vector (Lanczos on vectors), with no time stepping, and reports
-``time_error`` 0.
+Perron vector, with no time stepping, and reports ``time_error`` 0.  Below
+``_KRYLOV_MIN_N`` = 192 nodes that vector comes from LAPACK on the formed
+symmetric generator, from 192 nodes on from Lanczos on vectors.
 
-Any other point, and one whose Lanczos solve fails, is time stepped at three
-levels, ``n/4``, ``n/2`` and ``n`` steps.  The Strang stepper of
+Any other point, and one whose Perron vector solve fails, is time stepped
+at three levels, ``n/4``, ``n/2`` and ``n`` steps.  The Strang stepper of
 ``evolution`` is symmetric, so its error expands in even powers of the step,
 and the two-level value ``two(n) = (4 mu_n - mu_{n/2}) / 3`` cancels the
 ``h^2`` term.  The point reports ``mu = two(n)`` with the time bar
@@ -21,9 +22,10 @@ of 2.  Where the dispersal factor is the exact ``E`` the observed order is
 at 16, 32, 64 steps); on the 2-D Taylor-2 route the step is not symmetric,
 its odd term shows, and ``p = 3`` (24x24 sweep weight at ``lam`` 0.25:
 1.36e-7, 1.67e-8, 1.96e-9).  A caller's ``n_steps`` is rounded up to a
-multiple of 4 and used as ``n``.  Without one, ``n`` is the least power of two
-from ``LADDER_MIN_STEPS`` = 32 whose bar is at most ``TIME_TOL``, each rung
-adding one finer level to the ones before; the ladder stops at
+multiple of 4, raised to ``LADDER_MIN_STEPS`` = 32 if below it, and used as
+``n``, so the coarsest level never takes fewer than 8 steps.  Without one,
+``n`` is the least power of two from 32 whose bar is at most ``TIME_TOL``,
+each rung adding one finer level to the ones before; the ladder stops at
 ``default_n_steps`` rounded up to a power of two.  The choice reads only the
 problem and ``lam``, never an earlier coupling, so a point is the same bits
 whatever ran before it and in whatever thread.
@@ -34,7 +36,7 @@ Below ``_KRYLOV_MIN_N`` = 192 nodes Arnoldi applies the formed ``n x n`` map
 (one ``period_map`` call per level), and every level starts from the
 constant field.  From 192 nodes on it applies vector periods: the coarsest
 level starts from the time-averaged generator's Perron vector (from the
-constant field when its Lanczos solve has failed), and each finer level from
+constant field when that Lanczos solve has failed), and each finer level from
 the level below's Perron vector, which is only a splitting error away from
 its own.  On a sampled 2-D Neumann weight at 24x24, whose top two eigenvalues
 are close, that took the finer of two levels from 32-42 map applications to
@@ -46,6 +48,7 @@ Every product of ``K`` with a vector here (Lanczos, the vector periods, the
 frozen generator's image) goes through ``op.matvec`` or ``op.dispersal``,
 which in 2-D read the factored kernel stencil instead of the dense ``K`` from
 256 nodes on, so the 2-D exact and Arnoldi routes never read ``K`` there.
+The dense frozen solve below 192 nodes forms its generator from ``K``.
 
 Whether ``mu`` is attained by an actual eigenfunction (rather than marking the
 edge of the essential part of the spectrum) is decided by comparing ``mu``
@@ -87,7 +90,8 @@ TOL_EIG = 1e-8  # the verdict's eigen-residual bound: relative to r = exp(mu T) 
 # 24x24 sweep weight at lam 0.25.  The smallest grid difference among them
 # (N = 64 -> 128 on the Dirichlet weight) is 4.4e-5, 44 times this.
 TIME_TOL = 1e-6
-# the ladder's first rung, so its coarsest level takes 8 steps.  A 4-step
+# the ladder's first rung, and the least step count of any time-stepped
+# point's finest level, so a coarsest level takes at least 8 steps.  A 4-step
 # level is not yet asymptotic: on the Dirichlet weight above, shifted in time
 # by k/64 of the period, the 16-step error read 2.37e-8 at every k, but its
 # bar from levels of 4, 8 and 16 steps ranged over 3.8e-9 to 1.1e-7 (6.2
@@ -159,19 +163,23 @@ class SpectrumReport:
 def _frozen_perron(op: DispersalOperator, m_hat: np.ndarray, lam: float) -> np.ndarray | None:
     """Perron vector of the time-averaged generator ``K - b + lam * m_hat``, or None.
 
-    Lanczos (ARPACK through ``scipy.sparse.linalg.eigsh``) on ``K`` plus the
-    shifted diagonal, applied to vectors, so no ``n x n`` matrix is formed.
-    The diagonal is shifted by ``max(0, -min) + 1`` to make it positive, so a
-    positive eigenvector belongs to the spectral radius: the constant start is
+    ``K`` plus the shifted diagonal is symmetric.  Below ``_KRYLOV_MIN_N``
+    nodes its top eigenpair comes from LAPACK (``scipy.linalg.eigh`` on the
+    formed matrix, that one pair only); from there on from Lanczos (ARPACK
+    through ``scipy.sparse.linalg.eigsh``) applied to vectors, so no ``n x n``
+    matrix is formed.  One call for ``m_hat = cos(2 pi x) - 0.2`` at
+    ``lam`` = 2, Lanczos against LAPACK (median of 30, one BLAS thread):
+    1.01 against 0.14 ms on 1-D Dirichlet at n = 64, 1.86 against 0.43 ms
+    at n = 128, 2.68 against 1.01 ms at n = 192, and 1.68 against 0.44 ms
+    (Neumann) and 1.31 against 0.43 ms (periodic) at n = 128.  The diagonal
+    is shifted by ``max(0, -min) + 1`` to make it positive, so a positive
+    eigenvector belongs to the spectral radius: the constant start is
     returned when it is one to rounding, as Lanczos would restart from a
     random vector.  Otherwise the vector is scaled to sup 1 at a positive
-    entry; None when Lanczos does not converge or the vector has a
-    substantive negative entry.  It is the exact route's eigenfunction for a
-    separable weight and Arnoldi's start for any other.
+    entry; None when the solver fails or the vector has a substantive
+    negative entry.  It is the exact route's eigenfunction for a separable
+    weight and Arnoldi's start for any other.
     """
-    # imported here: loading scipy.sparse.linalg would slow ``import perispec``
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
-
     diag = -op.b + lam * m_hat
     diag = diag + (max(0.0, -float(diag.min())) + 1.0)
 
@@ -183,11 +191,21 @@ def _frozen_perron(op: DispersalOperator, m_hat: np.ndarray, lam: float) -> np.n
     image = matvec(start)
     if float(image.max() - image.min()) <= 16 * np.finfo(float).eps * float(image.max()):
         return start
-    try:
-        _, vecs = eigsh(LinearOperator((op.n, op.n), matvec=matvec, dtype=float), k=1,
-                        which="LA", v0=start, tol=0)
-    except ArpackError:
-        return None
+    if op.n < _KRYLOV_MIN_N:
+        # imported here: loading scipy.linalg would slow ``import perispec``
+        from scipy.linalg import LinAlgError, eigh
+        try:
+            _, vecs = eigh(op.K + np.diag(diag), subset_by_index=[op.n - 1, op.n - 1])
+        except LinAlgError:
+            return None
+    else:
+        # imported here: loading scipy.sparse.linalg would slow ``import perispec``
+        from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+        try:
+            _, vecs = eigsh(LinearOperator((op.n, op.n), matvec=matvec, dtype=float), k=1,
+                            which="LA", v0=start, tol=0)
+        except ArpackError:
+            return None
     v = vecs[:, 0]
     v = v / v[int(np.argmax(np.abs(v)))]
     if float(v.min()) < -CLAMP_TOL:
@@ -428,10 +446,11 @@ def principal_spectrum_point(op: DispersalOperator, weight: Weight, lam: float,
     the module docstring).  On the exact route ``iterations``, ``n_steps``
     and ``time_error`` read 0 and ``residual`` is the frozen generator's
     eigen-residual.  Otherwise ``mu`` is the two-level value at ``n_steps``
-    (rounded up to a multiple of 4; the ladder's choice when None) with its
-    time bar, ``iterations`` counts every level's map applications (Arnoldi's
-    and the finest level's residual), and the eigenfunction and the relative
-    residual ``|M phi - r phi| / r`` are the finest map's.
+    (rounded up to a multiple of 4 and raised to ``LADDER_MIN_STEPS``; the
+    ladder's choice when None) with its time bar, ``iterations`` counts every
+    level's map applications (Arnoldi's and the finest level's residual), and
+    the eigenfunction and the relative residual ``|M phi - r phi| / r`` are
+    the finest map's.
     """
     summary = summarize(weight, op.grid)
     m_hat = summary.m_hat
@@ -444,7 +463,7 @@ def principal_spectrum_point(op: DispersalOperator, weight: Weight, lam: float,
         n_steps = LADDER_MIN_STEPS
         cap = 1 << (default_n_steps(weight.period, lam, summary.sup_abs) - 1).bit_length()
     else:
-        n_steps += -n_steps % 4
+        n_steps = max(LADDER_MIN_STEPS, n_steps + -n_steps % 4)
         cap = n_steps
     order = 4 if op.exact_dispersal else 3
     start = None

@@ -17,7 +17,9 @@ lattice and the weight's structure (separable ``m1(x) + m2(t)``,
 space-independent) from rows that no oscillation in time can alias; the
 other functionals are views of its ``WeightSummary``.  The
 summary is kept on the weight, once per grid, so every spectrum point, root
-search and orbit of one weight reads the same one.
+search and orbit of one weight reads the same one.  Other lam-independent
+tables of the weight on a grid (the stepper's half-step sums) are kept beside
+it by ``kept_table``.
 """
 
 from __future__ import annotations
@@ -116,8 +118,9 @@ class Weight:
     expr: str | None = None
     samples: np.ndarray | None = None  # (n_time_lattice, n_nodes)
     s1_data: S1Data | None = None
-    # ``summarize``'s results by id(grid); ``replace`` starts afresh
-    _summaries: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # (grid, {key: table}) by id(grid): ``summarize``'s result and
+    # ``kept_table``'s tables; ``replace`` starts afresh
+    _tables: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __eq__(self, other):
         # the generated ``__eq__`` compares ``samples`` inside a tuple, which
@@ -274,14 +277,21 @@ class WeightSummary:
 _SUMMARY_LOCK = threading.Lock()
 
 
+def _grid_tables(weight: Weight, grid: Grid) -> dict:
+    """The weight's kept tables on ``grid``; the caller holds ``_SUMMARY_LOCK``.
+    They are kept with the grid, so the key's grid id cannot be reused while
+    the entry lives."""
+    return weight._tables.setdefault(id(grid), (grid, {}))[1]
+
+
 def summarize(weight: Weight, grid: Grid) -> WeightSummary:
     """The lam-independent data of ``weight`` on ``grid``, built once per grid:
-    kept on the weight with the grid, so the key's grid id cannot be reused while
-    the entry lives, and built under a lock, so threads asking at once share it."""
-    key = id(grid)
+    kept on the weight with the grid, and built under a lock, so threads asking
+    at once share it."""
     with _SUMMARY_LOCK:
-        if key in weight._summaries:
-            return weight._summaries[key][1]
+        tables = _grid_tables(weight, grid)
+        if "summary" in tables:
+            return tables["summary"]
         table = _time_lattice(weight, grid)
         coeff = np.ones(N_TIME + 1)
         coeff[0] = coeff[-1] = 0.5
@@ -314,8 +324,19 @@ def summarize(weight: Weight, grid: Grid) -> WeightSummary:
             space_independent=space_independent,
             separable=separable,
         )
-        weight._summaries[key] = (grid, summary)
+        tables["summary"] = summary
     return summary
+
+
+def kept_table(weight: Weight, grid: Grid, key, build) -> np.ndarray:
+    """``build()``, a lam-independent table of ``weight`` on ``grid``, built
+    once per ``key`` under ``summarize``'s lock and kept read-only beside the
+    grid's summary."""
+    with _SUMMARY_LOCK:
+        tables = _grid_tables(weight, grid)
+        if key not in tables:
+            tables[key] = _frozen(build())
+        return tables[key]
 
 
 def time_average(weight: Weight, grid: Grid) -> np.ndarray:

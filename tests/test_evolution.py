@@ -424,6 +424,39 @@ def stage_scheme_strang(op, w, lam, u, t0, t1, n_steps, taylor=False):
     return u
 
 
+@pytest.mark.parametrize("sampled", [False, True], ids=["closed-form", "sampled"])
+def test_half_step_sums_are_built_once_per_step_count(sampled, monkeypatch):
+    # the lam-independent sums are kept with the weight: another coupling on
+    # the same interval and step count evaluates no weight, another step
+    # count does, and every exponent has the bits of the formula scaled by
+    # lam in one go
+    op = make_op(Boundary.NEUMANN, n=12)
+    w = closed_form("sin(2*pi*t/T + 0.4) + cos(2*pi*(x - t/T)) - 0.2", 1.3)
+    if sampled:
+        w = from_samples(w.table(np.arange(9) * (1.3 / 9), op.grid), 1.3)
+    built = []
+    for name in ("table", "antiderivative"):
+        original = getattr(Weight, name)
+
+        def counting(self, times, grid, original=original):
+            built.append(len(times))
+            return original(self, times, grid)
+        monkeypatch.setattr(Weight, name, counting)
+    got = {(lam, n): evolution._half_steps(op, w, lam, 0.0, 1.3, n)
+           for n in (16, 32) for lam in (1.7, -0.3, 1.7)}
+    assert built == [33, 65]
+    monkeypatch.undo()
+    for (lam, n), z in got.items():
+        h = 1.3 / n
+        times = np.arange(2 * n + 1) * (0.5 * h)
+        if sampled:
+            direct = lam * np.diff(w.antiderivative(times, op.grid), axis=0)
+        else:
+            m = w.table(times, op.grid)
+            direct = (0.25 * h * lam) * (m[:-1] + m[1:])
+        assert np.array_equal(z, direct)
+
+
 @pytest.mark.parametrize("t0, t1, n_steps", [(0.0, 1.3, 16), (0.35, 2.9, 11), (-0.4, 0.5, 3)])
 def test_sampled_half_steps_integrate_the_interpolant_exactly(t0, t1, n_steps):
     # 7 sample times, and half steps that miss them: each exponent is lam

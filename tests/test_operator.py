@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from perispec.geometry import Boundary, Grid, build_grid, make_kernel, wrap_kernel
-from perispec.operator import _FACTOR_CACHE, Problem, apply_generator, assemble
+import perispec.operator
+from perispec.operator import _RUNG_FACTORS, Problem, apply_generator, assemble
 from perispec.weights import WeightExprError, closed_form, sample_closed_form
 
 
@@ -425,20 +426,33 @@ def test_no_dispersal_factor_outlives_its_operator():
     assert all(ref() is None for ref in refs)
 
 
-def test_dispersal_factors_kept_are_the_most_recent_step_sizes():
+def test_dispersal_factors_kept_are_the_most_recent_step_sizes(monkeypatch):
+    # the cache holds what fits in its byte bound, the oldest out first, and
+    # never fewer than one rung's three factors
     op = Problem(Boundary.NEUMANN, (1.0,), "parabolic", 0.5, closed_form("0", 1.0)).at(16)[0]
-    sizes = [1.0 / k for k in (8, 16, 24, 32, 40)]
+    factor_bytes = 16 * 16 * 8
+    sizes = [1.0 / k for k in (8, 16, 24, 32, 40, 48)]
+    # the default bound holds every one of them at this size
     factors = [op.dispersal_factor(h) for h in sizes]
-    assert list(op._factors) == sizes[-_FACTOR_CACHE:]
-    assert op.dispersal_factor(sizes[-1]) is factors[-1]
+    assert list(op._factors) == sizes
+    assert op.dispersal_factor(sizes[0]) is factors[0]
+    op = dataclasses.replace(op, left=None)
     # a copy of the operator starts with no factors of its own
-    assert dataclasses.replace(op, left=None)._factors == {}
+    assert op._factors == {}
+    monkeypatch.setattr(perispec.operator, "_FACTOR_BYTES", 4 * factor_bytes)
+    factors = [op.dispersal_factor(h) for h in sizes[:5]]
+    assert list(op._factors) == sizes[1:5]
+    assert op.dispersal_factor(sizes[4]) is factors[4]
+    # a bound below one factor still keeps the rung's three
+    monkeypatch.setattr(perispec.operator, "_FACTOR_BYTES", factor_bytes // 2)
+    op.dispersal_factor(sizes[5])
+    assert list(op._factors) == sizes[3:] and _RUNG_FACTORS == 3
 
 
-def test_concurrent_factor_requests_share_one_cache():
+def test_concurrent_factor_requests_share_one_cache(monkeypatch):
     # more threads than cores ask for six step sizes at once, with a short
     # switch interval: each answer equals the serially built factor, and the
-    # cache keeps its bound of three
+    # cache keeps its byte bound of four factors
     def make():
         return Problem(Boundary.DIRICHLET, (1.0,), "parabolic", 1.0,
                        closed_form("0", 1.0)).at(24)[0]
@@ -446,6 +460,7 @@ def test_concurrent_factor_requests_share_one_cache():
     serial = make()
     reference = {h: np.array(serial.dispersal_factor(h)) for h in sizes}
     op = make()
+    monkeypatch.setattr(perispec.operator, "_FACTOR_BYTES", 4 * 24 * 24 * 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -455,5 +470,5 @@ def test_concurrent_factor_requests_share_one_cache():
         sys.setswitchinterval(interval)
     assert len(got) == 120
     assert all(np.array_equal(E, reference[h]) for h, E in got)
-    assert len(op._factors) <= _FACTOR_CACHE
+    assert len(op._factors) <= 4
 

@@ -337,6 +337,16 @@ def test_time_bar_covers_the_value_at_2048_steps(case):
     assert abs(fixed.mu_n - reference) <= fixed.time_error
 
 
+def test_a_callers_small_step_count_gets_a_bar_that_covers():
+    # 16 steps would make the coarsest level 4 steps, whose bar read 3.8e-9
+    # against an error of 2.4e-8 here; the count is raised to the ladder's
+    # first rung
+    op, w, lam, _, reference = bar_case("dirichlet-128-shifted")
+    rep = principal_spectrum_point(op, w, lam, n_steps=16)
+    assert rep.n_steps == LADDER_MIN_STEPS
+    assert abs(rep.mu_n - reference) <= rep.time_error
+
+
 @pytest.mark.parametrize("case, order", [
     ("travelling-wave-128", 4), ("dirichlet-128", 4), ("sampled-24x24-0.25", 3),
 ])
@@ -358,8 +368,9 @@ def test_ladder_stops_at_the_default_step_count_rounded_to_a_power_of_two(monkey
     assert principal_spectrum_point(op, w, 13.77).n_steps == 256
 
 
-@pytest.mark.parametrize("n_steps, finest", [(1, 4), (66, 68), (64, 64)])
+@pytest.mark.parametrize("n_steps, finest", [(1, 32), (66, 68), (64, 64)])
 def test_a_callers_step_count_rounds_up_to_a_multiple_of_four(n_steps, finest, monkeypatch):
+    # and is raised to LADDER_MIN_STEPS
     op = make_op(Boundary.DIRICHLET, n=16)
     w = closed_form(NONSEPARABLE_1D, 1.0)
     steps = []
@@ -452,6 +463,25 @@ def test_root_search_at_one_step_count_builds_each_factor_once(monkeypatch):
     stepped = [rep for rep in reports if rep.lam != 0.0]
     assert len(stepped) > 5 and {rep.n_steps for rep in stepped} == {32}
     assert sizes == [1.0 / 8, 1.0 / 16, 1.0 / 32]
+
+
+def test_travelling_wave_root_search_builds_each_factor_once(monkeypatch):
+    # its couplings climb the ladder to 64 or 128 steps, touching 5 step
+    # sizes in turn; a cache of three factors rebuilt them on every coupling
+    # (37 builds)
+    sizes = count_factor_builds(monkeypatch)
+    reports = []
+    original = perispec.weighted_solver.principal_spectrum_point
+
+    def recording(*args):
+        reports.append(original(*args))
+        return reports[-1]
+    monkeypatch.setattr(perispec.weighted_solver, "principal_spectrum_point", recording)
+    op, w = BAR_CASES["travelling-wave-128"][0]()
+    res = solve_lambda_p(op, w)
+    assert res.status == "unique_root"
+    assert max(rep.n_steps for rep in reports) == 128
+    assert sorted(sizes, reverse=True) == [1.0 / k for k in (8, 16, 32, 64, 128)]
 
 
 # ----------------------------------------- matrix-free exact and Arnoldi routes
@@ -740,6 +770,74 @@ def test_formed_route_starts_both_levels_from_the_constant_field(make, expr, mon
     solves = record_krylov(monkeypatch)
     principal_spectrum_point(op, w, 1.0)
     assert len(solves) >= 3 and all(start is None for start, _ in solves)
+
+
+def lanczos_perron(op, m_hat, lam):
+    """The frozen generator's Perron vector by Lanczos on vectors, scaled to
+    sup 1: the solver ``_frozen_perron`` uses from the crossover on."""
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    diag = -op.b + lam * m_hat
+    diag = diag + (max(0.0, -float(diag.min())) + 1.0)
+    gen = LinearOperator((op.n, op.n), matvec=lambda v: op.matvec(v.ravel()) + diag * v.ravel(),
+                         dtype=float)
+    _, vecs = eigsh(gen, k=1, which="LA", v0=np.ones(op.n), tol=0)
+    v = vecs[:, 0]
+    return v / v[int(np.argmax(np.abs(v)))]
+
+
+# below the crossover the frozen generator is solved densely by LAPACK
+DENSE_FROZEN_CASES = [
+    *(pytest.param(lambda b=boundary, n=n: make_op(b, n=n, r=0.5), STANDARD_WEIGHT,
+                   id=f"{boundary.value}-{n}")
+      for boundary in Boundary for n in (64, 128)),
+    pytest.param(lambda: make_op_2d(12), SEPARABLE_2D, id="neumann-12x12"),
+]
+
+
+@pytest.mark.parametrize("make, expr", DENSE_FROZEN_CASES)
+def test_dense_frozen_solve_matches_lanczos(make, expr, monkeypatch):
+    # the exact route never calls Lanczos below the crossover, and LAPACK's
+    # vector is Lanczos's to 1e-10
+    import scipy.sparse.linalg
+
+    op = make()
+    assert op.n < perispec.spectrum._KRYLOV_MIN_N
+    w = closed_form(expr, 1.0)
+    m_hat = time_average(w, op.grid)
+    for lam in (0.5, 2.0):
+        with monkeypatch.context() as mp:
+            def refuse(*args, **kwargs):
+                raise AssertionError("Lanczos ran below the crossover")
+            mp.setattr(scipy.sparse.linalg, "eigsh", refuse)
+            forbid_time_stepping(mp)
+            rep = principal_spectrum_point(op, w, lam)
+        assert_is_the_frozen_point(rep, op, w, lam)
+        np.testing.assert_allclose(rep.eigenfunction, lanczos_perron(op, m_hat, lam),
+                                   rtol=0, atol=1e-10)
+        auto = autonomous_spectrum_point(op, m_hat, lam)
+        assert auto.mu_n == rep.mu_n
+
+
+def sign_changing_eigh(a, **kwargs):
+    return np.ones(1), np.where(np.arange(len(a)) % 2, -0.5, 1.0)[:, None]
+
+
+def failing_eigh(a, **kwargs):
+    raise scipy.linalg.LinAlgError("no convergence")
+
+
+@pytest.mark.parametrize("eigh", [sign_changing_eigh, failing_eigh],
+                         ids=["sign-changing", "lapack-error"])
+def test_failed_dense_frozen_solve_takes_the_time_stepped_route(eigh, monkeypatch):
+    op = make_op(Boundary.DIRICHLET, n=64)
+    w = closed_form(STANDARD_WEIGHT, 1.0)
+    exact = principal_spectrum_point(op, w, 1.0)
+    monkeypatch.setattr(scipy.linalg, "eigh", eigh)
+    assert perispec.spectrum._frozen_perron(op, time_average(w, op.grid), 1.0) is None
+    rep = principal_spectrum_point(op, w, 1.0)
+    assert rep.iterations > 0 and rep.n_steps >= LADDER_MIN_STEPS
+    assert rep.mu_n == pytest.approx(exact.mu_n, abs=rep.time_error + 1e-12)
 
 
 def test_start_vector_at_zero_coupling_on_neumann_is_constant():
