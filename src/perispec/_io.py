@@ -8,7 +8,10 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
+
+import numpy as np
 
 CSV_SCHEMA = "# perispec-csv v1"
 
@@ -34,25 +37,28 @@ def write_csv(path, columns, rows) -> None:
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
-def _json_default(obj):
-    import numpy as np
-
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
+def _clean(obj):
+    """Make a structure JSON-safe: tuples to lists, numpy scalars to Python
+    ones, non-finite floats to strings."""
+    if isinstance(obj, dict):
+        return {k: _clean(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_clean(v) for v in obj]
+    if isinstance(obj, (np.floating, float)):
+        v = float(obj)
+        return v if math.isfinite(v) else format(v, "g")
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.bool_,)):
+    if isinstance(obj, np.bool_):
         return bool(obj)
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
+    return obj
 
 
 def write_json(path, obj) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(_clean(obj), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

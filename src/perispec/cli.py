@@ -25,12 +25,9 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-
-import numpy as np
 
 from ._io import fmt, write_csv, write_json, write_text
 from .evolution import UnstableStepError
@@ -211,22 +208,6 @@ def _config_echo(cp):
     return {name: dict(sorted(cp[name].items())) for name in sorted(cp.sections())}
 
 
-def _clean(obj):
-    """Make a structure JSON-safe: tuples to lists, non-finite floats to strings."""
-    if isinstance(obj, dict):
-        return {k: _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return v if math.isfinite(v) else format(v, "g")
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
-
-
 # From this many cells per axis on, a 2-D sweep spreads its entries over
 # worker threads; below it they run one after another.  A 2-D vector period
 # is hundreds of numpy calls of 1-10 us each, and two threads that pass the
@@ -251,24 +232,6 @@ def _map_ordered(fn, items, threads, grid):
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
-
-
-def _resolve_threads(arg):
-    if arg is not None:
-        value = arg
-    else:
-        raw = os.environ.get("PERISPEC_THREADS", "").strip()
-        if raw:
-            try:
-                value = int(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"PERISPEC_THREADS = {raw!r} is not an integer") from None
-        else:
-            value = 1
-    if value < 1:
-        raise ConfigError("thread count must be >= 1")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +338,7 @@ def _task_spectrum(cp, op, weight, outdir, threads):
              "s_conditions": {"s1": s.s1, "s2": s.s2, "s3": s.s3}}
             for rep, s in points],
     }
-    write_json(outdir / "summary.json", _clean(summary))
+    write_json(outdir / "summary.json", summary)
 
     lines = ["principal spectrum points", ""]
     for rep, _ in points:
@@ -396,7 +359,7 @@ def _task_lambda_p(cp, op, weight, outdir, threads):
                "result": _root_dict(res)}
     if pe is not None:
         summary["principal_eigenvalue"] = _pe_dict(pe)
-    write_json(outdir / "summary.json", _clean(summary))
+    write_json(outdir / "summary.json", summary)
 
     lines = ["weighted threshold problem", ""] + _root_report_lines(res)
     if pe is not None:
@@ -422,7 +385,7 @@ def _task_upper_bound(cp, op, weight, outdir, threads):
         "bound_holds": out.bound_holds,
         "slack": out.slack,
     }
-    write_json(outdir / "summary.json", _clean(summary))
+    write_json(outdir / "summary.json", summary)
 
     lines = ["time-averaging upper bound", "", "time-dependent problem:"]
     lines += ["  " + ln for ln in _root_report_lines(out.time_dependent)]
@@ -484,7 +447,7 @@ def _task_kpp_scan(cp, op, weight, outdir, threads):
         "monotone": scan.monotone,
         "consistent_with_root": scan.consistent_with_root,
     }
-    write_json(outdir / "summary.json", _clean(summary))
+    write_json(outdir / "summary.json", summary)
 
     lines = ["persistence scan", ""]
     for o in scan.orbits:
@@ -532,7 +495,7 @@ def _task_validate(cp, outdir):
         "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
                    for r in results],
     }
-    write_json(outdir / "summary.json", _clean(summary))
+    write_json(outdir / "summary.json", summary)
     lines = ["self-check battery", ""]
     for r in results:
         lines.append(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}")
@@ -555,17 +518,18 @@ def main(argv=None) -> int:
     parser.add_argument("config", nargs="?",
                         help="INI config file (optional for 'validate')")
     parser.add_argument("--output-dir", default=".", help="where to write results")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=int, default=1,
                         help="up to N worker threads over the spectrum and kpp_scan "
                              "entries; 2-D grids below "
                              f"{_THREADED_2D_MIN_N} cells per axis run them one at a "
-                             "time (default: PERISPEC_THREADS or 1)")
+                             "time (default: 1)")
     parser.add_argument("--verbose", action="store_true",
                         help="echo the report to stdout")
     args = parser.parse_args(argv)
 
     try:
-        threads = _resolve_threads(args.threads)
+        if args.threads < 1:
+            raise ConfigError("thread count must be >= 1")
         outdir = Path(args.output_dir)
         outdir.mkdir(parents=True, exist_ok=True)
         cp = None
@@ -581,7 +545,7 @@ def main(argv=None) -> int:
             handler = {"spectrum": _task_spectrum, "lambda_p": _task_lambda_p,
                        "upper_bound": _task_upper_bound,
                        "kpp_scan": _task_kpp_scan}[args.task]
-            code, message = handler(cp, op, weight, outdir, threads)
+            code, message = handler(cp, op, weight, outdir, args.threads)
     except ConfigError as exc:
         print(f"perispec: config error: {exc}", file=sys.stderr)
         return 2

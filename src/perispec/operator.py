@@ -262,10 +262,6 @@ class DispersalOperator:
             return out
         return disperse
 
-    def weighted_inner(self, u, v) -> float:
-        """Quadrature inner product; ``K`` is self-adjoint in it."""
-        return float(np.dot(self.grid.quad_weights * np.asarray(u), np.asarray(v)))
-
 
 def assemble(kernel: Kernel | WrappedKernel, grid: Grid) -> DispersalOperator:
     """Assemble the dense operator for ``kernel`` on ``grid``."""
@@ -369,10 +365,3 @@ class Problem:
         op = assemble(kernel, grid)
         summarize(self.weight, grid)
         return op, self.weight
-
-
-def apply_generator(op: DispersalOperator, weight: Weight, lam: float, t: float, u: np.ndarray) -> np.ndarray:
-    """Apply ``K u - b u + lam * m(t, .) u`` to a field ``u``."""
-    u = np.asarray(u, dtype=float)
-    m = weight.evaluate(t, op.grid)
-    return op.matvec(u) - op.b * u + lam * m * u

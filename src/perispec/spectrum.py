@@ -31,19 +31,18 @@ problem and ``lam``, never an earlier coupling, so a point is the same bits
 whatever ran before it and in whatever thread.
 
 Each level is one Arnoldi solve (ARPACK via ``scipy.sparse.linalg.eigs``) for
-the Perron root of its map; only the map's form follows the grid size ``n``.
-Below ``_KRYLOV_MIN_N`` = 192 nodes Arnoldi applies the formed ``n x n`` map
-(one ``period_map`` call per level), and every level starts from the
-constant field.  From 192 nodes on it applies vector periods: the coarsest
-level starts from the time-averaged generator's Perron vector (from the
-constant field when that Lanczos solve has failed), and each finer level from
-the level below's Perron vector, which is only a splitting error away from
-its own.  On a sampled 2-D Neumann weight at 24x24, whose top two eigenvalues
-are close, that took the finer of two levels from 32-42 map applications to
-22-32 at ``lam`` = 0.25 to 2.  The eigenfunction, the residual and so the
-verdict come from the finest level's map, and only that level spends an
-application on its residual.  Every map is nonnegative by construction, so
-no entry is checked.
+the Perron root of its map, and every level starts by one rule: the coarsest
+from the time-averaged generator's Perron vector (from the constant field
+when that solve has failed), each finer one from the level below's Perron
+vector, which is only a splitting error away from its own.  On a sampled 2-D
+Neumann weight at 24x24, whose top two eigenvalues are close, the chained
+start took the finer of two levels from 32-42 map applications to 22-32 at
+``lam`` = 0.25 to 2.  Only the map's form follows the grid size ``n``: below
+``_KRYLOV_MIN_N`` = 192 nodes Arnoldi applies the formed ``n x n`` map (one
+``period_map`` call per level), from 192 nodes on vector periods.  The
+eigenfunction, the residual and so the verdict come from the finest level's
+map, and only that level spends an application on its residual.  Every map
+is nonnegative by construction, so no entry is checked.
 Every product of ``K`` with a vector here (Lanczos, the vector periods, the
 frozen generator's image) goes through ``op.matvec`` or ``op.dispersal``,
 which in 2-D read the factored kernel stencil instead of the dense ``K`` from
@@ -100,16 +99,16 @@ TIME_TOL = 1e-6
 LADDER_MIN_STEPS = 32
 CLAMP_TOL = 1e-12  # rounding-level negatives of a Perron vector, clamped to zero
 # From this many nodes on, a weight off the exact route applies vector
-# periods instead of the formed map.  Summed over lam = 0.25, 0.5, 1, 2, 4 on
-# non-separable weights (parabolic kernel, 64 steps, so levels of 32 and 64,
-# one BLAS thread, median of 3), the formed maps with their Perron solves
-# against vector periods: 1-D Dirichlet (radius 1) n = 160 0.107 s vs
-# 0.146 s, n = 192 0.194 s vs 0.169 s, n = 224 0.264 s vs 0.188 s, n = 256
-# 0.368 s vs 0.275 s; 1-D Neumann (radius 0.5) n = 192 0.161 s vs 0.149 s,
-# n = 224 0.241 s vs 0.191 s; 2-D Neumann (radius 0.5) n = 144 0.067 s vs
-# 0.066 s, n = 196 0.153 s vs 0.101 s.  With RK4 the two broke even near 256
-# nodes; a split step costs one product with the map's factor where RK4 took
-# four, which helps the vector periods more.
+# periods instead of the formed map.  Both forms take the same applications
+# from the same starts.  Five non-separable points (lam = 0.5 to 8, parabolic
+# kernel, the ladder's step counts, one BLAS thread, median of 5 runs), formed
+# maps against vector periods in two rounds, in ms: 1-D Dirichlet (radius 1)
+# n = 32 10/11 vs 21/23, n = 64 15/16 vs 26/26, n = 128 42/53 vs 44/55,
+# n = 160 69/75 vs 63/93, n = 192 110/173 vs 85/130, n = 256 239/255 vs
+# 143/153; 1-D Neumann (radius 0.5) n = 160 74/86 vs 55/80, n = 192 113/144
+# vs 80/80; 2-D Neumann (radius 0.5) 10x10 37/25 vs 37/39, 12x12 67/58 vs
+# 52/49, 14x14 111/117 vs 71/78.  From 192 nodes on every run put vector
+# periods ahead.
 _KRYLOV_MIN_N = 192
 
 
@@ -425,13 +424,11 @@ def _check_s1(weight: Weight, op: DispersalOperator, lam: float, m_hat: np.ndarr
 
 def _stepped_perron(op: DispersalOperator, weight: Weight, lam: float, n_steps: int,
                     start: np.ndarray | None = None):
-    """(ratio, vector, map, applications): ``_krylov_perron`` of the period
-    map at ``n_steps`` and the map it applied, the formed map below
-    ``_KRYLOV_MIN_N`` nodes (from the constant field, whatever ``start``),
-    vector periods from ``start`` otherwise."""
+    """(ratio, vector, map, applications): ``_krylov_perron`` from ``start``
+    of the period map at ``n_steps``, and the map it applied: the formed map
+    below ``_KRYLOV_MIN_N`` nodes, vector periods from there on."""
     if op.n < _KRYLOV_MIN_N:
         apply = period_map(op, weight, lam, n_steps=n_steps).matrix.__matmul__
-        start = None
     else:
         apply = period_action(op, weight, lam, n_steps)
     ratio, phi, count = _krylov_perron(apply, op.n, start)
@@ -466,9 +463,8 @@ def principal_spectrum_point(op: DispersalOperator, weight: Weight, lam: float,
         n_steps = max(LADDER_MIN_STEPS, n_steps + -n_steps % 4)
         cap = n_steps
     order = 4 if op.exact_dispersal else 3
-    start = None
-    if op.n >= _KRYLOV_MIN_N and not exact:
-        start = _frozen_perron(op, m_hat, lam)
+    # an exact point is here only because its frozen solve failed
+    start = None if exact else _frozen_perron(op, m_hat, lam)
     steps = n_steps // 4
     logs, two = [], []
     iterations = 0
@@ -486,36 +482,6 @@ def principal_spectrum_point(op: DispersalOperator, weight: Weight, lam: float,
         steps *= 2
     return _report(op, lam, -op.b + lam * m_hat, two[-1], phi, _residual(apply, ratio, phi),
                    iterations + 1, bar, steps)
-
-
-def lyapunov_estimate(op: DispersalOperator, weight: Weight, lam: float,
-                      u0=None, n_periods: int = 50, n_steps: int | None = None) -> float:
-    """Average exponential growth rate of a propagated field.
-
-    Propagates the field one period at a time (same discretization as the
-    spectral route, no matrix formed), renormalizing each period and
-    averaging the log increments over the last half of the run: an
-    independent route to ``principal_spectrum_point``'s ``mu``.
-    """
-    if n_periods < 10:
-        raise ValueError("n_periods must be at least 10")
-    if u0 is None:
-        u = np.ones(op.n)
-    else:
-        u = np.asarray(u0, dtype=float)
-        if u.shape != (op.n,) or np.any(u < 0.0) or not np.any(u > 0.0):
-            raise ValueError("u0 must be a nonnegative, nonzero field on the grid")
-        u = u / float(np.abs(u).max())
-    apply = period_action(op, weight, lam, n_steps)
-    increments = np.empty(n_periods)
-    for k in range(n_periods):
-        u = apply(u)
-        nrm = float(np.abs(u).max())
-        if nrm == 0.0:
-            raise PowerIterationError("field vanished during Lyapunov estimation")
-        increments[k] = math.log(nrm)
-        u = u / nrm
-    return float(increments[n_periods // 2:].mean() / weight.period)
 
 
 def _frozen_point(op: DispersalOperator, m_field: np.ndarray,

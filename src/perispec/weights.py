@@ -251,12 +251,6 @@ def from_samples(samples, period: float) -> Weight:
     return Weight(float(period), samples=_frozen(samples))
 
 
-def sample_closed_form(weight: Weight, grid: Grid, n_samples: int) -> Weight:
-    """Discretize a closed-form weight onto a uniform lattice of ``n_samples`` times."""
-    times = np.arange(n_samples) * (weight.period / n_samples)
-    return from_samples(weight.table(times, grid), weight.period)
-
-
 def _time_lattice(weight: Weight, grid: Grid) -> np.ndarray:
     """The ``(N_TIME + 1, n)`` values at the times ``0..T`` of the lattice, ends included."""
     return weight.table(np.arange(N_TIME + 1) * (weight.period / N_TIME), grid)
@@ -425,20 +419,6 @@ def check_conditions(weight: Weight, grid: Grid) -> ConditionReport:
 _CSV_ROW = np.dtype([("t_index", np.int64), ("node_index", np.int64), ("value", float)])
 
 
-def save_sampled_csv(weight: Weight, path) -> None:
-    """Write a sampled weight as (t_index, node_index, value) rows."""
-    if weight.samples is None:
-        raise ValueError("only sampled weights serialize to CSV; closed forms go in the config")
-    from ._io import write_csv
-
-    rows = (
-        (ti, ni, float(weight.samples[ti, ni]))
-        for ti in range(weight.samples.shape[0])
-        for ni in range(weight.samples.shape[1])
-    )
-    write_csv(path, list(_CSV_ROW.names), rows)
-
-
 def _content_line(fh) -> str | None:
     """The next line of ``fh`` that is neither blank nor a ``#`` comment."""
     for line in iter(fh.readline, ""):
@@ -448,7 +428,7 @@ def _content_line(fh) -> str | None:
 
 
 def load_sampled_csv(path, period: float) -> Weight:
-    """Read a sampled weight written by ``save_sampled_csv``."""
+    """Read a sampled weight from (t_index, node_index, value) rows."""
     with open(path) as fh:
         header = _content_line(fh)
         if header is None:

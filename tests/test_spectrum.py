@@ -30,13 +30,13 @@ from perispec.spectrum import (
     classify_principal_eigenvalue,
     essential_interval,
     localization_width,
-    lyapunov_estimate,
     principal_spectrum_point,
     refinement_diagnostics,
 )
 from perispec.weighted_solver import solve_lambda_p
-from perispec.weights import (S1Data, closed_form, sample_closed_form, summarize, sup_abs,
-                              time_average)
+from perispec.weights import S1Data, closed_form, summarize, sup_abs, time_average
+
+from oracles import lyapunov_estimate, sample_closed_form
 
 
 def make_op(boundary, n=32, r=1.0):
@@ -541,14 +541,16 @@ def test_separable_route_matches_dense_power_iteration(boundary, n, monkeypatch)
 
 
 def test_failed_frozen_solve_below_the_crossover_takes_the_dense_route(monkeypatch):
-    # the formed map, with Arnoldi from the constant field
+    # the formed map: the coarsest level's Arnoldi from the constant field,
+    # each finer one from the vector below
     op = make_op(Boundary.DIRICHLET, n=64)
     w = closed_form(STANDARD_WEIGHT, 1.0)
     solves = record_krylov(monkeypatch)
     monkeypatch.setattr(perispec.spectrum, "_frozen_perron", lambda *args: None)
     forbid_vector_periods(monkeypatch)
     rep = principal_spectrum_point(op, w, 1.0)
-    assert len(solves) >= 3 and all(start is None for start, _ in solves)
+    assert len(solves) >= 3 and solves[0][0] is None
+    assert_chained(solves)
     assert rep.iterations > 4
     assert_matches_the_oracle(rep, lapack_point(op, w, 1.0, rep.n_steps), 1e-10, 1e-9)
 
@@ -763,13 +765,18 @@ def test_finer_level_starts_from_the_coarser_levels_perron_vector(make, expr, la
     pytest.param(lambda: make_op(Boundary.DIRICHLET, n=64), NONSEPARABLE_1D, id="dirichlet-64"),
     pytest.param(lambda: make_op_2d(8), NONSEPARABLE_2D, id="neumann-8x8"),
 ])
-def test_formed_route_starts_both_levels_from_the_constant_field(make, expr, monkeypatch):
+def test_formed_route_chains_its_levels_from_the_frozen_start(make, expr, monkeypatch):
+    # the start rule of vector periods: the coarsest level from the frozen
+    # generator's Perron vector, each finer one from the vector below
     op = make()
     w = closed_form(expr, 1.0)
+    frozen = perispec.spectrum._frozen_perron(op, time_average(w, op.grid), 1.0)
     forbid_vector_periods(monkeypatch)
     solves = record_krylov(monkeypatch)
     principal_spectrum_point(op, w, 1.0)
-    assert len(solves) >= 3 and all(start is None for start, _ in solves)
+    assert len(solves) >= 3
+    np.testing.assert_array_equal(solves[0][0], frozen)
+    assert_chained(solves)
 
 
 def lanczos_perron(op, m_hat, lam):
@@ -981,19 +988,6 @@ def test_lyapunov_estimate_iterates_the_formed_map():
     mu_lyap = lyapunov_estimate(op, w, 1.0)
     assert mu_lyap == pytest.approx(float(np.mean(logs[25:])), abs=1e-12)
     assert abs(rep.mu_n - mu_lyap) < 1e-3
-
-
-def test_lyapunov_validates_inputs():
-    op = make_op(Boundary.DIRICHLET, n=8)
-    w = closed_form("0", 1.0)
-    with pytest.raises(ValueError):
-        lyapunov_estimate(op, w, 0.0, n_periods=5)
-    with pytest.raises(ValueError):
-        lyapunov_estimate(op, w, 0.0, u0=np.ones(3))
-    with pytest.raises(ValueError):
-        lyapunov_estimate(op, w, 0.0, u0=-np.ones(op.n))
-    with pytest.raises(ValueError):
-        lyapunov_estimate(op, w, 0.0, u0=np.zeros(op.n))
 
 
 # --------------------------------------------------------- envelope interval

@@ -21,13 +21,13 @@ from perispec.weights import (
     from_samples,
     load_sampled_csv,
     p_functional,
-    sample_closed_form,
-    save_sampled_csv,
     space_independent,
     sup_abs,
     summarize,
     time_average,
 )
+
+from oracles import sample_closed_form, save_sampled_csv
 
 
 @pytest.fixture
@@ -244,12 +244,6 @@ def test_csv_round_trip(tmp_path, grid):
     back = load_sampled_csv(path, 1.5)
     np.testing.assert_allclose(back.samples, w.samples, rtol=0, atol=0)
     assert back.period == 1.5
-
-
-def test_csv_rejects_closed_form(tmp_path):
-    w = closed_form("t", 1.0)
-    with pytest.raises(ValueError):
-        save_sampled_csv(w, tmp_path / "w.csv")
 
 
 def test_csv_load_rejects_partial_lattice(tmp_path):
