@@ -173,11 +173,16 @@ def _frozen_perron(op: DispersalOperator, m_hat: np.ndarray, lam: float) -> np.n
     (Neumann) and 1.31 against 0.43 ms (periodic) at n = 128.  The diagonal
     is shifted by ``max(0, -min) + 1`` to make it positive, so a positive
     eigenvector belongs to the spectral radius: the constant start is
-    returned when it is one to rounding, as Lanczos would restart from a
-    random vector.  Otherwise the vector is scaled to sup 1 at a positive
-    entry; None when the solver fails or the vector has a substantive
-    negative entry.  It is the exact route's eigenfunction for a separable
-    weight and Arnoldi's start for any other.
+    returned when it is one to rounding, its image constant to ``n`` eps
+    relative (a row of ``K`` sums ``n`` products), as Lanczos would restart
+    from a random vector.  A time average that is constant only to rounding
+    needs that slack: on a periodic travelling wave (n = 128, ``lam`` 13.77)
+    the image spreads by 1.2e-14 where 16 eps allows 7.1e-15, and LAPACK
+    spent 0.7 ms per point to return the constant field to 1.3e-14.
+    Otherwise the vector is scaled to sup 1 at a positive entry; None when
+    the solver fails or the vector has a substantive negative entry.  It is
+    the exact route's eigenfunction for a separable weight and Arnoldi's
+    start for any other.
     """
     diag = -op.b + lam * m_hat
     diag = diag + (max(0.0, -float(diag.min())) + 1.0)
@@ -188,7 +193,7 @@ def _frozen_perron(op: DispersalOperator, m_hat: np.ndarray, lam: float) -> np.n
 
     start = np.ones(op.n)
     image = matvec(start)
-    if float(image.max() - image.min()) <= 16 * np.finfo(float).eps * float(image.max()):
+    if float(image.max() - image.min()) <= op.n * np.finfo(float).eps * float(image.max()):
         return start
     if op.n < _KRYLOV_MIN_N:
         # imported here: loading scipy.linalg would slow ``import perispec``

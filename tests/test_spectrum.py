@@ -869,6 +869,25 @@ def test_constant_start_that_is_an_eigenvector_is_the_perron_vector():
         assert start is not None and np.array_equal(start, [1.0, 1.0])
 
 
+@pytest.mark.parametrize("expr", [
+    "cos(2*pi*(x - t/T)) - 0.2",
+    "cos(2*pi*(x - 0.0234375 - t/T)) - 0.2 + 0.5*sin(2*pi*t/T + 1.3)",
+], ids=["wave", "shifted-wave"])
+def test_constant_start_within_rounding_takes_no_solve(expr, monkeypatch):
+    # a travelling wave's time average is constant only to rounding: at
+    # lam = 13.77 the constant field's image spreads by 18 and 30 eps, inside
+    # the n = 128 eps that a row sum of K allows, so no LAPACK solve runs
+    op = make_op(Boundary.PERIODIC, n=128, r=0.5)
+    m_hat = time_average(closed_form(expr, 1.0), op.grid)
+    assert 0.0 < float(m_hat.max() - m_hat.min()) < 1e-14
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK ran on a constant start")
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    start = perispec.spectrum._frozen_perron(op, m_hat, 13.77)
+    assert np.array_equal(start, np.ones(op.n))
+
+
 def test_start_vector_solve_forms_no_matrix():
     import tracemalloc
 
