@@ -771,6 +771,7 @@ def test_formed_route_chains_its_levels_from_the_frozen_start(make, expr, monkey
     op = make()
     w = closed_form(expr, 1.0)
     frozen = perispec.spectrum._frozen_perron(op, time_average(w, op.grid), 1.0)
+    assert frozen is not None
     forbid_vector_periods(monkeypatch)
     solves = record_krylov(monkeypatch)
     principal_spectrum_point(op, w, 1.0)
