@@ -25,16 +25,16 @@ instead was 10 to 30 times further off on closed forms (travelling wave
 
 The second half step of step k and the first of step k + 1 meet between two
 dispersal steps and act as one merged factor, except where a state is
-recorded in between.  So a step costs one product with ``P`` (one GEMM for a
-period map's ``n x n`` state) and one diagonal scaling.  The weight values
-come from one ``Weight.table`` (or ``Weight.antiderivative``) call per
-weight, grid, interval and step count, kept with the weight and scaled by
-``lam`` on each integration.
+recorded in between.  So a step costs one product with ``P`` (one GEMM with
+a formed ``P`` for a period map's ``n x n`` state) and one diagonal
+scaling.  The weight values come from one ``Weight.table`` (or
+``Weight.antiderivative``) call per weight, grid, interval and step count,
+kept with the weight and scaled by ``lam`` on each integration.
 
 The scheme is symmetric, so its error expands in even powers of ``h``:
 ``spectrum`` combines the maps of ``n/4``, ``n/2`` and ``n`` steps into a
 two-level value and its time bar, and picks ``n`` by that bar.  A state is a
-vector or an ``n x m`` block of columns, stepped together.  Every call owns
+vector or an ``n x m`` block of columns.  Every call owns
 its buffers, and ``P`` is read-only, so concurrent calls stay deterministic.
 The flow's one failure is leaving the floating-point range: a diagonal factor
 or the state overflows, and ``UnstableStepError`` says so.

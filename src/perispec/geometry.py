@@ -45,11 +45,6 @@ class Kernel:
     dim: int
     amplitude: float
 
-    @property
-    def continuous(self) -> bool:
-        # The indicator profile jumps at the support edge; the others vanish there.
-        return self.profile != "indicator"
-
     def radial(self, s):
         """Evaluate the radial profile at distances ``s >= 0``."""
         s = np.asarray(s, dtype=float)
@@ -105,10 +100,6 @@ class WrappedKernel:
     def dim(self) -> int:
         return self.base.dim
 
-    @property
-    def continuous(self) -> bool:
-        return self.base.continuous
-
     def evaluate(self, z):
         z = np.asarray(z, dtype=float)
         if self.dim == 1 and (z.ndim == 0 or z.shape[-1] != 1):
@@ -163,9 +154,6 @@ class Grid:
     @property
     def spacing(self) -> tuple[float, ...]:
         return tuple(L / self.n_per_axis for L in self.box)
-
-    def volume(self) -> float:
-        return float(np.prod(self.box))
 
 
 def build_grid(boundary: Boundary, box, n_per_axis: int) -> Grid:

@@ -21,7 +21,8 @@ so the state never turns negative and no undershoot is scrubbed.  ``_kpp_flow`` 
 once per ``lam`` (``sup|m|`` from the weight's summary, the bound check, the
 carrying scale); ``simulate_kpp`` and every orbit period run through it, and
 it builds the reaction tables once per step count, so every Poincare period
-and every linear contraction test of an orbit share them.
+of an orbit shares them.  The linear contraction test is one
+``period_action`` of the orbit's step count, built once per orbit.
 
 The periodic state is found by iterating the period map ``P`` of the
 nonlinear flow from a small positive constant.  Each period is one
@@ -48,8 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import (ORDER_TOL, Trajectory, _half_steps, _integrate, _linear_reaction,
-                        default_n_steps)
+from .evolution import (ORDER_TOL, Trajectory, _half_steps, _integrate, default_n_steps,
+                        period_action)
 from .operator import DispersalOperator
 from .spectrum import PowerIterationError, _stepped_perron
 from .weighted_solver import STATUS_UNIQUE, LambdaPResult, solve_lambda_p
@@ -162,12 +163,10 @@ class Nonlinearity:
 
 
 def _kpp_flow(op: DispersalOperator, weight: Weight, nonlin: Nonlinearity, lam: float):
-    """``(carrying, steps(duration, scale), run(u, t0, t1, n_steps, record_every=None,
-    linear=False))``; each ``run`` guards the ceiling ``10 * scale``,
-    ``scale = max(carrying, max u, 1e-30)``.  With ``linear`` it runs the
-    linearization at zero instead, under the finite-value check alone.  Each
-    flow's reaction, and the dispersal step, are fetched once per
-    ``(t0, t1, n_steps)``."""
+    """``(carrying, steps(duration, scale), run(u, t0, t1, n_steps, record_every=None))``;
+    each ``run`` guards the ceiling ``10 * scale``,
+    ``scale = max(carrying, max u, 1e-30)``.  The reaction, and the dispersal
+    step, are fetched once per ``(t0, t1, n_steps)``."""
     growth_sup = abs(lam) * sup_abs(weight, op.grid)
     carrying = nonlin.carrying_scale(growth_sup)  # raises if crowding cannot bound growth
     reactions = {}
@@ -175,19 +174,18 @@ def _kpp_flow(op: DispersalOperator, weight: Weight, nonlin: Nonlinearity, lam: 
     def steps(duration, scale):
         return default_n_steps(duration, 1.0, growth_sup + nonlin.penalty(scale))
 
-    def run(u, t0, t1, n_steps, record_every=None, linear=False):
+    def run(u, t0, t1, n_steps, record_every=None):
         scale = max(carrying, float(u.max()), 1e-30)
         if n_steps is None:
             n_steps = steps(t1 - t0, scale)
-        key = (t0, t1, n_steps, linear)
+        key = (t0, t1, n_steps)
         if key not in reactions:
             z = _half_steps(op, weight, lam, t0, t1, n_steps)
-            reactions[key] = (_linear_reaction(z) if linear else
-                              nonlin.reaction(z, 0.5 * (t1 - t0) / n_steps),
+            reactions[key] = (nonlin.reaction(z, 0.5 * (t1 - t0) / n_steps),
                               op.dispersal((t1 - t0) / n_steps))
         react, disperse = reactions[key]
         return _integrate(op, weight, lam, u, t0, t1, n_steps, record_every, react=react,
-                          ceiling=None if linear else 10.0 * scale, disperse=disperse)
+                          ceiling=10.0 * scale, disperse=disperse)
     return carrying, steps, run
 
 
@@ -235,14 +233,15 @@ class PeriodicOrbit:
         return self.verdict == "persistence"
 
 
-def _contraction_factor(run, u, period, n_steps):
-    """Uniform contraction factor of one linear period applied to ``u``.
+def _contraction_factor(linear, u):
+    """Uniform contraction factor of one linear period ``linear`` (a
+    ``period_action``) applied to ``u``.
 
     Crowding only removes mass, so the nonlinear flow is dominated by the
     linear one; if ``Phi u <= theta u`` with ``theta < 1`` the iterates decay
     at least geometrically from here on and extinction is certain.
     """
-    lin = run(u, 0.0, period, n_steps, linear=True)
+    lin = linear(u)
     positive = u > 0.0
     if np.any(lin[~positive] > 0.0):
         return math.inf
@@ -251,8 +250,9 @@ def _contraction_factor(run, u, period, n_steps):
     return float((lin[positive] / u[positive]).max())
 
 
-def _poincare_iterate(run, u, period, n_steps, tol_fix, tol_ext, max_periods, floor):
-    """Iterate the nonlinear period map ``run`` until it stabilizes or collapses."""
+def _poincare_iterate(run, linear, u, period, n_steps, tol_fix, tol_ext, max_periods, floor):
+    """Iterate the nonlinear period map ``run`` until it stabilizes or collapses;
+    ``linear`` is the linearized period map of the contraction test."""
     prev_sup = float(np.abs(u).max())
     for k in range(1, max_periods + 1):
         nxt = run(u, 0.0, period, n_steps)
@@ -261,7 +261,7 @@ def _poincare_iterate(run, u, period, n_steps, tol_fix, tol_ext, max_periods, fl
         if sup <= tol_ext * floor:
             return "extinction", nxt, diff, k, "sup norm fell below the extinction floor"
         if sup < 0.5 * floor and sup < prev_sup and k % 5 == 0:
-            theta = _contraction_factor(run, nxt, period, n_steps)
+            theta = _contraction_factor(linear, nxt)
             if theta < 1.0 - 1e-9:
                 return ("extinction", nxt, diff, k,
                         f"one linear period contracts the state uniformly "
@@ -373,10 +373,12 @@ def find_periodic_solution(op: DispersalOperator, weight: Weight,
 
     certificate, sub, cert_periods = _persistence_certificate(
         op, weight, lam, run, n_steps, scale)
+    if certificate is None:
+        linear = period_action(op, weight, lam, n_steps)
 
     def iterate(u0):
         if certificate is None:
-            return _poincare_iterate(run, u0, period, n_steps, tol_fix, tol_ext,
+            return _poincare_iterate(run, linear, u0, period, n_steps, tol_fix, tol_ext,
                                      max_periods, scale)
         return _anderson_iterate(run, u0, period, n_steps, tol_fix, max_periods,
                                  sub, scale) + (certificate,)

@@ -14,9 +14,8 @@ block-Toeplitz in 2-D.  Each offset is taken as ``|k - j|`` times the spacing
 on every axis.  The kernels are even in each coordinate, so this changes
 values by rounding at most, and it makes ``K`` exactly symmetric.
 
-``matvec`` applies ``K`` to a vector, or to each row of a stack of vectors
-(matrix states keep the GEMM with ``K``).  In 1-D that is a GEMV with ``K``
-per vector.  In 2-D ``K`` is never read: the vector, reshaped to ``V[k, l]``
+``matvec`` applies ``K`` to one vector.  In 1-D that is a GEMV with ``K``.
+In 2-D ``K`` is never read: the vector, reshaped to ``V[k, l]``
 (``N x N``), goes through the stencil quarter ``s[a, c]`` (offsets
 ``a, c >= 0``).  For the kernels here ``s`` is numerically of low rank
 ``R``, so ``assemble`` factors it once by a rank-revealing SVD,
@@ -31,12 +30,10 @@ tolerance ``sigma_max * N * eps``, and lays the factors out in two tables:
   convolution over ``k`` and ``r``.
 
 The two GEMMs cost ``2 R N^3`` multiply-adds, against ``N^4`` for the GEMV,
-and read tables of ``R N^2`` entries that stay in cache.  A lone vector
-takes them as two plain 2-D GEMMs: a batch axis of one cost 6% more at
-24x24 (16.4 against 15.4 us).  A stack takes them batched, each row through
-the same GEMMs as it would alone, so a stack's image equals its rows' images
-bit for bit.  One application, with one BLAS thread on 2-D Neumann grids with the
-parabolic kernel of radius 0.5 (best of 7 rounds, the range over 3
+and read tables of ``R N^2`` entries that stay in cache.  They are two
+plain 2-D GEMMs: a batch axis of one cost 6% more at 24x24 (16.4 against
+15.4 us).  One application, with one BLAS thread on 2-D Neumann grids with
+the parabolic kernel of radius 0.5 (best of 7 rounds, the range over 3
 processes; "unfactored" is the same pair of GEMMs through ``s`` itself,
 ``R = N``, summed by a 0/1 table).  The 2-core VM these come from changes
 speed by 20-30% from one minute to the next, which the ranges include:
@@ -84,7 +81,10 @@ n = 128 (128 KiB a factor) that is every step size a task touches: the
 travelling wave's ``lambda_p`` touches 5, from 8 to 128 steps, and builds 5
 factors, where a bound of three factors built 37 (about 1 ms each).  At
 n = 2048 (32 MiB a factor) it is the three.
-An operator has one ``P``: a vector and a period map's block take the same.
+A block takes one GEMM with a formed ``E``.  The Taylor-2 step is a vector
+step, and a block goes through it column by column: no route steps a block
+there, as ``spectrum`` forms a period map only below 192 nodes and applies
+vector periods from there on.
 
 The subtraction field ``b`` encodes the boundary regime:
 
@@ -146,35 +146,19 @@ class DispersalOperator:
     def quad_weights(self) -> np.ndarray:
         return self.grid.quad_weights
 
-    def matvec(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``K v`` for a vector ``v`` of length ``n``, or for each row of an
-        ``(m, n)`` stack, written into ``out`` when given.
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """``K v`` for a vector ``v`` of length ``n``.
 
-        A GEMV per vector in 1-D.  In 2-D two GEMMs through the rank-``R``
-        factors of the stencil, ``2 R N^3`` multiply-adds per vector, that
-        never read ``K``: 11-17 us at 24x24 (``R`` = 8) against 96-104 us for
-        the GEMV, with the table for other sizes in the module docstring.  A
-        vector takes them as plain 2-D GEMMs, a stack batched, and a row of a
-        stack gets the bits it would get alone.  ``out`` must be
-        C-contiguous.
+        A GEMV in 1-D.  In 2-D two GEMMs through the rank-``R`` factors of
+        the stencil, ``2 R N^3`` multiply-adds, that never read ``K``: 11-17
+        us at 24x24 (``R`` = 8) against 96-104 us for the GEMV, with the table
+        for other sizes in the module docstring.
         """
-        if self.left is None and np.ndim(v) == 1:
-            return np.matmul(self.K, v, out=out)
-        if out is None:
-            out = np.empty(np.shape(v))
         if self.left is None:
-            # one GEMV per row, as a vector alone gets
-            np.matmul(self.K, np.asarray(v)[..., None], out=out[..., None])
-            return out
+            return self.K @ v
         N = self.grid.n_per_axis
-        if np.ndim(v) == 1:
-            # two plain 2-D GEMMs: a batch axis of one costs more
-            W = np.reshape(v, (N, N)) @ self.right
-            np.matmul(self.left, W.reshape(-1, N), out=out.reshape(N, N))
-            return out
-        W = np.matmul(np.reshape(v, (-1, N, N)), self.right)
-        np.matmul(self.left, W.reshape(len(W), -1, N), out=out.reshape(-1, N, N))
-        return out
+        W = np.reshape(v, (N, N)) @ self.right
+        return (self.left @ W.reshape(-1, N)).ravel()
 
     @property
     def exact_dispersal(self) -> bool:
@@ -214,11 +198,10 @@ class DispersalOperator:
 
         A GEMV or a GEMM with the formed ``E``; from 256 nodes in 2-D, the
         Taylor-2 step in Horner form, ``exp(-h sigma) (u + h (B u + h/2 B B u))``
-        (the factor ``exp(-h sigma)`` skipped when it is 1).  A vector is
-        stepped as its ``N x N`` field: each product by ``K`` is ``matvec``'s
-        two plain GEMMs, inline, and the last one and the Horner steps write
-        into ``out``.  A block's columns go through ``matvec`` as a stack of
-        rows.
+        (the factor ``exp(-h sigma)`` skipped when it is 1), on a vector's
+        ``N x N`` field: each product by ``K`` is ``matvec``'s two GEMMs,
+        inline, and the last one and the Horner steps write into ``out``.  A
+        block goes through that vector step column by column.
         """
         E = self.dispersal_factor(h)
         if E is not None:
@@ -226,39 +209,33 @@ class DispersalOperator:
                 return np.matmul(E, u, out=out)
             return disperse
         sigma = max(0.0, float(self.b.max()) - 1.0 / h)
-        shift = sigma - self.b
         scale = math.exp(-h * sigma)
         half_h = 0.5 * h
         N, left, right = self.grid.n_per_axis, self.left, self.right
-        field_shift = shift.reshape(N, N)
+        shift = (sigma - self.b).reshape(N, N)
 
         def disperse(u, out):
             # every temporary is the call's own: one closure may serve
             # several threads at once
-            inline = u.ndim == 1 and left is not None
-            if inline:
-                # matvec's two GEMMs on the N x N field, inline: its checks
-                # cost a tenth of a step at 24x24
-                s, v, w = field_shift, u.reshape(N, N), out.reshape(N, N)
-                bv = left @ (v @ right).reshape(-1, N)
-                bv += s * v
-                np.matmul(left, (bv @ right).reshape(-1, N), out=w)
-            else:
-                # a block's columns go through matvec as a stack of rows
-                s, v = shift, np.ascontiguousarray(u.T)
-                w = np.empty_like(v)
-                bv = self.matvec(v)
-                bv += s * v
-                self.matvec(bv, out=w)
-            w += s * bv
+            if u.ndim == 2:
+                col = np.empty(len(u))
+                for j in range(u.shape[1]):
+                    out[:, j] = disperse(np.ascontiguousarray(u[:, j]), col)
+                return out
+            # matvec's two GEMMs on the N x N field, inline: a step through
+            # two matvec calls and a copy into out took 29.1-29.6 us at
+            # 24x24 against 27.1-27.2 us (best of 40, one BLAS thread)
+            v, w = u.reshape(N, N), out.reshape(N, N)
+            bv = left @ (v @ right).reshape(-1, N)
+            bv += shift * v
+            np.matmul(left, (bv @ right).reshape(-1, N), out=w)
+            w += shift * bv
             w *= half_h
             w += bv
             w *= h
             w += v
             if scale != 1.0:
                 w *= scale
-            if not inline:
-                out[...] = w.T
             return out
         return disperse
 

@@ -396,11 +396,6 @@ class ConditionReport:
             tol_integral=tol_i,
         )
 
-    @property
-    def p_holds(self) -> bool:
-        """The periodic boundary is mass conserving too: same as ``n_holds``."""
-        return self.n_holds
-
     def holds_for(self, boundary: Boundary) -> bool:
         return self.d_holds if boundary is Boundary.DIRICHLET else self.n_holds
 

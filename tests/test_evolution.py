@@ -540,7 +540,7 @@ def test_period_action_builds_its_stage_tables_once(monkeypatch):
 @pytest.mark.parametrize("n_per_axis", [24, 32])
 def test_two_dimensional_period_goes_through_the_stencil(n_per_axis):
     # the vector stepper applies K by two small GEMMs: one period matches the
-    # GEMV path to 1e-12 and holds no n x n temporary
+    # Taylor-2 loop through the GEMV to 1e-12 and holds no n x n temporary
     grid = build_grid(Boundary.NEUMANN, (1.0, 1.0), n_per_axis)
     op = assemble(make_kernel("parabolic", 0.5, dim=2), grid)
     gemv = dataclasses.replace(op, left=None, right=None)
@@ -548,7 +548,7 @@ def test_two_dimensional_period_goes_through_the_stencil(n_per_axis):
     v = np.cos(3.0 * grid.nodes[:, 0]) + grid.nodes[:, 1] + 1.0
     apply = evolution.period_action(op, w, 1.5, n_steps=64)
     got = apply(v)
-    ref = evolution.period_action(gemv, w, 1.5, n_steps=64)(v)
+    ref = stage_scheme_strang(gemv, w, 1.5, v, 0.0, 1.0, 64, taylor=True)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     tracemalloc.start()
     try:

@@ -17,7 +17,7 @@ from perispec.geometry import Boundary, build_grid, make_kernel, wrap_kernel
 from perispec.kpp import (TOL_FIX, Nonlinearity, PeriodicOrbit,
                           find_periodic_solution, simulate_kpp, summarize_scan,
                           threshold_scan)
-from perispec.operator import assemble
+from perispec.operator import DispersalOperator, Problem, assemble
 from perispec.spectrum import POWER_REL_TOL, PowerIterationError, principal_spectrum_point
 from perispec.weighted_solver import solve_lambda_p
 from perispec.weights import closed_form, sup_abs
@@ -324,6 +324,34 @@ def test_plain_iteration_runs_without_a_certificate(dirichlet_threshold, monkeyp
         assert settled == (k == orbit.periods_used)
     np.testing.assert_array_equal(orbit.fixed_point, iterates[-1])
     _assert_snapshot_from_fixed_point(op, w, nl, lam, orbit, n_steps)
+
+
+def test_no_route_steps_a_block_by_taylor_2(monkeypatch):
+    # the Taylor-2 step takes a block column by column; non-separable 2-D
+    # spectrum points from 256 nodes and a 16x16 orbit that ends in a linear
+    # contraction test hand it vectors only, so no route pays that loop
+    states = []
+    original = DispersalOperator.dispersal
+
+    def recording(self, h):
+        disperse = original(self, h)
+        if self.exact_dispersal:
+            return disperse
+
+        def taylor(u, out):
+            states.append(u.ndim)
+            return disperse(u, out)
+        return taylor
+    monkeypatch.setattr(DispersalOperator, "dispersal", recording)
+    w = closed_form("cos(2*pi*x)*cos(pi*y)*(1 + sin(2*pi*t/T)) - 0.2 + sin(2*pi*t/T)", 1.0)
+    ops = {n: Problem(Boundary.NEUMANN, (1.0, 1.0), "parabolic", 0.5, w).at(n)[0]
+           for n in (16, 24)}
+    for op in ops.values():
+        for lam in (0.5, 2.0):
+            principal_spectrum_point(op, w, lam)
+    orbit = find_periodic_solution(ops[16], w, Nonlinearity(), 0.05, check_uniqueness=False)
+    assert orbit.verdict == "extinction" and "contracts" in orbit.certificate
+    assert states and set(states) == {1}
 
 
 @pytest.fixture(scope="module")

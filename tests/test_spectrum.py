@@ -876,8 +876,9 @@ def test_constant_start_that_is_an_eigenvector_is_the_perron_vector():
 ], ids=["wave", "shifted-wave"])
 def test_constant_start_within_rounding_takes_no_solve(expr, monkeypatch):
     # a travelling wave's time average is constant only to rounding: at
-    # lam = 13.77 the constant field's image spreads by 18 and 30 eps, inside
-    # the n = 128 eps that a row sum of K allows, so no LAPACK solve runs
+    # lam = 13.77 the constant field's image spreads by 3.8 and 6.3 eps of its
+    # summands' sizes, inside the n = 128 eps that a row sum of K allows, so
+    # no LAPACK solve runs
     op = make_op(Boundary.PERIODIC, n=128, r=0.5)
     m_hat = time_average(closed_form(expr, 1.0), op.grid)
     assert 0.0 < float(m_hat.max() - m_hat.min()) < 1e-14
@@ -887,6 +888,44 @@ def test_constant_start_within_rounding_takes_no_solve(expr, monkeypatch):
     monkeypatch.setattr(scipy.linalg, "eigh", refuse)
     start = perispec.spectrum._frozen_perron(op, m_hat, 13.77)
     assert np.array_equal(start, np.ones(op.n))
+
+
+@pytest.mark.parametrize("lam", [50.0, 500.0])
+@pytest.mark.parametrize("expr", [
+    "cos(2*pi*(x - t/T)) - 0.2",
+    "cos(2*pi*(x - t/T)) - 0.2 + 0.5*sin(2*pi*t/T + 1.3)",
+], ids=["wave", "twin"])
+def test_constant_start_test_grows_with_lam(expr, lam, monkeypatch):
+    # the rounding of a constant time average enters the image times lam: at
+    # n = 64 and lam = 50 the two waves spread by 60 and 88 eps of the image's
+    # largest entry, and by 5.0 and 7.3 eps of its summands' sizes
+    op = make_op(Boundary.PERIODIC, n=64, r=0.5)
+    m_hat = time_average(closed_form(expr, 1.0), op.grid)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK ran on a constant start")
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    start = perispec.spectrum._frozen_perron(op, m_hat, lam)
+    assert np.array_equal(start, np.ones(op.n))
+
+
+def test_a_time_average_off_constant_by_1e_12_keeps_its_solve(monkeypatch):
+    # a 1e-12 cosine on the wave spreads the image by 3,700 eps of its
+    # summands' sizes or more, so each lam takes its LAPACK solve
+    op = make_op(Boundary.PERIODIC, n=64, r=0.5)
+    m_hat = time_average(closed_form("cos(2*pi*(x - t/T)) - 0.2 + 1e-12*cos(2*pi*x)", 1.0),
+                         op.grid)
+    calls = []
+    original = scipy.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(scipy.linalg, "eigh", counting)
+    for lam in (2.0, 50.0, 500.0):
+        start = perispec.spectrum._frozen_perron(op, m_hat, lam)
+        assert start is not None and start.max() == 1.0
+    assert len(calls) == 3
 
 
 def test_start_vector_solve_forms_no_matrix():

@@ -546,7 +546,7 @@ def test_conditions_pure_oscillation_marginal(grid):
     # spatial max integrates to exactly zero: no clause holds, and the sign
     # is flagged as untrustworthy
     rep = check_conditions(closed_form("sin(2*pi*t/T)", 1.0), grid)
-    assert not rep.d_holds and not rep.n_holds and not rep.p_holds
+    assert not rep.d_holds and not rep.n_holds
     assert rep.p_marginal
     assert rep.marginal_for(Boundary.DIRICHLET)
 
@@ -555,7 +555,7 @@ def test_conditions_sign_changing_negative_mass(grid):
     # positive somewhere, negative total mass: every clause holds
     rep = check_conditions(closed_form("cos(2*pi*x) - 0.2", 1.0), grid)
     assert rep.p_value > 0 and rep.time_space_integral < 0
-    assert rep.d_holds and rep.n_holds and rep.p_holds
+    assert rep.d_holds and rep.n_holds
     assert not rep.marginal_for(Boundary.NEUMANN)
     assert rep.holds_for(Boundary.DIRICHLET) and rep.holds_for(Boundary.PERIODIC)
 
@@ -572,11 +572,11 @@ def test_conditions_positive_mass(grid):
 
 def test_condition_report_from_values():
     rep = ConditionReport.from_values(2.0, -0.5)
-    assert rep.d_holds and rep.n_holds and rep.p_holds
+    assert rep.d_holds and rep.n_holds
     assert rep.tol_p == pytest.approx(3e-9) and rep.tol_integral == pytest.approx(1.5e-9)
     # within tolerance of zero: the clause fails and is flagged marginal
     rep = ConditionReport.from_values(2.0, -1e-10)
-    assert rep.d_holds and not rep.n_holds and not rep.p_holds
+    assert rep.d_holds and not rep.n_holds
     assert rep.integral_marginal and rep.marginal_for(Boundary.PERIODIC)
     assert not rep.marginal_for(Boundary.DIRICHLET)
 
