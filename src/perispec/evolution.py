@@ -10,7 +10,10 @@ The dispersal step is ``P = op.dispersal(h)``: the exact ``exp(h (K - b))``
 in 1-D, a shifted Taylor-2 step in 2-D (see ``operator``).  Both factors are
 nonnegative, so the period map, a product of them, is nonnegative by
 construction: nothing is clamped.  The KPP flow of ``kpp`` hands in its own
-reaction half steps.
+reaction half steps.  Every integration, a period map, a vector period, a
+trajectory, an order check or a KPP period, is one ``_flow`` handle: it
+fetches the reaction factors and the dispersal step once, and each of its
+runs steps a state through them.
 
 A closed form's integral is the trapezoid rule
 ``h/4 * lam * (m(s) + m(s + h/2))``, on the lattice of half steps.  A sampled
@@ -29,12 +32,12 @@ recorded in between.  So a step costs one product with ``P`` (one GEMM with
 a formed ``P`` for a period map's ``n x n`` state) and one diagonal
 scaling.  The weight values come from one ``Weight.table`` (or
 ``Weight.antiderivative``) call per weight, grid, interval and step count,
-kept with the weight and scaled by ``lam`` on each integration.
+kept with the weight and scaled by ``lam`` for each ``_flow`` handle.
 
 The scheme is symmetric, so its error expands in even powers of ``h``:
 ``spectrum`` combines the maps of ``n/4``, ``n/2`` and ``n`` steps into a
 two-level value and its time bar, and picks ``n`` by that bar.  A state is a
-vector or an ``n x m`` block of columns.  Every call owns
+vector or an ``n x m`` block of columns.  Every run owns
 its buffers, and ``P`` is read-only, so concurrent calls stay deterministic.
 The flow's one failure is leaving the floating-point range: a diagonal factor
 or the state overflows, and ``UnstableStepError`` says so.
@@ -125,10 +128,11 @@ def _half_steps(op: DispersalOperator, weight: Weight, lam: float, t0: float, t1
     return (0.25 * h * lam) * table
 
 
-def _linear_reaction(z: np.ndarray):
+def _linear_reaction(z: np.ndarray, tau: float):
     """``react(u, j, merge)``: the linear flow's half step j, ``u *= exp(z[j])``,
     in place; with ``merge`` the half steps j and j + 1 as one factor.  A block's
-    rows are scaled.  Raises when a factor overflows."""
+    rows are scaled.  ``tau`` (the half step's length) is not needed, as the
+    factor is exact.  Raises when a factor overflows."""
     with np.errstate(over="ignore"):
         f = np.exp(z)
         merged = f[:-1] * f[1:]
@@ -144,57 +148,62 @@ def _linear_reaction(z: np.ndarray):
     return react
 
 
-def _integrate(op: DispersalOperator, weight: Weight, lam: float, state: np.ndarray,
-               t0: float, t1: float, n_steps: int, record_every: int | None = None,
-               react=None, ceiling: float | None = None, disperse=None):
-    """Shared Strang loop for vector and block states.
+def _flow(op: DispersalOperator, weight: Weight, lam: float, t0: float, t1: float,
+          n_steps: int, reaction=_linear_reaction):
+    """``run(state, record_every=None, ceiling=None)``: the Strang flow over
+    ``[t0, t1]`` in ``n_steps`` steps, for vector and block states.
 
-    ``react(u, j, merge)`` applies the reaction's half steps in place (see
-    ``_linear_reaction``, the default, built here), and ``disperse`` is
-    ``op.dispersal(h)``, also built here when not given: callers that
-    integrate many times (an Arnoldi solve, an orbit) pass both, and so keep
-    their factor however the operator's cache moves on.  Returns (recorded
-    times, recorded states) when ``record_every`` is set, otherwise the final
-    state.  With ``ceiling`` (the KPP flow) the state's sup must stay at or
-    below it after every step; the final state must be finite in any case.
+    The reaction's half steps ``reaction(z, h/2)`` (``_linear_reaction``, or
+    ``Nonlinearity.reaction`` for the KPP flow) and the dispersal step
+    ``op.dispersal(h)`` are fetched here, once for every ``run``, so a caller
+    that integrates many times (an Arnoldi solve, an orbit) keeps its factor
+    however the operator's cache moves on.  ``run`` returns the final state,
+    or a ``Trajectory`` of every ``record_every``-th step and the last.  With
+    ``ceiling`` (the KPP flow) the state's sup must stay at or below it after
+    every step; the final state must be finite in any case.
     """
-    if react is None:
-        react = _linear_reaction(_half_steps(op, weight, lam, t0, t1, n_steps))
+    z = _half_steps(op, weight, lam, t0, t1, n_steps)
     h = (t1 - t0) / n_steps
-    if disperse is None:
-        disperse = op.dispersal(h)
-    u = np.array(state, dtype=float, order="C")
-    buf = np.empty_like(u)
-    times = [t0]
-    states = [u.copy()] if record_every else None
-    # an overflow shows as a non-finite state below, not as a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        react(u, 0, False)
-        for k in range(n_steps):
-            disperse(u, buf)
-            u, buf = buf, u
-            last = k + 1 == n_steps
-            record = bool(record_every) and ((k + 1) % record_every == 0 or last)
-            if last or record:
-                react(u, 2 * k + 1, False)
-                if record:
-                    times.append(t0 + (k + 1) * h)
-                    states.append(u.copy())
-                if not last:
-                    react(u, 2 * k + 2, False)
-            else:
-                react(u, 2 * k + 1, True)
-            if ceiling is not None and not float(u.max()) <= ceiling:
-                raise UnstableStepError(
-                    f"state left the invariant region near t={t0 + (k + 1) * h:.6g} "
-                    f"(sup {float(u.max()):.3e}, ceiling {ceiling:.3e}); refine n_steps")
-    if not np.all(np.isfinite(u)):
-        raise UnstableStepError(
-            f"the state left the floating-point range over [{t0:.6g}, {t1:.6g}] "
-            f"with n_steps={n_steps}")
-    if record_every:
-        return np.array(times), np.stack(states)
-    return u
+    react = reaction(z, 0.5 * h)
+    disperse = op.dispersal(h)
+
+    def run(state, record_every: int | None = None, ceiling: float | None = None):
+        if record_every is not None and record_every < 1:
+            raise ValueError(f"record_every must be at least 1, got {record_every}")
+        u = np.array(state, dtype=float, order="C")
+        buf = np.empty_like(u)
+        times = [t0]
+        states = [u.copy()] if record_every else None
+        # an overflow shows as a non-finite state below, not as a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            react(u, 0, False)
+            for k in range(n_steps):
+                disperse(u, buf)
+                u, buf = buf, u
+                last = k + 1 == n_steps
+                record = bool(record_every) and ((k + 1) % record_every == 0 or last)
+                if last or record:
+                    react(u, 2 * k + 1, False)
+                    if record:
+                        times.append(t0 + (k + 1) * h)
+                        states.append(u.copy())
+                    if not last:
+                        react(u, 2 * k + 2, False)
+                else:
+                    react(u, 2 * k + 1, True)
+                if ceiling is not None and not float(u.max()) <= ceiling:
+                    raise UnstableStepError(
+                        f"state left the invariant region near t={t0 + (k + 1) * h:.6g} "
+                        f"(sup {float(u.max()):.3e}, ceiling {ceiling:.3e}); refine n_steps")
+        if not np.all(np.isfinite(u)):
+            raise UnstableStepError(
+                f"the state left the floating-point range over [{t0:.6g}, {t1:.6g}] "
+                f"with n_steps={n_steps}")
+        if record_every:
+            states = np.stack(states)
+            return Trajectory(np.array(times), states, np.abs(states).max(axis=1))
+        return u
+    return run
 
 
 def propagate(op: DispersalOperator, weight: Weight, lam: float, u0, t0: float, t1: float,
@@ -207,23 +216,15 @@ def propagate(op: DispersalOperator, weight: Weight, lam: float, u0, t0: float, 
         raise ValueError("t1 must exceed t0")
     if n_steps is None:
         n_steps = default_n_steps(t1 - t0, lam, sup_abs(weight, op.grid))
-    times, states = _integrate(op, weight, lam, u0, t0, t1, n_steps, record_every=record_every)
-    norms = np.abs(states).max(axis=1)
-    return Trajectory(times, states, norms)
-
-
-def _period_steps(op: DispersalOperator, weight: Weight, lam: float,
-                  n_steps: int | None) -> int:
-    if n_steps is None:
-        return default_n_steps(weight.period, lam, sup_abs(weight, op.grid))
-    return n_steps
+    return _flow(op, weight, lam, t0, t1, n_steps)(u0, record_every)
 
 
 def period_map(op: DispersalOperator, weight: Weight, lam: float,
                n_steps: int | None = None) -> PeriodMap:
     """Monodromy matrix over one weight period: nonnegative by construction."""
-    n_steps = _period_steps(op, weight, lam, n_steps)
-    mat = _integrate(op, weight, lam, np.eye(op.n), 0.0, weight.period, n_steps)
+    if n_steps is None:
+        n_steps = default_n_steps(weight.period, lam, sup_abs(weight, op.grid))
+    mat = _flow(op, weight, lam, 0.0, weight.period, n_steps)(np.eye(op.n))
     mat.setflags(write=False)
     return PeriodMap(mat, float(lam), weight.period, n_steps)
 
@@ -232,20 +233,15 @@ def period_action(op: DispersalOperator, weight: Weight, lam: float,
                   n_steps: int | None = None):
     """The map ``v -> Phi(T, 0) v``: one weight period of the linear flow
     applied to a vector, or to each column of a block, without forming the
-    monodromy matrix.
+    monodromy matrix: the ``_flow`` handle over ``[0, T]``.
 
     The step count is fixed once, as ``period_map`` would choose it, so every
     application integrates the same discrete flow, and the diagonal factors
     and the dispersal step are fetched once for all applications.
     """
-    n_steps = _period_steps(op, weight, lam, n_steps)
-    react = _linear_reaction(_half_steps(op, weight, lam, 0.0, weight.period, n_steps))
-    disperse = op.dispersal(weight.period / n_steps)
-
-    def apply(v):
-        return _integrate(op, weight, lam, np.asarray(v, dtype=float), 0.0,
-                          weight.period, n_steps, react=react, disperse=disperse)
-    return apply
+    if n_steps is None:
+        n_steps = default_n_steps(weight.period, lam, sup_abs(weight, op.grid))
+    return _flow(op, weight, lam, 0.0, weight.period, n_steps)
 
 
 @dataclass(frozen=True)
@@ -289,8 +285,8 @@ def comparison_check(op: DispersalOperator, weight_pairs, field_pairs, t1: float
         if steps is None:
             m_sup = max(sup_abs(w_lo, op.grid), sup_abs(w_hi, op.grid))
             steps = default_n_steps(t1, lam, m_sup)
-        lo = _integrate(op, w_lo, lam, np.asarray(u_lo, dtype=float), 0.0, t1, steps)
-        hi = _integrate(op, w_hi, lam, np.asarray(u_hi, dtype=float), 0.0, t1, steps)
+        lo = _flow(op, w_lo, lam, 0.0, t1, steps)(u_lo)
+        hi = _flow(op, w_hi, lam, 0.0, t1, steps)(u_hi)
         gap = hi - lo
         scale = max(scale, float(np.abs(lo).max()), float(np.abs(hi).max()))
         results.append(PairComparison(

@@ -11,26 +11,28 @@ package computes.  Persistence of the nonlinear dynamics therefore switches at
 the positive root of ``mu(lam)``: below it every population dies out, above it
 a unique positive time-periodic state attracts positive initial data.
 
-The nonlinear flow has no stepper of its own: it hands its reaction half
-steps to the Strang stepper of ``evolution``, whose dispersal step is the
-linear flow's.  With ``lam m`` replaced by its mean over each half step
-(``evolution._half_steps``), the reaction ``u' = (lam m - crowding(u)) u``
-is solved per node (``Nonlinearity.reaction``): in closed form for the
-logistic penalty, by a positive second-order step for the saturating one,
-so the state never turns negative and no undershoot is scrubbed.  ``_kpp_flow`` sets the flow up
+The nonlinear flow has no stepper of its own: it is the ``evolution._flow``
+handle with its own reaction half steps, so its dispersal step is the
+linear flow's.  With ``lam m`` replaced by its mean over each half step, the
+reaction ``u' = (lam m - crowding(u)) u`` is solved per node
+(``Nonlinearity.reaction``): in closed form for the logistic penalty, by a
+positive second-order step for the saturating one, so the state never turns
+negative and no undershoot is scrubbed.  ``_kpp_flow`` sets the flow up
 once per ``lam`` (``sup|m|`` from the weight's summary, the bound check, the
 carrying scale); ``simulate_kpp`` and every orbit period run through it, and
-it builds the reaction tables once per step count, so every Poincare period
-of an orbit shares them.  The linear contraction test is one
-``period_action`` of the orbit's step count, built once per orbit.
+it builds one ``_flow`` handle per step count, so every Poincare period of
+an orbit shares its reaction tables and dispersal step.
 
 The periodic state is found by iterating the period map ``P`` of the
-nonlinear flow from a small positive constant.  Each period is one
-``_integrate`` call over ``[0, T]`` with the orbit's fixed step count, as
-``simulate_kpp`` would run it; the count is rounded up to even.  The orbit
-first looks for a certificate of persistence: when the linearized period
-map at the orbit's own step count has a Perron root above 1, its Perron
-vector ``phi`` gives a sub-solution ``eps * phi`` once
+nonlinear flow from a small positive constant.  Each period is one run of
+that handle over ``[0, T]`` with the orbit's fixed step count, as
+``simulate_kpp`` would run it; the count is rounded up to even.  Each orbit
+builds its linearized period map once, at that step count and as
+``spectrum`` builds a level's map (``_stepped_map``: formed below 192 nodes,
+vector periods from there on); the certificate's Perron solve and the
+contraction test both apply it.  The orbit first looks for a certificate of
+persistence: when the linearized period map has a Perron root above 1, its
+Perron vector ``phi`` gives a sub-solution ``eps * phi`` once
 ``P(eps * phi) - eps * phi`` clears the order tolerance on every node for
 some ``eps`` of a short ladder.  The flow preserves order, so
 the iterates from any start above ``eps * phi`` stay above it and a positive
@@ -49,10 +51,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import (ORDER_TOL, Trajectory, _half_steps, _integrate, default_n_steps,
-                        period_action)
+from .evolution import ORDER_TOL, Trajectory, _flow, default_n_steps
 from .operator import DispersalOperator
-from .spectrum import PowerIterationError, _stepped_perron
+from .spectrum import PowerIterationError, _krylov_perron, _stepped_map
 from .weighted_solver import STATUS_UNIQUE, LambdaPResult, solve_lambda_p
 from .weights import Weight, sup_abs
 
@@ -165,11 +166,12 @@ class Nonlinearity:
 def _kpp_flow(op: DispersalOperator, weight: Weight, nonlin: Nonlinearity, lam: float):
     """``(carrying, steps(duration, scale), run(u, t0, t1, n_steps, record_every=None))``;
     each ``run`` guards the ceiling ``10 * scale``,
-    ``scale = max(carrying, max u, 1e-30)``.  The reaction, and the dispersal
-    step, are fetched once per ``(t0, t1, n_steps)``."""
+    ``scale = max(carrying, max u, 1e-30)``.  The ``evolution._flow`` handle,
+    with the reaction of ``Nonlinearity.reaction``, is built once per
+    ``(t0, t1, n_steps)``."""
     growth_sup = abs(lam) * sup_abs(weight, op.grid)
     carrying = nonlin.carrying_scale(growth_sup)  # raises if crowding cannot bound growth
-    reactions = {}
+    flows = {}
 
     def steps(duration, scale):
         return default_n_steps(duration, 1.0, growth_sup + nonlin.penalty(scale))
@@ -179,13 +181,9 @@ def _kpp_flow(op: DispersalOperator, weight: Weight, nonlin: Nonlinearity, lam: 
         if n_steps is None:
             n_steps = steps(t1 - t0, scale)
         key = (t0, t1, n_steps)
-        if key not in reactions:
-            z = _half_steps(op, weight, lam, t0, t1, n_steps)
-            reactions[key] = (nonlin.reaction(z, 0.5 * (t1 - t0) / n_steps),
-                              op.dispersal((t1 - t0) / n_steps))
-        react, disperse = reactions[key]
-        return _integrate(op, weight, lam, u, t0, t1, n_steps, record_every, react=react,
-                          ceiling=10.0 * scale, disperse=disperse)
+        if key not in flows:
+            flows[key] = _flow(op, weight, lam, t0, t1, n_steps, nonlin.reaction)
+        return flows[key](u, record_every, 10.0 * scale)
     return carrying, steps, run
 
 
@@ -208,8 +206,7 @@ def simulate_kpp(op: DispersalOperator, weight: Weight, nonlin: Nonlinearity,
     if not t1 > t0:
         raise ValueError("need t1 > t0")
     _, _, run = _kpp_flow(op, weight, nonlin, lam)
-    times, states = run(u0, t0, t1, n_steps, record_every)
-    return Trajectory(times, states, np.abs(states).max(axis=1))
+    return run(u0, t0, t1, n_steps, record_every)
 
 
 @dataclass(frozen=True)
@@ -234,8 +231,8 @@ class PeriodicOrbit:
 
 
 def _contraction_factor(linear, u):
-    """Uniform contraction factor of one linear period ``linear`` (a
-    ``period_action``) applied to ``u``.
+    """Uniform contraction factor of one linear period ``linear`` (the
+    orbit's linearized map) applied to ``u``.
 
     Crowding only removes mass, so the nonlinear flow is dominated by the
     linear one; if ``Phi u <= theta u`` with ``theta < 1`` the iterates decay
@@ -250,7 +247,7 @@ def _contraction_factor(linear, u):
     return float((lin[positive] / u[positive]).max())
 
 
-def _poincare_iterate(run, linear, u, period, n_steps, tol_fix, tol_ext, max_periods, floor):
+def _poincare_iterate(run, linear, u, period, n_steps, max_periods, floor):
     """Iterate the nonlinear period map ``run`` until it stabilizes or collapses;
     ``linear`` is the linearized period map of the contraction test."""
     prev_sup = float(np.abs(u).max())
@@ -258,7 +255,7 @@ def _poincare_iterate(run, linear, u, period, n_steps, tol_fix, tol_ext, max_per
         nxt = run(u, 0.0, period, n_steps)
         sup = float(np.abs(nxt).max())
         diff = float(np.abs(nxt - u).max())
-        if sup <= tol_ext * floor:
+        if sup <= TOL_EXT * floor:
             return "extinction", nxt, diff, k, "sup norm fell below the extinction floor"
         if sup < 0.5 * floor and sup < prev_sup and k % 5 == 0:
             theta = _contraction_factor(linear, nxt)
@@ -266,33 +263,33 @@ def _poincare_iterate(run, linear, u, period, n_steps, tol_fix, tol_ext, max_per
                 return ("extinction", nxt, diff, k,
                         f"one linear period contracts the state uniformly "
                         f"(factor {theta:.6g} < 1)")
-        if diff < tol_fix * max(sup, 1e-300) and sup > 100.0 * tol_ext * floor:
+        if diff < TOL_FIX * max(sup, 1e-300) and sup > 100.0 * TOL_EXT * floor:
             return "persistence", nxt, diff, k, None
         u = nxt
         prev_sup = sup
     return "undecided", u, float("nan"), max_periods, None
 
 
-def _persistence_certificate(op, weight, lam, run, n_steps, carrying):
+def _persistence_certificate(linear, n, period, run, n_steps, carrying):
     """``(certificate, eps * phi, periods)`` from a sub-solution ``eps * phi``,
     or ``(None, None, periods)``.
 
-    ``phi`` is the Perron vector of the linearized period map at the orbit's
-    step count, tried only when its Perron root exceeds 1.  The first ``eps`` of
-    ``CERT_EPS`` (times the carrying scale) with ``P(eps * phi) - eps * phi``
-    above ``ORDER_TOL`` times the scale on every node is the certificate;
-    ``periods`` counts the KPP periods the ladder ran.
+    ``phi`` is the Perron vector of ``linear``, the orbit's linearized period
+    map on ``n`` nodes, tried only when its Perron root exceeds 1.  The first
+    ``eps`` of ``CERT_EPS`` (times the carrying scale) with
+    ``P(eps * phi) - eps * phi`` above ``ORDER_TOL`` times the scale on every
+    node is the certificate; ``periods`` counts the KPP periods the ladder ran.
     """
     try:
-        ratio, phi, _, _ = _stepped_perron(op, weight, lam, n_steps)
+        ratio, phi, _ = _krylov_perron(linear, n)
     except PowerIterationError:
         return None, None, 0
     if not ratio > 1.0:
         return None, None, 0
-    mu = math.log(ratio) / weight.period
+    mu = math.log(ratio) / period
     for k, frac in enumerate(CERT_EPS, start=1):
         sub = frac * carrying * phi
-        gain = float((run(sub, 0.0, weight.period, n_steps) - sub).min())
+        gain = float((run(sub, 0.0, period, n_steps) - sub).min())
         if gain > ORDER_TOL * carrying:
             return (f"P(eps*phi) exceeds eps*phi by at least {gain:.3e} on every node at "
                     f"eps = {frac:.0e} of the carrying scale (mu = {mu:.6g} > 0), "
@@ -300,7 +297,7 @@ def _persistence_certificate(op, weight, lam, run, n_steps, carrying):
     return None, None, len(CERT_EPS)
 
 
-def _anderson_iterate(run, u, period, n_steps, tol_fix, max_periods, floor, ceiling):
+def _anderson_iterate(run, u, period, n_steps, max_periods, floor, ceiling):
     """Type-II Anderson mixing of depth ``ANDERSON_DEPTH`` on ``G(u) = P(u) - u``.
 
     The mixed iterate minimizes the linearized residual over the last steps
@@ -320,7 +317,7 @@ def _anderson_iterate(run, u, period, n_steps, tol_fix, max_periods, floor, ceil
         g = nxt - u
         sup = float(np.abs(nxt).max())
         diff = float(np.abs(g).max())
-        if diff < tol_fix * sup and np.all(nxt >= floor):
+        if diff < TOL_FIX * sup and np.all(nxt >= floor):
             return "persistence", nxt, diff, k
         if diff > prev:
             xs, gs = [], []
@@ -343,8 +340,7 @@ def _anderson_iterate(run, u, period, n_steps, tol_fix, max_periods, floor, ceil
 
 def find_periodic_solution(op: DispersalOperator, weight: Weight,
                            nonlin: Nonlinearity, lam: float, *,
-                           n_steps: int | None = None, tol_fix: float = TOL_FIX,
-                           tol_ext: float = TOL_EXT, max_periods: int = MAX_PERIODS,
+                           n_steps: int | None = None, max_periods: int = MAX_PERIODS,
                            check_uniqueness: bool = True) -> PeriodicOrbit:
     """Classify ``lam`` as persistent or extinct: a certificate first, then
     the accelerated or the plain Poincare iteration.
@@ -353,10 +349,10 @@ def find_periodic_solution(op: DispersalOperator, weight: Weight,
     Perron vector of the linearized period map (see the module docstring); it
     needs ``mu(lam) > 0`` and one KPP period per ``eps`` tried.  Under it,
     Anderson mixing iterates the period map from a small positive constant
-    until the relative change of one period falls below ``tol_fix``.  Without
+    until the relative change of one period falls below ``TOL_FIX``.  Without
     it, the plain iteration from the same start decides: persistence by the
     same stopping rule at a state bounded away from zero; extinction when the
-    sup norm falls below ``tol_ext`` times the carrying scale, or when one
+    sup norm falls below ``TOL_EXT`` times the carrying scale, or when one
     linear period contracts the current state uniformly, which bounds all
     later iterates by a geometric decay.  ``periods_used`` counts the
     certificate's periods and those of the iteration from the small start;
@@ -371,17 +367,15 @@ def find_periodic_solution(op: DispersalOperator, weight: Weight,
         n_steps = steps(period, scale)
     n_steps += n_steps % 2
 
+    linear = _stepped_map(op, weight, lam, n_steps)
     certificate, sub, cert_periods = _persistence_certificate(
-        op, weight, lam, run, n_steps, scale)
-    if certificate is None:
-        linear = period_action(op, weight, lam, n_steps)
+        linear, op.n, period, run, n_steps, scale)
 
     def iterate(u0):
         if certificate is None:
-            return _poincare_iterate(run, linear, u0, period, n_steps, tol_fix, tol_ext,
-                                     max_periods, scale)
-        return _anderson_iterate(run, u0, period, n_steps, tol_fix, max_periods,
-                                 sub, scale) + (certificate,)
+            return _poincare_iterate(run, linear, u0, period, n_steps, max_periods, scale)
+        return _anderson_iterate(run, u0, period, n_steps, max_periods, sub,
+                                 scale) + (certificate,)
 
     verdict, u_star, residual, used, reason = iterate(np.full(op.n, 0.1 * scale))
     used += cert_periods
@@ -398,7 +392,8 @@ def find_periodic_solution(op: DispersalOperator, weight: Weight,
 
     # the orbit's own discrete map, so the residual is |P(u*) - u*| of the map
     # that decided the verdict
-    times, orbit = run(u_star, 0.0, period, n_steps, max(1, n_steps // ORBIT_SNAPSHOTS))
+    snap = run(u_star, 0.0, period, n_steps, max(1, n_steps // ORBIT_SNAPSHOTS))
+    orbit = snap.states
     return PeriodicOrbit(
         verdict="persistence",
         lam=lam,
@@ -408,7 +403,7 @@ def find_periodic_solution(op: DispersalOperator, weight: Weight,
         sup_of_orbit=float(orbit.max()),
         periods_used=used,
         uniqueness_gap=gap,
-        orbit_times=times,
+        orbit_times=snap.times,
         orbit_states=orbit,
         certificate=certificate,
     )

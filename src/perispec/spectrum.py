@@ -432,17 +432,12 @@ def _check_s1(weight: Weight, op: DispersalOperator, lam: float, m_hat: np.ndarr
     return "yes"
 
 
-def _stepped_perron(op: DispersalOperator, weight: Weight, lam: float, n_steps: int,
-                    start: np.ndarray | None = None):
-    """(ratio, vector, map, applications): ``_krylov_perron`` from ``start``
-    of the period map at ``n_steps``, and the map it applied: the formed map
+def _stepped_map(op: DispersalOperator, weight: Weight, lam: float, n_steps: int):
+    """The period map at ``n_steps`` as a function of a vector: the formed map
     below ``_KRYLOV_MIN_N`` nodes, vector periods from there on."""
     if op.n < _KRYLOV_MIN_N:
-        apply = period_map(op, weight, lam, n_steps=n_steps).matrix.__matmul__
-    else:
-        apply = period_action(op, weight, lam, n_steps)
-    ratio, phi, count = _krylov_perron(apply, op.n, start)
-    return ratio, phi, apply, count
+        return period_map(op, weight, lam, n_steps=n_steps).matrix.__matmul__
+    return period_action(op, weight, lam, n_steps)
 
 
 def principal_spectrum_point(op: DispersalOperator, weight: Weight, lam: float,
@@ -479,7 +474,8 @@ def principal_spectrum_point(op: DispersalOperator, weight: Weight, lam: float,
     logs, two = [], []
     iterations = 0
     while True:
-        ratio, phi, apply, count = _stepped_perron(op, weight, lam, steps, start)
+        apply = _stepped_map(op, weight, lam, steps)
+        ratio, phi, count = _krylov_perron(apply, op.n, start)
         iterations += count
         start = phi
         logs.append(math.log(ratio))

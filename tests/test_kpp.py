@@ -100,6 +100,21 @@ def test_simulate_input_validation():
         simulate_kpp(op, w, nl, 1.0, good, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("n", [2, 16])
+@pytest.mark.parametrize("record_every", [0, -1])
+def test_record_every_below_one_is_refused(n, record_every):
+    # 0 failed to unpack the final state (on 2 nodes it unpacked, and the
+    # sup norms hit an AxisError); -1 recorded every step
+    op = make_op(Boundary.DIRICHLET, n=n)
+    w = closed_form(STANDARD_WEIGHT, 1.0)
+    u0 = np.full(op.n, 0.1)
+    with pytest.raises(ValueError, match="record_every must be at least 1"):
+        propagate(op, w, 1.0, u0, 0.0, 1.0, n_steps=8, record_every=record_every)
+    with pytest.raises(ValueError, match="record_every must be at least 1"):
+        simulate_kpp(op, w, Nonlinearity(), 1.0, u0, 0.0, 1.0, n_steps=8,
+                     record_every=record_every)
+
+
 @pytest.mark.parametrize("max_periods", [0, -3])
 def test_periodic_solution_refuses_fewer_than_one_period(max_periods):
     op = make_op(Boundary.DIRICHLET, n=16)
@@ -282,14 +297,18 @@ def test_every_poincare_period_is_one_simulate_kpp_period(dirichlet_threshold, m
     nl = Nonlinearity("saturating", crowding=2.0, saturation=0.5)
     lam = 1.5 * res.lambda_p
     periods = []
-    original = perispec.kpp._integrate
+    original = perispec.kpp._flow
 
-    def recording(op_, w_, lam_, u, t0, t1, n_steps, record_every=None, **kwargs):
-        out = original(op_, w_, lam_, u, t0, t1, n_steps, record_every, **kwargs)
-        if record_every is None:
-            periods.append((u.copy(), out.copy(), n_steps))
-        return out
-    monkeypatch.setattr(perispec.kpp, "_integrate", recording)
+    def recording(op_, w_, lam_, t0, t1, n_steps, reaction):
+        run = original(op_, w_, lam_, t0, t1, n_steps, reaction)
+
+        def recorded(u, record_every=None, ceiling=None):
+            out = run(u, record_every, ceiling)
+            if record_every is None:
+                periods.append((u.copy(), out.copy(), n_steps))
+            return out
+        return recorded
+    monkeypatch.setattr(perispec.kpp, "_flow", recording)
     orbit = find_periodic_solution(op, w, nl, lam, check_uniqueness=False)
     monkeypatch.undo()
     assert orbit.verdict == "persistence"
@@ -381,6 +400,24 @@ def test_extinction_comes_from_plain_iterates(quickstart_threshold, monkeypatch)
     assert orbit.residual == float(np.abs(iterates[-1] - iterates[-2]).max())
 
 
+def test_extinction_orbit_builds_one_linearized_map(quickstart_threshold, monkeypatch):
+    # the certificate's Perron solve and the contraction test apply the same
+    # linearized map, formed at 64 nodes, wherever a module binds its builders
+    op, w, res = quickstart_threshold
+    built = []
+    for module in (perispec.spectrum, perispec.kpp):
+        for name in ("period_map", "period_action"):
+            if hasattr(module, name):
+                def counting(*args, _original=getattr(module, name), _name=name, **kwargs):
+                    built.append(_name)
+                    return _original(*args, **kwargs)
+                monkeypatch.setattr(module, name, counting)
+    orbit = find_periodic_solution(op, w, Nonlinearity(), 0.5 * res.lambda_p,
+                                   check_uniqueness=False)
+    assert orbit.verdict == "extinction"
+    assert built == ["period_map"]
+
+
 @pytest.mark.parametrize("factor", [1.005, 1.02])
 def test_persistence_is_decided_near_the_threshold(quickstart_threshold, factor):
     # the plain iteration needs more than its 500 periods here; the certificate
@@ -415,16 +452,23 @@ def test_certificate_phi_is_the_period_maps_perron_vector(quickstart_threshold, 
     nl = Nonlinearity()
     lam = factor * res.lambda_p
     n_steps = _plain_iteration(op, w, nl, lam, 0)[1]
-    calls = []
-    original = perispec.kpp._stepped_perron
+    maps, solves = [], []
+    original_map = perispec.kpp._stepped_map
+    original_solve = perispec.kpp._krylov_perron
 
-    def recording(*args, **kwargs):
-        calls.append((args, original(*args, **kwargs)))
-        return calls[-1][1]
-    monkeypatch.setattr(perispec.kpp, "_stepped_perron", recording)
+    def recording_map(*args):
+        maps.append(args)
+        return original_map(*args)
+
+    def recording_solve(*args):
+        solves.append(original_solve(*args))
+        return solves[-1]
+    monkeypatch.setattr(perispec.kpp, "_stepped_map", recording_map)
+    monkeypatch.setattr(perispec.kpp, "_krylov_perron", recording_solve)
     orbit = find_periodic_solution(op, w, nl, lam, check_uniqueness=False)
     assert orbit.certificate is not None
-    [(args, (ratio, phi, _, iterations))] = calls
+    [args] = maps
+    [(ratio, phi, iterations)] = solves
     assert args[3] == n_steps and iterations > 2 and ratio > 1.0
     image = period_action(op, w, lam, n_steps)(phi)
     rho = float(np.dot(op.quad_weights * phi, image) / np.dot(op.quad_weights * phi, phi))
@@ -451,13 +495,17 @@ def test_accelerated_iterates_stay_in_the_order_interval(monkeypatch):
     nl = Nonlinearity()
     lam = 1.5
     inputs = []
-    original = perispec.kpp._integrate
+    original = perispec.kpp._flow
 
-    def recording(op_, w_, lam_, u, t0, t1, n_steps, record_every=None, **kwargs):
-        if record_every is None:
-            inputs.append(u.copy())
-        return original(op_, w_, lam_, u, t0, t1, n_steps, record_every, **kwargs)
-    monkeypatch.setattr(perispec.kpp, "_integrate", recording)
+    def recording(*args):
+        run = original(*args)
+
+        def recorded(u, record_every=None, ceiling=None):
+            if record_every is None:
+                inputs.append(u.copy())
+            return run(u, record_every, ceiling)
+        return recorded
+    monkeypatch.setattr(perispec.kpp, "_flow", recording)
     orbit = find_periodic_solution(op, closed_form("1", 1.0), nl, lam)
     assert orbit.verdict == "persistence"
     assert orbit.certificate is not None
@@ -472,7 +520,7 @@ def test_failed_spectrum_point_leaves_the_plain_iteration(quickstart_threshold, 
 
     def failing(*args, **kwargs):
         raise PowerIterationError("Arnoldi did not converge")
-    monkeypatch.setattr(perispec.kpp, "_stepped_perron", failing)
+    monkeypatch.setattr(perispec.kpp, "_krylov_perron", failing)
     orbit = find_periodic_solution(op, w, Nonlinearity(), 2.0 * res.lambda_p,
                                    check_uniqueness=False)
     assert orbit.verdict == "persistence"
@@ -492,8 +540,7 @@ def test_accelerated_iteration_from_a_low_start_stays_above_the_sub_solution(
     phi = principal_spectrum_point(op, w, lam, n_steps=n_steps).eigenfunction
     floor = 1e-3 * carrying * phi
     verdict, u, _, used = perispec.kpp._anderson_iterate(
-        run, run(floor, 0.0, w.period, n_steps), w.period, n_steps, TOL_FIX, 200,
-        floor, carrying)
+        run, run(floor, 0.0, w.period, n_steps), w.period, n_steps, 200, floor, carrying)
     assert verdict == "persistence"
     assert np.all(u >= floor)
     settled = find_periodic_solution(op, w, nl, lam, check_uniqueness=False)
@@ -501,10 +548,13 @@ def test_accelerated_iteration_from_a_low_start_stays_above_the_sub_solution(
     assert np.abs(u - settled.fixed_point).max() < 1e-6 * scale
 
 
-def test_anderson_mixing_solves_a_slow_affine_contraction():
+def test_anderson_mixing_solves_a_slow_affine_contraction(monkeypatch):
     # P(u) = A u + c, order preserving (A >= 0) with spectral radius 0.99:
     # the plain iteration needs thousands of periods, depth-5 mixing a few
-    # dozen, and every mixed iterate stays inside the projection box
+    # dozen, and every mixed iterate stays inside the projection box.  The
+    # stopping rule is tightened to 1e-12, so the fixed point's error, about
+    # 100 times the last residual here, stays below 1e-9
+    monkeypatch.setattr(perispec.kpp, "TOL_FIX", 1e-12)
     rng = np.random.default_rng(3)
     a = rng.uniform(0.0, 1.0, (6, 6))
     a *= 0.99 / np.abs(np.linalg.eigvals(a)).max()
@@ -517,7 +567,7 @@ def test_anderson_mixing_solves_a_slow_affine_contraction():
         seen.append(u.copy())
         return a @ u + c
     verdict, u, diff, used = perispec.kpp._anderson_iterate(
-        run, np.zeros(6), 1.0, 1, 1e-12, 200, np.zeros(6), ceiling)
+        run, np.zeros(6), 1.0, 1, 200, np.zeros(6), ceiling)
     assert verdict == "persistence"
     assert used < 40
     assert np.abs(u - exact).max() < 1e-9 * exact.max()

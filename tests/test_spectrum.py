@@ -311,7 +311,8 @@ def two_level_values(op, w, lam, steps, start=None):
     each level's Arnoldi starting from the vector of the level below."""
     logs = []
     for n in [steps[0] // 2, *steps]:
-        ratio, start, _, _ = perispec.spectrum._stepped_perron(op, w, lam, n, start)
+        apply = perispec.spectrum._stepped_map(op, w, lam, n)
+        ratio, start, _ = perispec.spectrum._krylov_perron(apply, op.n, start)
         logs.append(math.log(ratio))
     return [(4.0 * fine - coarse) / (3.0 * w.period) for coarse, fine in zip(logs, logs[1:])]
 
