@@ -19,7 +19,6 @@ from .kpp import (Nonlinearity, PeriodicOrbit, ThresholdScan,
 from .operator import DispersalOperator, Problem, assemble
 from .spectrum import (PowerIterationError, SConditions, SpectrumReport,
                        autonomous_spectrum_point, check_S_conditions,
-                       classify_principal_eigenvalue, essential_interval,
                        principal_spectrum_point, refinement_diagnostics)
 from .validate import CheckResult, run_checks
 from .weighted_solver import (LambdaPResult, PeSufficiency, UpperBoundResult,
@@ -40,8 +39,8 @@ __all__ = [
     "UnstableStepError", "UpperBoundResult", "Weight", "WeightExprError",
     "WeightSummary", "WrappedKernel", "assemble",
     "autonomous_spectrum_point", "build_grid", "check_S_conditions",
-    "check_conditions", "classify_principal_eigenvalue", "closed_form",
-    "comparison_check", "default_n_steps", "essential_interval",
+    "check_conditions", "closed_form",
+    "comparison_check", "default_n_steps",
     "find_periodic_solution", "from_samples", "load_sampled_csv",
     "make_kernel", "p_functional", "pe_sufficiency",
     "period_map", "principal_spectrum_point", "propagate",

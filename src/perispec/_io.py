@@ -2,14 +2,14 @@
 
 All numeric columns are written with 17 significant digits, '.' decimal
 separator, and '\n' line endings so that reruns with identical inputs produce
-byte-identical files.
+byte-identical files.  Each writer takes its path first and writes into a
+directory that must already exist.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 
@@ -28,8 +28,6 @@ def fmt(value) -> str:
 
 
 def write_csv(path, columns, rows) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(CSV_SCHEMA + "\n")
         fh.write(",".join(columns) + "\n")
@@ -55,15 +53,11 @@ def _clean(obj):
 
 
 def write_json(path, obj) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         json.dump(_clean(obj), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def write_text(path, text) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(text)

@@ -11,13 +11,16 @@ verdicts across couplings), ``validate`` (seeded self-check battery; the
 config file is optional for this task).
 
 Every task writes CSV files tagged ``# perispec-csv v1``, a ``summary.json``,
-and a human-readable ``report.txt`` into the output directory.  Outputs
-contain no timestamps or machine-specific data, so rerunning a task with the
-same config produces byte-identical files, independent of the thread count.
+and a human-readable ``report.txt`` into the output directory when it
+finishes, and makes the directory then; a config error or a numerical
+failure writes nothing.  Outputs contain no timestamps or machine-specific
+data, so rerunning a task with the same config produces byte-identical
+files, independent of the thread count.
 
 Exit codes: 0 success, 1 the task's own acceptance condition failed (a failed
 check, a violated bound, an inconsistent scan), 2 bad usage or configuration,
-3 numerical failure (unstable integration or non-converged iteration).
+or an output directory that cannot be written, 3 numerical failure (unstable
+integration or non-converged iteration).
 """
 
 from __future__ import annotations
@@ -301,15 +304,17 @@ def _root_report_lines(res):
     return lines
 
 
-def _write_curve(path, curve):
-    write_csv(path, ["lam", "mu"], list(curve))
+def _curve(res):
+    """The ``(lam, mu)`` table of a root search's curve."""
+    return ["lam", "mu"], list(res.curve)
 
 
 # ---------------------------------------------------------------------------
-# tasks
+# tasks: each returns (exit code, message, CSV tables by file name, summary,
+# report lines) and writes nothing; ``main`` writes every output
 
 
-def _task_spectrum(cp, op, weight, outdir, threads):
+def _task_spectrum(cp, op, weight, threads):
     sec = _section(cp, "spectrum")
     lams = _float_list("lambdas", _get(sec, "lambdas", required=True))
     n_steps = _get_int(sec, "n_steps")
@@ -322,14 +327,10 @@ def _task_spectrum(cp, op, weight, outdir, threads):
     rows = [[rep.lam, rep.mu_n, rep.residual, rep.iterations, rep.h_hat_min,
              rep.h_hat_max, rep.is_principal_eigenvalue, s.s1, s.s2, s.s3,
              s.s3_exponent, rep.localization_width, rep.time_error] for rep, s in points]
-    write_csv(outdir / "spectrum.csv",
-              ["lam", "mu_n", "residual", "iterations", "h_hat_min", "h_hat_max",
-               "is_principal_eigenvalue", "s1", "s2", "s3", "s3_exponent",
-               "localization_width", "time_error"], rows)
-
+    csvs = {"spectrum.csv": (["lam", "mu_n", "residual", "iterations", "h_hat_min",
+                              "h_hat_max", "is_principal_eigenvalue", "s1", "s2", "s3",
+                              "s3_exponent", "localization_width", "time_error"], rows)}
     summary = {
-        "task": "spectrum",
-        "config": _config_echo(cp),
         "results": [
             {"lam": rep.lam, "mu_n": rep.mu_n, "time_error": rep.time_error,
              "residual": rep.residual,
@@ -338,55 +339,44 @@ def _task_spectrum(cp, op, weight, outdir, threads):
              "s_conditions": {"s1": s.s1, "s2": s.s2, "s3": s.s3}}
             for rep, s in points],
     }
-    write_json(outdir / "summary.json", summary)
-
     lines = ["principal spectrum points", ""]
     for rep, _ in points:
         lines.append(
             f"lam = {fmt(rep.lam)}: mu = {fmt(rep.mu_n)}, envelope max = "
             f"{fmt(rep.h_hat_max)}, principal eigenvalue: {rep.is_principal_eigenvalue}")
-    write_text(outdir / "report.txt", "\n".join(lines) + "\n")
-    return 0, f"computed {len(points)} spectrum points"
+    return 0, f"computed {len(points)} spectrum points", csvs, summary, lines
 
 
-def _task_lambda_p(cp, op, weight, outdir, threads):
+def _task_lambda_p(cp, op, weight, threads):
     sec = _section(cp, "lambda_p", required=False)
     res = solve_lambda_p(op, weight, n_steps=_get_int(sec, "n_steps"), **_root_options(sec))
     pe = pe_sufficiency(op, weight, res) if res.status == STATUS_UNIQUE else None
 
-    _write_curve(outdir / "curve.csv", res.curve)
-    summary = {"task": "lambda_p", "config": _config_echo(cp),
-               "result": _root_dict(res)}
+    summary = {"result": _root_dict(res)}
     if pe is not None:
         summary["principal_eigenvalue"] = _pe_dict(pe)
-    write_json(outdir / "summary.json", summary)
-
     lines = ["weighted threshold problem", ""] + _root_report_lines(res)
     if pe is not None:
         lines.append(
             f"eigenvalue at the root: {pe.is_principal_eigenvalue}"
             + (f" (certified by {pe.basis})" if pe.basis else ""))
-    write_text(outdir / "report.txt", "\n".join(lines) + "\n")
-    return 0, f"status {res.status}" + (
+    message = f"status {res.status}" + (
         f", lambda_p = {fmt(res.lambda_p)}" if res.lambda_p is not None else "")
+    return 0, message, {"curve.csv": _curve(res)}, summary, lines
 
 
-def _task_upper_bound(cp, op, weight, outdir, threads):
+def _task_upper_bound(cp, op, weight, threads):
     sec = _section(cp, "upper_bound", required=False)
     out = upper_bound_lambda_p(op, weight, n_steps=_get_int(sec, "n_steps"),
                                **_root_options(sec))
-    _write_curve(outdir / "curve_time.csv", out.time_dependent.curve)
-    _write_curve(outdir / "curve_averaged.csv", out.averaged.curve)
+    csvs = {"curve_time.csv": _curve(out.time_dependent),
+            "curve_averaged.csv": _curve(out.averaged)}
     summary = {
-        "task": "upper_bound",
-        "config": _config_echo(cp),
         "time_dependent": _root_dict(out.time_dependent),
         "averaged": _root_dict(out.averaged),
         "bound_holds": out.bound_holds,
         "slack": out.slack,
     }
-    write_json(outdir / "summary.json", summary)
-
     lines = ["time-averaging upper bound", "", "time-dependent problem:"]
     lines += ["  " + ln for ln in _root_report_lines(out.time_dependent)]
     lines += ["", "time-averaged problem:"]
@@ -397,13 +387,13 @@ def _task_upper_bound(cp, op, weight, outdir, threads):
     else:
         lines.append(f"averaged root minus time-dependent root: {fmt(out.slack)}")
         lines.append(f"upper bound holds: {fmt(out.bound_holds)}")
-    write_text(outdir / "report.txt", "\n".join(lines) + "\n")
     if out.bound_holds is False:
-        return 1, "upper bound violated"
-    return 0, "bound " + ("holds" if out.bound_holds else "not applicable")
+        return 1, "upper bound violated", csvs, summary, lines
+    message = "bound " + ("holds" if out.bound_holds else "not applicable")
+    return 0, message, csvs, summary, lines
 
 
-def _task_kpp_scan(cp, op, weight, outdir, threads):
+def _task_kpp_scan(cp, op, weight, threads):
     sec = _section(cp, "kpp_scan")
     lams = _float_list("lambdas", _get(sec, "lambdas", required=True))
     try:
@@ -432,13 +422,9 @@ def _task_kpp_scan(cp, op, weight, outdir, threads):
              o.periods_used,
              math.nan if o.uniqueness_gap is None else o.uniqueness_gap]
             for o in scan.orbits]
-    write_csv(outdir / "scan.csv",
-              ["lam", "verdict", "sup_of_orbit", "min_of_orbit", "residual",
-               "periods_used", "uniqueness_gap"], rows)
-
+    csvs = {"scan.csv": (["lam", "verdict", "sup_of_orbit", "min_of_orbit", "residual",
+                          "periods_used", "uniqueness_gap"], rows)}
     summary = {
-        "task": "kpp_scan",
-        "config": _config_echo(cp),
         "verdicts": [{"lam": o.lam, "verdict": o.verdict,
                       "periods_used": o.periods_used, "certificate": o.certificate}
                      for o in scan.orbits],
@@ -447,8 +433,6 @@ def _task_kpp_scan(cp, op, weight, outdir, threads):
         "monotone": scan.monotone,
         "consistent_with_root": scan.consistent_with_root,
     }
-    write_json(outdir / "summary.json", summary)
-
     lines = ["persistence scan", ""]
     for o in scan.orbits:
         lines.append(f"lam = {fmt(o.lam)}: {o.verdict} "
@@ -462,15 +446,12 @@ def _task_kpp_scan(cp, op, weight, outdir, threads):
     if scan.consistent_with_root is not None:
         lines.append(f"threshold root inside the switch bracket: "
                      f"{fmt(scan.consistent_with_root)}")
-    write_text(outdir / "report.txt", "\n".join(lines) + "\n")
-
-    failed = (not scan.monotone) or scan.consistent_with_root is False
-    return (1 if failed else 0), (
-        "scan inconsistent with the linear threshold" if failed
-        else f"{len(scan.orbits)} verdicts, monotone")
+    if (not scan.monotone) or scan.consistent_with_root is False:
+        return 1, "scan inconsistent with the linear threshold", csvs, summary, lines
+    return 0, f"{len(scan.orbits)} verdicts, monotone", csvs, summary, lines
 
 
-def _task_validate(cp, outdir):
+def _task_validate(cp):
     sec = _section(cp, "validate", required=False) if cp is not None else {}
     seed = _get_int(sec, "seed", default=DEFAULT_SEED)
     names_raw = _get(sec, "checks")
@@ -485,25 +466,21 @@ def _task_validate(cp, outdir):
         raise ConfigError(str(exc)) from None
 
     rows = [[r.name, r.passed, r.detail.replace(",", ";")] for r in results]
-    write_csv(outdir / "checks.csv", ["name", "passed", "detail"], rows)
+    csvs = {"checks.csv": (["name", "passed", "detail"], rows)}
     summary = {
-        "task": "validate",
-        "config": _config_echo(cp),
         "seed": seed,
         "passed": sum(r.passed for r in results),
         "failed": sum(not r.passed for r in results),
         "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
                    for r in results],
     }
-    write_json(outdir / "summary.json", summary)
     lines = ["self-check battery", ""]
     for r in results:
         lines.append(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}")
-    write_text(outdir / "report.txt", "\n".join(lines) + "\n")
     failed = [r for r in results if not r.passed]
     if failed:
-        return 1, f"{len(failed)} of {len(results)} checks failed"
-    return 0, f"all {len(results)} checks passed"
+        return 1, f"{len(failed)} of {len(results)} checks failed", csvs, summary, lines
+    return 0, f"all {len(results)} checks passed", csvs, summary, lines
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +507,6 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ConfigError("thread count must be >= 1")
-        outdir = Path(args.output_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
         cp = None
         if args.config is not None:
             cp = _load_config(args.config)
@@ -539,13 +514,13 @@ def main(argv=None) -> int:
             raise ConfigError(f"task {args.task!r} needs a config file")
 
         if args.task == "validate":
-            code, message = _task_validate(cp, outdir)
+            code, message, csvs, summary, lines = _task_validate(cp)
         else:
             op, weight = _build_problem(cp, Path(args.config).resolve().parent)
             handler = {"spectrum": _task_spectrum, "lambda_p": _task_lambda_p,
                        "upper_bound": _task_upper_bound,
                        "kpp_scan": _task_kpp_scan}[args.task]
-            code, message = handler(cp, op, weight, outdir, args.threads)
+            code, message, csvs, summary, lines = handler(cp, op, weight, args.threads)
     except ConfigError as exc:
         print(f"perispec: config error: {exc}", file=sys.stderr)
         return 2
@@ -553,11 +528,22 @@ def main(argv=None) -> int:
         print(f"perispec: numerical failure: {exc}", file=sys.stderr)
         return 3
 
+    outdir = Path(args.output_dir)
+    report = "\n".join(lines) + "\n"
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, (columns, rows) in csvs.items():
+            write_csv(outdir / name, columns, rows)
+        write_json(outdir / "summary.json",
+                   {"task": args.task, "config": _config_echo(cp), **summary})
+        write_text(outdir / "report.txt", report)
+    except OSError as exc:
+        print(f"perispec: cannot write the results: {exc}", file=sys.stderr)
+        return 2
+
     print(f"perispec {args.task}: {message} (results in {outdir})")
     if args.verbose:
-        report = outdir / "report.txt"
-        if report.exists():
-            print(report.read_text(), end="")
+        print(report, end="")
     return code
 
 

@@ -69,9 +69,6 @@ class Kernel:
             raise ValueError(f"displacement has {z.shape[-1]} coordinates, kernel has dim {self.dim}")
         return self.radial(np.sqrt(np.sum(z * z, axis=-1)))
 
-    def __call__(self, z):
-        return self.evaluate(z)
-
 
 def make_kernel(profile: str, support_radius: float, dim: int = 1) -> Kernel:
     """Build a unit-mass kernel.  ``profile`` is one of ``PROFILES``."""
@@ -108,9 +105,6 @@ class WrappedKernel:
         for shift in self.shifts:
             total = total + self.base.evaluate(z + shift)
         return total
-
-    def __call__(self, z):
-        return self.evaluate(z)
 
 
 def wrap_kernel(kernel: Kernel, periods) -> WrappedKernel:

@@ -155,8 +155,20 @@ class SpectrumReport:
 
     @property
     def is_principal_eigenvalue(self) -> str:
-        """The verdict of ``classify_principal_eigenvalue``: "yes" or "marginal"."""
-        return classify_principal_eigenvalue(self)
+        """'yes' when mu clears the envelope sup with a converged eigenpair, else 'marginal'.
+
+        Converged means ``residual < TOL_EIG``: relative to the map's ratio on a
+        time-stepped point, in units of ``mu`` on the exact route.
+
+        A point on the envelope sup reads 'marginal' whatever its residual: on
+        one grid a dominant eigenvector always exists, and whether the continuum
+        problem has an eigenfunction there shows only under refinement (see
+        ``refinement_diagnostics``).
+        """
+        gap_tol = 1e-6 * (1.0 + abs(self.mu_n))
+        if self.mu_n > self.h_hat_max + gap_tol and self.residual < TOL_EIG:
+            return "yes"
+        return "marginal"
 
 
 def _frozen_perron(op: DispersalOperator, m_hat: np.ndarray, lam: float) -> np.ndarray | None:
@@ -296,29 +308,6 @@ def _report(op: DispersalOperator, lam: float, h: np.ndarray, mu: float, phi: np
                           iterations=iterations,
                           localization_width=localization_width(phi, op.quad_weights),
                           time_error=time_error, n_steps=n_steps)
-
-
-def essential_interval(op: DispersalOperator, weight: Weight, lam: float) -> tuple[float, float]:
-    """Range of the local growth envelope ``-b + lam * m_hat`` over the grid."""
-    h = -op.b + lam * time_average(weight, op.grid)
-    return float(h.min()), float(h.max())
-
-
-def classify_principal_eigenvalue(report: SpectrumReport) -> str:
-    """'yes' when mu clears the envelope sup with a converged eigenpair, else 'marginal'.
-
-    Converged means ``residual < TOL_EIG``: relative to the map's ratio on a
-    time-stepped point, in units of ``mu`` on the exact route.
-
-    A point on the envelope sup reads 'marginal' whatever its residual: on
-    one grid a dominant eigenvector always exists, and whether the continuum
-    problem has an eigenfunction there shows only under refinement (see
-    ``refinement_diagnostics``).
-    """
-    gap_tol = 1e-6 * (1.0 + abs(report.mu_n))
-    if report.mu_n > report.h_hat_max + gap_tol and report.residual < TOL_EIG:
-        return "yes"
-    return "marginal"
 
 
 def _fit_contact_exponent(h: np.ndarray, nodes: np.ndarray, spacing: float) -> float:

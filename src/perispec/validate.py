@@ -22,8 +22,7 @@ from .evolution import period_map, propagate
 from .geometry import Boundary, make_kernel
 from .kpp import Nonlinearity, simulate_kpp
 from .operator import Problem
-from .spectrum import (autonomous_spectrum_point, essential_interval,
-                       principal_spectrum_point)
+from .spectrum import autonomous_spectrum_point, principal_spectrum_point
 from .weighted_solver import solve_lambda_p
 from .weights import closed_form, summarize
 
@@ -131,8 +130,8 @@ def check_weight_monotonicity(rng) -> tuple[bool, str]:
 def check_essential_floor(rng) -> tuple[bool, str]:
     op, weight = _random_setup(rng, Boundary.DIRICHLET)
     lam = float(rng.uniform(0.0, 2.0))
-    mu = principal_spectrum_point(op, weight, lam, n_steps=256).mu_n
-    _, h_max = essential_interval(op, weight, lam)
+    rep = principal_spectrum_point(op, weight, lam, n_steps=256)
+    mu, h_max = rep.mu_n, rep.h_hat_max
     return mu >= h_max - 1e-8, f"mu - envelope max = {mu - h_max:.3e}"
 
 

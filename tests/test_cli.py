@@ -1,5 +1,6 @@
 """Command-line front end: config ingestion, outputs, determinism, exit codes."""
 
+import dataclasses
 import json
 import math
 import sys
@@ -282,6 +283,49 @@ def test_lambda_p_degenerate_status(tmp_path):
     assert "principal_eigenvalue" not in summary
 
 
+PE_PROBLEM = """
+[problem]
+boundary = dirichlet
+box = 1
+n_per_axis = 64
+kernel = parabolic
+support_radius = {radius}
+
+[weight]
+period = 1.0
+expr = {expr}
+{extra}
+"""
+
+
+@pytest.mark.parametrize("expr, radius, extra, lambda_p, basis, fields", [
+    # a smooth envelope with its flat interior maximum declared
+    ("cos(2*pi*(x - 0.5)) - 0.2 + sin(2*pi*t/T)", 1.0, "s1_maximizer = 0.5", 0.96899,
+     "S1", {"s1": "yes"}),
+    # a square-root cusp: its contact integral converges, so S3 fails and the
+    # gap between mu and the envelope sup decides
+    ("1 - 2*((x - 0.5)**2)**0.25 + 0.3*sin(2*pi*t/T)", 1.0, "", 1.06949,
+     "gap", {"s1": "unknown", "s3": "no", "s3_exponent": pytest.approx(0.62, abs=0.01),
+             "spectral_gap": pytest.approx(0.120, abs=1e-3)}),
+    # a kernel far wider than the box puts mu within 1e-6 of the envelope sup
+    ("0.2 - ((x - 0.5)**2)**0.25 * (1 + 0.5*sin(2*pi*t/T))", 1e5, "", 8.9596,
+     None, {"s1": "unknown", "s3": "no", "spectral_gap": pytest.approx(2.3e-7, rel=0.05)}),
+], ids=["S1", "gap", "unknown"])
+def test_lambda_p_reports_each_sufficiency_basis(tmp_path, expr, radius, extra, lambda_p,
+                                                  basis, fields):
+    cfg = write_ini(tmp_path, PE_PROBLEM.format(radius=radius, expr=expr, extra=extra))
+    out = tmp_path / "out"
+    assert run("lambda_p", cfg, out) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["result"]["status"] == "unique_root"
+    assert summary["result"]["lambda_p"] == pytest.approx(lambda_p, abs=1e-4)
+    pe = summary["principal_eigenvalue"]
+    assert pe["basis"] == basis
+    assert pe["is_principal_eigenvalue"] == ("unknown" if basis is None else "yes")
+    for key, value in fields.items():
+        assert pe[key] == value, key
+
+
 def test_upper_bound_task(tmp_path):
     cfg = write_ini(tmp_path, BASE_PROBLEM)
     out = tmp_path / "out"
@@ -291,6 +335,43 @@ def test_upper_bound_task(tmp_path):
     assert summary["slack"] >= -1e-8
     assert (out / "curve_time.csv").exists()
     assert (out / "curve_averaged.csv").exists()
+
+
+UPPER_BOUND_FILES = ["curve_averaged.csv", "curve_time.csv", "report.txt", "summary.json"]
+
+
+def test_upper_bound_without_unique_roots_is_not_applicable(tmp_path, capsys):
+    # zero time average on Neumann: neither problem has a unique positive root
+    cfg = write_ini(tmp_path, BASE_PROBLEM.replace("dirichlet", "neumann")
+                    .replace("sin(2*pi*t/T) + cos(2*pi*x) - 0.2", "sin(2*pi*t/T)"))
+    out = tmp_path / "out"
+    assert run("upper_bound", cfg, out) == 0
+    assert "bound not applicable" in capsys.readouterr().out
+    assert sorted(p.name for p in out.iterdir()) == UPPER_BOUND_FILES
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["task"] == "upper_bound"
+    assert summary["time_dependent"]["status"] == "all_positive_roots"
+    assert summary["averaged"]["status"] == "all_positive_roots"
+    assert summary["bound_holds"] is None and summary["slack"] is None
+    report = (out / "report.txt").read_text()
+    assert report.endswith("\nbound not applicable: at least one problem has no unique root\n")
+    for name in ("curve_time.csv", "curve_averaged.csv"):
+        assert (out / name).read_text().startswith("# perispec-csv v1\nlam,mu\n")
+
+
+def test_violated_upper_bound_exits_one(tmp_path, capsys, monkeypatch):
+    real = perispec.cli.upper_bound_lambda_p
+    monkeypatch.setattr(perispec.cli, "upper_bound_lambda_p", lambda *args, **kwargs:
+                        dataclasses.replace(real(*args, **kwargs), bound_holds=False))
+    out = tmp_path / "out"
+    assert run("upper_bound", write_ini(tmp_path, BASE_PROBLEM), out) == 1
+    assert "upper bound violated" in capsys.readouterr().out
+    assert sorted(p.name for p in out.iterdir()) == UPPER_BOUND_FILES
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["bound_holds"] is False
+    assert summary["time_dependent"]["status"] == summary["averaged"]["status"] == "unique_root"
+    assert summary["slack"] >= -1e-8
+    assert (out / "report.txt").read_text().endswith("\nupper bound holds: false\n")
 
 
 def test_kpp_scan_task(tmp_path):
@@ -638,6 +719,22 @@ def test_task_without_config_exits_two(tmp_path, capsys):
     assert "needs a config file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("task, text, message", [
+    ("spectrum", BASE_PROBLEM, "config needs a [spectrum] section"),
+    ("lambda_p", BASE_PROBLEM.split("[weight]")[0], "config needs a [weight] section"),
+    ("spectrum", BASE_PROBLEM + "\n[spectrum]\nlambdas = ,\n", "lambdas is empty"),
+    ("kpp_scan", BASE_PROBLEM + "\n[kpp_scan]\nlambdas = ;\n", "lambdas is empty"),
+    ("validate", "[validate]\nchecks = ;\n", "checks is empty"),
+], ids=["no spectrum section", "no weight section", "no lambdas", "no kpp lambdas",
+        "no checks"])
+def test_missing_or_empty_config_part_exits_two(tmp_path, capsys, task, text, message):
+    out = tmp_path / "out"
+    assert run(task, write_ini(tmp_path, text), out) == 2
+    assert f"perispec: config error: {message}" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+    assert not out.exists()  # an error makes no output directory
+
+
 def test_missing_lambdas_exits_two(tmp_path, capsys):
     cfg = write_ini(tmp_path, BASE_PROBLEM + "\n[spectrum]\n")
     assert run("spectrum", cfg, tmp_path / "out") == 2
@@ -765,3 +862,21 @@ n_steps = 64
     assert run("spectrum", cfg, tmp_path / "out") == 3
     err = capsys.readouterr().err
     assert "numerical failure" in err and "overflows" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["a file", "under a file", "report.txt a directory"])
+def test_unusable_output_directory_exits_two(tmp_path, capsys, where):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = {"a file": blocker, "under a file": blocker / "out",
+           "report.txt a directory": tmp_path / "out"}[where]
+    if where == "report.txt a directory":
+        (out / "report.txt").mkdir(parents=True)
+    cfg = write_ini(tmp_path, BASE_PROBLEM + "\n[spectrum]\nlambdas = 0\n")
+    assert run("spectrum", cfg, out) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("perispec: cannot write the results: ")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+    assert blocker.read_text() == "not a directory\n"

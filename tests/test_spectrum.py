@@ -27,8 +27,6 @@ from perispec.spectrum import (
     _residual,
     autonomous_spectrum_point,
     check_S_conditions,
-    classify_principal_eigenvalue,
-    essential_interval,
     localization_width,
     principal_spectrum_point,
     refinement_diagnostics,
@@ -594,10 +592,9 @@ def test_every_route_carries_its_own_verdict(n, expr, formed, monkeypatch):
         forbid_period_map(monkeypatch)
     rep = principal_spectrum_point(op, w, 1.0)
     assert (rep.iterations == 0) == (expr == STANDARD_WEIGHT)
-    assert rep.is_principal_eigenvalue == classify_principal_eigenvalue(rep) == "yes"
+    assert rep.is_principal_eigenvalue == "yes"
     unconverged = dataclasses.replace(rep, residual=1.0)
     assert unconverged.is_principal_eigenvalue == "marginal"
-    assert classify_principal_eigenvalue(unconverged) == "marginal"
 
 
 def test_krylov_route_counts_vector_periods(monkeypatch):
@@ -1055,17 +1052,17 @@ def test_lyapunov_estimate_iterates_the_formed_map():
 def test_dirichlet_envelope_at_zero_is_minus_one():
     op = make_op(Boundary.DIRICHLET)
     w = closed_form(STANDARD_WEIGHT, 1.0)
-    lo, hi = essential_interval(op, w, 0.0)
-    assert lo == -1.0 and hi == -1.0
+    rep = principal_spectrum_point(op, w, 0.0)
+    assert rep.h_hat_min == -1.0 and rep.h_hat_max == -1.0
 
 
 def test_neumann_envelope_matches_analytic_mass():
     op = make_op(Boundary.NEUMANN, n=64)
     w = closed_form("sin(2*pi*t/T)", 1.0)  # m_hat = 0: envelope is -b
-    lo, hi = essential_interval(op, w, 1.0)
+    rep = principal_spectrum_point(op, w, 1.0)
     x_edge = op.grid.nodes[0, 0]
-    assert hi == pytest.approx(-analytic_parabolic_mass(x_edge), abs=1e-4)
-    assert lo == pytest.approx(-analytic_parabolic_mass(0.5), abs=1e-4)
+    assert rep.h_hat_max == pytest.approx(-analytic_parabolic_mass(x_edge), abs=1e-4)
+    assert rep.h_hat_min == pytest.approx(-analytic_parabolic_mass(0.5), abs=1e-4)
 
 
 def test_envelope_shifts_with_weight_average():
@@ -1073,9 +1070,9 @@ def test_envelope_shifts_with_weight_average():
     w = closed_form("cos(2*pi*x)", 1.0)
     m_hat = time_average(w, op.grid)
     lam = 1.7
-    lo, hi = essential_interval(op, w, lam)
-    assert lo == pytest.approx(float((-op.b + lam * m_hat).min()), rel=1e-12)
-    assert hi == pytest.approx(float((-op.b + lam * m_hat).max()), rel=1e-12)
+    rep = principal_spectrum_point(op, w, lam)
+    assert rep.h_hat_min == pytest.approx(float((-op.b + lam * m_hat).min()), rel=1e-12)
+    assert rep.h_hat_max == pytest.approx(float((-op.b + lam * m_hat).max()), rel=1e-12)
 
 
 @pytest.mark.parametrize("boundary", list(Boundary))
@@ -1171,12 +1168,12 @@ def _report_with(mu, h_max, residual):
 
 def test_classifier_branches():
     # clear gap with a converged eigenpair
-    assert classify_principal_eigenvalue(_report_with(0.5, 0.0, 1e-12)) == "yes"
+    assert _report_with(0.5, 0.0, 1e-12).is_principal_eigenvalue == "yes"
     # on the envelope sup, converged or not, and near-ties go to marginal
     # rather than a guess
-    assert classify_principal_eigenvalue(_report_with(0.0, 0.0, 1e-4)) == "marginal"
-    assert classify_principal_eigenvalue(_report_with(0.0, 0.0, 1e-12)) == "marginal"
-    assert classify_principal_eigenvalue(_report_with(0.5, 0.0, 1e-4)) == "marginal"
+    assert _report_with(0.0, 0.0, 1e-4).is_principal_eigenvalue == "marginal"
+    assert _report_with(0.0, 0.0, 1e-12).is_principal_eigenvalue == "marginal"
+    assert _report_with(0.5, 0.0, 1e-4).is_principal_eigenvalue == "marginal"
 
 
 def test_standard_case_is_eigenvalue():
