@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -51,16 +52,16 @@ KEYS = {
     "problem": ("boundary", "box", "n_per_axis", "kernel", "support_radius"),
     "weight": ("period", "expr", "samples", "s1_maximizer", "s1_smoothness",
                "s1_flat_order"),
-    "spectrum": ("lambdas", "n_steps"),
-    "lambda_p": ("n_steps", "tol_root", "lam_cap"),
-    "upper_bound": ("n_steps", "tol_root", "lam_cap"),
+    "spectrum": ("lambdas",),
+    "lambda_p": ("tol_root", "lam_cap"),
+    "upper_bound": ("tol_root", "lam_cap"),
     "kpp_scan": ("lambdas", "nonlinearity", "crowding", "saturation", "n_steps",
-                 "max_periods", "check_uniqueness", "solver_n_steps"),
+                 "max_periods", "check_uniqueness"),
     "validate": ("seed", "checks"),
 }
 
 # integer keys that count steps or periods: zero or fewer is no run at all
-_COUNTS = ("n_steps", "solver_n_steps", "max_periods")
+_COUNTS = ("n_steps", "max_periods")
 
 
 class ConfigError(Exception):
@@ -317,10 +318,9 @@ def _curve(res):
 def _task_spectrum(cp, op, weight, threads):
     sec = _section(cp, "spectrum")
     lams = _float_list("lambdas", _get(sec, "lambdas", required=True))
-    n_steps = _get_int(sec, "n_steps")
 
     def one(lam):
-        return (principal_spectrum_point(op, weight, lam, n_steps),
+        return (principal_spectrum_point(op, weight, lam),
                 check_S_conditions(weight, op, lam))
 
     points = _map_ordered(one, lams, threads, op.grid)
@@ -349,7 +349,7 @@ def _task_spectrum(cp, op, weight, threads):
 
 def _task_lambda_p(cp, op, weight, threads):
     sec = _section(cp, "lambda_p", required=False)
-    res = solve_lambda_p(op, weight, n_steps=_get_int(sec, "n_steps"), **_root_options(sec))
+    res = solve_lambda_p(op, weight, **_root_options(sec))
     pe = pe_sufficiency(op, weight, res) if res.status == STATUS_UNIQUE else None
 
     summary = {"result": _root_dict(res)}
@@ -367,8 +367,7 @@ def _task_lambda_p(cp, op, weight, threads):
 
 def _task_upper_bound(cp, op, weight, threads):
     sec = _section(cp, "upper_bound", required=False)
-    out = upper_bound_lambda_p(op, weight, n_steps=_get_int(sec, "n_steps"),
-                               **_root_options(sec))
+    out = upper_bound_lambda_p(op, weight, **_root_options(sec))
     csvs = {"curve_time.csv": _curve(out.time_dependent),
             "curve_averaged.csv": _curve(out.averaged)}
     summary = {
@@ -408,7 +407,7 @@ def _task_kpp_scan(cp, op, weight, threads):
     max_periods = _get_int(sec, "max_periods", default=MAX_PERIODS)
     check_uniqueness = _get_bool(sec, "check_uniqueness")
 
-    solver_result = solve_lambda_p(op, weight, n_steps=_get_int(sec, "solver_n_steps"))
+    solver_result = solve_lambda_p(op, weight)
 
     def one(lam):
         return find_periodic_solution(op, weight, nonlin, lam, n_steps=n_steps,
@@ -538,6 +537,11 @@ def main(argv=None) -> int:
                    {"task": args.task, "config": _config_echo(cp), **summary})
         write_text(outdir / "report.txt", report)
     except OSError as exc:
+        # a failed write leaves none of the task's outputs, not a summary without
+        # its report; a directory in the way stays
+        for name in [*csvs, "summary.json", "report.txt"]:
+            with contextlib.suppress(OSError):
+                (outdir / name).unlink()
         print(f"perispec: cannot write the results: {exc}", file=sys.stderr)
         return 2
 

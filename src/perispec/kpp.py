@@ -95,9 +95,9 @@ class Nonlinearity:
 
     def penalty(self, u):
         """Per-capita crowding at density ``u`` (elementwise)."""
-        if self.kind == "logistic" or self.saturation == 0.0:
-            return self.crowding * u
-        return self.crowding * u / (1.0 + self.saturation * u)
+        if self.saturation > 0.0:
+            return self.crowding * u / (1.0 + self.saturation * u)
+        return self.crowding * u
 
     def reaction(self, z: np.ndarray, tau: float):
         """``react(u, j, merge)`` for the Strang stepper: in place, the half
@@ -119,7 +119,7 @@ class Nonlinearity:
                 return np.exp(z), tau * np.where(z == 0.0, 1.0, np.expm1(z) / nonzero)
 
         alpha, rate = rates(z, tau)
-        if self.kind == "saturating" and self.saturation > 0.0:
+        if self.saturation > 0.0:
             alpha_mid, rate_mid = rates(0.5 * z, 0.5 * tau)
 
             def react(u, j, merge):
@@ -139,7 +139,7 @@ class Nonlinearity:
 
     def check_bounded(self, growth_sup: float) -> None:
         """Require the penalty to dominate the growth rate at large density."""
-        if self.kind == "saturating" and self.saturation > 0.0:
+        if self.saturation > 0.0:
             cap = self.crowding / self.saturation
             if cap <= growth_sup:
                 raise ValueError(
@@ -158,9 +158,9 @@ class Nonlinearity:
         if growth_sup <= 0.0:
             return 1.0 / self.crowding
         self.check_bounded(growth_sup)
-        if self.kind == "logistic" or self.saturation == 0.0:
-            return growth_sup / self.crowding
-        return growth_sup / (self.crowding - self.saturation * growth_sup)
+        if self.saturation > 0.0:
+            return growth_sup / (self.crowding - self.saturation * growth_sup)
+        return growth_sup / self.crowding
 
 
 def _kpp_flow(op: DispersalOperator, weight: Weight, nonlin: Nonlinearity, lam: float):
@@ -429,7 +429,8 @@ def threshold_scan(op: DispersalOperator, weight: Weight, nonlin: Nonlinearity,
     The scan records where the verdict switches from extinction to
     persistence, checks that the pattern is monotone (no persistence below an
     extinction), and, when the linear problem has a unique positive root,
-    whether that root sits inside the switch bracket.
+    whether that root sits inside the switch bracket.  ``n_steps`` is each
+    orbit's step count; the root search takes its own from the ladder.
     """
     lams = sorted(float(v) for v in lams)
     if not lams:
@@ -439,7 +440,7 @@ def threshold_scan(op: DispersalOperator, weight: Weight, nonlin: Nonlinearity,
                                max_periods=max_periods, check_uniqueness=False)
         for lam in lams)
     if solver_result is None:
-        solver_result = solve_lambda_p(op, weight, n_steps=n_steps)
+        solver_result = solve_lambda_p(op, weight)
     return summarize_scan(orbits, solver_result)
 
 

@@ -36,22 +36,12 @@ class CheckResult:
     detail: str
 
 
-def _random_coeffs(rng):
+def _random_weight(rng):
     a = float(rng.uniform(0.3, 0.9))
     b = float(rng.uniform(0.2, 0.6))
     c = float(rng.uniform(-0.3, 0.3))
-    return a, b, c
-
-
-def _random_weight(rng, coupling=True):
-    a, b, c = _random_coeffs(rng)
-    parts = [f"{a!r} * cos(2 * pi * x)"]
-    if coupling:
-        parts.append(f"{b!r} * cos(2 * pi * x) * sin(2 * pi * t)")
-    else:
-        parts.append(f"{b!r} * sin(2 * pi * t)")
-    expr = " + ".join(parts) + f" + {c!r}"
-    return closed_form(expr, period=1.0)
+    return closed_form(f"{a!r} * cos(2 * pi * x) + {b!r} * cos(2 * pi * x) * sin(2 * pi * t)"
+                       f" + {c!r}", period=1.0)
 
 
 def _random_setup(rng, boundary, n=28):
@@ -159,10 +149,10 @@ def check_threshold_root(rng) -> tuple[bool, str]:
     weight = closed_form(
         f"cos(2 * pi * x) * ({a!r} + 0.3 * sin(2 * pi * t)) + 0.2", period=1.0)
     op, weight = Problem(Boundary.DIRICHLET, (1.0,), "parabolic", 0.3, weight).at(24)
-    res = solve_lambda_p(op, weight, n_steps=256)
+    res = solve_lambda_p(op, weight)
     if res.status != "unique_root":
         return False, f"expected unique_root, got {res.status}"
-    doubled = solve_lambda_p(op, 2.0 * weight, n_steps=256)
+    doubled = solve_lambda_p(op, 2.0 * weight)
     scale_gap = abs(doubled.lambda_p * 2.0 - res.lambda_p) / res.lambda_p
     ok = abs(res.mu_at_root) < 1e-8 and scale_gap < 1e-6
     return ok, (f"|mu at root| = {abs(res.mu_at_root):.3e}, "

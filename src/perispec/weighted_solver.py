@@ -234,12 +234,13 @@ def _solve_core(mu: _MuCache, boundary: Boundary, cond: ConditionReport,
 
 
 def solve_lambda_p(op: DispersalOperator, weight: Weight, *,
-                   n_steps: int | None = None, tol_root: float = TOL_ROOT,
+                   tol_root: float = TOL_ROOT,
                    lam_cap: float = LAMBDA_CAP) -> LambdaPResult:
-    """Find the positive root of the principal-spectrum-point curve, if any."""
+    """Find the positive root of the principal-spectrum-point curve, if any;
+    each ``mu(lam)`` takes its step count from the time-bar ladder."""
     summary = summarize(weight, op.grid)
     cond = ConditionReport.from_values(summary.p_value, summary.time_space_integral)
-    mu = _MuCache(lambda lam: principal_spectrum_point(op, weight, lam, n_steps))
+    mu = _MuCache(lambda lam: principal_spectrum_point(op, weight, lam))
     return _solve_core(mu, op.boundary, cond, summary.space_independent,
                        float(summary.m_hat.mean()), summary.sup_abs, tol_root, lam_cap)
 
@@ -255,7 +256,7 @@ class UpperBoundResult:
 
 
 def upper_bound_lambda_p(op: DispersalOperator, weight: Weight, *,
-                         n_steps: int | None = None, tol_root: float = TOL_ROOT,
+                         tol_root: float = TOL_ROOT,
                          lam_cap: float = LAMBDA_CAP) -> UpperBoundResult:
     """Compare the threshold of ``m`` with that of its time average.
 
@@ -263,10 +264,10 @@ def upper_bound_lambda_p(op: DispersalOperator, weight: Weight, *,
     ``lambda_p(m) <= lambda_p(m_hat) + 1e-8`` whenever both exist.  The
     averaged problem is autonomous and is solved by the same search logic on
     the exact spectral bound of the frozen generator (no time stepping): its
-    ``root_report`` is the ``SpectrumReport`` of ``autonomous_spectrum_point``.
+    ``root_report`` is the ``SpectrumReport`` of ``autonomous_spectrum_point``;
+    the time-dependent search is ``solve_lambda_p``'s, on the ladder.
     """
-    res_time = solve_lambda_p(op, weight, n_steps=n_steps, tol_root=tol_root,
-                              lam_cap=lam_cap)
+    res_time = solve_lambda_p(op, weight, tol_root=tol_root, lam_cap=lam_cap)
     summary = summarize(weight, op.grid)
     m_hat = summary.m_hat
     mu_auto = _MuCache(lambda lam: autonomous_spectrum_point(op, m_hat, lam))

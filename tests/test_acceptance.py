@@ -308,13 +308,13 @@ def test_11_threshold_stable_under_refinement(ops32, ops64):
     worst = 0.0
     drifts = {}
     for boundary in BOUNDARIES:
-        coarse = solve_lambda_p(ops32[boundary], weight, n_steps=256).lambda_p
-        fine = solve_lambda_p(ops64[boundary], weight, n_steps=512).lambda_p
+        coarse = solve_lambda_p(ops32[boundary], weight).lambda_p
+        fine = solve_lambda_p(ops64[boundary], weight).lambda_p
         rel = abs(fine - coarse) / abs(fine)
         drifts[boundary.value] = rel
         worst = max(worst, rel)
     elapsed = time.monotonic() - start
     _verdict(11, worst < 1e-3,
-             f"doubling nodes and steps moves lambda_p by at most {worst:.3e} "
+             f"doubling nodes moves lambda_p by at most {worst:.3e} "
              f"relative ({', '.join(f'{k}: {v:.1e}' for k, v in drifts.items())}), "
              f"{elapsed:.1f}s")

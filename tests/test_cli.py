@@ -374,6 +374,26 @@ def test_violated_upper_bound_exits_one(tmp_path, capsys, monkeypatch):
     assert (out / "report.txt").read_text().endswith("\nupper bound holds: false\n")
 
 
+def test_non_monotone_kpp_scan_exits_one(tmp_path, capsys, monkeypatch):
+    # each coupling gets the orbit of the other one, so persistence sits below
+    # an extinction: the scan is written and exits 1
+    real = perispec.cli.find_periodic_solution
+    swap = {0.5: 1.8, 1.8: 0.5}
+    monkeypatch.setattr(perispec.cli, "find_periodic_solution",
+                        lambda op, weight, nonlin, lam, **kwargs: dataclasses.replace(
+                            real(op, weight, nonlin, swap[lam], **kwargs), lam=lam))
+    out = tmp_path / "out"
+    cfg = write_ini(tmp_path, BASE_PROBLEM + "\n[kpp_scan]\nlambdas = 0.5, 1.8\n")
+    assert run("kpp_scan", cfg, out) == 1
+    assert "scan inconsistent with the linear threshold" in capsys.readouterr().out
+    assert sorted(p.name for p in out.iterdir()) == ["report.txt", "scan.csv", "summary.json"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert [v["verdict"] for v in summary["verdicts"]] == ["persistence", "extinction"]
+    assert summary["monotone"] is False
+    assert summary["switch_bracket"] is None and summary["consistent_with_root"] is None
+    assert "\nverdicts monotone in lam: false\n" in (out / "report.txt").read_text()
+
+
 def test_kpp_scan_task(tmp_path):
     cfg = write_ini(tmp_path, BASE_PROBLEM +
                     "\n[kpp_scan]\nlambdas = 0.5, 0.9, 1.4, 1.8\n")
@@ -663,11 +683,7 @@ def test_infinite_s1_smoothness_is_legal(tmp_path):
     ("kpp_scan", "[kpp_scan]\nlambdas = 1\nsaturation = nan", "saturation"),
     ("spectrum", "s1_maximizer = 0.5\ns1_smoothness = nan\n[spectrum]\nlambdas = 1",
      "s1_smoothness"),
-    ("spectrum", "[spectrum]\nlambdas = 1\nn_steps = 0", "n_steps"),
-    ("lambda_p", "[lambda_p]\nn_steps = -4", "n_steps"),
-    ("upper_bound", "[upper_bound]\nn_steps = 0", "n_steps"),
     ("kpp_scan", "[kpp_scan]\nlambdas = 1\nn_steps = 0", "n_steps"),
-    ("kpp_scan", "[kpp_scan]\nlambdas = 1\nsolver_n_steps = -4", "solver_n_steps"),
     ("kpp_scan", "[kpp_scan]\nlambdas = 1\nmax_periods = 0", "max_periods"),
     ("kpp_scan", "[kpp_scan]\nlambdas = 1\ncheck_uniqueness = maybe", "check_uniqueness"),
 ])
@@ -676,6 +692,24 @@ def test_bad_numeric_key_exits_two(tmp_path, capsys, task, section, key):
     assert run(task, cfg, tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert "config error" in err and key in err
+
+
+@pytest.mark.parametrize("task, section", [
+    ("spectrum", "[spectrum]\nlambdas = 1\nn_steps = 0"),
+    ("lambda_p", "[lambda_p]\nn_steps = -4"),
+    ("upper_bound", "[upper_bound]\nn_steps = 0"),
+    ("kpp_scan", "[kpp_scan]\nlambdas = 1\nsolver_n_steps = -4"),
+], ids=["spectrum-n_steps", "lambda_p-n_steps", "upper_bound-n_steps",
+        "kpp_scan-solver_n_steps"])
+def test_retired_step_count_key_exits_two(tmp_path, capsys, task, section):
+    # root searches and spectrum points take their step counts from the
+    # time-bar ladder; a config that still sets one is refused by name
+    key = section.splitlines()[-1].split(" = ")[0]
+    out = tmp_path / "out"
+    assert run(task, write_ini(tmp_path, BASE_PROBLEM + "\n" + section + "\n"), out) == 2
+    err = capsys.readouterr().err
+    assert f"perispec: config error: unknown key {key!r} in [{task}]" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("task, section, name", [
@@ -840,9 +874,10 @@ def test_two_node_time_stepped_point_is_the_lapack_root(tmp_path):
 
 
 def test_numerical_failure_exits_three(tmp_path, capsys):
-    # 64 steps at lam = 1e6: the diagonal factor exp(h/2 * lam * m) of a
-    # half step is beyond the floating-point range, so the state would not
-    # stay finite; the weight is not separable, so the flow is stepped in time
+    # the ladder's first level, 8 steps at lam = 1e6: the diagonal factor
+    # exp(h/2 * lam * m) of a half step is beyond the floating-point range, so
+    # the state would not stay finite; the weight is not separable, so the
+    # flow is stepped in time
     cfg = write_ini(tmp_path, """
 [problem]
 boundary = dirichlet
@@ -857,7 +892,6 @@ expr = 0.5 + 0.1*x*sin(2*pi*t/T)
 
 [spectrum]
 lambdas = 1e6
-n_steps = 64
 """)
     assert run("spectrum", cfg, tmp_path / "out") == 3
     err = capsys.readouterr().err
@@ -880,3 +914,7 @@ def test_unusable_output_directory_exits_two(tmp_path, capsys, where):
     assert len(captured.err.splitlines()) == 1
     assert captured.out == ""
     assert blocker.read_text() == "not a directory\n"
+    if where == "report.txt a directory":
+        # the CSV and the summary written before the failed report are removed
+        assert [p.name for p in out.iterdir()] == ["report.txt"]
+        assert not any((out / "report.txt").iterdir())

@@ -400,6 +400,17 @@ def test_extinction_comes_from_plain_iterates(quickstart_threshold, monkeypatch)
     assert orbit.residual == float(np.abs(iterates[-1] - iterates[-2]).max())
 
 
+def test_extinction_below_the_floor_ends_the_iteration():
+    # a hostile weight, -5 everywhere, takes the sup norm below the extinction
+    # floor within 3 periods, before any contraction test
+    op, w = Problem(Boundary.DIRICHLET, (1.0,), "parabolic", 1.0,
+                    closed_form("-5", 1.0)).at(16)
+    orbit = find_periodic_solution(op, w, Nonlinearity(), 1.0, check_uniqueness=False)
+    assert orbit.verdict == "extinction"
+    assert orbit.certificate == "sup norm fell below the extinction floor"
+    assert orbit.periods_used == 3
+
+
 def test_extinction_orbit_builds_one_linearized_map(quickstart_threshold, monkeypatch):
     # the certificate's Perron solve and the contraction test apply the same
     # linearized map, formed at 64 nodes, wherever a module binds its builders
@@ -634,6 +645,28 @@ def test_threshold_scan_brackets_root(dirichlet_threshold):
     lo, hi = scan.switch_bracket
     assert lo <= lam_p <= hi
     assert scan.consistent_with_root
+
+
+def test_threshold_scan_steps_only_its_orbits(dirichlet_threshold, monkeypatch):
+    # n_steps is each orbit's step count; the root search takes the ladder's
+    op, w, _ = dirichlet_threshold
+    orbit_steps, solve_kwargs = [], []
+    real_orbit = perispec.kpp.find_periodic_solution
+    real_solve = perispec.kpp.solve_lambda_p
+
+    def orbit(*args, **kwargs):
+        orbit_steps.append(kwargs["n_steps"])
+        return real_orbit(*args, **kwargs)
+
+    def solve(*args, **kwargs):
+        solve_kwargs.append(kwargs)
+        return real_solve(*args, **kwargs)
+    monkeypatch.setattr(perispec.kpp, "find_periodic_solution", orbit)
+    monkeypatch.setattr(perispec.kpp, "solve_lambda_p", solve)
+    scan = threshold_scan(op, w, Nonlinearity(), [0.5, 1.8], n_steps=96)
+    assert orbit_steps == [96, 96]
+    assert solve_kwargs == [{}]
+    assert scan.lambda_result == real_solve(op, w)
 
 
 def test_threshold_scan_requires_lams(dirichlet_threshold):

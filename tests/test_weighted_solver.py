@@ -294,16 +294,24 @@ def test_autonomous_weight_equals_its_average():
 def test_time_averaging_bound_is_an_equality_for_separable_weights(monkeypatch):
     # for m1(x) + m2(t) the period map is the frozen generator's flow times a
     # scalar, so lambda_p(m) = lambda_p(m_hat): both searches read the same
-    # frozen generator, with no time stepping, whatever the step count
+    # frozen generator, with no time stepping
     def forbidden(*args, **kwargs):
         raise AssertionError("a separable weight was stepped in time")
     for name in ("period_map", "period_action"):
         monkeypatch.setattr(perispec.spectrum, name, forbidden)
     op = make_op(Boundary.DIRICHLET, n=64)
     w = closed_form("cos(2*pi*x) - 0.2 + sin(2*pi*t/T + 0.7)", 1.0)
-    for n_steps in (64, 128, 256):
-        ub = upper_bound_lambda_p(op, w, n_steps=n_steps)
-        assert ub.bound_holds and ub.slack == 0.0
+    ub = upper_bound_lambda_p(op, w)
+    assert ub.bound_holds and ub.slack == 0.0
+
+
+def test_no_sign_change_below_the_cap_is_no_root():
+    # the quick-start problem's root, 1.11, lies above lam_cap
+    op = make_op(Boundary.DIRICHLET, n=64)
+    res = solve_lambda_p(op, closed_form(STANDARD_WEIGHT, 1.0), lam_cap=0.5)
+    assert res.status == "no_positive_root"
+    assert res.evidence == "no sign change found for lam up to 0.5"
+    assert res.lambda_p is None and res.bracket is None
 
 
 def test_upper_bound_none_when_either_root_missing():
@@ -351,7 +359,7 @@ def test_pe_sufficiency_adds_only_the_s_conditions(monkeypatch):
     # and fits the S-conditions once, at the root
     op = make_op(Boundary.DIRICHLET)
     w = closed_form("cos(2*pi*x)*(1 + sin(2*pi*t/T)) - 0.2", 1.0)
-    res = solve_lambda_p(op, w, n_steps=96)
+    res = solve_lambda_p(op, w)
     assert res.status == "unique_root"
     assert res.root_report.lam == res.lambda_p
     assert res.root_report.mu_n == res.mu_at_root
@@ -370,7 +378,7 @@ def test_pe_sufficiency_adds_only_the_s_conditions(monkeypatch):
     # the report rides along but takes no part in equality
     monkeypatch.undo()
     assert suff.s_conditions == check_S_conditions(w, op, res.lambda_p)
-    assert solve_lambda_p(op, w, n_steps=96) == res
+    assert solve_lambda_p(op, w) == res
 
 
 def test_only_the_verdict_at_the_root_fits_the_s_conditions(monkeypatch):
