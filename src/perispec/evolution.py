@@ -30,9 +30,12 @@ The second half step of step k and the first of step k + 1 meet between two
 dispersal steps and act as one merged factor, except where a state is
 recorded in between.  So a step costs one product with ``P`` (one GEMM with
 a formed ``P`` for a period map's ``n x n`` state) and one diagonal
-scaling.  The weight values come from one ``Weight.table`` (or
-``Weight.antiderivative``) call per weight, grid, interval and step count,
-kept with the weight and scaled by ``lam`` for each ``_flow`` handle.
+scaling.  ``spectrum`` and ``kpp`` apply each period map to vectors
+(``period_action``), one vector step at a time; the formed monodromy
+matrix (``period_map``) serves ``validate`` and the tests.  The weight
+values come from one ``Weight.table`` (or ``Weight.antiderivative``) call
+per weight, grid, interval and step count, kept with the weight and scaled
+by ``lam`` for each ``_flow`` handle.
 
 The scheme is symmetric, so its error expands in even powers of ``h``:
 ``spectrum`` combines the maps of ``n/4``, ``n/2`` and ``n`` steps into a

@@ -27,21 +27,25 @@ The periodic state is found by iterating the period map ``P`` of the
 nonlinear flow from a small positive constant.  Each period is one run of
 that handle over ``[0, T]`` with the orbit's fixed step count, as
 ``simulate_kpp`` would run it; the count is rounded up to even.  Each orbit
-builds its linearized period map once, at that step count and as
-``spectrum`` builds a level's map (``_stepped_map``: formed below 192 nodes,
-vector periods from there on); the certificate's Perron solve and the
-contraction test both apply it.  The orbit first looks for a certificate of
-persistence: when the linearized period map has a Perron root above 1, its
-Perron vector ``phi`` gives a sub-solution ``eps * phi`` once
-``P(eps * phi) - eps * phi`` clears the order tolerance on every node for
-some ``eps`` of a short ladder.  The flow preserves order, so
-the iterates from any start above ``eps * phi`` stay above it and a positive
-periodic state exists.  Under that certificate the iteration is accelerated
-by type-II Anderson mixing on ``G(u) = P(u) - u`` (Walker & Ni, SIAM J.
-Numer. Anal. 49(4), 2011), with each mixed iterate projected onto the
-certified order interval ``[eps * phi, carrying]``.  Without it the plain
-iteration runs, and it alone can end in extinction: the sup norm falls below
-a floor, or one linear period contracts the state uniformly.
+builds its linearized period map once, at that step count, as the vector
+action ``period_action`` that ``spectrum`` applies at each level; the
+certificate's Perron solve and the contraction test both apply it.  The
+Perron solve starts, as ``spectrum``'s coarsest level does, from the
+time-averaged generator's Perron vector: on the quick-start ``kpp_scan``
+(n = 64) that took its five orbits' solves from 23-27 applications from
+the constant field to 12-21.  The
+orbit first looks for a certificate of persistence: when the linearized
+period map has a Perron root above 1, its Perron vector ``phi`` gives a
+sub-solution ``eps * phi`` once ``P(eps * phi) - eps * phi`` clears the
+order tolerance on every node for some ``eps`` of a short ladder.  The
+flow preserves order, so the iterates from any start above ``eps * phi``
+stay above it and a positive periodic state exists.  Under that
+certificate the iteration is accelerated by type-II Anderson mixing on
+``G(u) = P(u) - u`` (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011), with
+each mixed iterate projected onto the certified order interval
+``[eps * phi, carrying]``.  Without it the plain iteration runs, and it
+alone can end in extinction: the sup norm falls below a floor, or one
+linear period contracts the state uniformly.
 """
 
 from __future__ import annotations
@@ -51,11 +55,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import ORDER_TOL, Trajectory, _flow, default_n_steps
+from .evolution import ORDER_TOL, Trajectory, _flow, default_n_steps, period_action
 from .operator import DispersalOperator
-from .spectrum import PowerIterationError, _krylov_perron, _stepped_map
+from .spectrum import PowerIterationError, _frozen_perron, _krylov_perron
 from .weighted_solver import STATUS_UNIQUE, LambdaPResult, solve_lambda_p
-from .weights import Weight, sup_abs
+from .weights import Weight, sup_abs, time_average
 
 TOL_FIX = 1e-9
 TOL_EXT = 1e-8
@@ -63,6 +67,15 @@ MAX_PERIODS = 500
 # sub-solution amplitudes tried by the persistence certificate, as fractions
 # of the carrying scale
 CERT_EPS = (1e-1, 1e-2, 1e-3, 1e-4)
+# the Ritz estimate at which the certificate's Perron solve stops.  The
+# certificate's correctness needs no tolerance: it checks P(eps*phi) -
+# eps*phi on every node itself, and the quick-start kpp_scan's outputs (n =
+# 64) were the same bytes at spectrum's ARNOLDI_TOL of 1e-10.  This one keeps
+# phi what the module states, the linearized map's Perron vector, to a
+# relative residual of 1e-12 rather than the 2.7e-11 and 8.1e-11 it read at
+# 1e-10 (1.005 and 1.25 lambda_p), at about 2 more of the solve's 12-21
+# applications, once per orbit
+CERT_PERRON_TOL = 1e-12
 ANDERSON_DEPTH = 5
 # states recorded along a persistent orbit's last period (about this many:
 # one every n_steps // ORBIT_SNAPSHOTS steps, and the last)
@@ -270,18 +283,19 @@ def _poincare_iterate(run, linear, u, period, n_steps, max_periods, floor):
     return "undecided", u, float("nan"), max_periods, None
 
 
-def _persistence_certificate(linear, n, period, run, n_steps, carrying):
+def _persistence_certificate(linear, n, start, period, run, n_steps, carrying):
     """``(certificate, eps * phi, periods)`` from a sub-solution ``eps * phi``,
     or ``(None, None, periods)``.
 
     ``phi`` is the Perron vector of ``linear``, the orbit's linearized period
-    map on ``n`` nodes, tried only when its Perron root exceeds 1.  The first
+    map on ``n`` nodes, solved from ``start`` (the constant field when None)
+    and tried only when its Perron root exceeds 1.  The first
     ``eps`` of ``CERT_EPS`` (times the carrying scale) with
     ``P(eps * phi) - eps * phi`` above ``ORDER_TOL`` times the scale on every
     node is the certificate; ``periods`` counts the KPP periods the ladder ran.
     """
     try:
-        ratio, phi, _ = _krylov_perron(linear, n)
+        ratio, phi, _ = _krylov_perron(linear, n, start, tol=CERT_PERRON_TOL)
     except PowerIterationError:
         return None, None, 0
     if not ratio > 1.0:
@@ -367,9 +381,10 @@ def find_periodic_solution(op: DispersalOperator, weight: Weight,
         n_steps = steps(period, scale)
     n_steps += n_steps % 2
 
-    linear = _stepped_map(op, weight, lam, n_steps)
+    linear = period_action(op, weight, lam, n_steps)
+    start = _frozen_perron(op, time_average(weight, op.grid), lam)
     certificate, sub, cert_periods = _persistence_certificate(
-        linear, op.n, period, run, n_steps, scale)
+        linear, op.n, start, period, run, n_steps, scale)
 
     def iterate(u0):
         if certificate is None:

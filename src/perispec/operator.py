@@ -82,9 +82,9 @@ travelling wave's ``lambda_p`` touches 5, from 8 to 128 steps, and builds 5
 factors, where a bound of three factors built 37 (about 1 ms each).  At
 n = 2048 (32 MiB a factor) it is the three.
 A block takes one GEMM with a formed ``E``.  The Taylor-2 step is a vector
-step, and a block goes through it column by column: no route steps a block
-there, as ``spectrum`` forms a period map only below 192 nodes and applies
-vector periods from there on.
+step, and a block goes through it column by column.  Only ``period_map``
+steps a block, the identity; ``spectrum`` and ``kpp`` apply every period map
+to vectors.
 
 The subtraction field ``b`` encodes the boundary regime:
 

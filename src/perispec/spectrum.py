@@ -30,19 +30,26 @@ each rung adding one finer level to the ones before; the ladder stops at
 problem and ``lam``, never an earlier coupling, so a point is the same bits
 whatever ran before it and in whatever thread.
 
-Each level is one Arnoldi solve (ARPACK via ``scipy.sparse.linalg.eigs``) for
-the Perron root of its map, and every level starts by one rule: the coarsest
-from the time-averaged generator's Perron vector (from the constant field
-when that solve has failed), each finer one from the level below's Perron
-vector, which is only a splitting error away from its own.  On a sampled 2-D
-Neumann weight at 24x24, whose top two eigenvalues are close, the chained
-start took the finer of two levels from 32-42 map applications to 22-32 at
-``lam`` = 0.25 to 2.  Only the map's form follows the grid size ``n``: below
-``_KRYLOV_MIN_N`` = 192 nodes Arnoldi applies the formed ``n x n`` map (one
-``period_map`` call per level), from 192 nodes on vector periods.  The
-eigenfunction, the residual and so the verdict come from the finest level's
-map, and only that level spends an application on its residual.  Every map
-is nonnegative by construction, so no entry is checked.
+Each level is one Arnoldi solve (``_arnoldi_top``) for the Perron root of
+its map, applied to vectors (``period_action``): from 3 nodes on no route
+forms the ``n x n`` map, and a map on 1 or 2 nodes is formed from its
+columns for LAPACK.  Arnoldi tests its top Ritz pair after every
+application from ``min(n, 8)`` vectors on and stops once the Ritz estimate
+of the relative residual, in the sup norm that the verdict reads, is below
+``ARNOLDI_TOL``, so a map whose Perron root stands well apart takes about 8
+applications.  ARPACK, used before, filled its 20-vector basis first and
+took 21 (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998).  After
+``ARNOLDI_BASIS`` vectors it restarts by Krylov-Schur (``_thick_restart``).
+Every level starts by one rule: the coarsest from the time-averaged
+generator's Perron vector (from the constant field when that solve has
+failed), each finer one from the level below's Perron vector, which is only
+a splitting error away from its own.  On a sampled 2-D Neumann weight at
+24x24, whose top two eigenvalues are close, the chained start took the finer
+of two levels from 32-42 map applications to 22-32 at ``lam`` = 0.25 to 2
+(measured under ARPACK).
+The eigenfunction, the residual and so the verdict come from the finest
+level's map, and only that level spends an application on its residual.
+Every map is nonnegative by construction, so no entry is checked.
 Every product of ``K`` with a vector here (Lanczos, the vector periods, the
 frozen generator's image) goes through ``op.matvec`` or ``op.dispersal``,
 which in 2-D read the factored kernel stencil instead of the dense ``K`` from
@@ -67,20 +74,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import default_n_steps, period_action, period_map
+from .evolution import default_n_steps, period_action
 from .geometry import Boundary
 from .operator import DispersalOperator
 from .weights import Weight, summarize, time_average
 
 # a dominant Ritz value is real when its imaginary part is below this, relative
 POWER_REL_TOL = 1e-12
-# ARPACK's convergence tolerance.  Against the 1e-12 it replaced, on the
-# bench's non-separable 24x24 weight (lam 0.25 to 2, seed 1) the finest
-# level's residual stayed at or below 5.9e-11 and mu moved by at most 4e-15,
-# while the four points took 266 map applications, not 376 (1e-9: 276).  On
-# 1-D Dirichlet at n = 256 (lam 2) the residual reached 3.9e-9, below
-# TOL_EIG, and mu moved 2.2e-11.  No verdict changed.
-ARNOLDI_TOL = 1e-8
+# Arnoldi's tolerance on the Ritz estimate of the relative residual.  On the
+# bench's outputs at seeds 1 and 2 every residual stayed at or below 9.6e-11
+# (up to 1.5e-11 under ARPACK at 1e-8) and mu moved by at most 4.6e-13.
+# Traced rounds at seeds 1 to 3 took 844-878 map applications on
+# threshold_kpp_1d (1500 under ARPACK) and 232-240 on sweep_2d (266-276).
+# Estimated in the 2-norm, beta_j |e_j^T y| <= ARNOLDI_TOL |theta|, the same
+# rounds took 864-892 and 244-250 and left a residual of 1.05e-10.
+ARNOLDI_TOL = 1e-10
+# the least basis from which Arnoldi may stop, the basis after which it
+# restarts, the Schur vectors a restart keeps, and the restarts it may take.
+# No solve of the bench's rounds restarts: the largest of 261 (seeds 1 to 3)
+# took 34 applications.  Nor did any of 214 solves on 2-D Neumann 48x48, 1-D
+# periodic n = 512 and kernels of radius 0.03 to 0.1 whose top eigenvalues
+# are close, warm or from the constant start: the largest took 38.  The
+# cyclic shift on 64 nodes, whose spectrum is the unit circle, needs the
+# restarts and converges in 198 applications
+ARNOLDI_MIN_BASIS = 8
+ARNOLDI_BASIS = 40
+ARNOLDI_KEEP = 20
+ARNOLDI_RESTARTS = 20
+# the Ritz estimate to which Arnoldi refines a vector with an entry below
+# -CLAMP_TOL.  On 1-D Neumann n = 256 (radius 0.05, lam 2) the Perron vector
+# falls to 7e-13; at an estimate of ARNOLDI_TOL its computed vector read
+# -1.5e-11 there, and one more application resolved it
+ARNOLDI_FLOOR = 1e-14
 TOL_EIG = 1e-8  # the verdict's eigen-residual bound: relative to r = exp(mu T) on a map
 # the time bar a ladder point must meet.  Two-level errors against 2048
 # steps at 16, 32 and 64 steps: 4.8e-5, 4.0e-6, 2.6e-7 on the travelling wave
@@ -98,17 +123,8 @@ TIME_TOL = 1e-6
 # every k, against an error of 1.51e-9.
 LADDER_MIN_STEPS = 32
 CLAMP_TOL = 1e-12  # rounding-level negatives of a Perron vector, clamped to zero
-# From this many nodes on, a weight off the exact route applies vector
-# periods instead of the formed map.  Both forms take the same applications
-# from the same starts.  Five non-separable points (lam = 0.5 to 8, parabolic
-# kernel, the ladder's step counts, one BLAS thread, median of 5 runs), formed
-# maps against vector periods in two rounds, in ms: 1-D Dirichlet (radius 1)
-# n = 32 10/11 vs 21/23, n = 64 15/16 vs 26/26, n = 128 42/53 vs 44/55,
-# n = 160 69/75 vs 63/93, n = 192 110/173 vs 85/130, n = 256 239/255 vs
-# 143/153; 1-D Neumann (radius 0.5) n = 160 74/86 vs 55/80, n = 192 113/144
-# vs 80/80; 2-D Neumann (radius 0.5) 10x10 37/25 vs 37/39, 12x12 67/58 vs
-# 52/49, 14x14 111/117 vs 71/78.  From 192 nodes on every run put vector
-# periods ahead.
+# From this many nodes on, the frozen generator is solved by Lanczos on
+# vectors, below it by LAPACK on the formed generator (``_frozen_perron``)
 _KRYLOV_MIN_N = 192
 
 
@@ -235,44 +251,171 @@ def _frozen_perron(op: DispersalOperator, m_hat: np.ndarray, lam: float) -> np.n
     return v
 
 
-def _krylov_perron(apply, n: int, start: np.ndarray | None = None):
+def _top_pair(H: np.ndarray):
+    """The eigenpair of largest modulus of a small matrix, by LAPACK's ``eig``."""
+    vals, vecs = np.linalg.eig(H)
+    top = int(np.argmax(np.abs(vals)))
+    return complex(vals[top]), vecs[:, top]
+
+
+def _arnoldi_top(apply, n: int, start: np.ndarray, tol: float):
+    """``(theta, x, applications)``: the Ritz pair of largest modulus of a
+    map given only as ``apply``, by Arnoldi from ``start``.
+
+    Each application extends the orthonormal basis by classical Gram-Schmidt
+    run twice (CGS2), which keeps it orthogonal to rounding.  From
+    ``min(n, ARNOLDI_MIN_BASIS)`` vectors on, the top Ritz pair
+    ``(theta, x = V y)`` of the Hessenberg matrix is tested after every
+    application.  Its residual is ``beta_j (e_j^T y) v_{j+1}``, and the solve
+    stops at the first estimate ``beta_j |e_j^T y| |v_{j+1}|_inf / |x|_inf <=
+    tol |theta|``, that residual in the sup norm of ``x`` scaled to sup 1, as
+    ``_residual`` reads it, or when the basis spans the whole space.  A Ritz
+    vector with an entry below ``-CLAMP_TOL`` (at sup 1) goes on to
+    ``ARNOLDI_FLOOR``: a Perron vector's entries near 0 are resolved only to
+    the vector's error, and a vector that keeps its negative entry there has
+    one.  A basis that closes on an invariant subspace before ``n`` vectors
+    goes on from a direction drawn from a generator seeded here, so the bits
+    depend on nothing outside the call.  The first such subspace may miss
+    the Perron vector (a start that is another eigenvector), so the solve
+    does not stop there; once a drawn direction is in the basis, the
+    subspace holds the Perron vector, its Ritz pairs are exact, and the test
+    stops it.  Between full ``eig`` solves of the Hessenberg matrix, every
+    ``ARNOLDI_MIN_BASIS`` vectors and wherever the test passes, the pair is
+    carried to the next basis by one step of inverse iteration shifted by
+    the last ``theta``: one ``k x k`` solve, 16 against 65 us for ``eig`` at
+    16 vectors and 24 against 286 us at 34 (one BLAS thread).  After
+    ``ARNOLDI_BASIS`` vectors the solve restarts (``_thick_restart``), at
+    most ``ARNOLDI_RESTARTS`` times.
+    """
+    basis = min(n, ARNOLDI_BASIS)
+    least = min(n, ARNOLDI_MIN_BASIS)
+    floor = n * np.finfo(float).eps
+    rng = None
+    count = 0
+    V = np.zeros((basis + 1, n))
+    H = np.zeros((basis + 1, basis))
+    x = np.asarray(start, dtype=float)
+    V[0] = x / np.linalg.norm(x)
+    first = 0
+    for _ in range(ARNOLDI_RESTARTS + 1):
+        y = None
+        for j in range(first, basis):
+            w = apply(V[j])
+            count += 1
+            size = np.linalg.norm(w)
+            h = V[:j + 1] @ w
+            w = w - h @ V[:j + 1]
+            again = V[:j + 1] @ w
+            w -= again @ V[:j + 1]
+            H[:j + 1, j] = h + again
+            beta = np.linalg.norm(w)
+            k = j + 1
+            if beta > floor * size:
+                H[k, j] = beta
+                V[k] = w / beta
+            elif k < n:
+                drawn = rng is not None
+                if not drawn:
+                    rng = np.random.default_rng(0)
+                w = rng.uniform(-1.0, 1.0, n)
+                w -= (V[:k] @ w) @ V[:k]
+                w -= (V[:k] @ w) @ V[:k]
+                V[k] = w / np.linalg.norm(w)
+                y = None
+                if not drawn:
+                    continue
+            if k < least:
+                continue
+            Hk = H[:k, :k]
+            exact = y is None or k % ARNOLDI_MIN_BASIS == 0 or k == basis
+            if not exact:
+                shift = theta.real if theta.imag == 0.0 else theta
+                try:
+                    z = np.linalg.solve(Hk - shift * np.eye(k), np.append(y, 0.0))
+                except np.linalg.LinAlgError:
+                    exact = True
+                else:
+                    y = z / np.linalg.norm(z)
+                    theta = complex(np.vdot(y, Hk @ y))
+            while True:
+                if exact:
+                    theta, y = _top_pair(Hk)
+                x = (y @ V[:k]).real
+                estimate = H[k, j] * abs(y[-1]) * np.abs(V[k]).max() / np.abs(x).max()
+                if k < n and estimate > tol * abs(theta):
+                    break
+                if not exact:
+                    exact = True
+                    continue
+                if (k == n or estimate <= ARNOLDI_FLOOR * abs(theta)
+                        or float((x / x[int(np.argmax(np.abs(x)))]).min()) >= -CLAMP_TOL):
+                    return theta, x, count
+                break
+        first = _thick_restart(V, H, x)
+    raise PowerIterationError(
+        f"Arnoldi did not converge in {count} applications "
+        f"({ARNOLDI_RESTARTS} restarts of {basis} vectors)")
+
+
+def _thick_restart(V: np.ndarray, H: np.ndarray, x: np.ndarray) -> int:
+    """Restart a full Arnoldi basis in place; returns the vectors kept.
+
+    Krylov-Schur (Stewart, SIAM J. Matrix Anal. Appl. 23(3), 2001): the real
+    Schur form of the Hessenberg matrix, sorted so the ``ARNOLDI_KEEP`` Ritz
+    values of largest modulus lead, keeps their Schur vectors ``V Q`` and
+    the residual direction, and the kept block ``T`` with the row
+    ``beta e_j^T Q`` below it stands for ``H``.  The next application
+    extends that basis, and the Ritz estimate keeps its form.  Where the
+    sort fails the basis starts again from the Ritz vector ``x`` alone.
+    """
+    # imported here: loading scipy.linalg would slow ``import perispec``
+    from scipy.linalg import LinAlgError, schur
+
+    basis = H.shape[1]
+    beta = H[basis, basis - 1]
+    moduli = np.sort(np.abs(np.linalg.eigvals(H[:basis])))[::-1]
+    cut = 0.5 * (moduli[ARNOLDI_KEEP - 1] + moduli[ARNOLDI_KEEP])
+    try:
+        T, Q, kept = schur(H[:basis], output="real",
+                           sort=lambda re, im: math.hypot(re, im) > cut)
+    except LinAlgError:
+        kept = 0
+    H[:] = 0.0
+    if not 0 < kept < basis:
+        V[0] = x / np.linalg.norm(x)
+        return 0
+    V[:kept] = Q[:, :kept].T @ V[:basis]
+    V[kept] = V[basis]
+    H[:kept, :kept] = T[:kept, :kept]
+    H[kept, :kept] = beta * Q[basis - 1, :kept]
+    return kept
+
+
+def _krylov_perron(apply, n: int, start: np.ndarray | None = None,
+                   tol: float = ARNOLDI_TOL):
     """Perron (ratio, vector, applications) of a map given only as ``apply``.
 
-    Arnoldi (ARPACK through ``scipy.sparse.linalg.eigs``, to ``ARNOLDI_TOL``)
-    runs from ``start``, or from the constant field without one.  ``eigs``
-    needs ``n >= 3``: a smaller map is formed from its ``n`` columns, and
-    LAPACK's ``eig`` gives its eigenpair of largest modulus.  The vector is
+    Arnoldi (``_arnoldi_top``, to ``tol``) runs from ``start``, or
+    from the constant field without one; on at most ``ARNOLDI_MIN_BASIS``
+    nodes it spans the whole space before its first test.  A map on 1 or 2
+    nodes is formed from its columns, and LAPACK's ``eig`` gives its
+    eigenpair of largest modulus, so a two-node point is LAPACK's root of
+    the formed map to the bit.  The vector is
     the real part of the eigenvector, scaled to sup 1; rounding-level
     negatives are clamped, larger ones are an error, as is a root that is not
-    real and positive and an ARPACK failure (a zero map stops it at once).
-    Every application is counted; the residual is the caller's (``_residual``).
+    real and positive (a zero map gives 0) and a solve that does not
+    converge.  Every application is counted; the residual is the caller's
+    (``_residual``).
     """
-    # imported here: loading scipy.sparse.linalg would slow ``import perispec``
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigs
-
-    count = 0
-
-    def matvec(v):
-        nonlocal count
-        count += 1
-        return apply(v.ravel())
-
     if n < 3:
-        vals, vecs = np.linalg.eig(np.stack([matvec(e) for e in np.eye(n)], axis=1))
-        top = [int(np.argmax(np.abs(vals)))]
-        vals, vecs = vals[top], vecs[:, top]
+        vals, vecs = np.linalg.eig(np.stack([apply(e) for e in np.eye(n)], axis=1))
+        top = int(np.argmax(np.abs(vals)))
+        root, v, count = complex(vals[top]), vecs[:, top].real, n
     else:
-        try:
-            vals, vecs = eigs(LinearOperator((n, n), matvec=matvec, dtype=float), k=1,
-                              which="LM", v0=np.ones(n) if start is None else start,
-                              tol=ARNOLDI_TOL)
-        except ArpackError as exc:
-            raise PowerIterationError(f"Arnoldi did not converge: {exc}") from None
-    root = complex(vals[0])
+        root, v, count = _arnoldi_top(apply, n, np.ones(n) if start is None else start, tol)
     if not root.real > 0.0 or abs(root.imag) > POWER_REL_TOL * abs(root):
         raise PowerIterationError(f"dominant Ritz value {root} is not a positive real root")
     ratio = root.real
-    v = vecs[:, 0].real
     v = v / v[int(np.argmax(np.abs(v)))]
     worst = float(v.min())
     if worst < -CLAMP_TOL:
@@ -421,14 +564,6 @@ def _check_s1(weight: Weight, op: DispersalOperator, lam: float, m_hat: np.ndarr
     return "yes"
 
 
-def _stepped_map(op: DispersalOperator, weight: Weight, lam: float, n_steps: int):
-    """The period map at ``n_steps`` as a function of a vector: the formed map
-    below ``_KRYLOV_MIN_N`` nodes, vector periods from there on."""
-    if op.n < _KRYLOV_MIN_N:
-        return period_map(op, weight, lam, n_steps=n_steps).matrix.__matmul__
-    return period_action(op, weight, lam, n_steps)
-
-
 def principal_spectrum_point(op: DispersalOperator, weight: Weight, lam: float,
                              n_steps: int | None = None) -> SpectrumReport:
     """Principal spectrum point via the period-map spectral radius.
@@ -463,7 +598,7 @@ def principal_spectrum_point(op: DispersalOperator, weight: Weight, lam: float,
     logs, two = [], []
     iterations = 0
     while True:
-        apply = _stepped_map(op, weight, lam, steps)
+        apply = period_action(op, weight, lam, steps)
         ratio, phi, count = _krylov_perron(apply, op.n, start)
         iterations += count
         start = phi

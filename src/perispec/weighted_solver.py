@@ -91,7 +91,9 @@ def _upward_crossing(mu: _MuCache, lo: float, lam: float, tol_root: float,
                      lam_cap: float):
     """Double ``lam`` until ``mu > tol_root``, then refine the root above ``lo``.
 
-    ``mu(lo)`` must be negative.  When ``mu`` is already positive at the start,
+    ``mu(lo)`` must be negative.  A caller starts the ladder at ``lam_cap``
+    when the cap lies below its usual start, so a cap is always searched.
+    When ``mu`` is already positive at the start,
     the ladder halves back toward ``lo`` while it stays positive, so the
     bracket is a factor 2 wide either way, unless it reaches ``lo`` or meets
     a value within ``tol_root`` of zero.  Returns
@@ -126,7 +128,7 @@ def _solve_dirichlet(mu: _MuCache, cond: ConditionReport, tol_root: float,
         return (STATUS_NONE, None, None, None,
                 note + "the curve is dominated by mu(0) + lam * P / T <= mu(0) < 0, "
                 "so it stays negative for every positive lam")
-    found = _upward_crossing(mu, 0.0, 1.0, tol_root, lam_cap)
+    found = _upward_crossing(mu, 0.0, min(1.0, lam_cap), tol_root, lam_cap)
     if found is None:
         return (STATUS_NONE, None, None, None,
                 f"no sign change found for lam up to {lam_cap:.3g}")
@@ -189,7 +191,8 @@ def _solve_mass_conserving(mu: _MuCache, cond: ConditionReport, tol_root: float,
                     "the weight promises an initial dip (negative space-time "
                     "integral) but none was resolved above the noise floor")
 
-    found = _upward_crossing(mu, dip_lam, max(2.0 * dip_lam, 1.0), tol_root, lam_cap)
+    found = _upward_crossing(mu, dip_lam, min(max(2.0 * dip_lam, 1.0), lam_cap), tol_root,
+                             lam_cap)
     if found is None:
         return (STATUS_NONE, None, None, None,
                 f"curve dipped negative at lam={dip_lam:.6g} but never re-crossed "

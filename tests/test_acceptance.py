@@ -181,8 +181,8 @@ def _lapack_top(matrix):
 
 
 def test_06_dense_and_exponential_cross_checks():
-    # a non-separable weight on 14 nodes: Arnoldi on the formed maps against
-    # LAPACK's eigenpairs of the same maps (the two-level mu of 128 and 256
+    # a non-separable weight on 14 nodes: Arnoldi on vector periods against
+    # LAPACK's eigenpairs of the formed maps (the two-level mu of 128 and 256
     # steps, the 256-step eigenvector); a frozen weight's two-level map of 256
     # and 512 steps against the matrix exponential
     weight = closed_form("cos(2*pi*x)*(1 + sin(2*pi*t/T)) - 0.2 + sin(2*pi*t/T)", 1.0)

@@ -15,7 +15,7 @@ import perispec.validate
 import perispec.weighted_solver
 import perispec.weights
 from perispec.cli import main
-from perispec.evolution import period_map
+from perispec.evolution import period_action
 from perispec.geometry import Boundary, build_grid
 from perispec.operator import Problem
 from perispec.spectrum import principal_spectrum_point
@@ -207,24 +207,24 @@ NONSEPARABLE_EXPR = "cos(2*pi*x)*(1 + sin(2*pi*t/T)) - 0.2 + sin(2*pi*t/T)"
 
 
 def count_period_maps(monkeypatch, steps=None):
-    """The ``lam`` of every dense period map built from here on; with
-    ``steps``, its step count goes there."""
+    """The ``lam`` of every period map that ``spectrum`` builds from here on,
+    as an action on vectors; with ``steps``, its step count goes there."""
     lams = []
-    original = perispec.spectrum.period_map
+    original = perispec.spectrum.period_action
 
     def counting(op, weight, lam, n_steps=None):
         lams.append(lam)
         if steps is not None:
             steps.append(n_steps)
-        return original(op, weight, lam, n_steps=n_steps)
-    monkeypatch.setattr(perispec.spectrum, "period_map", counting)
+        return original(op, weight, lam, n_steps)
+    monkeypatch.setattr(perispec.spectrum, "period_action", counting)
     return lams
 
 
 @pytest.mark.parametrize("boundary", ["dirichlet", "neumann", "periodic"])
 def test_lambda_p_task_builds_one_map_per_lam(tmp_path, monkeypatch, boundary):
-    # a non-separable weight forms its map on 24 nodes, once per lam at each
-    # of the spectrum point's step counts, the ladder's doubling levels from
+    # a non-separable weight builds its map on 24 nodes, a vector action
+    # once per lam at each of the spectrum point's step counts, the ladder's doubling levels from
     # 8 steps on; the eigenvalue check at the root reuses the root search's
     # spectrum point, and the Dirichlet search's mu(0) takes the exact route
     steps = []
@@ -248,7 +248,8 @@ def test_lambda_p_task_builds_one_map_per_lam(tmp_path, monkeypatch, boundary):
 
 @pytest.mark.parametrize("boundary", ["dirichlet", "neumann", "periodic"])
 def test_separable_lambda_p_task_builds_no_map(tmp_path, monkeypatch, boundary):
-    # m1(x) + m2(t): every spectrum point is the frozen generator's
+    # m1(x) + m2(t): every spectrum point is the frozen generator's, with no
+    # period map
     lams = count_period_maps(monkeypatch)
     cfg = write_ini(tmp_path, BASE_PROBLEM.replace("dirichlet", boundary))
     assert run("lambda_p", cfg, tmp_path / "out") == 0
@@ -267,8 +268,7 @@ def test_separable_tasks_step_no_time(tmp_path, monkeypatch, task, section):
     # m1(x) + m2(t): every spectrum point is the frozen generator's
     def forbidden(*args, **kwargs):
         raise AssertionError("a separable weight was stepped in time")
-    for name in ("period_map", "period_action"):
-        monkeypatch.setattr(perispec.spectrum, name, forbidden)
+    monkeypatch.setattr(perispec.spectrum, "period_action", forbidden)
     cfg = write_ini(tmp_path, BASE_PROBLEM + section)
     assert run(task, cfg, tmp_path / "out") == 0
 
@@ -546,9 +546,10 @@ def test_krylov_size_outputs_do_not_depend_on_threads(tmp_path, monkeypatch):
 
 
 def test_dense_route_outputs_do_not_depend_on_threads(tmp_path, monkeypatch):
-    # a non-separable weight at n = 64 forms at least three maps per lam but
-    # 0, whose point is exact: the workers share the read-only dispersal
-    # factors and own their buffers
+    # the name keeps the route n = 64 once took, a formed ("dense") map.  A
+    # non-separable weight there builds at least three period actions
+    # per lam but 0, whose point is exact: the workers share the read-only
+    # dispersal factors and own their buffers
     lams = count_period_maps(monkeypatch)
     cfg = write_ini(tmp_path, BASE_PROBLEM.replace("n_per_axis = 24", "n_per_axis = 64")
                     .replace("expr = sin(2*pi*t/T) + cos(2*pi*x) - 0.2",
@@ -850,9 +851,10 @@ lambdas = 1
 
 
 def test_two_node_time_stepped_point_is_the_lapack_root(tmp_path):
-    # ARPACK needs three nodes: on two each map is formed from its two
-    # columns, and mu_n is the two-level value of the logs of LAPACK's top
-    # eigenvalues of period_map at the point's step count and half of it
+    # on two nodes each map is formed from the images of its two columns
+    # under vector periods, and mu_n is the two-level value of the logs of
+    # LAPACK's top eigenvalues of those maps at the point's step count and
+    # half of it
     expr = "0.5 + 0.1*x*sin(2*pi*t/T)"
     cfg = write_ini(tmp_path, BASE_PROBLEM.replace("n_per_axis = 24", "n_per_axis = 2")
                     .replace("expr = sin(2*pi*t/T) + cos(2*pi*x) - 0.2", f"expr = {expr}")
@@ -866,7 +868,8 @@ def test_two_node_time_stepped_point_is_the_lapack_root(tmp_path):
     assert n >= perispec.spectrum.LADDER_MIN_STEPS
     tops = []
     for n_steps in (n // 2, n):
-        vals = np.linalg.eig(period_map(op, w, 1.0, n_steps).matrix)[0]
+        action = period_action(op, w, 1.0, n_steps)
+        vals = np.linalg.eig(np.stack([action(e) for e in np.eye(2)], axis=1))[0]
         tops.append(vals[np.argmax(np.abs(vals))])
         assert tops[-1].imag == 0.0
     assert result["mu_n"] == (4.0 * math.log(tops[1].real) - math.log(tops[0].real)) / 3.0

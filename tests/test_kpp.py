@@ -413,7 +413,8 @@ def test_extinction_below_the_floor_ends_the_iteration():
 
 def test_extinction_orbit_builds_one_linearized_map(quickstart_threshold, monkeypatch):
     # the certificate's Perron solve and the contraction test apply the same
-    # linearized map, formed at 64 nodes, wherever a module binds its builders
+    # linearized map, one vector action at 64 nodes, wherever a module binds
+    # its builders
     op, w, res = quickstart_threshold
     built = []
     for module in (perispec.spectrum, perispec.kpp):
@@ -426,7 +427,7 @@ def test_extinction_orbit_builds_one_linearized_map(quickstart_threshold, monkey
     orbit = find_periodic_solution(op, w, Nonlinearity(), 0.5 * res.lambda_p,
                                    check_uniqueness=False)
     assert orbit.verdict == "extinction"
-    assert built == ["period_map"]
+    assert built == ["period_action"]
 
 
 @pytest.mark.parametrize("factor", [1.005, 1.02])
@@ -464,17 +465,17 @@ def test_certificate_phi_is_the_period_maps_perron_vector(quickstart_threshold, 
     lam = factor * res.lambda_p
     n_steps = _plain_iteration(op, w, nl, lam, 0)[1]
     maps, solves = [], []
-    original_map = perispec.kpp._stepped_map
+    original_map = perispec.kpp.period_action
     original_solve = perispec.kpp._krylov_perron
 
     def recording_map(*args):
         maps.append(args)
         return original_map(*args)
 
-    def recording_solve(*args):
-        solves.append(original_solve(*args))
+    def recording_solve(*args, **kwargs):
+        solves.append(original_solve(*args, **kwargs))
         return solves[-1]
-    monkeypatch.setattr(perispec.kpp, "_stepped_map", recording_map)
+    monkeypatch.setattr(perispec.kpp, "period_action", recording_map)
     monkeypatch.setattr(perispec.kpp, "_krylov_perron", recording_solve)
     orbit = find_periodic_solution(op, w, nl, lam, check_uniqueness=False)
     assert orbit.certificate is not None

@@ -18,8 +18,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
     ("spectrum_sweep.py", ["--n", "16", "--count", "3", "--n-steps", "64",
                            "--weight", "cos(2*pi*x)*(1 + sin(2*pi*t/T)) - 0.2"], [16, 16, 16]),
     # the default weight is separable and takes the exact route; the
-    # non-separable one takes Arnoldi on the formed map at 16 nodes and on
-    # vector periods at 256
+    # non-separable one takes Arnoldi on vector periods
     ("spectrum_sweep.py", ["--n", "256", "--count", "3", "--n-steps", "64"],
      [256, 256, 256]),
     ("spectrum_sweep.py", ["--n", "256", "--count", "3", "--n-steps", "64",

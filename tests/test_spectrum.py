@@ -10,6 +10,8 @@ import scipy.linalg
 from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
+import perispec.evolution
+import perispec.kpp
 import perispec.operator
 import perispec.spectrum
 import perispec.weighted_solver
@@ -50,9 +52,12 @@ def make_op_2d(n_per_axis):
 
 
 def forbid_period_map(monkeypatch):
+    """Refuse the dense period map in ``evolution``, and under its name in
+    ``spectrum`` and ``kpp`` should either bind it."""
     def refuse(*args, **kwargs):
         raise AssertionError("the dense period map was built")
-    monkeypatch.setattr(perispec.spectrum, "period_map", refuse)
+    for module in (perispec.evolution, perispec.spectrum, perispec.kpp):
+        monkeypatch.setattr(module, "period_map", refuse, raising=False)
 
 
 def forbid_vector_periods(monkeypatch):
@@ -64,6 +69,18 @@ def forbid_vector_periods(monkeypatch):
 def forbid_time_stepping(monkeypatch):
     forbid_period_map(monkeypatch)
     forbid_vector_periods(monkeypatch)
+
+
+def record_vector_periods(monkeypatch):
+    """The step count of every ``period_action`` that ``spectrum`` builds from here on."""
+    steps = []
+    original = perispec.spectrum.period_action
+
+    def recording(op, weight, lam, n_steps=None):
+        steps.append(n_steps)
+        return original(op, weight, lam, n_steps)
+    monkeypatch.setattr(perispec.spectrum, "period_action", recording)
+    return steps
 
 
 def record_krylov(monkeypatch):
@@ -99,7 +116,7 @@ def lapack_root(op, w, lam, n_steps=None):
 
 def lapack_point(op, w, lam, n_steps, two_level_vector=False):
     """The report of LAPACK's eigenpairs of the period maps at ``n_steps``
-    and half as many: an oracle, independent of ARPACK, for the Perron solves
+    and half as many: an oracle, independent of Arnoldi, for the Perron solves
     of the same maps.  ``mu`` is the two-level value, the eigenfunction and
     residual the finer map's; with ``two_level_vector`` the eigenfunction is
     the two-level value too, to compare with an exact one."""
@@ -156,8 +173,8 @@ def analytic_parabolic_mass(x, r=1.0):
 
 @pytest.mark.parametrize("boundary", list(Boundary))
 def test_power_iteration_matches_dense_eigensolver(boundary):
-    # below 256 nodes a non-separable weight's map is formed, and Arnoldi on
-    # it finds LAPACK's eigenpair of that same map
+    # Arnoldi on a non-separable weight's vector periods finds LAPACK's
+    # eigenpair of the formed map
     op = make_op(boundary, n=16)
     w = closed_form(NONSEPARABLE_1D, 1.0)
     rep = principal_spectrum_point(op, w, 1.0)
@@ -309,7 +326,7 @@ def two_level_values(op, w, lam, steps, start=None):
     each level's Arnoldi starting from the vector of the level below."""
     logs = []
     for n in [steps[0] // 2, *steps]:
-        apply = perispec.spectrum._stepped_map(op, w, lam, n)
+        apply = perispec.spectrum.period_action(op, w, lam, n)
         ratio, start, _ = perispec.spectrum._krylov_perron(apply, op.n, start)
         logs.append(math.log(ratio))
     return [(4.0 * fine - coarse) / (3.0 * w.period) for coarse, fine in zip(logs, logs[1:])]
@@ -372,13 +389,7 @@ def test_a_callers_step_count_rounds_up_to_a_multiple_of_four(n_steps, finest, m
     # and is raised to LADDER_MIN_STEPS
     op = make_op(Boundary.DIRICHLET, n=16)
     w = closed_form(NONSEPARABLE_1D, 1.0)
-    steps = []
-    original = perispec.spectrum.period_map
-
-    def recording(op_, w_, lam, n_steps=None):
-        steps.append(n_steps)
-        return original(op_, w_, lam, n_steps=n_steps)
-    monkeypatch.setattr(perispec.spectrum, "period_map", recording)
+    steps = record_vector_periods(monkeypatch)
     rep = principal_spectrum_point(op, w, 1.0, n_steps=n_steps)
     assert rep.n_steps == finest and steps == [finest // 4, finest // 2, finest]
 
@@ -540,15 +551,19 @@ def test_separable_route_matches_dense_power_iteration(boundary, n, monkeypatch)
 
 
 def test_failed_frozen_solve_below_the_crossover_takes_the_dense_route(monkeypatch):
-    # the formed map: the coarsest level's Arnoldi from the constant field,
-    # each finer one from the vector below
+    # the name keeps the route this grid once took, a formed ("dense") map
+    # below 192 nodes.  Now vector periods, one action per level: the
+    # coarsest level's Arnoldi from the constant field, each finer one from
+    # the vector below
     op = make_op(Boundary.DIRICHLET, n=64)
     w = closed_form(STANDARD_WEIGHT, 1.0)
     solves = record_krylov(monkeypatch)
     monkeypatch.setattr(perispec.spectrum, "_frozen_perron", lambda *args: None)
-    forbid_vector_periods(monkeypatch)
+    forbid_period_map(monkeypatch)
+    steps = record_vector_periods(monkeypatch)
     rep = principal_spectrum_point(op, w, 1.0)
     assert len(solves) >= 3 and solves[0][0] is None
+    assert steps == [rep.n_steps >> (len(solves) - 1 - k) for k in range(len(solves))]
     assert_chained(solves)
     assert rep.iterations > 4
     assert_matches_the_oracle(rep, lapack_point(op, w, 1.0, rep.n_steps), 1e-10, 1e-9)
@@ -576,20 +591,22 @@ def test_failed_frozen_solve_at_the_crossover_takes_arnoldi_from_the_constant_fi
 
 
 # every route builds its report whole: the verdict is read from its fields,
-# so a copy with another residual cannot keep a stale one
+# so a copy with another residual cannot keep a stale one.  The "formed-*"
+# ids here and below name grids below 192 nodes, where the map was once
+# formed; every grid now applies it to vectors
 ROUTE_CASES = [
-    pytest.param(32, NONSEPARABLE_1D, True, id="formed-32"),
-    pytest.param(64, STANDARD_WEIGHT, False, id="exact-separable"),
-    pytest.param(256, NONSEPARABLE_1D, False, id="arnoldi-256"),
+    pytest.param(32, NONSEPARABLE_1D, id="formed-32"),
+    pytest.param(64, STANDARD_WEIGHT, id="exact-separable"),
+    pytest.param(256, NONSEPARABLE_1D, id="arnoldi-256"),
 ]
 
 
-@pytest.mark.parametrize("n, expr, formed", ROUTE_CASES)
-def test_every_route_carries_its_own_verdict(n, expr, formed, monkeypatch):
+@pytest.mark.parametrize("n, expr", ROUTE_CASES)
+def test_every_route_carries_its_own_verdict(n, expr, monkeypatch):
+    # no route forms the period map, on a grid of any size
     op = make_op(Boundary.DIRICHLET, n=n)
     w = closed_form(expr, 1.0)
-    if not formed:
-        forbid_period_map(monkeypatch)
+    forbid_period_map(monkeypatch)
     rep = principal_spectrum_point(op, w, 1.0)
     assert (rep.iterations == 0) == (expr == STANDARD_WEIGHT)
     assert rep.is_principal_eigenvalue == "yes"
@@ -640,16 +657,82 @@ def test_lyapunov_estimate_at_krylov_size_builds_no_matrix(monkeypatch):
     assert abs(rep.mu_n - lyapunov_estimate(op, w, 1.0)) < 1e-3
 
 
-def test_krylov_nonconvergence_is_a_power_iteration_error(monkeypatch):
-    import scipy.sparse.linalg
+def test_krylov_nonconvergence_is_a_power_iteration_error():
+    # the cyclic shift on 256 nodes has all its eigenvalues on the unit
+    # circle: no Ritz value dominates, so no estimate reaches ARNOLDI_TOL in
+    # ARNOLDI_RESTARTS restarts of a basis of ARNOLDI_BASIS < 256 vectors
+    count = 0
 
-    def stalls(*args, **kwargs):
-        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((256, 0)))
-    monkeypatch.setattr(scipy.sparse.linalg, "eigs", stalls)
-    # a non-separable weight at 256 nodes takes the Arnoldi route
-    op = make_op_2d(16)
-    with pytest.raises(PowerIterationError, match="Arnoldi did not converge"):
-        principal_spectrum_point(op, closed_form(NONSEPARABLE_2D, 1.0), 1.0)
+    def shift(u):
+        nonlocal count
+        count += 1
+        return np.roll(u, 1)
+    with pytest.raises(PowerIterationError, match="Arnoldi did not converge") as info:
+        _krylov_perron(shift, 256, np.arange(1.0, 257.0))
+    basis = perispec.spectrum.ARNOLDI_BASIS
+    assert f"in {count} applications" in str(info.value)
+    assert basis < count <= (perispec.spectrum.ARNOLDI_RESTARTS + 1) * basis
+
+
+def test_krylov_restarts_keep_enough_to_converge():
+    # on 64 nodes the same shift's Perron pair (1, ones) is resolved only
+    # after restarts: the Krylov-Schur restart keeps the leading Schur
+    # vectors, so the basis keeps growing towards the whole space
+    count = 0
+
+    def shift(u):
+        nonlocal count
+        count += 1
+        return np.roll(u, 1)
+    ratio, v, applications = _krylov_perron(shift, 64, np.arange(1.0, 65.0))
+    assert applications == count > perispec.spectrum.ARNOLDI_BASIS
+    assert ratio == pytest.approx(1.0, rel=1e-12)
+    np.testing.assert_allclose(v, np.ones(64), atol=1e-8)
+    assert _residual(lambda u: np.roll(u, 1), ratio, v) < 1e-8
+
+
+def test_krylov_resolves_a_perron_vectors_entries_near_zero(monkeypatch):
+    # at lam 2 on a kernel of radius 0.05 the Perron vector falls to 7e-13
+    # far from the weight's peak.  At the Ritz estimate of ARNOLDI_TOL the
+    # vector there is still -1.5e-11, below -CLAMP_TOL; Arnoldi goes on
+    # towards ARNOLDI_FLOOR, one more application, and resolves it
+    op, w = Problem(Boundary.NEUMANN, (1.0,), "parabolic", 0.05, closed_form(
+        "cos(2*pi*x)*(1 + sin(2*pi*t)) - 0.2 + sin(2*pi*t)", 1.0)).at(256)
+    apply = perispec.spectrum.period_action(op, w, 2.0, 8)
+    ratio, v, count = _krylov_perron(apply, op.n)
+    assert count < 25 and 0.0 < v.min() < 1e-12
+    assert _residual(apply, ratio, v) < 1e-10
+    monkeypatch.setattr(perispec.spectrum, "ARNOLDI_FLOOR", perispec.spectrum.ARNOLDI_TOL)
+    with pytest.raises(PowerIterationError, match="negative entry"):
+        _krylov_perron(apply, op.n)
+
+
+def test_krylov_stops_once_a_separated_root_has_converged():
+    # the all-ones block plus a small positive part: |lambda_2 / lambda_1| is
+    # 0.0038, and the Ritz estimate falls below ARNOLDI_TOL at the least basis
+    # of ARNOLDI_MIN_BASIS = 8 vectors.  ARPACK filled its 20-vector basis
+    # first and took 21 applications
+    rng = np.random.default_rng(5)
+    mat = np.ones((50, 50)) + 0.1 * rng.uniform(0.0, 1.0, size=(50, 50))
+    ratio, v, count = _krylov_perron(lambda u: mat @ u, 50)
+    assert count < 10
+    assert ratio == pytest.approx(float(np.abs(np.linalg.eigvals(mat)).max()), rel=1e-12)
+    assert _residual(lambda u: mat @ u, ratio, v) < 1e-12
+
+
+def test_krylov_breakdown_continues_from_a_seeded_direction():
+    # a signed eigenvector of the spiked map closes the basis at once; the
+    # solve goes on from a direction drawn by a generator seeded inside the
+    # call, so it finds the Perron pair, and two calls give the same bits
+    spiked = np.ones((16, 16)) + np.eye(16)  # Perron pair (17, ones); 1 on its complement
+    signed = np.zeros(16)
+    signed[:2] = [1.0, -1.0]
+    first = _krylov_perron(lambda u: spiked @ u, 16, signed)
+    again = _krylov_perron(lambda u: spiked @ u, 16, signed)
+    assert first[0] == pytest.approx(17.0, rel=1e-12)
+    np.testing.assert_allclose(first[1], np.ones(16), atol=1e-12)
+    assert first[0] == again[0] and first[2] == again[2]
+    np.testing.assert_array_equal(first[1], again[1])
 
 
 def test_krylov_from_a_start_finds_the_perron_vector():
@@ -724,7 +807,7 @@ def cold_finer_level(monkeypatch):
     monkeypatch.setattr(perispec.spectrum, "_krylov_perron", cold)
 
 
-# vector periods: 2-D from 256 nodes, 1-D from 192
+# the bench's 2-D grid, and a 1-D grid where the frozen start comes from Lanczos
 WARM_START_CASES = [
     pytest.param(lambda: make_op_2d(24), NONSEPARABLE_2D, (0.25, 0.5, 1.0, 2.0),
                  id="neumann-24x24"),
@@ -751,12 +834,24 @@ def test_finer_level_starts_from_the_coarser_levels_perron_vector(make, expr, la
         with monkeypatch.context() as mp:
             cold_finer_level(mp)
             cold = principal_spectrum_point(op, w, lam)
-        # Arnoldi stops at ARNOLDI_TOL = 1e-8: measured mu 4.7e-12 apart and
-        # residuals up to 3.9e-9 (Dirichlet, lam = 2)
+        # Arnoldi stops at ARNOLDI_TOL = 1e-10: measured mu 5.9e-13 apart and
+        # residuals up to 9.7e-11 (24x24, lam = 0.5, cold)
         assert warm.mu_n == pytest.approx(cold.mu_n, abs=1e-10)
         assert warm.residual < TOL_EIG and cold.residual < TOL_EIG
         assert warm.is_principal_eigenvalue == cold.is_principal_eigenvalue
         assert warm.iterations <= cold.iterations
+
+
+def test_finest_residual_stays_well_below_the_verdicts_bound():
+    # Arnoldi stops at a Ritz estimate of ARNOLDI_TOL = 1e-10 relative to the
+    # root, so the finest level's relative residual stays far below TOL_EIG
+    # = 1e-8 and cannot decide the verdict.  ARPACK at its tolerance of 1e-8
+    # left 9.6e-10 here
+    op = make_op(Boundary.DIRICHLET, n=256)
+    rep = principal_spectrum_point(op, closed_form(NONSEPARABLE_1D, 1.0), 2.0)
+    assert rep.n_steps >= LADDER_MIN_STEPS
+    assert rep.residual <= 1e-10 < TOL_EIG
+    assert rep.is_principal_eigenvalue == "yes"
 
 
 @pytest.mark.parametrize("make, expr", [
@@ -764,16 +859,19 @@ def test_finer_level_starts_from_the_coarser_levels_perron_vector(make, expr, la
     pytest.param(lambda: make_op_2d(8), NONSEPARABLE_2D, id="neumann-8x8"),
 ])
 def test_formed_route_chains_its_levels_from_the_frozen_start(make, expr, monkeypatch):
-    # the start rule of vector periods: the coarsest level from the frozen
-    # generator's Perron vector, each finer one from the vector below
+    # below the crossover, where the map was once formed, the levels apply
+    # vector periods, one action per level, and keep the start rule: the
+    # coarsest level from the frozen generator's Perron vector, each finer
+    # one from the vector below
     op = make()
     w = closed_form(expr, 1.0)
     frozen = perispec.spectrum._frozen_perron(op, time_average(w, op.grid), 1.0)
     assert frozen is not None
-    forbid_vector_periods(monkeypatch)
+    forbid_period_map(monkeypatch)
+    steps = record_vector_periods(monkeypatch)
     solves = record_krylov(monkeypatch)
     principal_spectrum_point(op, w, 1.0)
-    assert len(solves) >= 3
+    assert len(solves) >= 3 and len(steps) == len(solves)
     np.testing.assert_array_equal(solves[0][0], frozen)
     assert_chained(solves)
 
@@ -960,10 +1058,35 @@ def test_krylov_rejects_a_root_that_is_no_perron_root():
         _krylov_perron(lambda u: signed @ u, 8)
 
 
+def test_krylov_rejects_a_root_that_is_no_perron_root_before_the_whole_space():
+    # the same rejections on 64 nodes, where Arnoldi stops long before its
+    # basis spans the space.  The rotation and the signed map are the
+    # identity off their 2x2 blocks, so every image closes the basis.  The
+    # constant start is an eigenvector of the signed map: its first subspace
+    # misses the block, and the seeded direction brings it in
+    rng = np.random.default_rng(3)
+    positive = rng.uniform(0.5, 1.0, size=(64, 64))
+    rotation = np.eye(64)
+    rotation[:2, :2] = [[1.2, -1.6], [1.6, 1.2]]
+    signed = np.eye(64)
+    signed[:2, :2] += [[1.0, -1.0], [-1.0, 1.0]]
+    for mat, message in ((-positive, "positive real root"), (rotation, "positive real root"),
+                         (signed, "negative entry")):
+        count = 0
+
+        def apply(u, mat=mat):
+            nonlocal count
+            count += 1
+            return mat @ u
+        with pytest.raises(PowerIterationError, match=message):
+            _krylov_perron(apply, 64)
+        assert count < 16
+
+
 def test_spectrum_point_builds_one_time_lattice_per_use(monkeypatch):
     # one weight summary gives sup|m| for the step count and m_hat for the
-    # envelope and the S tests, on the formed map (a non-separable weight at
-    # n = 64) and the matrix-free one (a separable weight)
+    # envelope and the S tests, on vector periods (a non-separable weight at
+    # n = 64) and on the exact route (a separable weight)
     calls = []
     original = perispec.weights._time_lattice
 
@@ -1030,8 +1153,8 @@ def test_lyapunov_route_agrees_with_period_map(boundary, lam):
 
 
 def test_lyapunov_estimate_iterates_the_formed_map():
-    # below 256 nodes Arnoldi applies the formed map; the estimate's vector
-    # periods are the same map, applied without forming it
+    # the formed map iterated here, Arnoldi's vector periods and the
+    # estimate's are one map
     op = make_op(Boundary.DIRICHLET, n=32)
     w = closed_form(NONSEPARABLE_1D, 1.0)
     rep = principal_spectrum_point(op, w, 1.0)
@@ -1207,9 +1330,9 @@ def test_cusp_on_the_envelope_sup_reads_marginal(c, monkeypatch):
     # a cusp slightly off the midpoint between two nodes leaves the two best
     # sites almost tied with no symmetry to separate them; a nearly flat
     # kernel keeps the point on the envelope sup.  The exact route (the cusp
-    # alone) and the time-stepped one (plus a slow breathing term), on a
-    # formed map and on vector periods, all resolve the tie and give one
-    # verdict, with no dense map at 256 nodes
+    # alone) and the time-stepped one (plus a slow breathing term), on
+    # vector periods, all resolve the tie and give one verdict, with no dense
+    # map at 256 nodes
     for n in (64, 128, 256):
         op = assemble(make_kernel("parabolic", 1e5), build_grid(Boundary.DIRICHLET, (1.0,), n))
         for expr in (f"-((x - {c})**2)**0.25",
@@ -1222,7 +1345,7 @@ def test_cusp_on_the_envelope_sup_reads_marginal(c, monkeypatch):
             assert (rep.iterations == 0) == summarize(w, op.grid).separable == ("sin" not in expr)
             assert rep.is_principal_eigenvalue == "marginal"
             # converged far below TOL_EIG: the verdict is the sup's, not the
-            # residual's (Arnoldi stops at ARNOLDI_TOL; 1.8e-10 measured)
+            # residual's (Arnoldi stops at ARNOLDI_TOL; 8.6e-12 measured)
             assert rep.residual < 1e-9
             assert abs(rep.mu_n - rep.h_hat_max) < 1e-6 * (1 + abs(rep.mu_n))
 
@@ -1352,9 +1475,11 @@ def test_any_holds_property():
 
 # ----------------------------------------------------------- failure paths
 
-@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("n", [2, 4, 16])
 def test_krylov_rejects_a_zero_map(n):
-    # LAPACK's zero root below 3 nodes; ARPACK stops on the zero image above
+    # LAPACK's zero root of the formed map on 2 nodes; from 3 on, every
+    # image closes the basis, which goes on from seeded directions to the
+    # zero root
     with pytest.raises(PowerIterationError):
         _krylov_perron(np.zeros_like, n)
 

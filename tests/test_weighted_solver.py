@@ -196,8 +196,8 @@ def test_refinement_takes_few_points_inside_bracket(boundary):
 
 
 def test_import_does_not_load_scipy_optimize():
-    # the root refinement imports brentq and the Krylov route imports eigs
-    # lazily, to keep start-up fast; the dispersal factor needs no scipy.linalg
+    # the root refinement imports brentq and the frozen route imports eigh
+    # and eigsh lazily, to keep start-up fast; the dispersal factor needs no scipy.linalg
     src = str(Path(perispec.__file__).resolve().parents[1])
     code = ("import sys, perispec; "
             "print('scipy.optimize' in sys.modules, 'scipy.sparse.linalg' in sys.modules, "
@@ -297,8 +297,7 @@ def test_time_averaging_bound_is_an_equality_for_separable_weights(monkeypatch):
     # frozen generator, with no time stepping
     def forbidden(*args, **kwargs):
         raise AssertionError("a separable weight was stepped in time")
-    for name in ("period_map", "period_action"):
-        monkeypatch.setattr(perispec.spectrum, name, forbidden)
+    monkeypatch.setattr(perispec.spectrum, "period_action", forbidden)
     op = make_op(Boundary.DIRICHLET, n=64)
     w = closed_form("cos(2*pi*x) - 0.2 + sin(2*pi*t/T + 0.7)", 1.0)
     ub = upper_bound_lambda_p(op, w)
@@ -312,6 +311,23 @@ def test_no_sign_change_below_the_cap_is_no_root():
     assert res.status == "no_positive_root"
     assert res.evidence == "no sign change found for lam up to 0.5"
     assert res.lambda_p is None and res.bracket is None
+
+
+@pytest.mark.parametrize("lam_cap, status", [(0.5, "unique_root"), (0.2, "no_positive_root")])
+def test_a_cap_below_the_ladders_start_is_searched(lam_cap, status):
+    # the quick-start weight times 4 has its root at 0.27757, below the
+    # ladder's usual start at lam = 1: the ladder starts at the cap instead
+    op = make_op(Boundary.DIRICHLET, n=64)
+    w = closed_form(f"4*({STANDARD_WEIGHT})", 1.0)
+    res = solve_lambda_p(op, w, lam_cap=lam_cap)
+    assert res.status == status
+    if status == "unique_root":
+        assert res.lambda_p == pytest.approx(0.27757, abs=1e-5)
+        assert res.bracket[1] <= lam_cap
+    else:
+        assert res.lambda_p is None
+        assert [lam for lam, _ in res.curve] == [0.0, lam_cap]
+        assert res.curve[-1][1] < 0.0
 
 
 def test_upper_bound_none_when_either_root_missing():
@@ -354,7 +370,7 @@ def count_s_condition_fits(monkeypatch):
 
 
 def test_pe_sufficiency_adds_only_the_s_conditions(monkeypatch):
-    # a non-separable weight forms its map; the check at the root
+    # a non-separable weight applies its map to vectors; the check at the root
     # reads the spectrum point the search computed there, at its step count,
     # and fits the S-conditions once, at the root
     op = make_op(Boundary.DIRICHLET)
@@ -368,8 +384,7 @@ def test_pe_sufficiency_adds_only_the_s_conditions(monkeypatch):
         raise AssertionError("pe_sufficiency recomputed the spectrum point")
     for module in (perispec.spectrum, perispec.weighted_solver):
         monkeypatch.setattr(module, "principal_spectrum_point", forbidden)
-    for name in ("period_map", "period_action"):
-        monkeypatch.setattr(perispec.spectrum, name, forbidden)
+    monkeypatch.setattr(perispec.spectrum, "period_action", forbidden)
     fits = count_s_condition_fits(monkeypatch)
     suff = pe_sufficiency(op, w, res)
     assert fits == [res.lambda_p]
@@ -400,7 +415,7 @@ def test_only_the_verdict_at_the_root_fits_the_s_conditions(monkeypatch):
 
 
 # the weights of the acceptance suite's twelve cases, a non-separable one
-# (a formed map) and a cusp, whose envelope has no quadratic cap for the
+# (time stepped) and a cusp, whose envelope has no quadratic cap for the
 # contact-exponent fit
 WARNING_FREE_WEIGHTS = [
     STANDARD_WEIGHT, "-0.5 + 0.25*cos(2*pi*x)", "cos(2*pi*x) + 0.2", "sin(2*pi*t/T)",
