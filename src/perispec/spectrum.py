@@ -36,17 +36,23 @@ forms the ``n x n`` map, and a map on 1 or 2 nodes is formed from its
 columns for LAPACK.  Arnoldi tests its top Ritz pair after every
 application from ``min(n, 8)`` vectors on and stops once the Ritz estimate
 of the relative residual, in the sup norm that the verdict reads, is below
-``ARNOLDI_TOL``, so a map whose Perron root stands well apart takes about 8
-applications.  ARPACK, used before, filled its 20-vector basis first and
+``ARNOLDI_TOL``, so a map whose Perron root stands well apart takes 8
+applications: every level of the travelling wave (n = 128 and 512) and of
+the cusp does.  ARPACK, used before, filled its 20-vector basis first and
 took 21 (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998).  After
 ``ARNOLDI_BASIS`` vectors it restarts by Krylov-Schur (``_thick_restart``).
 Every level starts by one rule: the coarsest from the time-averaged
 generator's Perron vector (from the constant field when that solve has
-failed), each finer one from the level below's Perron vector, which is only
-a splitting error away from its own.  On a sampled 2-D Neumann weight at
-24x24, whose top two eigenvalues are close, the chained start took the finer
-of two levels from 32-42 map applications to 22-32 at ``lam`` = 0.25 to 2
-(measured under ARPACK).
+failed), the second from the first level's Perron vector, and each later
+one from ``max(phi + (phi - prev) / 4, 0)``, with ``phi`` and ``prev`` the
+Perron vectors of the two levels below.  The splitting error of a level's
+vector leads with ``h^2``, as its ``mu``'s does, so that is the ``h^2``
+Richardson prediction of the level's own vector; it keeps an entry of at
+least 1 at ``phi``'s sup, so it never vanishes.  From the level
+below's vector, an ``O(h^2)`` error away from its own, the finest level
+took 16-26 applications on ``upper_bound``'s Dirichlet non-separable weight
+(n = 128) and 14-19 on ``sweep_2d``'s sampled 24x24 one at the bench's
+seeds 1 to 3; from the prediction it takes 8-16 and 8-12.
 The eigenfunction, the residual and so the verdict come from the finest
 level's map, and only that level spends an application on its residual.
 Every map is nonnegative by construction, so no entry is checked.
@@ -82,21 +88,25 @@ from .weights import Weight, summarize, time_average
 # a dominant Ritz value is real when its imaginary part is below this, relative
 POWER_REL_TOL = 1e-12
 # Arnoldi's tolerance on the Ritz estimate of the relative residual.  On the
-# bench's outputs at seeds 1 and 2 every residual stayed at or below 9.6e-11
-# (up to 1.5e-11 under ARPACK at 1e-8) and mu moved by at most 4.6e-13.
-# Traced rounds at seeds 1 to 3 took 844-878 map applications on
-# threshold_kpp_1d (1500 under ARPACK) and 232-240 on sweep_2d (266-276).
-# Estimated in the 2-norm, beta_j |e_j^T y| <= ARNOLDI_TOL |theta|, the same
-# rounds took 864-892 and 244-250 and left a residual of 1.05e-10.
+# bench's outputs at seeds 1 to 3 every residual stays at or below 9.6e-11
+# (up to 1.5e-11 under ARPACK at 1e-8, whose mu was at most 4.6e-13 away).
+# Traced rounds at seeds 1 to 3 take 785-817 map applications on
+# threshold_kpp_1d (1500 under ARPACK) and 208-215 on sweep_2d (266-276).
+# Estimated in the 2-norm, beta_j |e_j^T y| <= ARNOLDI_TOL |theta|, with each
+# finer level started from the level below's vector, the rounds took 864-892
+# and 244-250 (844-878 and 232-240 in the sup norm) and left a residual of
+# 1.05e-10.
 ARNOLDI_TOL = 1e-10
 # the least basis from which Arnoldi may stop, the basis after which it
 # restarts, the Schur vectors a restart keeps, and the restarts it may take.
 # No solve of the bench's rounds restarts: the largest of 261 (seeds 1 to 3)
-# took 34 applications.  Nor did any of 214 solves on 2-D Neumann 48x48, 1-D
+# takes 34 applications.  Nor did any of 214 solves on 2-D Neumann 48x48, 1-D
 # periodic n = 512 and kernels of radius 0.03 to 0.1 whose top eigenvalues
-# are close, warm or from the constant start: the largest took 38.  The
-# cyclic shift on 64 nodes, whose spectrum is the unit circle, needs the
-# restarts and converges in 198 applications
+# are close, warm from the level below or from the constant start: the
+# largest took 38.  Under the Richardson start the largest of 81 solves on a
+# like set takes 40, a coarsest level that stops at the first basis' last
+# vector (48x48 at lam 0.5).  The cyclic shift on 64 nodes, whose spectrum
+# is the unit circle, needs the restarts and converges in 198 applications
 ARNOLDI_MIN_BASIS = 8
 ARNOLDI_BASIS = 40
 ARNOLDI_KEEP = 20
@@ -597,11 +607,16 @@ def principal_spectrum_point(op: DispersalOperator, weight: Weight, lam: float,
     steps = n_steps // 4
     logs, two = [], []
     iterations = 0
+    prev = None
     while True:
         apply = period_action(op, weight, lam, steps)
         ratio, phi, count = _krylov_perron(apply, op.n, start)
         iterations += count
-        start = phi
+        # from the third level on, the h^2 Richardson prediction of the next
+        # level's vector; it keeps an entry >= 1 at phi's sup, so it never
+        # vanishes
+        start = phi if prev is None else np.maximum(phi + (phi - prev) / 4.0, 0.0)
+        prev = phi
         logs.append(math.log(ratio))
         if len(logs) > 1:
             two.append((4.0 * logs[-1] - logs[-2]) / (3.0 * weight.period))

@@ -84,22 +84,26 @@ def record_vector_periods(monkeypatch):
 
 
 def record_krylov(monkeypatch):
-    """The ``(start, Perron vector)`` of every ``_krylov_perron`` solve from here on."""
+    """The ``(start, Perron vector, applications)`` of every ``_krylov_perron``
+    solve from here on."""
     solves = []
     original = perispec.spectrum._krylov_perron
 
     def recording(apply, n, start=None):
         result = original(apply, n, start)
-        solves.append((start, result[1]))
+        solves.append((start, result[1], result[2]))
         return result
     monkeypatch.setattr(perispec.spectrum, "_krylov_perron", recording)
     return solves
 
 
 def assert_chained(solves):
-    """Each level after the first starts from the Perron vector of the one below."""
-    for (_, below), (start, _) in zip(solves, solves[1:]):
-        assert start is below
+    """The second level starts from the first level's Perron vector, and each
+    later one from the Richardson prediction of the two levels below,
+    ``max(below + (below - prev) / 4, 0)``, bit for bit."""
+    assert len(solves) >= 2 and solves[1][0] is solves[0][1]
+    for (_, prev, _), (_, below, _), (start, _, _) in zip(solves, solves[1:], solves[2:]):
+        np.testing.assert_array_equal(start, np.maximum(below + (below - prev) / 4, 0))
 
 
 def lapack_root(op, w, lam, n_steps=None):
@@ -553,8 +557,8 @@ def test_separable_route_matches_dense_power_iteration(boundary, n, monkeypatch)
 def test_failed_frozen_solve_below_the_crossover_takes_the_dense_route(monkeypatch):
     # the name keeps the route this grid once took, a formed ("dense") map
     # below 192 nodes.  Now vector periods, one action per level: the
-    # coarsest level's Arnoldi from the constant field, each finer one from
-    # the vector below
+    # coarsest level's Arnoldi from the constant field, the finer ones by
+    # the ladder's rule (``assert_chained``)
     op = make_op(Boundary.DIRICHLET, n=64)
     w = closed_form(STANDARD_WEIGHT, 1.0)
     solves = record_krylov(monkeypatch)
@@ -580,8 +584,8 @@ def test_failed_frozen_solve_at_the_crossover_takes_arnoldi_from_the_constant_fi
     # 512 steps: the finest map's Perron vector is a second-order splitting
     # error from the exact one (4.4e-6 at 64 steps)
     rep = principal_spectrum_point(op, w, 1.0, n_steps=512)
-    # the coarsest level from the constant field, each finer one from the
-    # vector below
+    # the coarsest level from the constant field, the finer ones by the
+    # ladder's rule
     assert len(solves) == 3 and solves[0][0] is None and rep.iterations > 4
     assert_chained(solves)
     # the split maps' two-level value, a time-stepping error away from the exact one
@@ -767,7 +771,7 @@ def test_krylov_from_a_start_finds_the_perron_vector():
 ], ids=["no-convergence", "arpack-error"])
 def test_failed_start_vector_solve_gives_the_same_point(error, monkeypatch):
     # without the frozen start, the coarsest level's Arnoldi runs from the
-    # constant field; each finer level starts from the vector below
+    # constant field; the finer levels start by the ladder's rule
     import scipy.sparse.linalg
 
     op = make_op(Boundary.DIRICHLET, n=256)
@@ -795,7 +799,7 @@ def test_failed_start_vector_solve_gives_the_same_point(error, monkeypatch):
 
 def cold_finer_level(monkeypatch):
     """Start each finer level's Arnoldi where the coarsest level started, not
-    from the Perron vector of the level below."""
+    by the ladder's rule from the Perron vectors of the levels below."""
     starts = []
     original = perispec.spectrum._krylov_perron
 
@@ -820,8 +824,9 @@ WARM_START_CASES = [
 def test_finer_level_starts_from_the_coarser_levels_perron_vector(make, expr, lams,
                                                                  monkeypatch):
     # the coarsest level starts from the frozen generator's Perron vector and
-    # each finer one from the vector below: the same point as cold starts
-    # of the finer levels, in no more map applications
+    # the finer ones by the ladder's rule: the same point as cold starts of
+    # the finer levels, in no more map applications.  The name keeps the
+    # second level's start
     op = make()
     w = closed_form(expr, 1.0)
     forbid_period_map(monkeypatch)
@@ -834,12 +839,56 @@ def test_finer_level_starts_from_the_coarser_levels_perron_vector(make, expr, la
         with monkeypatch.context() as mp:
             cold_finer_level(mp)
             cold = principal_spectrum_point(op, w, lam)
-        # Arnoldi stops at ARNOLDI_TOL = 1e-10: measured mu 5.9e-13 apart and
+        # Arnoldi stops at ARNOLDI_TOL = 1e-10: measured mu 9.2e-13 apart and
         # residuals up to 9.7e-11 (24x24, lam = 0.5, cold)
         assert warm.mu_n == pytest.approx(cold.mu_n, abs=1e-10)
         assert warm.residual < TOL_EIG and cold.residual < TOL_EIG
         assert warm.is_principal_eigenvalue == cold.is_principal_eigenvalue
         assert warm.iterations <= cold.iterations
+
+
+def test_richardson_start_takes_the_finest_level_in_few_applications(monkeypatch):
+    # the Dirichlet non-separable weight near its root: the 32-step level
+    # starts from the h^2 prediction of its own vector and stops within 10
+    # applications (measured 10).  From the 16-step level's vector it took 17
+    make, lam = BAR_CASES["dirichlet-128"]
+    op, w = make()
+    forbid_period_map(monkeypatch)
+    steps = record_vector_periods(monkeypatch)
+    solves = record_krylov(monkeypatch)
+    rep = principal_spectrum_point(op, w, lam)
+    assert steps == [8, 16, 32] and rep.n_steps == 32
+    assert_chained(solves)
+    assert solves[-1][2] <= 10
+    assert_matches_the_oracle(rep, lapack_point(op, w, lam, rep.n_steps), 1e-10, 1e-9)
+
+
+def test_a_start_whose_clamp_engages_still_finds_the_perron_pair(monkeypatch):
+    # the first level's vector is raised to min(10 phi, 1), still sup 1, so
+    # the third level's prediction phi + (phi - prev) / 4 is negative wherever
+    # prev > 5 phi (here phi < 0.2, mid-domain) and is clamped to 0 there.
+    # It keeps an entry >= 1 at phi's sup, and its Arnoldi still finds the
+    # Perron pair of LAPACK on the formed maps
+    op = make_op(Boundary.DIRICHLET, n=64)
+    w = closed_form(NONSEPARABLE_1D, 1.0)
+    original = perispec.spectrum._krylov_perron
+    calls = []
+
+    def raise_first(apply, n, start=None):
+        ratio, phi, count = original(apply, n, start)
+        calls.append(count)
+        return ratio, np.minimum(10.0 * phi, 1.0) if len(calls) == 1 else phi, count
+    monkeypatch.setattr(perispec.spectrum, "_krylov_perron", raise_first)
+    solves = record_krylov(monkeypatch)
+    forbid_period_map(monkeypatch)
+    rep = principal_spectrum_point(op, w, 1.0)
+    assert len(solves) >= 3
+    assert_chained(solves)
+    prev, below, start = solves[0][1], solves[1][1], solves[2][0]
+    clamped = prev > 5.0 * below
+    assert clamped.any() and np.all(start[clamped] == 0.0) and start.max() >= 1.0
+    assert_matches_the_oracle(rep, lapack_point(op, w, 1.0, rep.n_steps), 1e-10, 1e-9)
+    assert rep.residual < 1e-10
 
 
 def test_finest_residual_stays_well_below_the_verdicts_bound():
@@ -861,8 +910,8 @@ def test_finest_residual_stays_well_below_the_verdicts_bound():
 def test_formed_route_chains_its_levels_from_the_frozen_start(make, expr, monkeypatch):
     # below the crossover, where the map was once formed, the levels apply
     # vector periods, one action per level, and keep the start rule: the
-    # coarsest level from the frozen generator's Perron vector, each finer
-    # one from the vector below
+    # coarsest level from the frozen generator's Perron vector, the finer
+    # ones by the ladder's rule
     op = make()
     w = closed_form(expr, 1.0)
     frozen = perispec.spectrum._frozen_perron(op, time_average(w, op.grid), 1.0)
