@@ -184,6 +184,11 @@ def _build_problem(cp, config_dir: Path):
     samples_path = _get(wsec, "samples")
     if (expr is None) == (samples_path is None):
         raise ConfigError("[weight] needs exactly one of 'expr' or 'samples'")
+    if samples_path is not None:
+        for key in ("s1_maximizer", "s1_smoothness", "s1_flat_order"):
+            if _get(wsec, key) is not None:
+                raise ConfigError(f"[weight] key {key!r} is read only with 'expr', "
+                                  "not with 'samples'")
     s1_data = None
     maximizer_raw = _get(wsec, "s1_maximizer")
     if maximizer_raw is not None:

@@ -268,12 +268,14 @@ def comparison_check(op: DispersalOperator, weight_pairs, field_pairs, t1: float
                      lam: float = 1.0, n_steps: int | None = None) -> ComparisonReport:
     """Propagate ordered pairs and report how well ordering is preserved.
 
-    ``weight_pairs`` and ``field_pairs`` are sequences of (lower, upper) pairs;
-    a length-1 sequence is broadcast against the other.  Reports violations, by
-    contract it never raises on them.
+    ``weight_pairs`` and ``field_pairs`` are nonempty sequences of (lower,
+    upper) pairs; a length-1 sequence is broadcast against the other.  Reports
+    violations, by contract it never raises on them.
     """
     weight_pairs = list(weight_pairs)
     field_pairs = list(field_pairs)
+    if not weight_pairs or not field_pairs:
+        raise ValueError("comparison_check needs at least one weight pair and one field pair")
     if len(weight_pairs) == 1:
         weight_pairs = weight_pairs * len(field_pairs)
     if len(field_pairs) == 1:

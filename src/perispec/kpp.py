@@ -26,18 +26,14 @@ an orbit shares its reaction tables and dispersal step.
 The periodic state is found by iterating the period map ``P`` of the
 nonlinear flow from a small positive constant.  Each period is one run of
 that handle over ``[0, T]`` with the orbit's fixed step count, as
-``simulate_kpp`` would run it; the count is rounded up to even.  Each orbit
-builds its linearized period map once, at that step count, as the vector
-action ``period_action`` that ``spectrum`` applies at each level; the
-certificate's Perron solve and the contraction test both apply it.  The
-Perron solve starts, as ``spectrum``'s coarsest level does, from the
-time-averaged generator's Perron vector: on the quick-start ``kpp_scan``
-(n = 64) that took its five orbits' solves from 23-27 applications from
-the constant field to 12-21.  The
-orbit first looks for a certificate of persistence: when the linearized
-period map has a Perron root above 1, its Perron vector ``phi`` gives a
-sub-solution ``eps * phi`` once ``P(eps * phi) - eps * phi`` clears the
-order tolerance on every node for some ``eps`` of a short ladder.  The
+``simulate_kpp`` would run it; the count is rounded up to even.  The
+orbit first looks for a certificate of persistence: when the principal
+spectrum point ``mu(lam)`` of ``spectrum.principal_spectrum_point`` is
+positive, its eigenfunction ``phi`` gives a sub-solution ``eps * phi`` once
+``P(eps * phi) - eps * phi`` clears the order tolerance on every node for
+some ``eps`` of a short ladder.  That check runs on the orbit's own map, so
+the certificate's soundness does not rest on how ``phi`` was computed, and
+its ``mu`` is the one the root search and ``spectrum`` report.  The
 flow preserves order, so the iterates from any start above ``eps * phi``
 stay above it and a positive periodic state exists.  Under that
 certificate the iteration is accelerated by type-II Anderson mixing on
@@ -45,7 +41,9 @@ certificate the iteration is accelerated by type-II Anderson mixing on
 each mixed iterate projected onto the certified order interval
 ``[eps * phi, carrying]``.  Without it the plain iteration runs, and it
 alone can end in extinction: the sup norm falls below a floor, or one
-linear period contracts the state uniformly.
+linear period contracts the state uniformly.  Only an orbit without a
+certificate builds its linearized period map, at its own step count, as
+the vector action ``period_action`` that the contraction test applies.
 """
 
 from __future__ import annotations
@@ -55,11 +53,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import ORDER_TOL, Trajectory, _flow, default_n_steps, period_action
+from .evolution import (ORDER_TOL, Trajectory, UnstableStepError, _flow, default_n_steps,
+                        period_action)
 from .operator import DispersalOperator
-from .spectrum import PowerIterationError, _frozen_perron, _krylov_perron
+from .spectrum import PowerIterationError, principal_spectrum_point
 from .weighted_solver import STATUS_UNIQUE, LambdaPResult, solve_lambda_p
-from .weights import Weight, sup_abs, time_average
+from .weights import Weight, sup_abs
 
 TOL_FIX = 1e-9
 TOL_EXT = 1e-8
@@ -67,15 +66,6 @@ MAX_PERIODS = 500
 # sub-solution amplitudes tried by the persistence certificate, as fractions
 # of the carrying scale
 CERT_EPS = (1e-1, 1e-2, 1e-3, 1e-4)
-# the Ritz estimate at which the certificate's Perron solve stops.  The
-# certificate's correctness needs no tolerance: it checks P(eps*phi) -
-# eps*phi on every node itself, and the quick-start kpp_scan's outputs (n =
-# 64) were the same bytes at spectrum's ARNOLDI_TOL of 1e-10.  This one keeps
-# phi what the module states, the linearized map's Perron vector, to a
-# relative residual of 1e-12 rather than the 2.7e-11 and 8.1e-11 it read at
-# 1e-10 (1.005 and 1.25 lambda_p), at about 2 more of the solve's 12-21
-# applications, once per orbit
-CERT_PERRON_TOL = 1e-12
 ANDERSON_DEPTH = 5
 # states recorded along a persistent orbit's last period (about this many:
 # one every n_steps // ORBIT_SNAPSHOTS steps, and the last)
@@ -283,30 +273,30 @@ def _poincare_iterate(run, linear, u, period, n_steps, max_periods, floor):
     return "undecided", u, float("nan"), max_periods, None
 
 
-def _persistence_certificate(linear, n, start, period, run, n_steps, carrying):
+def _persistence_certificate(op, weight, lam, run, n_steps, carrying):
     """``(certificate, eps * phi, periods)`` from a sub-solution ``eps * phi``,
     or ``(None, None, periods)``.
 
-    ``phi`` is the Perron vector of ``linear``, the orbit's linearized period
-    map on ``n`` nodes, solved from ``start`` (the constant field when None)
-    and tried only when its Perron root exceeds 1.  The first
-    ``eps`` of ``CERT_EPS`` (times the carrying scale) with
+    ``phi`` is the eigenfunction of ``principal_spectrum_point(op, weight,
+    lam)``, tried only when its ``mu_n`` is positive; a point that raises
+    ``PowerIterationError`` or ``UnstableStepError`` gives no certificate.
+    The first ``eps`` of ``CERT_EPS`` (times the carrying scale) with
     ``P(eps * phi) - eps * phi`` above ``ORDER_TOL`` times the scale on every
-    node is the certificate; ``periods`` counts the KPP periods the ladder ran.
+    node, ``P`` the orbit's period map ``run`` at ``n_steps``, is the
+    certificate; ``periods`` counts the KPP periods the ladder ran.
     """
     try:
-        ratio, phi, _ = _krylov_perron(linear, n, start, tol=CERT_PERRON_TOL)
-    except PowerIterationError:
+        point = principal_spectrum_point(op, weight, lam)
+    except (PowerIterationError, UnstableStepError):
         return None, None, 0
-    if not ratio > 1.0:
+    if not point.mu_n > 0.0:
         return None, None, 0
-    mu = math.log(ratio) / period
     for k, frac in enumerate(CERT_EPS, start=1):
-        sub = frac * carrying * phi
-        gain = float((run(sub, 0.0, period, n_steps) - sub).min())
+        sub = frac * carrying * point.eigenfunction
+        gain = float((run(sub, 0.0, weight.period, n_steps) - sub).min())
         if gain > ORDER_TOL * carrying:
             return (f"P(eps*phi) exceeds eps*phi by at least {gain:.3e} on every node at "
-                    f"eps = {frac:.0e} of the carrying scale (mu = {mu:.6g} > 0), "
+                    f"eps = {frac:.0e} of the carrying scale (mu = {point.mu_n:.6g} > 0), "
                     "so the iterates stay above eps*phi"), sub, k
     return None, None, len(CERT_EPS)
 
@@ -360,8 +350,8 @@ def find_periodic_solution(op: DispersalOperator, weight: Weight,
     the accelerated or the plain Poincare iteration.
 
     The certificate of persistence is a sub-solution ``eps * phi`` from the
-    Perron vector of the linearized period map (see the module docstring); it
-    needs ``mu(lam) > 0`` and one KPP period per ``eps`` tried.  Under it,
+    eigenfunction of the principal spectrum point (see the module docstring);
+    it needs ``mu(lam) > 0`` and one KPP period per ``eps`` tried.  Under it,
     Anderson mixing iterates the period map from a small positive constant
     until the relative change of one period falls below ``TOL_FIX``.  Without
     it, the plain iteration from the same start decides: persistence by the
@@ -381,16 +371,17 @@ def find_periodic_solution(op: DispersalOperator, weight: Weight,
         n_steps = steps(period, scale)
     n_steps += n_steps % 2
 
-    linear = period_action(op, weight, lam, n_steps)
-    start = _frozen_perron(op, time_average(weight, op.grid), lam)
     certificate, sub, cert_periods = _persistence_certificate(
-        linear, op.n, start, period, run, n_steps, scale)
+        op, weight, lam, run, n_steps, scale)
+    if certificate is None:
+        linear = period_action(op, weight, lam, n_steps)
 
-    def iterate(u0):
-        if certificate is None:
+        def iterate(u0):
             return _poincare_iterate(run, linear, u0, period, n_steps, max_periods, scale)
-        return _anderson_iterate(run, u0, period, n_steps, max_periods, sub,
-                                 scale) + (certificate,)
+    else:
+        def iterate(u0):
+            return _anderson_iterate(run, u0, period, n_steps, max_periods, sub,
+                                     scale) + (certificate,)
 
     verdict, u_star, residual, used, reason = iterate(np.full(op.n, 0.1 * scale))
     used += cert_periods

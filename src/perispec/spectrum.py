@@ -586,8 +586,11 @@ def principal_spectrum_point(op: DispersalOperator, weight: Weight, lam: float,
     ladder's choice when None) with its time bar, ``iterations`` counts every
     level's map applications (Arnoldi's and the finest level's residual), and
     the eigenfunction and the relative residual ``|M phi - r phi| / r`` are
-    the finest map's.
+    the finest map's.  An ``n_steps`` below 1 raises ``ValueError``, on
+    either route, as ``period_action``'s does.
     """
+    if n_steps is not None and n_steps < 1:
+        raise ValueError(f"n_steps must be at least 1, got {n_steps}")
     summary = summarize(weight, op.grid)
     m_hat = summary.m_hat
     exact = summary.separable or lam == 0.0

@@ -776,6 +776,23 @@ def test_missing_lambdas_exits_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("key", ["s1_maximizer = 0.5", "s1_smoothness = 3",
+                                 "s1_flat_order = 2"])
+def test_s1_key_beside_samples_exits_two(tmp_path, capsys, key):
+    # the S1 metadata is read only with a closed form; beside samples it would
+    # be dropped, so S1 would read unknown where the expr twin reads yes
+    grid = build_grid(Boundary.DIRICHLET, (1.0,), 24)
+    w = closed_form("-cos(2*pi*x) - 0.2", 1.0)
+    save_sampled_csv(sample_closed_form(w, grid, 16), tmp_path / "weight.csv")
+    cfg = write_ini(tmp_path, BASE_PROBLEM.replace(
+        "expr = sin(2*pi*t/T) + cos(2*pi*x) - 0.2", "samples = weight.csv\n" + key)
+        + "\n[spectrum]\nlambdas = 1\n")
+    assert run("spectrum", cfg, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key.split(" = ")[0] in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sampled_node_mismatch_exits_two(tmp_path, capsys):
     grid = build_grid(Boundary.DIRICHLET, (1.0,), 12)  # config grid has 24
     w = closed_form("cos(2*pi*x)", 1.0)

@@ -352,6 +352,17 @@ def test_comparison_broadcasts_pairs():
         comparison_check(op, [(w, w)] * 2, fields, t1=1.0)
 
 
+def test_comparison_refuses_empty_pair_lists():
+    # no pair checked is no evidence of order: an empty list broadcast against
+    # one pair would otherwise pass with nothing compared
+    op = make_op(n=10)
+    w = closed_form("t/T", 1.0)
+    pair = (np.zeros(op.n), np.ones(op.n))
+    for weights, fields in (([], [pair]), ([(w, w)], []), ([], [])):
+        with pytest.raises(ValueError, match="at least one"):
+            comparison_check(op, weights, fields, t1=1.0)
+
+
 def test_comparison_reports_violations_without_raising():
     # deliberately reversed ordering: the report must record the violation
     op = make_op(n=10)

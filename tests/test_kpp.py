@@ -12,13 +12,13 @@ import pytest
 
 import perispec.kpp
 import perispec.weights
-from perispec.evolution import UnstableStepError, default_n_steps, period_action, propagate
+from perispec.evolution import UnstableStepError, default_n_steps, propagate
 from perispec.geometry import Boundary, build_grid, make_kernel, wrap_kernel
 from perispec.kpp import (TOL_FIX, Nonlinearity, PeriodicOrbit,
                           find_periodic_solution, simulate_kpp, summarize_scan,
                           threshold_scan)
 from perispec.operator import DispersalOperator, Problem, assemble
-from perispec.spectrum import POWER_REL_TOL, PowerIterationError, principal_spectrum_point
+from perispec.spectrum import PowerIterationError, principal_spectrum_point
 from perispec.weighted_solver import solve_lambda_p
 from perispec.weights import closed_form, sup_abs
 
@@ -412,9 +412,9 @@ def test_extinction_below_the_floor_ends_the_iteration():
 
 
 def test_extinction_orbit_builds_one_linearized_map(quickstart_threshold, monkeypatch):
-    # the certificate's Perron solve and the contraction test apply the same
-    # linearized map, one vector action at 64 nodes, wherever a module binds
-    # its builders
+    # the contraction test applies the orbit's one linearized map, a vector
+    # action at 64 nodes, and the separable weight's spectrum point is exact,
+    # so it builds none, wherever a module binds its builders
     op, w, res = quickstart_threshold
     built = []
     for module in (perispec.spectrum, perispec.kpp):
@@ -428,6 +428,24 @@ def test_extinction_orbit_builds_one_linearized_map(quickstart_threshold, monkey
                                    check_uniqueness=False)
     assert orbit.verdict == "extinction"
     assert built == ["period_action"]
+
+
+@pytest.mark.parametrize("weight", [
+    STANDARD_WEIGHT,  # the spectrum point's exact route
+    "sin(2*pi*t/T)*cos(2*pi*x) + cos(2*pi*x) - 0.2",  # its time-stepped route
+], ids=["exact", "time_stepped"])
+def test_persistence_orbit_builds_no_linearized_map_in_kpp(monkeypatch, weight):
+    # under a certificate the contraction test never runs, and it is the only
+    # reader of the orbit's linearized map, so kpp builds none
+    op = make_op(Boundary.DIRICHLET)
+    w = closed_form(weight, 1.0)
+
+    def forbidden(*args):
+        raise AssertionError("a linearized map built under a certificate")
+    monkeypatch.setattr(perispec.kpp, "period_action", forbidden)
+    orbit = find_periodic_solution(op, w, Nonlinearity(), 1.5, check_uniqueness=False)
+    assert orbit.verdict == "persistence"
+    assert orbit.certificate is not None
 
 
 @pytest.mark.parametrize("factor", [1.005, 1.02])
@@ -446,7 +464,7 @@ def test_persistence_is_decided_near_the_threshold(quickstart_threshold, factor)
     eps = float(re.search(r"eps = (\S+) of the carrying scale", orbit.certificate).group(1))
     scale = nl.carrying_scale(lam * sup_abs(w, op.grid))
     n_steps = _plain_iteration(op, w, nl, lam, 0)[1]
-    rep = principal_spectrum_point(op, w, lam, n_steps=n_steps)
+    rep = principal_spectrum_point(op, w, lam)
     assert rep.mu_n > 0.0
     sub = eps * scale * rep.eigenfunction
     image = simulate_kpp(op, w, nl, lam, sub, 0.0, w.period, n_steps=n_steps,
@@ -455,37 +473,30 @@ def test_persistence_is_decided_near_the_threshold(quickstart_threshold, factor)
 
 
 @pytest.mark.parametrize("factor", [1.005, 1.25])
-def test_certificate_phi_is_the_period_maps_perron_vector(quickstart_threshold, monkeypatch,
-                                                          factor):
-    # the Perron vector of the linearized period map at the orbit's own step
-    # count, also for a separable weight: the split map's Perron vector is the
-    # frozen generator's only up to the splitting error
+def test_certificate_phi_is_the_spectrum_points_eigenfunction(quickstart_threshold, monkeypatch,
+                                                              factor):
+    # the sub-solution is eps times the carrying scale times the eigenfunction
+    # of the principal spectrum point at lam, bit for bit, and the mu that the
+    # message names is that point's mu_n
     op, w, res = quickstart_threshold
     nl = Nonlinearity()
     lam = factor * res.lambda_p
-    n_steps = _plain_iteration(op, w, nl, lam, 0)[1]
-    maps, solves = [], []
-    original_map = perispec.kpp.period_action
-    original_solve = perispec.kpp._krylov_perron
+    floors = []
+    original = perispec.kpp._anderson_iterate
 
-    def recording_map(*args):
-        maps.append(args)
-        return original_map(*args)
-
-    def recording_solve(*args, **kwargs):
-        solves.append(original_solve(*args, **kwargs))
-        return solves[-1]
-    monkeypatch.setattr(perispec.kpp, "period_action", recording_map)
-    monkeypatch.setattr(perispec.kpp, "_krylov_perron", recording_solve)
+    def recording(*args):
+        floors.append(args[5])
+        return original(*args)
+    monkeypatch.setattr(perispec.kpp, "_anderson_iterate", recording)
     orbit = find_periodic_solution(op, w, nl, lam, check_uniqueness=False)
     assert orbit.certificate is not None
-    [args] = maps
-    [(ratio, phi, iterations)] = solves
-    assert args[3] == n_steps and iterations > 2 and ratio > 1.0
-    image = period_action(op, w, lam, n_steps)(phi)
-    rho = float(np.dot(op.quad_weights * phi, image) / np.dot(op.quad_weights * phi, phi))
-    assert np.abs(image - rho * phi).max() <= POWER_REL_TOL * rho
-    assert rho == pytest.approx(ratio, rel=1e-13)
+    point = principal_spectrum_point(op, w, lam)
+    eps = float(re.search(r"eps = (\S+) of the carrying scale", orbit.certificate).group(1))
+    scale = nl.carrying_scale(lam * sup_abs(w, op.grid))
+    [floor] = floors
+    np.testing.assert_array_equal(floor, eps * scale * point.eigenfunction)
+    mu = re.search(r"\(mu = (\S+) > 0\)", orbit.certificate).group(1)
+    assert mu == f"{point.mu_n:.6g}"
 
 
 def test_accelerated_fixed_point_equals_the_plain_one(quickstart_threshold, monkeypatch):
@@ -527,16 +538,23 @@ def test_accelerated_iterates_stay_in_the_order_interval(monkeypatch):
 
 
 def test_failed_spectrum_point_leaves_the_plain_iteration(quickstart_threshold, monkeypatch):
-    # no Perron vector, no certificate: the plain iteration decides as before
+    # a spectrum point that raises gives no certificate: the plain iteration
+    # decides as it does with the certificate withheld, for either error
     op, w, res = quickstart_threshold
-
-    def failing(*args, **kwargs):
-        raise PowerIterationError("Arnoldi did not converge")
-    monkeypatch.setattr(perispec.kpp, "_krylov_perron", failing)
-    orbit = find_periodic_solution(op, w, Nonlinearity(), 2.0 * res.lambda_p,
-                                   check_uniqueness=False)
-    assert orbit.verdict == "persistence"
-    assert orbit.certificate is None
+    lam = 2.0 * res.lambda_p
+    monkeypatch.setattr(perispec.kpp, "_persistence_certificate", lambda *args: (None, None, 0))
+    plain = find_periodic_solution(op, w, Nonlinearity(), lam, check_uniqueness=False)
+    monkeypatch.undo()
+    for error in (PowerIterationError("Arnoldi did not converge"),
+                  UnstableStepError("the state left the floating-point range")):
+        def failing(*args, _error=error, **kwargs):
+            raise _error
+        monkeypatch.setattr(perispec.kpp, "principal_spectrum_point", failing)
+        orbit = find_periodic_solution(op, w, Nonlinearity(), lam, check_uniqueness=False)
+        assert orbit.verdict == "persistence"
+        assert orbit.certificate is None
+        assert orbit.periods_used == plain.periods_used
+        np.testing.assert_array_equal(orbit.fixed_point, plain.fixed_point)
 
 
 def test_accelerated_iteration_from_a_low_start_stays_above_the_sub_solution(

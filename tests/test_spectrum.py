@@ -398,6 +398,17 @@ def test_a_callers_step_count_rounds_up_to_a_multiple_of_four(n_steps, finest, m
     assert rep.n_steps == finest and steps == [finest // 4, finest // 2, finest]
 
 
+@pytest.mark.parametrize("expr", [NONSEPARABLE_1D, "cos(2*pi*x) - 0.2"],
+                         ids=["time_stepped", "exact"])
+@pytest.mark.parametrize("n_steps", [0, -4])
+def test_a_step_count_below_one_is_refused(expr, n_steps):
+    # as period_action refuses it, on either route, rather than running the
+    # 32-step point
+    op = make_op(Boundary.DIRICHLET, n=16)
+    with pytest.raises(ValueError, match=f"n_steps must be at least 1, got {n_steps}"):
+        principal_spectrum_point(op, closed_form(expr, 1.0), 1.0, n_steps=n_steps)
+
+
 @pytest.mark.parametrize("make, expr", [
     pytest.param(lambda: make_op(Boundary.PERIODIC, n=64, r=0.5), TRAVELLING_WAVE,
                  id="formed-64"),
