@@ -191,7 +191,11 @@ def _build_problem(cp, config_dir: Path):
                                   "not with 'samples'")
     s1_data = None
     maximizer_raw = _get(wsec, "s1_maximizer")
-    if maximizer_raw is not None:
+    if maximizer_raw is None:
+        for key in ("s1_smoothness", "s1_flat_order"):
+            if _get(wsec, key) is not None:
+                raise ConfigError(f"[weight] key {key!r} is read only with 's1_maximizer'")
+    else:
         maximizer = tuple(_float_list("s1_maximizer", maximizer_raw))
         s1_data = S1Data(
             smoothness=_get_float(wsec, "s1_smoothness", default=math.inf, finite=False),

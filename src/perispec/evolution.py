@@ -28,20 +28,20 @@ instead was 10 to 30 times further off on closed forms (travelling wave
 
 The second half step of step k and the first of step k + 1 meet between two
 dispersal steps and act as one merged factor, except where a state is
-recorded in between.  So a step costs one product with ``P`` (one GEMM with
-a formed ``P`` for a period map's ``n x n`` state) and one diagonal
-scaling.  ``spectrum`` and ``kpp`` apply each period map to vectors
-(``period_action``), one vector step at a time; the formed monodromy
-matrix (``period_map``) serves ``validate`` and the tests.  The weight
+recorded in between.  So a step costs one product with ``P`` and one
+diagonal scaling.  A state is a vector of length ``n``: ``spectrum`` and
+``kpp`` apply each period map to vectors (``period_action``), and the formed
+monodromy matrix (``period_map``), which serves ``validate`` and the tests,
+is the stack of the images of the identity's columns.  The weight
 values come from one ``Weight.table`` (or ``Weight.antiderivative``) call
 per weight, grid, interval and step count, kept with the weight and scaled
 by ``lam`` for each ``_flow`` handle.
 
 The scheme is symmetric, so its error expands in even powers of ``h``:
 ``spectrum`` combines the maps of ``n/4``, ``n/2`` and ``n`` steps into a
-two-level value and its time bar, and picks ``n`` by that bar.  A state is a
-vector or an ``n x m`` block of columns.  Every run owns
-its buffers, and ``P`` is read-only, so concurrent calls stay deterministic.
+two-level value and its time bar, and picks ``n`` by that bar.  Every run
+owns its buffers, and ``P`` is read-only, so concurrent calls stay
+deterministic.
 The flow's one failure is leaving the floating-point range: a diagonal factor
 or the state overflows, and ``UnstableStepError`` says so.
 """
@@ -133,9 +133,9 @@ def _half_steps(op: DispersalOperator, weight: Weight, lam: float, t0: float, t1
 
 def _linear_reaction(z: np.ndarray, tau: float):
     """``react(u, j, merge)``: the linear flow's half step j, ``u *= exp(z[j])``,
-    in place; with ``merge`` the half steps j and j + 1 as one factor.  A block's
-    rows are scaled.  ``tau`` (the half step's length) is not needed, as the
-    factor is exact.  Raises when a factor overflows."""
+    in place; with ``merge`` the half steps j and j + 1 as one factor.  ``tau``
+    (the half step's length) is not needed, as the factor is exact.  Raises
+    when a factor overflows."""
     with np.errstate(over="ignore"):
         f = np.exp(z)
         merged = f[:-1] * f[1:]
@@ -146,15 +146,15 @@ def _linear_reaction(z: np.ndarray, tau: float):
             "floating-point range")
 
     def react(u, j, merge):
-        c = merged[j] if merge else f[j]
-        u *= c[:, None] if u.ndim == 2 else c
+        u *= merged[j] if merge else f[j]
     return react
 
 
 def _flow(op: DispersalOperator, weight: Weight, lam: float, t0: float, t1: float,
           n_steps: int, reaction=_linear_reaction):
     """``run(state, record_every=None, ceiling=None)``: the Strang flow over
-    ``[t0, t1]`` in ``n_steps`` steps, for vector and block states.
+    ``[t0, t1]`` in ``n_steps`` steps of a vector state of length ``n``; any
+    other shape raises ``ValueError``.
 
     The reaction's half steps ``reaction(z, h/2)`` (``_linear_reaction``, or
     ``Nonlinearity.reaction`` for the KPP flow) and the dispersal step
@@ -174,6 +174,8 @@ def _flow(op: DispersalOperator, weight: Weight, lam: float, t0: float, t1: floa
         if record_every is not None and record_every < 1:
             raise ValueError(f"record_every must be at least 1, got {record_every}")
         u = np.array(state, dtype=float, order="C")
+        if u.shape != (op.n,):
+            raise ValueError(f"state has shape {u.shape}, expected ({op.n},)")
         buf = np.empty_like(u)
         times = [t0]
         states = [u.copy()] if record_every else None
@@ -212,9 +214,6 @@ def _flow(op: DispersalOperator, weight: Weight, lam: float, t0: float, t1: floa
 def propagate(op: DispersalOperator, weight: Weight, lam: float, u0, t0: float, t1: float,
               n_steps: int | None = None, record_every: int = 1) -> Trajectory:
     """Propagate a field from ``t0`` to ``t1``; records every ``record_every`` steps."""
-    u0 = np.asarray(u0, dtype=float)
-    if u0.shape != (op.n,):
-        raise ValueError(f"u0 has shape {u0.shape}, expected ({op.n},)")
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
     if n_steps is None:
@@ -224,10 +223,14 @@ def propagate(op: DispersalOperator, weight: Weight, lam: float, u0, t0: float, 
 
 def period_map(op: DispersalOperator, weight: Weight, lam: float,
                n_steps: int | None = None) -> PeriodMap:
-    """Monodromy matrix over one weight period: nonnegative by construction."""
+    """Monodromy matrix over one weight period: nonnegative by construction.
+
+    Column ``j`` is ``period_action``'s image of the ``j``-th unit vector.
+    """
     if n_steps is None:
         n_steps = default_n_steps(weight.period, lam, sup_abs(weight, op.grid))
-    mat = _flow(op, weight, lam, 0.0, weight.period, n_steps)(np.eye(op.n))
+    apply = period_action(op, weight, lam, n_steps)
+    mat = np.stack([apply(e) for e in np.eye(op.n)], axis=1)
     mat.setflags(write=False)
     return PeriodMap(mat, float(lam), weight.period, n_steps)
 
@@ -235,8 +238,8 @@ def period_map(op: DispersalOperator, weight: Weight, lam: float,
 def period_action(op: DispersalOperator, weight: Weight, lam: float,
                   n_steps: int | None = None):
     """The map ``v -> Phi(T, 0) v``: one weight period of the linear flow
-    applied to a vector, or to each column of a block, without forming the
-    monodromy matrix: the ``_flow`` handle over ``[0, T]``.
+    applied to a vector, without forming the monodromy matrix: the ``_flow``
+    handle over ``[0, T]``.
 
     The step count is fixed once, as ``period_map`` would choose it, so every
     application integrates the same discrete flow, and the diagonal factors

@@ -200,8 +200,6 @@ def simulate_kpp(op: DispersalOperator, weight: Weight, nonlin: Nonlinearity,
     ``UnstableStepError`` is raised once its sup exceeds ``10 * scale``.
     """
     u0 = np.asarray(u0, dtype=float)
-    if u0.shape != (op.n,):
-        raise ValueError(f"initial state has shape {u0.shape}, expected ({op.n},)")
     if np.any(u0 < 0.0) or not np.all(np.isfinite(u0)):
         raise ValueError("initial state must be finite and nonnegative")
     if not np.any(u0 > 0.0):

@@ -81,10 +81,6 @@ n = 128 (128 KiB a factor) that is every step size a task touches: the
 travelling wave's ``lambda_p`` touches 5, from 8 to 128 steps, and builds 5
 factors, where a bound of three factors built 37 (about 1 ms each).  At
 n = 2048 (32 MiB a factor) it is the three.
-A block takes one GEMM with a formed ``E``.  The Taylor-2 step is a vector
-step, and a block goes through it column by column.  Only ``period_map``
-steps a block, the identity; ``spectrum`` and ``kpp`` apply every period map
-to vectors.
 
 The subtraction field ``b`` encodes the boundary regime:
 
@@ -193,15 +189,14 @@ class DispersalOperator:
 
     def dispersal(self, h: float):
         """``disperse(u, out)``: ``P u`` into ``out`` for one step of length
-        ``h``, with ``u`` a vector or an ``n x m`` block of columns, and
-        ``out`` C-contiguous.
+        ``h``, with ``u`` and ``out`` vectors of length ``n``, ``out``
+        C-contiguous.
 
-        A GEMV or a GEMM with the formed ``E``; from 256 nodes in 2-D, the
-        Taylor-2 step in Horner form, ``exp(-h sigma) (u + h (B u + h/2 B B u))``
-        (the factor ``exp(-h sigma)`` skipped when it is 1), on a vector's
+        A GEMV with the formed ``E``; from 256 nodes in 2-D, the Taylor-2
+        step in Horner form, ``exp(-h sigma) (u + h (B u + h/2 B B u))`` (the
+        factor ``exp(-h sigma)`` skipped when it is 1), on the vector's
         ``N x N`` field: each product by ``K`` is ``matvec``'s two GEMMs,
-        inline, and the last one and the Horner steps write into ``out``.  A
-        block goes through that vector step column by column.
+        inline, and the last one and the Horner steps write into ``out``.
         """
         E = self.dispersal_factor(h)
         if E is not None:
@@ -217,11 +212,6 @@ class DispersalOperator:
         def disperse(u, out):
             # every temporary is the call's own: one closure may serve
             # several threads at once
-            if u.ndim == 2:
-                col = np.empty(len(u))
-                for j in range(u.shape[1]):
-                    out[:, j] = disperse(np.ascontiguousarray(u[:, j]), col)
-                return out
             # matvec's two GEMMs on the N x N field, inline: a step through
             # two matvec calls and a copy into out took 29.1-29.6 us at
             # 24x24 against 27.1-27.2 us (best of 40, one BLAS thread)

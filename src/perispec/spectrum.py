@@ -31,11 +31,10 @@ problem and ``lam``, never an earlier coupling, so a point is the same bits
 whatever ran before it and in whatever thread.
 
 Each level is one Arnoldi solve (``_arnoldi_top``) for the Perron root of
-its map, applied to vectors (``period_action``): from 3 nodes on no route
-forms the ``n x n`` map, and a map on 1 or 2 nodes is formed from its
-columns for LAPACK.  Arnoldi tests its top Ritz pair after every
-application from ``min(n, 8)`` vectors on and stops once the Ritz estimate
-of the relative residual, in the sup norm that the verdict reads, is below
+its map, applied to vectors (``period_action``): no route forms the
+``n x n`` map.  Arnoldi tests its top Ritz pair after every application
+from ``min(n, 8)`` vectors on and stops once the Ritz estimate of the
+relative residual, in the sup norm that the verdict reads, is below
 ``ARNOLDI_TOL``, so a map whose Perron root stands well apart takes 8
 applications: every level of the travelling wave (n = 128 and 512) and of
 the cusp does.  ARPACK, used before, filled its 20-vector basis first and
@@ -219,8 +218,8 @@ def _frozen_perron(op: DispersalOperator, m_hat: np.ndarray, lam: float) -> np.n
     waves (n = 64 and 128, ``lam`` up to 500) spread by at most 10.7 eps of
     that sum, and at ``lam`` 50 by up to 88 eps of the image's largest entry;
     LAPACK spent 0.7 ms per point to return the constant field to 1.3e-14.
-    Otherwise the vector is scaled to sup 1 at a positive entry; None when
-    the solver fails or the vector has a substantive negative entry.  It is
+    Otherwise the vector goes through ``_perron_vector``; None when the
+    solver fails or the vector has a substantive negative entry.  It is
     the exact route's eigenfunction for a separable weight and Arnoldi's
     start for any other.
     """
@@ -253,10 +252,21 @@ def _frozen_perron(op: DispersalOperator, m_hat: np.ndarray, lam: float) -> np.n
                             which="LA", v0=start, tol=0)
         except ArpackError:
             return None
-    v = vecs[:, 0]
-    v = v / v[int(np.argmax(np.abs(v)))]
-    if float(v.min()) < -CLAMP_TOL:
+    try:
+        return _perron_vector(vecs[:, 0])
+    except PowerIterationError:
         return None
+
+
+def _perron_vector(v: np.ndarray) -> np.ndarray:
+    """``v`` scaled to sup 1 at its entry of largest modulus, with
+    rounding-level negatives clamped to 0.  An entry below ``-CLAMP_TOL``
+    raises ``PowerIterationError``: the vector is not a Perron vector."""
+    v = v / v[int(np.argmax(np.abs(v)))]
+    worst = float(v.min())
+    if worst < -CLAMP_TOL:
+        raise PowerIterationError(
+            f"dominant Ritz vector has a negative entry {worst:.3e}; it is not a Perron vector")
     v[v < 0.0] = 0.0
     return v
 
@@ -407,32 +417,16 @@ def _krylov_perron(apply, n: int, start: np.ndarray | None = None,
 
     Arnoldi (``_arnoldi_top``, to ``tol``) runs from ``start``, or
     from the constant field without one; on at most ``ARNOLDI_MIN_BASIS``
-    nodes it spans the whole space before its first test.  A map on 1 or 2
-    nodes is formed from its columns, and LAPACK's ``eig`` gives its
-    eigenpair of largest modulus, so a two-node point is LAPACK's root of
-    the formed map to the bit.  The vector is
-    the real part of the eigenvector, scaled to sup 1; rounding-level
-    negatives are clamped, larger ones are an error, as is a root that is not
-    real and positive (a zero map gives 0) and a solve that does not
+    nodes it spans the whole space before its first test.  The vector is
+    the Ritz vector, through ``_perron_vector``; a root that is not real and
+    positive (a zero map gives 0) is an error, as is a solve that does not
     converge.  Every application is counted; the residual is the caller's
     (``_residual``).
     """
-    if n < 3:
-        vals, vecs = np.linalg.eig(np.stack([apply(e) for e in np.eye(n)], axis=1))
-        top = int(np.argmax(np.abs(vals)))
-        root, v, count = complex(vals[top]), vecs[:, top].real, n
-    else:
-        root, v, count = _arnoldi_top(apply, n, np.ones(n) if start is None else start, tol)
+    root, v, count = _arnoldi_top(apply, n, np.ones(n) if start is None else start, tol)
     if not root.real > 0.0 or abs(root.imag) > POWER_REL_TOL * abs(root):
         raise PowerIterationError(f"dominant Ritz value {root} is not a positive real root")
-    ratio = root.real
-    v = v / v[int(np.argmax(np.abs(v)))]
-    worst = float(v.min())
-    if worst < -CLAMP_TOL:
-        raise PowerIterationError(
-            f"dominant Ritz vector has a negative entry {worst:.3e}; it is not a Perron vector")
-    v[v < 0.0] = 0.0
-    return ratio, v, count
+    return root.real, _perron_vector(v), count
 
 
 def _residual(apply, ratio: float, v: np.ndarray) -> float:

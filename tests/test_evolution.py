@@ -83,8 +83,8 @@ def test_dispersal_factor_is_the_exact_exponential():
 @pytest.mark.parametrize("h", [1.0 / 64, 1.5])
 def test_two_dimensional_taylor_step_from_256_nodes(h):
     # from 256 nodes the 2-D factor is exp(-h s) (I + h B + h^2 B^2 / 2),
-    # B = K - b + s, s = max(0, max b - 1/h): no entry is negative, and the
-    # block route is the vector route, column by column
+    # B = K - b + s, s = max(0, max b - 1/h): no entry is negative, and a
+    # vector step gives its columns
     op = Problem(Boundary.NEUMANN, (1.0, 1.0), "parabolic", 0.5, closed_form("0", 1.0)).at(16)[0]
     assert op.dispersal_factor(h) is None
     s = max(0.0, float(op.b.max()) - 1.0 / h)
@@ -92,13 +92,9 @@ def test_two_dimensional_taylor_step_from_256_nodes(h):
     P = math.exp(-h * s) * (np.eye(op.n) + h * B + 0.5 * h * h * (B @ B))
     assert float(P.min()) >= 0.0
     disperse = op.dispersal(h)
-    block = np.zeros((op.n, 3))
-    block[[0, 100, 255], [0, 1, 2]] = 1.0
-    got = disperse(block, np.empty_like(block))
-    np.testing.assert_allclose(got, P @ block, rtol=0, atol=1e-14)
-    for j in range(3):
-        col = disperse(np.ascontiguousarray(block[:, j]), np.empty(op.n))
-        np.testing.assert_allclose(col, got[:, j], rtol=0, atol=1e-15)
+    for j in (0, 100, 255):
+        col = disperse(np.eye(op.n)[j], np.empty(op.n))
+        np.testing.assert_allclose(col, P[:, j], rtol=0, atol=1e-14)
     if s == 0.0:
         # h max b <= 1: the unshifted step keeps constants, as K - b does on Neumann
         np.testing.assert_allclose(disperse(np.ones(op.n), np.empty(op.n)), 1.0, atol=1e-14)
@@ -229,12 +225,10 @@ def test_no_negative_entry_on_lorentzian_wells(boundary, radius, depth, width, c
     op, w = Problem(boundary, (1.0,), "parabolic", radius, closed_form(expr, 1.0)).at(128)
     assert float(textbook_rk4_map(op, w, 1.0, 8).min()) < -1e-4
     low = np.argsort(-op.b + w.evaluate(0.0, op.grid), kind="stable")[:8]
-    units = np.zeros((op.n, len(low)))
-    units[low, np.arange(len(low))] = 1.0
     for n_steps in (8, 16, 24, 32, 48):
         assert float(period_map(op, w, 1.0, n_steps=n_steps).matrix.min()) >= 0.0
         apply = evolution.period_action(op, w, 1.0, n_steps)
-        assert float(apply(units).min()) >= 0.0
+        assert all(float(apply(np.eye(op.n)[j]).min()) >= 0.0 for j in low)
         assert float(apply(np.ones(op.n)).min()) > 0.0
 
 
@@ -383,29 +377,31 @@ def half_step_exponents(op, w, lam, t0, h, n_steps):
     return [(0.25 * h * lam) * (m[j] + m[j + 1]) for j in range(2 * n_steps)]
 
 
-def reference_strang(op, w, lam, u, t0, t1, n_steps):
-    """Textbook Strang splitting: each step applies exp(z_second) E
-    exp(z_first), the two half factors apart, with E = scipy's expm(h (K - b))."""
+def reference_strang(op, w, lam, t0, t1, n_steps):
+    """Textbook Strang splitting, as a map of vectors: each step applies
+    exp(z_second) E exp(z_first), the two half factors apart, with E =
+    scipy's expm(h (K - b))."""
     h = (t1 - t0) / n_steps
     E = scipy.linalg.expm(h * (op.K - np.diag(op.b)))
-    z = half_step_exponents(op, w, lam, t0, h, n_steps)
-    u = u.astype(float)
-    for k in range(n_steps):
-        first, second = np.exp(z[2 * k]), np.exp(z[2 * k + 1])
-        if u.ndim == 2:
-            first, second = first[:, None], second[:, None]
-        u = second * (E @ (first * u))
-    return u
+    factors = [np.exp(z) for z in half_step_exponents(op, w, lam, t0, h, n_steps)]
+
+    def step(u):
+        u = u.astype(float)
+        for k in range(n_steps):
+            u = factors[2 * k + 1] * (E @ (factors[2 * k] * u))
+        return u
+    return step
+
+
+def columns(step, n):
+    """The matrix whose column j is ``step`` of the j-th unit vector."""
+    return np.stack([step(e) for e in np.eye(n)], axis=1)
 
 
 def horner_taylor_step(op, h, u):
     """The 2-D Taylor-2 dispersal step in Horner form,
     ``exp(-h s) (u + h (B u + h/2 B B u))`` with ``B = K - b + s`` and
-    ``s = max(0, max b - 1/h)``, each product by ``K`` one ``matvec`` of a
-    vector: a block goes column by column."""
-    if u.ndim == 2:
-        return np.stack([horner_taylor_step(op, h, np.ascontiguousarray(col)) for col in u.T],
-                        axis=1)
+    ``s = max(0, max b - 1/h)``, each product by ``K`` one ``matvec``."""
     s = max(0.0, float(op.b.max()) - 1.0 / h)
     bu = op.matvec(u) + (s - op.b) * u
     bbu = op.matvec(bu) + (s - op.b) * bu
@@ -418,20 +414,15 @@ def stage_scheme_strang(op, w, lam, u, t0, t1, n_steps, taylor=False):
 
     The first half factor, then per step one product with the operator's
     factor (with ``taylor``, ``horner_taylor_step``) and the merged factor of
-    two half steps (the lone half step after the last product); a block's
-    rows are scaled.
+    two half steps (the lone half step after the last product).
     """
     h = (t1 - t0) / n_steps
     E = None if taylor else op.dispersal_factor(h)
     f = [np.exp(z) for z in half_step_exponents(op, w, lam, t0, h, n_steps)]
-
-    def rows(c):
-        return c[:, None] if u.ndim == 2 else c
-
-    u = u.astype(float) * rows(f[0])
+    u = u.astype(float) * f[0]
     for k in range(n_steps):
         u = horner_taylor_step(op, h, u) if taylor else E @ u
-        u = u * rows(f[2 * k + 1] * f[2 * k + 2] if k + 1 < n_steps else f[2 * k + 1])
+        u = u * (f[2 * k + 1] * f[2 * k + 2] if k + 1 < n_steps else f[2 * k + 1])
     return u
 
 
@@ -497,7 +488,8 @@ def test_period_map_equals_stagewise_reference():
     op = make_op(n=16)
     w = closed_form("sin(2*pi*t/T + 0.4) + cos(2*pi*(x - t/T)) - 0.2", 1.3)
     pm = period_map(op, w, 1.7, n_steps=77)
-    assert np.array_equal(pm.matrix, stage_scheme_strang(op, w, 1.7, np.eye(op.n), 0.0, 1.3, 77))
+    assert np.array_equal(pm.matrix, columns(
+        lambda e: stage_scheme_strang(op, w, 1.7, e, 0.0, 1.3, 77), op.n))
 
 
 def test_propagate_equals_stagewise_reference():
@@ -508,19 +500,34 @@ def test_propagate_equals_stagewise_reference():
     assert np.array_equal(traj.final, stage_scheme_strang(op, w, -2.3, u0, 0.35, 2.9, 113))
 
 
-def test_block_period_equals_stagewise_reference():
-    # a block narrower than K steps as one GEMM with the factor per step
-    op = make_op(Boundary.NEUMANN, n=24, r=0.3)
-    w = closed_form("sin(2*pi*t/T + 0.4) + cos(2*pi*(x - t/T)) - 0.2", 1.3)
-    block = np.zeros((op.n, 3))
-    block[[0, 5, 11], [0, 1, 2]] = 1.0
-    got = evolution.period_action(op, w, 1.7, n_steps=77)(block)
-    assert np.array_equal(got, stage_scheme_strang(op, w, 1.7, block, 0.0, 1.3, 77))
-    # the same values in Fortran order give the same bits
-    assert np.array_equal(evolution.period_action(op, w, 1.7, n_steps=77)(
-        np.asfortranarray(block)), got)
-    assert np.abs(got - reference_strang(op, w, 1.7, block, 0.0, 1.3, 77)).max() <= (
-        1e-13 * np.abs(got).max())
+@pytest.mark.parametrize("dim, n_per_axis", [(1, 24), (2, 16)], ids=["1d", "2d-256"])
+def test_period_map_stacks_the_period_actions_of_the_unit_vectors(dim, n_per_axis):
+    # the formed map is the images of the identity's columns under one
+    # period action, bit for bit: the exact E in 1-D, Taylor-2 steps on
+    # 256 nodes in 2-D
+    expr = "sin(2*pi*t/T + 0.4) + cos(2*pi*(x - t/T)) - 0.2"
+    if dim == 2:
+        expr = "cos(2*pi*x)*cos(pi*y)*(1 + sin(2*pi*t/T)) - 0.2 + sin(2*pi*t/T)"
+    op, w = Problem(Boundary.NEUMANN, (1.0,) * dim, "parabolic", 0.3,
+                    closed_form(expr, 1.3)).at(n_per_axis)
+    assert op.exact_dispersal == (dim == 1)
+    pm = period_map(op, w, 1.7, n_steps=16)
+    apply = evolution.period_action(op, w, 1.7, n_steps=16)
+    assert np.array_equal(pm.matrix, columns(apply, op.n))
+    assert float(pm.matrix.min()) >= 0.0 and not pm.matrix.flags.writeable
+
+
+@pytest.mark.parametrize("shape", ["square", "column"])
+def test_a_state_that_is_not_a_vector_is_refused(shape):
+    # the flow steps vectors of length n only: an n x n block would take its
+    # diagonal factors across columns, not rows
+    op = make_op(n=8)
+    w = closed_form("sin(2*pi*t/T + 0.4) + cos(2*pi*(x - t/T)) - 0.2", 1.0)
+    state = np.eye(op.n) if shape == "square" else np.ones((op.n, 1))
+    with pytest.raises(ValueError, match="shape"):
+        evolution.period_action(op, w, 1.0, 64)(state)
+    with pytest.raises(ValueError, match="shape"):
+        propagate(op, w, 1.0, state, 0.0, 1.0, n_steps=64)
 
 
 def test_period_action_builds_its_stage_tables_once(monkeypatch):
@@ -537,14 +544,13 @@ def test_period_action_builds_its_stage_tables_once(monkeypatch):
     monkeypatch.setattr(Weight, "table", counting)
     apply = evolution.period_action(op, w, 1.7, n_steps=77)
     v = np.linspace(0.2, 1.0, op.n)
-    block = np.zeros((op.n, 3))
-    block[[0, 5, 11], [0, 1, 2]] = 1.0
-    got = [apply(v), apply(block), apply(v)]
+    unit = np.eye(op.n)[5]
+    got = [apply(v), apply(unit), apply(v)]
     assert rows == [155]
     assert list(op._factors) == [1.3 / 77]
     monkeypatch.undo()
     assert np.array_equal(got[0], stage_scheme_strang(op, w, 1.7, v, 0.0, 1.3, 77))
-    assert np.array_equal(got[1], stage_scheme_strang(op, w, 1.7, block, 0.0, 1.3, 77))
+    assert np.array_equal(got[1], stage_scheme_strang(op, w, 1.7, unit, 0.0, 1.3, 77))
     assert np.array_equal(got[2], got[0])
 
 
@@ -577,7 +583,7 @@ def test_two_dimensional_period_goes_through_the_stencil(n_per_axis):
 @pytest.mark.parametrize("n_per_axis, period, n_steps", [(16, 1.0, 64), (24, 1.0, 64),
                                                          (16, 3.0, 2)])
 def test_two_dimensional_period_is_the_horner_taylor_loop(n_per_axis, period, n_steps):
-    # a vector period and a block period from 256 nodes in 2-D, bit for bit
+    # vector periods from 256 nodes in 2-D, of a field and of unit vectors, bit for bit
     # the Taylor-2 loop above (at 3 periods of 2 steps its shift s is
     # positive); one closure gives the same bits again and from two threads
     op = Problem(Boundary.NEUMANN, (1.0, 1.0), "parabolic", 0.5,
@@ -585,10 +591,8 @@ def test_two_dimensional_period_is_the_horner_taylor_loop(n_per_axis, period, n_
     w = closed_form("cos(2*pi*x)*cos(pi*y)*(1 + sin(2*pi*t/T)) - 0.2 + sin(2*pi*t/T)", period)
     assert op.dispersal_factor(period / n_steps) is None
     v = np.cos(3.0 * op.grid.nodes[:, 0]) + op.grid.nodes[:, 1] + 1.0
-    block = np.zeros((op.n, 3))
-    block[[0, 100, op.n - 1], [0, 1, 2]] = 1.0
     apply = evolution.period_action(op, w, 1.5, n_steps=n_steps)
-    fields = [v, 2.0 * v + 1.0, block]
+    fields = [v, 2.0 * v + 1.0] + [np.eye(op.n)[j] for j in (0, 100, op.n - 1)]
     got = [apply(u) for u in fields]
     for u, image in zip(fields, got):
         assert np.array_equal(image, stage_scheme_strang(op, w, 1.5, u, 0.0, period, n_steps,
@@ -600,7 +604,7 @@ def test_two_dimensional_period_is_the_horner_taylor_loop(n_per_axis, period, n_
             again = list(pool.map(apply, fields * 8, timeout=60))
     finally:
         sys.setswitchinterval(interval)
-    assert all(np.array_equal(image, got[k % 3]) for k, image in enumerate(again))
+    assert all(np.array_equal(image, got[k % len(fields)]) for k, image in enumerate(again))
 
 
 @pytest.mark.parametrize("boundary,n,n_steps", [
@@ -615,11 +619,11 @@ def test_stage_scheme_agrees_with_the_textbook_loop(boundary, n, n_steps):
     op = make_op(boundary, n=n, r=0.3)
     w = closed_form("sin(2*pi*t/T + 0.4) + 2*cos(2*pi*(x - t/T)) - 0.2", 1.3)
     pm = period_map(op, w, 2.1, n_steps=n_steps)
-    ref = reference_strang(op, w, 2.1, np.eye(op.n), 0.0, 1.3, n_steps)
+    ref = columns(reference_strang(op, w, 2.1, 0.0, 1.3, n_steps), op.n)
     assert np.abs(pm.matrix - ref).max() <= 1e-13 * np.abs(ref).max()
     u0 = np.linspace(0.2, 1.0, op.n)
     got = propagate(op, w, -1.4, u0, 0.35, 2.9, n_steps=n_steps, record_every=n_steps).final
-    ref = reference_strang(op, w, -1.4, u0, 0.35, 2.9, n_steps)
+    ref = reference_strang(op, w, -1.4, 0.35, 2.9, n_steps)(u0)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
