@@ -25,14 +25,23 @@ the nonnegative-slope case); the solver records the certificate and a sampled
 prefix of the curve instead of stepping the integrator at astronomically large
 ``lam`` where the required step count would explode.
 
-Once the upward crossing is bracketed, Brent's method (``scipy.optimize.brentq``)
-refines the root on that confirmed bracket to a relative width of ``XTOL_REL``.
+Once the upward crossing is bracketed, Brent's method refines the root on that
+confirmed bracket.  ``_brentq`` is an in-package port of scipy's ``brentq.c``
+(R. P. Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4):
+the same iterates in the same arithmetic, so the same bits, without importing
+``scipy.optimize``.  ``XTOL_REL`` is passed as both its absolute and its
+relative tolerance, so it stops once the bracket is narrower than
+``XTOL_REL * (1 + |lam|)``, a half-width of ``XTOL_REL * (1 + |lam|) / 2``.
+For large roots that is a relative width of about ``XTOL_REL``; below
+``lam = 1`` the absolute term dominates, and the relative width grows (about
+5.6e-10 at ``lam = 0.216``).
 ``tol_root`` only decides signs while bracketing: a curve value counts as
 positive or negative once it clears ``tol_root``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,6 +96,75 @@ class _MuCache:
         return tuple(sorted((lam, float(r.mu_n)) for lam, r in self.reports.items()))
 
 
+def _brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """A root of ``f`` in ``[a, b]`` by Brent's method, as scipy's ``brentq``.
+
+    The loop follows scipy's ``brentq.c`` step for step and keeps its
+    arithmetic forms, so it evaluates the same points and returns the same
+    bits.  An endpoint whose value is exactly 0 is returned; endpoint values
+    of one sign or a NaN value raise ``ValueError``; no convergence within
+    100 iterations, scipy's default, raises ``RuntimeError``.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN; "
+                             "solver cannot continue")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            # rotate so that xcur is the best point
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # an underflowed denominator: C's inf or NaN step bisects below
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError("Brent's method did not converge in 100 iterations; "
+                       f"last point {xcur!r}")
+
+
 def _upward_crossing(mu: _MuCache, lo: float, lam: float, tol_root: float,
                      lam_cap: float):
     """Double ``lam`` until ``mu > tol_root``, then refine the root above ``lo``.
@@ -100,9 +178,6 @@ def _upward_crossing(mu: _MuCache, lo: float, lam: float, tol_root: float,
     ``(root, mu(root), (lo, hi))``, or ``None`` when the curve stays at or
     below ``tol_root`` up to ``lam_cap``.
     """
-    # imported here: loading scipy.optimize would make ``import perispec`` 5x slower
-    from scipy.optimize import brentq
-
     while lam <= lam_cap:
         val = mu(lam)
         if val > tol_root:
@@ -110,7 +185,7 @@ def _upward_crossing(mu: _MuCache, lo: float, lam: float, tol_root: float,
                 lam *= 0.5
             if lam > 2.0 * lo and mu(0.5 * lam) < -tol_root:
                 lo = 0.5 * lam
-            root = brentq(mu, lo, lam, xtol=XTOL_REL, rtol=XTOL_REL)
+            root = _brentq(mu, lo, lam, XTOL_REL, XTOL_REL)
             return root, mu(root), (lo, lam)
         if val < -tol_root:
             lo = lam

@@ -5,6 +5,7 @@ same discrete threshold: it never touches the time stepper or the power
 iteration, so agreement is evidence that both halves are right.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import perispec
 import perispec.spectrum
@@ -195,16 +198,129 @@ def test_refinement_takes_few_points_inside_bracket(boundary):
     assert len(inside) <= 8
 
 
+IMPORT_PROBE = """
+import sys
+import perispec
+from perispec.geometry import Boundary, build_grid, make_kernel, wrap_kernel
+from perispec.operator import assemble
+from perispec.weighted_solver import solve_lambda_p, upper_bound_lambda_p
+from perispec.weights import closed_form
+
+def loaded():
+    return sorted(m for m in ('scipy', 'scipy.optimize', 'scipy.sparse.linalg', 'scipy.linalg')
+                  if m in sys.modules)
+
+print(loaded())
+wave = closed_form("cos(2*pi*(x - t/T)) - 0.2 + 0.5*sin(2*pi*t/T)", 1.0)
+op = assemble(wrap_kernel(make_kernel("parabolic", 0.5, 1), (1.0,)),
+              build_grid(Boundary.PERIODIC, (1.0,), 32))
+assert solve_lambda_p(op, wave).status == "unique_root"
+print(loaded())
+w = closed_form("cos(2*pi*x)*(1 + sin(2*pi*t/T)) - 0.2 + 0.5*sin(2*pi*t/T)", 1.0)
+op = assemble(make_kernel("parabolic", 1.0, 1), build_grid(Boundary.DIRICHLET, (1.0,), 16))
+assert solve_lambda_p(op, w).status == "unique_root"
+print('scipy.optimize' in sys.modules)
+assert upper_bound_lambda_p(op, w).bound_holds
+print('scipy.optimize' in sys.modules)
+"""
+
+
 def test_import_does_not_load_scipy_optimize():
-    # the root refinement imports brentq and the frozen route imports eigh
-    # and eigsh lazily, to keep start-up fast; the dispersal factor needs no scipy.linalg
+    # the root refinement is the in-package Brent loop, and the frozen route
+    # imports eigh and eigsh lazily, to keep start-up fast; the dispersal
+    # factor needs no scipy.linalg.  The travelling wave's frozen solve takes
+    # the constant start, so its root search loads no scipy module at all;
+    # the Dirichlet weight's frozen eigh loads scipy.linalg, never scipy.optimize
     src = str(Path(perispec.__file__).resolve().parents[1])
-    code = ("import sys, perispec; "
-            "print('scipy.optimize' in sys.modules, 'scipy.sparse.linalg' in sys.modules, "
-            "'scipy.linalg' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "False False False"
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.split("\n")[:4] == ["[]", "[]", "False", "False"]
+
+
+def brent_trace(solver, f, a, b, xtol, rtol):
+    """``(root or exception type, evaluated points)`` of one Brent solve."""
+    points = []
+
+    def recorded(x):
+        points.append(x)
+        return f(x)
+    try:
+        root = solver(recorded, a, b, xtol=xtol, rtol=rtol)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), points
+    return root.hex(), [x.hex() for x in points]
+
+
+BRENT_FAMILIES = {
+    "cubic": lambda r, k: lambda x: (x - r) ** 3 + k * (x - r),
+    "exponential": lambda r, k: lambda x: math.exp(k * (x - r)) - 1.0,
+    "tanh": lambda r, k: lambda x: math.tanh(k * (x - r)),
+    # not monotone: the bracket may hold several roots
+    "wiggly quadratic": lambda r, k: lambda x: (x - r) * (x + r + k) + 0.3 * math.sin(7.0 * x),
+}
+EPS = float(np.finfo(float).eps)
+BRENT_TOLS = (perispec.weighted_solver.XTOL_REL, 2e-12, 1e-6, 4 * EPS)
+
+
+@settings(max_examples=400, deadline=None)
+@given(family=st.sampled_from(sorted(BRENT_FAMILIES)),
+       r=st.floats(-5.0, 5.0), k=st.floats(0.1, 8.0),
+       left=st.floats(1e-3, 6.0), right=st.floats(1e-3, 6.0), swap=st.booleans(),
+       xtol=st.sampled_from(BRENT_TOLS), rtol=st.sampled_from(BRENT_TOLS))
+def test_brent_loop_is_scipys_brentq(family, r, k, left, right, swap, xtol, rtol):
+    # scipy's brentq is the reference here only: the package never imports it.
+    # The functions stay far above the underflow range, where the sign tests
+    # of scipy's releases (a product of two values in older ones, signbit in
+    # newer ones) agree with each other
+    from scipy.optimize import brentq
+
+    f = BRENT_FAMILIES[family](r, k)
+    a, b = r - left, r + right
+    if swap:
+        a, b = b, a
+    assume((f(a) < 0) != (f(b) < 0) and f(a) != 0 and f(b) != 0)
+    expected = brent_trace(brentq, f, a, b, xtol, rtol)
+    assert brent_trace(perispec.weighted_solver._brentq, f, a, b, xtol, rtol) == expected
+
+
+def test_brent_loop_bisects_past_an_underflowed_step():
+    # at 1e-120 the extrapolation's denominator, a product of three values of
+    # that size, underflows to 0: C's infinite step is rejected and bisects.
+    # Products of two values stay normal, so older scipy releases agree too
+    from scipy.optimize import brentq
+
+    def f(x):
+        return 1e-120 * math.expm1(2.0 * (x - 0.3))
+    expected = brent_trace(brentq, f, -1.0, 2.0, 1e-10, 1e-10)
+    assert brent_trace(perispec.weighted_solver._brentq, f, -1.0, 2.0, 1e-10, 1e-10) == expected
+
+
+def test_brent_loop_returns_an_endpoint_root():
+    brent = perispec.weighted_solver._brentq
+    assert brent(lambda x: x - 1.0, 1.0, 3.0, 1e-10, 1e-10) == 1.0
+    assert brent(lambda x: x - 3.0, 1.0, 3.0, 1e-10, 1e-10) == 3.0
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: x * x + 1.0, -1.0, 2.0),                       # one sign at both ends
+    (lambda x: math.nan if x < 0 else x, -1.0, 1.0),          # NaN at an endpoint
+    (lambda x: x if abs(x) == 1.0 else math.nan, -1.0, 1.0),  # NaN inside
+], ids=["same-sign", "nan-endpoint", "nan-inside"])
+def test_brent_loop_refuses_a_bad_bracket(f, a, b):
+    with pytest.raises(ValueError):
+        perispec.weighted_solver._brentq(f, a, b, 1e-10, 1e-10)
+
+
+def test_brent_loop_stops_after_100_iterations():
+    # a step function keeps |f| equal at every point, so each step bisects,
+    # and halving a 2e300 bracket to 4 eps takes over 1000 steps
+    def step(x):
+        return -1.0 if x < 1.0 / 3.0 else 1.0
+    points = []
+    with pytest.raises(RuntimeError):
+        perispec.weighted_solver._brentq(lambda x: points.append(x) or step(x),
+                                         -1e300, 1e300, 4 * EPS, 4 * EPS)
+    assert len(points) == 102
 
 
 @pytest.fixture
